@@ -129,6 +129,11 @@ def build_sequence(cfg, rng):
         if n > len(seq):
             raise ConfigError(f"n = {n} exceeds the {len(seq)} rows in data_csv")
         seq = harness.Sequence(seq.kind, seq.xs[:n], seq.ys[:n], seq.meta)
+        B = cfg.get("B", 1.0)
+        for row, y in enumerate(seq.ys, start=1):
+            if not abs(y) <= B:
+                raise ConfigError(f"{cfg['data_csv']}: row {row} has label "
+                                  f"y = {float(y)!r} outside [-B, B], B = {B:g}")
     else:
         n = _require(cfg, "n", "sequence generation")
         if n < 1:
@@ -210,10 +215,14 @@ def cmd_run(args):
         options = {"eps1": cfg.get("eps1", 0.05), "eps2": cfg.get("eps2", 0.05)}
         slack, _, _ = _randomized_slack(P, loss, n, options["eps1"],
                                         options["eps2"], np.random.default_rng(0))
-    traj = run_online(P, strategy, seq, loss, P.B, rng=rng, options=options)
+    # the comparator is deterministic and draws nothing from rng, so building
+    # it first lets the bound column fill while the run goes
     comp = build_comparator(cfg, fam, seq, loss, P)
     w_arg = comp.w if fam in ("param_free", "vaw") else None
-    bounds = harness.bound_series(P, traj, w_arg)
+    bounds = [P.regret_bound(P.zero(), w_arg)]
+    traj = run_online(P, strategy, seq, loss, P.B, rng=rng, options=options,
+                      on_round=lambda t, zeta_prev, rnd, zeta:
+                      bounds.append(P.regret_bound(zeta, w_arg)))
     report = harness.build_report(traj, comp.per_round, bounds)
     tol = cfg.get("tol", 1e-6)
     v_final = P.bound(traj.final_statistic)

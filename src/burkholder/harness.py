@@ -46,10 +46,11 @@ def matrix_completion(n, d1, d2, rank=1, nuclear_radius=1.0, noise=0.0,
                       skew=0.0, B=1.0, rng=None):
     """Entry observations of a planted low-rank matrix.
 
-    Instances are indicator matrices e_i e_j^T (spectral norm 1); the planted
-    matrix is rescaled to nuclear norm exactly nuclear_radius, labels are the
-    revealed entries plus optional gaussian noise, clipped to [-B, B]. skew > 0
-    draws indices from a permuted power-law instead of uniformly.
+    Instances are index entries symlin.Entry(i, j, (d1, d2)): the indicator
+    matrices e_i e_j^T (spectral norm 1) without their dense storage. The
+    planted matrix is rescaled to nuclear norm exactly nuclear_radius, labels
+    are the revealed entries plus optional gaussian noise, clipped to [-B, B].
+    skew > 0 draws indices from a permuted power-law instead of uniformly.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     u = rng.normal(size=(int(d1), int(rank)))
@@ -64,10 +65,8 @@ def matrix_completion(n, d1, d2, rank=1, nuclear_radius=1.0, noise=0.0,
     for _ in range(int(n)):
         i = int(rng.choice(d1, p=row_p))
         j = int(rng.choice(d2, p=col_p))
-        x = np.zeros((d1, d2))
-        x[i, j] = 1.0
         y = planted[i, j] + (noise * rng.normal() if noise > 0 else 0.0)
-        xs.append(x)
+        xs.append(symlin.Entry(i, j, (d1, d2)))
         ys.append(min(B, max(-B, float(y))))
         idx.append((i, j))
     return Sequence("matrix_completion", xs, np.array(ys),
@@ -150,11 +149,7 @@ def load_sequence(path, d1=None, d2=None):
         xs, ys, idx = [], [], []
         for row in body:
             i, j, y = int(row[0]), int(row[1]), float(row[2])
-            if not (0 <= i < d1 and 0 <= j < d2):
-                raise DomainError(f"index ({i}, {j}) outside ({d1}, {d2})")
-            x = np.zeros((d1, d2))
-            x[i, j] = 1.0
-            xs.append(x)
+            xs.append(symlin.Entry(i, j, (d1, d2)))
             ys.append(y)
             idx.append((i, j))
         return Sequence("matrix_completion", xs, np.array(ys), {"indices": idx})
@@ -177,13 +172,29 @@ class Comparator:
 
 def _flatten(xs):
     mat = np.stack([np.asarray(x, dtype=float).reshape(-1) for x in xs])
-    return mat, np.asarray(xs[0]).shape
+    return mat, np.shape(xs[0])
+
+
+def _design(xs):
+    """(forward, adjoint, shape) of the map w -> (<w, x_t>)_t on flat w.
+
+    Index entries gather w[k] and scatter with bincount, never building the
+    n x (d1 d2) matrix; a gather equals the indicator-row product exactly.
+    """
+    if all(isinstance(x, symlin.Entry) for x in xs):
+        shape = xs[0].shape
+        k = np.array([x.flat_index for x in xs], dtype=np.intp)
+        size = shape[0] * shape[1]
+        return (lambda w: w[k],
+                lambda g: np.bincount(k, weights=g, minlength=size), shape)
+    mat, shape = _flatten(xs)
+    return (lambda w: mat @ w), (lambda g: mat.T @ g), shape
 
 
 def comparator_losses(xs, ys, loss, w):
     """Per-round losses of the fixed linear predictor t -> <w, x_t>."""
-    mat, _ = _flatten(xs)
-    preds = mat @ np.asarray(w, dtype=float).reshape(-1)
+    forward, _, _ = _design(xs)
+    preds = forward(np.asarray(w, dtype=float).reshape(-1))
     return np.asarray(loss.value(preds, np.asarray(ys, dtype=float)), dtype=float)
 
 
@@ -204,20 +215,20 @@ def best_linear_comparator(xs, ys, loss, ball="l2", radius=1.0, iters=2000,
     norm ball, tracking the best iterate. Deterministic given the inputs."""
     if radius < 0:
         raise DomainError("radius >= 0")
-    mat, shape = _flatten(xs)
+    forward, adjoint, shape = _design(xs)
     ys = np.asarray(ys, dtype=float)
-    k = mat.shape[1]
-    w = np.zeros(k) if w0 is None else np.asarray(w0, dtype=float).reshape(-1).copy()
-    best_w, best_val = w.copy(), float(np.sum(loss.value(mat @ w, ys)))
+    w = (np.zeros(math.prod(shape)) if w0 is None
+         else np.asarray(w0, dtype=float).reshape(-1).copy())
+    best_w, best_val = w.copy(), float(np.sum(loss.value(forward(w), ys)))
     for it in range(1, int(iters) + 1):
-        preds = mat @ w
-        g = mat.T @ np.asarray(loss.subgradient(preds, ys), dtype=float)
+        preds = forward(w)
+        g = adjoint(np.asarray(loss.subgradient(preds, ys), dtype=float))
         step = 0.5 * radius / math.sqrt(it) if radius > 0 else 0.5 / math.sqrt(it)
         w = _project(w - step * g, shape, ball, radius)
-        val = float(np.sum(loss.value(mat @ w, ys)))
+        val = float(np.sum(loss.value(forward(w), ys)))
         if val < best_val:
             best_val, best_w = val, w.copy()
-    per_round = np.asarray(loss.value(mat @ best_w, ys), dtype=float)
+    per_round = np.asarray(loss.value(forward(best_w), ys), dtype=float)
     return Comparator(best_w.reshape(shape), best_val, per_round,
                       f"{ball} ball radius {radius:g}, {iters} iterations")
 
@@ -240,20 +251,20 @@ def comparator_grid(xs, ys, loss, radii=None, directions=None):
     prediction, which is the steepest linear descent direction at w = 0.
     Returns a list of Comparator records, best first.
     """
-    mat, shape = _flatten(xs)
+    forward, adjoint, shape = _design(xs)
     ys = np.asarray(ys, dtype=float)
     if radii is None:
         radii = np.logspace(-2, 2, 41)
     if directions is None:
-        g0 = mat.T @ np.asarray(loss.subgradient(np.zeros(len(ys)), ys), dtype=float)
+        g0 = adjoint(np.asarray(loss.subgradient(np.zeros(len(ys)), ys), dtype=float))
         ng = np.linalg.norm(g0)
-        directions = [-g0 / ng] if ng > 0 else [np.eye(mat.shape[1])[0]]
+        directions = [-g0 / ng] if ng > 0 else [np.eye(math.prod(shape))[0]]
     out = []
     for u in directions:
         u = np.asarray(u, dtype=float).reshape(-1)
         for rho in radii:
             w = rho * u
-            per_round = np.asarray(loss.value(mat @ w, ys), dtype=float)
+            per_round = np.asarray(loss.value(forward(w), ys), dtype=float)
             out.append(Comparator(w.reshape(shape), float(per_round.sum()),
                                   per_round, f"grid radius {rho:g}"))
     out.sort(key=lambda c: c.total_loss)
@@ -321,8 +332,3 @@ def build_report(trajectory, comp_per_round, bounds):
         rows.append((t, float(r.loss), cum, float(comp[t - 1]), cum - cum_comp,
                      float(bounds[t]), float(trajectory.potential_values[t])))
     return RegretReport(rows)
-
-
-def bound_series(P, trajectory, comparator=None):
-    """Running regret-bound column from the family's closed form."""
-    return np.array([P.regret_bound(z, comparator) for z in trajectory.zetas])

@@ -127,10 +127,11 @@ class Round:
 
 @dataclass
 class Trajectory:
-    """One online run: per-round records plus the running statistic and U values.
+    """One online run: per-round records, U values and the final statistic.
 
-    zetas[0] is the zero statistic and potential_values[0] = U(0); entry t
-    corresponds to the state after round t.
+    potential_values[0] = U(0) and entry t is U after round t. Only the
+    statistic after the last round is kept, as the one element of zetas;
+    the play loops pass every statistic to their on_round hook instead.
     """
     rounds: list = field(default_factory=list)
     zetas: list = field(default_factory=list)

@@ -46,7 +46,7 @@ class MatrixPotential(Potential):
         return np.zeros((self.d1, self.d2)), 0.0
 
     def stat_map(self, x, y_hat, delta):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = symlin.as_matrix(x)
         if x.shape != (self.d1, self.d2):
             raise DomainError(f"instance shape {x.shape} != ({self.d1}, {self.d2})")
         return ScalarSymPsd(delta * y_hat,
@@ -69,7 +69,6 @@ class MatrixPotential(Potential):
         return stat.a + self.r * float(lam1) - self.c / self.eta
 
     def residual(self, zeta, x, delta, t=None):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         lte = self._lte(zeta.H + delta * symlin.dilation(x),
                         zeta.M + symlin.dilation_square(x))
         return zeta.a + (self.r / self.eta) * lte - self.c / self.eta
@@ -77,7 +76,6 @@ class MatrixPotential(Potential):
     def predict(self, zeta, x):
         """clamp(-(r / 2 L eta) [lte(+) - lte(-)]) with the current round's
         squared dilation included inside both sign branches."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         dil = symlin.dilation(x)
         m_new = zeta.M + symlin.dilation_square(x)
         lte_p = self._lte(zeta.H + self.L * dil, m_new)
@@ -106,13 +104,16 @@ class MatrixPotential(Potential):
         return step ** 2
 
 
-def doubling_run(d1, d2, sequence, loss, B=1.0, r=1.0, L=1.0, c=None, R=1.0):
+def doubling_run(d1, d2, sequence, loss, B=1.0, r=1.0, L=1.0, c=None, R=1.0,
+                 on_round=None):
     """Doubling trick over spectral budgets B_k = R^2 2^k.
 
     Starts epoch k with eta_k = sqrt(2 c / (L^2 B_k)) and a fresh statistic;
     the epoch ends after the round in which its accumulated squared-dilation
     spectral norm reaches the budget. Returns (trajectory, epochs) where each
-    epoch record is (start_round, eta, budget).
+    epoch record is (start_round, eta, budget). on_round(t, zeta_prev, rnd,
+    zeta) sees each round's statistics before any epoch reset; the
+    trajectory keeps only the last round's statistic.
     """
     if R <= 0:
         raise DomainError("R > 0")
@@ -128,22 +129,25 @@ def doubling_run(d1, d2, sequence, loss, B=1.0, r=1.0, L=1.0, c=None, R=1.0):
         return pot, budget
 
     pot, budget = fresh(k)
-    zeta = pot.zero()
-    traj.zetas.append(zeta)
+    zeta = last = pot.zero()
     traj.potential_values.append(pot.eval(zeta))
     epochs.append((1, pot.eta, budget))
     for t, (x, y) in enumerate(sequence, start=1):
         y_hat = pot.predict(zeta, x)
         delta = float(loss.subgradient(y_hat, y))
-        zeta = accumulate(zeta, x, y_hat, delta, pot)
-        traj.rounds.append(Round(t=t, x=x, y_hat=float(y_hat), y=float(y),
-                                 delta=delta, loss=float(loss.value(y_hat, y))))
-        traj.zetas.append(zeta)
-        traj.potential_values.append(pot.eval(zeta))
+        last = accumulate(zeta, x, y_hat, delta, pot)
+        rnd = Round(t=t, x=x, y_hat=float(y_hat), y=float(y),
+                    delta=delta, loss=float(loss.value(y_hat, y)))
+        traj.rounds.append(rnd)
+        traj.potential_values.append(pot.eval(last))
+        if on_round is not None:
+            on_round(t, zeta, rnd, last)
+        zeta = last
         m_norm = float(symlin.sym_eigvals(zeta.M)[0]) if zeta.M.size else 0.0
         if m_norm >= budget * (1 - 1e-12):
             k += 1
             pot, budget = fresh(k)
             zeta = pot.zero()
             epochs.append((t + 1, pot.eta, budget))
+    traj.zetas.append(last)
     return traj, epochs

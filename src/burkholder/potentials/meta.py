@@ -89,7 +89,7 @@ class MetaPotential(Potential):
         for m, tau, g in zip(self.members, taus, gamma):
             try:
                 vals.append(m.regret_bound(tau, comparator) + self.eta * float(g))
-            except (NotImplementedError, DomainError, TypeError):
+            except (NotImplementedError, DomainError):
                 continue
         if not vals:
             raise DomainError("no member exposes a regret bound for this comparator")

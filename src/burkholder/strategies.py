@@ -119,61 +119,81 @@ def realized_game_value(P, zeta, x, dist, loss, B, t=None, y_grid=129):
 STRATEGIES = ("linearized", "convex", "randomized")
 
 
-def run_online(P, strategy, sequence, loss, B, rng=None, options=None):
+def _play(P, choose, sequence, loss, on_round):
+    """The online protocol: choose(zeta, x, t) predicts, the statistic advances.
+
+    Only the running statistic is held; on_round(t, zeta_prev, rnd, zeta),
+    when given, sees each round's record and the statistics around it.
+    """
+    traj = Trajectory()
+    zeta = P.zero()
+    traj.potential_values.append(P.eval(zeta, t=0))
+    for t, (x, y) in enumerate(sequence, start=1):
+        y_hat = choose(zeta, x, t)
+        delta = float(loss.subgradient(y_hat, y))
+        nxt = accumulate(zeta, x, y_hat, delta, P)
+        rnd = Round(t=t, x=x, y_hat=float(y_hat), y=float(y),
+                    delta=delta, loss=float(loss.value(y_hat, y)))
+        traj.rounds.append(rnd)
+        traj.potential_values.append(P.eval(nxt, t=t))
+        if on_round is not None:
+            on_round(t, zeta, rnd, nxt)
+        zeta = nxt
+    traj.zetas.append(zeta)
+    return traj
+
+
+def run_online(P, strategy, sequence, loss, B, rng=None, options=None,
+               on_round=None):
     """Play the full protocol and record the trajectory.
 
     sequence is an iterable of (x, y) pairs. potential_values[t] records
     U(zeta_t) (with the round index for time-varying families), so the
     per-round descent and the final certificate can be read off directly.
+    on_round(t, zeta_prev, rnd, zeta) is called after every round.
     """
     if strategy not in STRATEGIES:
         raise DomainError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     opts = dict(options or {})
-    if strategy == "randomized" and rng is None:
-        rng = np.random.default_rng(0)
-    traj = Trajectory()
-    zeta = P.zero()
-    traj.zetas.append(zeta)
-    traj.potential_values.append(P.eval(zeta, t=0))
-    for t, (x, y) in enumerate(sequence, start=1):
-        if strategy == "linearized":
-            y_hat = predict_linearized(P, zeta, x, B, t=t)
-        elif strategy == "convex":
-            y_hat = predict_convex(P, zeta, x, B, loss, t=t, **opts)
-        else:
-            _, y_hat = predict_randomized(
-                P, zeta, x, B, opts.get("eps1", 0.1), opts.get("eps2", 0.1),
-                rng, loss, t=t, y_grid=opts.get("y_grid", 129))
-        delta = float(loss.subgradient(y_hat, y))
-        zeta = accumulate(zeta, x, y_hat, delta, P)
-        traj.rounds.append(Round(t=t, x=x, y_hat=float(y_hat), y=float(y),
-                                 delta=delta, loss=float(loss.value(y_hat, y))))
-        traj.zetas.append(zeta)
-        traj.potential_values.append(P.eval(zeta, t=t))
-    return traj
+    if strategy == "linearized":
+        def choose(zeta, x, t):
+            return predict_linearized(P, zeta, x, B, t=t)
+    elif strategy == "convex":
+        def choose(zeta, x, t):
+            return predict_convex(P, zeta, x, B, loss, t=t, **opts)
+    else:
+        rng = rng if rng is not None else np.random.default_rng(0)
+        eps1, eps2 = opts.get("eps1", 0.1), opts.get("eps2", 0.1)
+        y_grid = opts.get("y_grid", 129)
+
+        def choose(zeta, x, t):
+            return predict_randomized(P, zeta, x, B, eps1, eps2, rng, loss, t=t,
+                                      y_grid=y_grid)[1]
+    return _play(P, choose, sequence, loss, on_round)
 
 
-def run_randomized_expected(P, sequence, loss, B, eps1, eps2, rng, y_grid=129):
+def run_randomized_expected(P, sequence, loss, B, eps1, eps2, rng, y_grid=129,
+                            on_round=None):
     """run_online for the randomized strategy, additionally recording the
     expected loss of each round's distribution (not just the sampled draw).
 
     The statistic still advances with the sampled prediction; the expected
     losses are what the approximation guarantee controls.
     """
-    traj = Trajectory()
     expected = []
-    zeta = P.zero()
-    traj.zetas.append(zeta)
-    traj.potential_values.append(P.eval(zeta, t=0))
-    for t, (x, y) in enumerate(sequence, start=1):
+    dist = None
+
+    def choose(zeta, x, t):
+        nonlocal dist
         dist, y_hat = predict_randomized(P, zeta, x, B, eps1, eps2, rng, loss,
                                          t=t, y_grid=y_grid)
+        return y_hat
+
+    def record(t, zeta_prev, rnd, zeta):
         expected.append(float(dist.probs @ np.asarray(
-            loss.value(dist.points, float(y)), dtype=float)))
-        delta = float(loss.subgradient(y_hat, y))
-        zeta = accumulate(zeta, x, y_hat, delta, P)
-        traj.rounds.append(Round(t=t, x=x, y_hat=float(y_hat), y=float(y),
-                                 delta=delta, loss=float(loss.value(y_hat, y))))
-        traj.zetas.append(zeta)
-        traj.potential_values.append(P.eval(zeta, t=t))
+            loss.value(dist.points, rnd.y), dtype=float)))
+        if on_round is not None:
+            on_round(t, zeta_prev, rnd, zeta)
+
+    traj = _play(P, choose, sequence, loss, record)
     return traj, np.array(expected)

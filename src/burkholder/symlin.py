@@ -1,8 +1,9 @@
 """Dense symmetric linear algebra used by the matrix-valued potentials.
 
-Everything here operates on plain numpy arrays at desk scale (dimensions in
-the tens). The self-adjoint dilation embeds a rectangular matrix into a
-symmetric one so that spectral quantities reduce to eigenvalues.
+Everything here operates on plain numpy arrays, except `Entry`, an indicator
+matrix e_i e_j^T carried as its index. The self-adjoint dilation embeds a
+rectangular matrix into a symmetric one so that spectral quantities reduce
+to eigenvalues.
 """
 
 import numpy as np
@@ -23,15 +24,51 @@ def max_asymmetry(s):
     return float(np.max(np.abs(s - s.T))) if s.size else 0.0
 
 
+class Entry:
+    """The d1 x d2 indicator matrix e_i e_j^T, stored as its index (i, j).
+
+    np.asarray(entry) gives the dense matrix, so any consumer of dense
+    instances accepts an Entry; dilation, dilation_square and the comparator
+    search use the index directly, with results equal to the dense ones.
+    """
+    __slots__ = ("i", "j", "shape")
+
+    def __init__(self, i, j, shape):
+        d1, d2 = (int(d) for d in shape)
+        if not (0 <= i < d1 and 0 <= j < d2):
+            raise DomainError(f"index ({i}, {j}) outside ({d1}, {d2})")
+        self.i, self.j, self.shape = int(i), int(j), (d1, d2)
+
+    @property
+    def flat_index(self):
+        """Position of the nonzero in the row-major flattening."""
+        return self.i * self.shape[1] + self.j
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.zeros(self.shape, dtype=float if dtype is None else dtype)
+        out[self.i, self.j] = 1
+        return out
+
+
+def as_matrix(x):
+    """x itself when it is an Entry, else x as a 2-D float array."""
+    if isinstance(x, Entry):
+        return x
+    return np.atleast_2d(np.asarray(x, dtype=float))
+
+
 def dilation(x):
     """Self-adjoint dilation [[0, X], [X^T, 0]] of a d1 x d2 matrix.
 
     Its largest eigenvalue equals the largest singular value of X, and its
     eigenvalues come in +/- pairs padded with zeros.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = as_matrix(x)
     d1, d2 = x.shape
     out = np.zeros((d1 + d2, d1 + d2))
+    if isinstance(x, Entry):
+        out[x.i, d1 + x.j] = out[d1 + x.j, x.i] = 1.0
+        return out
     out[:d1, d1:] = x
     out[d1:, :d1] = x.T
     return out
@@ -39,9 +76,13 @@ def dilation(x):
 
 def dilation_square(x):
     """Block diagonal [[X X^T, 0], [0, X^T X]]; equals dilation(x) @ dilation(x)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = as_matrix(x)
     d1, d2 = x.shape
     out = np.zeros((d1 + d2, d1 + d2))
+    if isinstance(x, Entry):
+        # e_i e_j^T (e_i e_j^T)^T = e_i e_i^T and the transpose product is e_j e_j^T
+        out[x.i, x.i] = out[d1 + x.j, d1 + x.j] = 1.0
+        return out
     out[:d1, :d1] = x @ x.T
     out[d1:, d1:] = x.T @ x
     return out

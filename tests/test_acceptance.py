@@ -41,18 +41,21 @@ def _matrix_runs():
         t0 = time.perf_counter()
         seq = matrix_completion(500, 10, 10, rank=2, nuclear_radius=1.0,
                                 noise=0.0, B=1.0, rng=rng)
-        traj = run_online(P, "linearized", seq, loss, 1.0)
+        worst, scan_s = -math.inf, 0.0
+
+        def scan(t, zeta_prev, rnd, zeta):
+            nonlocal worst, scan_s
+            s0 = time.perf_counter()
+            worst = max(worst, round_descent(P, zeta_prev, rnd.x, rnd.y_hat,
+                                             loss, 1.0))
+            scan_s += time.perf_counter() - s0
+
+        traj = run_online(P, "linearized", seq, loss, 1.0, on_round=scan)
         comp = comparator_losses(seq.xs, seq.ys, loss,
                                  seq.meta["planted"].reshape(-1))
         m_norm = float(np.linalg.eigvalsh(traj.final_statistic.M)[-1])
         bound = 0.5 * 0.2 * 1.0 * 1.0 * m_norm + math.log(20.0) / 0.2
-        elapsed += time.perf_counter() - t0
-        worst = -math.inf
-        for t in range(1, traj.n + 1):
-            worst = max(worst, round_descent(P, traj.zetas[t - 1],
-                                             seq.xs[t - 1],
-                                             traj.rounds[t - 1].y_hat,
-                                             loss, 1.0))
+        elapsed += time.perf_counter() - t0 - scan_s
         records.append({"regret": traj.cumulative_loss - float(comp.sum()),
                         "comp_total": float(comp.sum()),
                         "bound": bound,
@@ -72,13 +75,14 @@ def _param_free_runs():
     for i in range(100):
         rng = np.random.default_rng([7, i])
         seq = random_vectors(500, 10, radius=1.0, noise=0.1, B=1.0, rng=rng)
-        traj = run_online(P, "linearized", seq, loss, 1.0)
         worst = -math.inf
-        for t in range(1, traj.n + 1):
-            worst = max(worst, round_descent(P, traj.zetas[t - 1],
-                                             seq.xs[t - 1],
-                                             traj.rounds[t - 1].y_hat,
+
+        def scan(t, zeta_prev, rnd, zeta):
+            nonlocal worst
+            worst = max(worst, round_descent(P, zeta_prev, rnd.x, rnd.y_hat,
                                              loss, 1.0, t=t))
+
+        traj = run_online(P, "linearized", seq, loss, 1.0, on_round=scan)
         records.append({"xs": seq.xs, "ys": seq.ys,
                         "cum": traj.cumulative_loss,
                         "max_u_step": float(np.max(np.diff(traj.potential_values))),

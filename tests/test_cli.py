@@ -6,9 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from burkholder import cli
+from burkholder import cli, harness
 from burkholder.errors import ConfigError
 from burkholder.harness import random_vectors, save_sequence
+from burkholder.symlin import Entry
 
 
 def _cfg(tmp_path, text, name="cfg.txt"):
@@ -105,6 +106,39 @@ def test_run_from_a_data_csv(tmp_path, capsys):
     assert cli.main(["run", "--config", too_many]) == 2
     _, err = capsys.readouterr()
     assert "exceeds" in err
+
+
+def test_run_rejects_data_labels_outside_the_label_range(tmp_path, capsys):
+    data = tmp_path / "entries.csv"
+    data.write_text("i,j,y\n0,1,0.5\n1,0,2.0\n1,1,3.0\n")
+    path = _cfg(tmp_path, f"family = matrix\nd1 = 2\nd2 = 2\neta = 0.5\n"
+                          f"loss = hinge\ndata_csv = {data}\n")
+    with pytest.raises(ConfigError) as info:
+        cli.build_sequence(cli.parse_config(path), np.random.default_rng(0))
+    assert str(data) in str(info.value)
+    assert "row 2" in str(info.value) and "y = 2.0" in str(info.value)
+    assert "B = 1" in str(info.value)
+    assert cli.main(["run", "--config", path]) == 2
+    _, err = capsys.readouterr()
+    assert "outside [-B, B]" in err and "-> pass" not in err
+
+
+def test_run_csv_is_byte_identical_with_dense_instances(tmp_path, monkeypatch):
+    path = _cfg(tmp_path, "family = matrix\nd1 = 6\nd2 = 5\nn = 40\neta = 0.3\n"
+                          "rank = 2\nnoise = 0.05\ncomparator_iters = 60\n")
+    sparse, dense = tmp_path / "sparse.csv", tmp_path / "dense.csv"
+    assert cli.main(["run", "--config", path, "--out", str(sparse)]) == 0
+    generate = harness.matrix_completion
+
+    def densified(*args, **kwargs):
+        seq = generate(*args, **kwargs)
+        assert all(isinstance(x, Entry) for x in seq.xs)
+        return harness.Sequence(seq.kind, [np.asarray(x) for x in seq.xs],
+                                seq.ys, seq.meta)
+
+    monkeypatch.setattr(harness, "matrix_completion", densified)
+    assert cli.main(["run", "--config", path, "--out", str(dense)]) == 0
+    assert dense.read_bytes() == sparse.read_bytes()
 
 
 def test_verify_p1_covers_the_catalog(capsys):

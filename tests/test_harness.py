@@ -5,12 +5,12 @@ import pytest
 
 from burkholder.errors import DomainError
 from burkholder.harness import (CSV_HEADER, adversarial_gradient,
-                                best_linear_comparator, bound_series,
-                                build_report, comparator_grid,
+                                best_linear_comparator, build_report, comparator_grid,
                                 comparator_losses, least_squares_comparator,
                                 load_sequence, make_sequence,
                                 matrix_completion, random_vectors,
                                 save_sequence)
+from burkholder.harness import _design
 from burkholder.losses import make_loss
 from burkholder.potentials import AdaGradPotential
 from burkholder.strategies import run_online
@@ -24,6 +24,7 @@ def test_matrix_completion_plants_a_nuclear_ball_matrix():
         1.5, rel=1e-12)
     assert len(seq) == 40
     for x, ((i, j), y) in zip(seq.xs, zip(seq.meta["indices"], seq.ys)):
+        x = np.asarray(x)
         assert x.shape == (4, 3)
         assert x[i, j] == 1.0 and x.sum() == 1.0
         assert y == planted[i, j]  # noise = 0, |entries| <= radius <= B is moot
@@ -159,10 +160,12 @@ class TestRegretReport:
         P = AdaGradPotential(d=2)
         seq = random_vectors(n, 2, rng=np.random.default_rng(9))
         loss = make_loss("absolute", B=1.0)
-        traj = run_online(P, "linearized", seq, loss, B=1.0)
+        bounds = [P.regret_bound(P.zero())]
+        traj = run_online(P, "linearized", seq, loss, B=1.0,
+                          on_round=lambda t, zeta_prev, rnd, zeta:
+                          bounds.append(P.regret_bound(zeta)))
         comp = np.full(n, 0.125)
-        bounds = bound_series(P, traj)
-        return traj, comp, bounds
+        return traj, comp, np.array(bounds)
 
     def test_rows_and_arithmetic(self):
         traj, comp, bounds = self._run()
@@ -197,3 +200,30 @@ class TestRegretReport:
             build_report(traj, comp[:-1], bounds)
         with pytest.raises(DomainError, match="bounds"):
             build_report(traj, comp, bounds[:-1])
+
+
+@pytest.mark.parametrize("kind", ["absolute", "squared"])
+def test_entry_comparators_match_the_dense_design(kind):
+    """Index entries gather w[k] and scatter by bincount; the results equal
+    the stacked indicator rows' mat @ w and mat.T @ g."""
+    rng = np.random.default_rng(21)
+    seq = matrix_completion(80, 5, 4, rank=2, noise=0.1, rng=rng)
+    dense = [np.asarray(x) for x in seq.xs]
+    mat = np.stack([x.reshape(-1) for x in dense])
+    forward, adjoint, shape = _design(seq.xs)
+    assert shape == (5, 4)
+    w, g = rng.normal(size=20), rng.normal(size=80)
+    np.testing.assert_allclose(forward(w), mat @ w, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(adjoint(g), mat.T @ g, rtol=0, atol=1e-12)
+    loss = make_loss(kind, B=1.0)
+    for ball in ("nuclear", "l2"):
+        a = best_linear_comparator(seq.xs, seq.ys, loss, ball=ball, iters=60)
+        b = best_linear_comparator(dense, seq.ys, loss, ball=ball, iters=60)
+        np.testing.assert_allclose(a.w, b.w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.per_round, b.per_round, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(comparator_losses(seq.xs, seq.ys, loss, w),
+                               comparator_losses(dense, seq.ys, loss, w),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose([c.total_loss for c in comparator_grid(seq.xs, seq.ys, loss)],
+                               [c.total_loss for c in comparator_grid(dense, seq.ys, loss)],
+                               rtol=0, atol=1e-12)

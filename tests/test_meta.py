@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from burkholder.errors import ConfigError, DomainError
-from burkholder.potential import MappedPotential
+from burkholder.potential import MappedPotential, Potential
 from burkholder.potentials import (AdaGradPotential, CombinedPotential,
                                    MatrixPotential, MetaPotential,
                                    ParamFreePotential, VawPotential,
                                    combine_convex, combine_min,
                                    estimate_increment_bound)
+from burkholder.statistics import ScalarVec
 
 
 def _meta_pair(eta=0.25):
@@ -186,3 +187,29 @@ def test_combined_residual_requires_linearizable_members():
     combo = combine_min([a, a])
     x = np.ones((3, 2)) * 0.2
     assert combo.residual(combo.zero(), x, 0.5) == a.residual(a.zero(), x, 0.5)
+
+
+class _RaisingBound(Potential):
+    """A member whose regret bound raises the given exception."""
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def zero(self):
+        return ScalarVec.zero(1)
+
+    def regret_bound(self, stat, comparator=None):
+        raise self.exc
+
+
+def test_regret_bound_skips_only_members_without_a_bound():
+    ada = AdaGradPotential(d=2)
+    meta = MetaPotential([(_RaisingBound(NotImplementedError()), 1.0),
+                          (_RaisingBound(DomainError("needs a comparator")), 1.0),
+                          (ada, 1.0)], eta=0.5)
+    assert meta.regret_bound(meta.zero()) == pytest.approx(
+        ada.regret_bound(ada.zero()) + math.log(3.0) / 0.5, rel=1e-12)
+    buggy = MetaPotential([(_RaisingBound(TypeError("bug in a member")), 1.0),
+                           (ada, 1.0)], eta=0.5)
+    with pytest.raises(TypeError, match="bug in a member"):
+        buggy.regret_bound(buggy.zero())

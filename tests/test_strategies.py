@@ -1,6 +1,7 @@
 """Prediction strategies, statistic accumulation, and trajectory records."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from burkholder.errors import DomainError, NumericError
 from burkholder.losses import make_loss
 from burkholder.potential import (MappedPotential, Potential, Trajectory,
                                   accumulate)
-from burkholder.potentials import AdaGradPotential, VawPotential
-from burkholder.statistics import ScalarVec
+from burkholder.harness import matrix_completion
+from burkholder.potentials import AdaGradPotential, MatrixPotential, VawPotential
+from burkholder.statistics import ScalarVec, stats_allclose
 from burkholder.strategies import (STRATEGIES, predict_convex,
                                    predict_linearized, predict_randomized,
                                    realized_game_value, run_online,
@@ -138,9 +140,11 @@ def test_run_online_bookkeeping():
     loss = make_loss("absolute")
     rng = np.random.default_rng(3)
     seq = [(P.sample_instance(rng), float(rng.uniform(-1, 1))) for _ in range(10)]
-    traj = run_online(P, "linearized", seq, loss, P.B)
+    stats = [P.zero()]
+    traj = run_online(P, "linearized", seq, loss, P.B,
+                      on_round=lambda t, zeta_prev, rnd, zeta: stats.append(zeta))
     assert traj.n == 10
-    assert len(traj.zetas) == 11
+    assert len(stats) == 11
     assert len(traj.potential_values) == 11
     assert traj.potential_values[0] == P.eval(P.zero())
     assert traj.cumulative_loss == pytest.approx(float(traj.losses.sum()))
@@ -237,3 +241,49 @@ def test_trajectory_defaults():
     z = ScalarVec.zero(1)
     t.zetas.append(z)
     assert t.final_statistic is z
+
+
+@pytest.mark.parametrize("randomized", [False, True])
+def test_on_round_sees_every_statistic_in_order(randomized):
+    P = MatrixPotential(4, 3, eta=0.5)
+    loss = make_loss("absolute")
+    seq = matrix_completion(12, 4, 3, rank=2, rng=np.random.default_rng(6))
+    calls = []
+
+    def on_round(t, zeta_prev, rnd, zeta):
+        calls.append((t, zeta_prev, rnd, zeta))
+
+    if randomized:
+        traj, _ = run_randomized_expected(P, seq, loss, P.B, 0.2, 0.2,
+                                          np.random.default_rng(1), on_round=on_round)
+    else:
+        traj = run_online(P, "linearized", seq, loss, P.B, on_round=on_round)
+    assert [c[0] for c in calls] == list(range(1, traj.n + 1))
+    assert stats_allclose(calls[0][1], P.zero(), rtol=0, atol=0)
+    for (_, _, _, before), (_, after_prev, _, _) in zip(calls, calls[1:]):
+        assert after_prev is before
+    for t, zeta_prev, rnd, zeta in calls:
+        assert rnd is traj.rounds[t - 1]
+        assert P.eval(zeta) == traj.potential_values[t]
+    assert calls[-1][3] is traj.final_statistic
+
+
+def test_a_run_holds_one_statistic():
+    """Statistics the loop has moved past are freed during a 50-round run;
+    afterwards only the final one is alive."""
+    P = MatrixPotential(5, 5, eta=0.3)
+    loss = make_loss("absolute")
+    seq = matrix_completion(50, 5, 5, rank=1, rng=np.random.default_rng(8))
+    refs, most_alive = [], 0
+
+    def on_round(t, zeta_prev, rnd, zeta):
+        nonlocal most_alive
+        refs.append(weakref.ref(zeta))
+        most_alive = max(most_alive, sum(r() is not None for r in refs))
+
+    traj = run_online(P, "linearized", seq, loss, P.B, on_round=on_round)
+    assert len(refs) == 50
+    assert most_alive <= 2  # this round's statistic and the one before it
+    alive = [r() for r in refs if r() is not None]
+    assert len(alive) == 1 and alive[0] is traj.final_statistic
+    assert len(traj.zetas) == 1

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from burkholder.errors import DomainError
-from burkholder.symlin import (dilation, dilation_square, log_trace_exp,
+from burkholder.symlin import (Entry, dilation, dilation_square, log_trace_exp,
                                logsumexp, max_asymmetry, nuclear_projection,
                                spectral_norm, sym_eig, sym_eigvals, symmetrize)
 
@@ -166,3 +166,16 @@ def test_nuclear_projection_is_a_euclidean_projection():
         q = rng.normal(size=(3, 3))
         q = nuclear_projection(q, radius)
         assert np.linalg.norm(w - q) >= base - 1e-9
+
+
+def test_entry_dilations_are_bit_identical_to_the_dense_ones():
+    for i, j, shape in [(0, 0, (1, 1)), (2, 1, (3, 2)), (0, 4, (2, 5)), (6, 6, (7, 7))]:
+        x = Entry(i, j, shape)
+        dense = np.asarray(x)
+        assert dense.shape == shape and dense[i, j] == 1.0 and dense.sum() == 1.0
+        assert np.array_equal(dilation(x), dilation(dense))
+        assert np.array_equal(dilation_square(x), dilation_square(dense))
+    with pytest.raises(DomainError, match="outside"):
+        Entry(3, 0, (3, 2))
+    with pytest.raises(DomainError, match="outside"):
+        Entry(0, -1, (3, 2))

@@ -126,11 +126,15 @@ def test_descent_and_certificate_on_a_short_run():
     P = VawPotential(d=2, L=loss.L)
     rng = np.random.default_rng(11)
     seq = [(P.sample_instance(rng), float(rng.uniform(-1, 1))) for _ in range(15)]
-    traj = run_online(P, "convex", seq, loss, P.B)
+    descents = []
+    traj = run_online(P, "convex", seq, loss, P.B,
+                      on_round=lambda t, zeta_prev, rnd, zeta: descents.append(
+                          round_descent(P, zeta_prev, rnd.x, rnd.y_hat, loss, 1.0)))
     vals = traj.potential_values
     for prev, cur in zip(vals, vals[1:]):
         assert cur <= prev + 1e-3  # grid minimax tolerance
     assert vals[-1] <= 0.0
     # the grid game value never rises above the running potential either
-    for t, r in enumerate(traj.rounds, start=1):
-        assert round_descent(P, traj.zetas[t - 1], r.x, r.y_hat, loss, 1.0) <= 1e-3
+    assert len(descents) == traj.n
+    for d in descents:
+        assert d <= 1e-3
