@@ -126,6 +126,8 @@ def build_sequence(cfg, rng):
         seq = harness.load_sequence(cfg["data_csv"], d1=cfg.get("d1"),
                                     d2=cfg.get("d2"))
         n = cfg.get("n", len(seq))
+        if n < 1:
+            raise ConfigError(f"{cfg['data_csv']}: n = {n}, need n >= 1")
         if n > len(seq):
             raise ConfigError(f"n = {n} exceeds the {len(seq)} rows in data_csv")
         seq = harness.Sequence(seq.kind, seq.xs[:n], seq.ys[:n], seq.meta)

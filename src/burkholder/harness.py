@@ -234,12 +234,25 @@ def best_linear_comparator(xs, ys, loss, ball="l2", radius=1.0, iters=2000,
 
 
 def least_squares_comparator(xs, ys, loss):
-    """Unregularized least-squares fit as a fixed comparator; the natural
-    reference for squared-loss families with norm-dependent bounds."""
-    mat, shape = _flatten(xs)
+    """Unregularized minimum-norm least-squares fit as a fixed comparator; the
+    natural reference for squared-loss families with norm-dependent bounds.
+
+    For index entries the normal matrix is diagonal with the cell counts, so
+    the fit is each observed cell's label mean and 0 on unobserved cells,
+    computed by scatter without the n x (d1 d2) design.
+    """
     ys = np.asarray(ys, dtype=float)
-    w, *_ = np.linalg.lstsq(mat, ys, rcond=None)
-    per_round = np.asarray(loss.value(mat @ w, ys), dtype=float)
+    if all(isinstance(x, symlin.Entry) for x in xs):
+        forward, adjoint, shape = _design(xs)
+        counts = adjoint(np.ones(len(ys)))
+        w = np.divide(adjoint(ys), counts, out=np.zeros(counts.shape),
+                      where=counts > 0)
+        preds = forward(w)
+    else:
+        mat, shape = _flatten(xs)
+        w, *_ = np.linalg.lstsq(mat, ys, rcond=None)
+        preds = mat @ w
+    per_round = np.asarray(loss.value(preds, ys), dtype=float)
     return Comparator(w.reshape(shape), float(per_round.sum()), per_round,
                       "least squares")
 

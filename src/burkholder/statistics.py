@@ -6,10 +6,11 @@ shapes; the zero element is the additive identity. Instances are treated
 as immutable values.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import symlin
 from .errors import TagMismatchError
 
 
@@ -61,7 +62,7 @@ class ScalarSymPsd:
     def min_m_eigenvalue(self):
         if self.M.size == 0:
             return 0.0
-        return float(np.linalg.eigvalsh(0.5 * (self.M + self.M.T))[0])
+        return float(symlin.sym_eigvals(self.M)[-1])
 
     def validate_psd(self, rel_tol=1e-10):
         """The M slot must stay psd up to roundoff relative to its norm."""
@@ -129,12 +130,6 @@ def stats_allclose(a, b, rtol=1e-12, atol=1e-12):
     if isinstance(a, ProductStat):
         return len(a.parts) == len(b.parts) and all(
             stats_allclose(p, q, rtol, atol) for p, q in zip(a.parts, b.parts))
-    fields = {
-        ScalarVec: ("b", "x"),
-        ScalarSymPsd: ("a", "H", "M"),
-        VecSym: ("x", "A"),
-        ScalarVecScalar: ("b", "x", "s"),
-    }[type(a)]
     return all(
-        np.allclose(getattr(a, f), getattr(b, f), rtol=rtol, atol=atol)
-        for f in fields)
+        np.allclose(getattr(a, f.name), getattr(b, f.name), rtol=rtol, atol=atol)
+        for f in fields(a))

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import symlin
 from .errors import DomainError
 from .potential import Potential
 from .statistics import ScalarVecScalar
@@ -449,7 +450,7 @@ def check_necessity(P, tree, learner=None, tol=1e-8, clairvoyant=False):
 
     def walk(t, idx, zeta, eps_sum, cum_loss):
         if t > n:
-            m_norm = float(np.linalg.eigvalsh(zeta.M)[-1]) if zeta.M.size else 0.0
+            m_norm = float(symlin.sym_eigvals(zeta.M)[0]) if zeta.M.size else 0.0
             a_bound = 0.5 * P.eta * P.L ** 2 * P.r * max(m_norm, 0.0) + P.c / P.eta
             u_norm = float(np.linalg.svd(eps_sum, compute_uv=False).max())
             comp = n - P.r * u_norm

@@ -108,6 +108,20 @@ def test_run_from_a_data_csv(tmp_path, capsys):
     assert "exceeds" in err
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_run_rejects_a_nonpositive_n_with_a_data_csv(tmp_path, capsys, n):
+    data = tmp_path / "entries.csv"
+    data.write_text("i,j,y\n0,1,0.5\n1,0,-0.5\n")
+    path = _cfg(tmp_path, f"family = matrix\nd1 = 2\nd2 = 2\neta = 0.5\n"
+                          f"n = {n}\ndata_csv = {data}\n")
+    with pytest.raises(ConfigError) as info:
+        cli.build_sequence(cli.parse_config(path), np.random.default_rng(0))
+    assert str(data) in str(info.value) and f"n = {n}" in str(info.value)
+    assert cli.main(["run", "--config", path]) == 2
+    _, err = capsys.readouterr()
+    assert "n >= 1" in err and "-> pass" not in err
+
+
 def test_run_rejects_data_labels_outside_the_label_range(tmp_path, capsys):
     data = tmp_path / "entries.csv"
     data.write_text("i,j,y\n0,1,0.5\n1,0,2.0\n1,1,3.0\n")

@@ -14,6 +14,7 @@ from burkholder.harness import _design
 from burkholder.losses import make_loss
 from burkholder.potentials import AdaGradPotential
 from burkholder.strategies import run_online
+from burkholder.symlin import Entry
 
 
 def test_matrix_completion_plants_a_nuclear_ball_matrix():
@@ -227,3 +228,23 @@ def test_entry_comparators_match_the_dense_design(kind):
     np.testing.assert_allclose([c.total_loss for c in comparator_grid(seq.xs, seq.ys, loss)],
                                [c.total_loss for c in comparator_grid(dense, seq.ys, loss)],
                                rtol=0, atol=1e-12)
+
+
+def test_entry_least_squares_is_the_per_cell_mean():
+    """All-Entry designs skip the dense lstsq: the minimum-norm fit is each
+    observed cell's label mean and 0 on the cells never observed."""
+    rng = np.random.default_rng(33)
+    cells = [(0, 0), (0, 0), (0, 0), (1, 2), (2, 1), (2, 1), (0, 2)]
+    xs = [Entry(i, j, (3, 4)) for i, j in cells]
+    ys = rng.uniform(-1.0, 1.0, size=len(xs))
+    loss = make_loss("squared", B=1.0)
+    sparse = least_squares_comparator(xs, ys, loss)
+    dense = least_squares_comparator([np.asarray(x) for x in xs], ys, loss)
+    assert sparse.w.shape == dense.w.shape == (3, 4)
+    np.testing.assert_allclose(sparse.w, dense.w, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sparse.per_round, dense.per_round, rtol=0, atol=1e-12)
+    assert sparse.total_loss == pytest.approx(dense.total_loss, abs=1e-12)
+    assert sparse.w[0, 0] == pytest.approx(ys[:3].mean(), abs=1e-15)
+    unobserved = np.ones((3, 4), dtype=bool)
+    unobserved[tuple(zip(*cells))] = False
+    assert np.all(sparse.w[unobserved] == 0.0)

@@ -157,3 +157,28 @@ def test_full_run_certificate_and_regret():
         seq.ys))
     regret = traj.cumulative_loss - float(comp.sum())
     assert regret <= P.regret_bound(traj.final_statistic) + 1e-9
+
+
+def test_entry_statistics_match_the_dense_spectral_reference():
+    """Completion statistics leave unseen rows and columns at zero, so the
+    spectra come from the live block; every spectral value must still match
+    a dense eigvalsh of the full (d1 + d2)^2 argument."""
+    P = MatrixPotential(6, 5, eta=0.3, r=1.5, L=1.2)
+    rng = np.random.default_rng(24)
+    zeta = P.zero()
+    for _ in range(12):
+        x = symlin.Entry(int(rng.integers(0, 4)), int(rng.integers(0, 3)), (6, 5))
+        delta = float(rng.uniform(-1.0, 1.0))
+        assert P.residual(zeta, x, delta) == pytest.approx(
+            _eval_oracle(P, zeta + P.stat_map(x, 0.0, delta)), rel=1e-12, abs=1e-12)
+        zeta = zeta + P.stat_map(x, float(rng.uniform(-1.0, 1.0)), delta)
+        assert P.eval(zeta) == pytest.approx(_eval_oracle(P, zeta), rel=1e-12, abs=1e-12)
+        k = 0.5 * P.eta * P.L ** 2
+        lam1 = float(np.linalg.eigvalsh(zeta.H - k * zeta.M).max())
+        assert P.bound(zeta) == pytest.approx(
+            zeta.a + P.r * lam1 - P.c / P.eta, rel=1e-12, abs=1e-12)
+        mnorm = float(np.linalg.eigvalsh(zeta.M).max())
+        assert P.comparator_bound(zeta) == pytest.approx(
+            k * P.r * mnorm + P.c / P.eta, rel=1e-12, abs=1e-12)
+    # rows 4, 5 and columns 3, 4 were never drawn: the block is 7 of 11 at most
+    assert not np.any(zeta.M[[4, 5, 9, 10]])

@@ -7,8 +7,10 @@ by construction.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from burkholder.errors import DomainError
+from burkholder.errors import DomainError, NumericError
 from burkholder.symlin import (Entry, dilation, dilation_square, log_trace_exp,
                                logsumexp, max_asymmetry, nuclear_projection,
                                spectral_norm, sym_eig, sym_eigvals, symmetrize)
@@ -67,6 +69,54 @@ class TestEigensolve:
         rng = np.random.default_rng(17)
         s = _random_sym(rng, 6)
         assert np.allclose(sym_eigvals(s), sym_eig(s)[0], atol=1e-12)
+
+
+@st.composite
+def _symmetric_with_dead_rows(draw):
+    """A symmetric matrix with a random set of rows and columns zeroed:
+    none, some or all of them, from 1 x 1 up."""
+    n = draw(st.integers(1, 12))
+    dead = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    s = _random_sym(np.random.default_rng(seed), n) * scale
+    s[dead, :] = 0.0
+    s[:, dead] = 0.0
+    return s, int(n - dead.sum())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_symmetric_with_dead_rows())
+def test_live_block_spectrum_matches_the_dense_solve(case):
+    s, k = case
+    n = s.shape[0]
+    w = sym_eigvals(s)
+    dense = np.linalg.eigvalsh(s)[::-1]
+    assert w.shape == (n,)
+    assert np.all(np.diff(w) <= 0.0)
+    tol = 1e-12 * max(1.0, float(np.linalg.norm(s)))
+    assert np.max(np.abs(w - dense)) <= tol
+    # the dead rows give exactly n - k zeros beyond the live block's spectrum
+    live = np.any(s != 0, axis=1)
+    assert int(live.sum()) == k
+    block = np.linalg.eigvalsh(s[np.ix_(live, live)])
+    assert int(np.sum(w == 0.0)) == n - k + int(np.sum(block == 0.0))
+
+
+def test_live_block_edge_cases():
+    assert np.array_equal(sym_eigvals(np.zeros((4, 4))), np.zeros(4))
+    assert sym_eigvals(np.zeros((0, 0))).shape == (0,)
+    assert np.array_equal(sym_eigvals(np.array([[-2.0]])), [-2.0])
+    s = np.zeros((5, 5))
+    s[1, 3] = s[3, 1] = 2.0  # live rows 1 and 3: spectrum +-2 and three zeros
+    assert np.array_equal(sym_eigvals(s), [2.0, 0.0, 0.0, 0.0, -2.0])
+    # an asymmetric input whose symmetric part is zero is all dead
+    assert np.array_equal(sym_eigvals(np.array([[0.0, 1.0], [-1.0, 0.0]])),
+                          np.zeros(2))
+    with pytest.raises(NumericError):
+        sym_eigvals(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+    with pytest.raises(NumericError):
+        sym_eig(np.array([[np.inf]]))
 
 
 def test_dilation_layout():
