@@ -279,6 +279,8 @@ def cmd_verify(args):
     suite = args.suite
     tol_override = cfg.get("tol")
     depth = cfg.get("depth", 8)
+    if args.trials is not None and args.trials < 1:
+        raise ConfigError(f"--trials {args.trials}, need --trials >= 1")
     lines, reports = [], []
 
     if args.negative_control and suite in ("khintchine", "mgf"):
@@ -354,6 +356,8 @@ def cmd_compare(args):
         raise ConfigError("compare needs at least one strategy")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     reps = args.trials if args.trials is not None else cfg.get("trials", 20)
+    if reps < 1:
+        raise ConfigError(f"trials = {reps}, compare needs at least one repetition")
     loss = build_loss(cfg)
     eps1 = cfg.get("eps1", 0.05)
     eps2 = cfg.get("eps2", 0.05)

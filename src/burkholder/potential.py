@@ -31,6 +31,11 @@ class Potential:
         raise NotImplementedError
 
     def eval(self, stat, t=None):
+        """U at a statistic after round t (t = 0 at the start).
+
+        Every family takes t; families that are not time_varying ignore it,
+        so callers pass the round index without asking which kind they hold.
+        """
         raise NotImplementedError
 
     def bound(self, stat):

@@ -100,12 +100,6 @@ class AdaGradPotential(Potential):
             s_new = zeta.s + x * x
         return zeta.b + self._certificate(moved, s_new)
 
-    def predict(self, zeta, x):
-        f_plus = self.residual(zeta, x, +self.L)
-        f_minus = self.residual(zeta, x, -self.L)
-        raw = -(f_plus - f_minus) / (2.0 * self.L)
-        return min(self.B, max(-self.B, raw))
-
     def regret_bound(self, stat, comparator=None):
         """2 L sqrt(s) against unit-ball comparators (euclidean ball for l2,
         box for linf), plus the excess-norm charge when the comparator leaves

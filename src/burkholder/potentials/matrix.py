@@ -14,6 +14,7 @@ from .. import symlin
 from ..errors import ConfigError, DomainError, NumericError
 from ..potential import Potential, Round, Trajectory, accumulate
 from ..statistics import ScalarSymPsd
+from ..strategies import predict_linearized
 
 
 class MatrixPotential(Potential):
@@ -73,16 +74,6 @@ class MatrixPotential(Potential):
                         zeta.M + symlin.dilation_square(x))
         return zeta.a + (self.r / self.eta) * lte - self.c / self.eta
 
-    def predict(self, zeta, x):
-        """clamp(-(r / 2 L eta) [lte(+) - lte(-)]) with the current round's
-        squared dilation included inside both sign branches."""
-        dil = symlin.dilation(x)
-        m_new = zeta.M + symlin.dilation_square(x)
-        lte_p = self._lte(zeta.H + self.L * dil, m_new)
-        lte_m = self._lte(zeta.H - self.L * dil, m_new)
-        raw = -(self.r / (2.0 * self.L * self.eta)) * (lte_p - lte_m)
-        return min(self.B, max(-self.B, raw))
-
     def comparator_bound(self, stat):
         """A = (eta L^2 r / 2) ||sum dilation_square|| + c / eta, from the M slot."""
         mnorm = float(symlin.sym_eigvals(stat.M)[0]) if stat.M.size else 0.0
@@ -130,16 +121,16 @@ def doubling_run(d1, d2, sequence, loss, B=1.0, r=1.0, L=1.0, c=None, R=1.0,
 
     pot, budget = fresh(k)
     zeta = last = pot.zero()
-    traj.potential_values.append(pot.eval(zeta))
+    traj.potential_values.append(pot.eval(zeta, t=0))
     epochs.append((1, pot.eta, budget))
     for t, (x, y) in enumerate(sequence, start=1):
-        y_hat = pot.predict(zeta, x)
+        y_hat = predict_linearized(pot, zeta, x, B, t=t)
         delta = float(loss.subgradient(y_hat, y))
         last = accumulate(zeta, x, y_hat, delta, pot)
         rnd = Round(t=t, x=x, y_hat=float(y_hat), y=float(y),
                     delta=delta, loss=float(loss.value(y_hat, y)))
         traj.rounds.append(rnd)
-        traj.potential_values.append(pot.eval(last))
+        traj.potential_values.append(pot.eval(last, t=t))
         if on_round is not None:
             on_round(t, zeta, rnd, last)
         zeta = last

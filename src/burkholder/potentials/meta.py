@@ -114,9 +114,8 @@ def estimate_increment_bound(P, rng, trials=10000):
         x = P.sample_instance(rng)
         y_hat = float(rng.uniform(-P.B, P.B))
         alpha = float(rng.uniform(-P.L, P.L))
-        before = P.eval(tau, t=None if not P.time_varying else 1)
-        after = P.eval(tau + P.stat_map(x, y_hat, alpha),
-                       t=None if not P.time_varying else 1)
+        before = P.eval(tau, t=1)
+        after = P.eval(tau + P.stat_map(x, y_hat, alpha), t=1)
         worst = max(worst, (after - before) ** 2)
     return 2.0 * worst, True
 

@@ -60,9 +60,11 @@ class ParamFreePotential(Potential):
         self.L = 1.0
 
     def norm(self, x):
+        # the formulas of np.linalg.norm and np.sum, bit for bit, without
+        # their dispatch cost: stat_map measures every instance
         if self.p is None:
-            return float(np.linalg.norm(x))
-        return float(np.sum(np.abs(x) ** self.p) ** (1.0 / self.p))
+            return math.sqrt(float(np.dot(x, x)))
+        return float(np.add.reduce(np.abs(x) ** self.p)) ** (1.0 / self.p)
 
     def dual_norm(self, w):
         if self.p is None:
@@ -81,9 +83,12 @@ class ParamFreePotential(Potential):
         return np.zeros(self.d), 0.0
 
     def stat_map(self, x, y_hat, delta):
+        """(delta * y_hat, delta * x) for an instance x in the unit ball."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.d,):
             raise DomainError(f"instance shape {x.shape} != ({self.d},)")
+        if self.norm(x) > 1.0 + 1e-9:
+            raise DomainError(f"instance norm {self.norm(x):.6g} exceeds 1")
         return ScalarVec(delta * y_hat, delta * x)
 
     def _exp_term(self, sq_norm, t):
@@ -112,16 +117,6 @@ class ParamFreePotential(Potential):
         x = np.asarray(x, dtype=float)
         moved = zeta.x + delta * x
         return zeta.b + self._exp_term(self.norm(moved) ** 2, int(t)) - self.c
-
-    def predict(self, zeta, t, x):
-        """clamp(-(gamma/2) [E(+1) - E(-1)], [-B, B]) with E(s) the moved exponential."""
-        x = np.asarray(x, dtype=float)
-        if self.norm(x) > 1.0 + 1e-9:
-            raise DomainError("instance norm must be <= 1")
-        e_plus = self._exp_term(self.norm(zeta.x + x) ** 2, t)
-        e_minus = self._exp_term(self.norm(zeta.x - x) ** 2, t)
-        raw = -0.5 * (e_plus - e_minus)
-        return min(self.B, max(-self.B, raw))
 
     def comparator_bound(self, w):
         """A(w) = ||w||_* sqrt(2 beta n log(sqrt(beta n) ||w||_* / gamma + 1)) + c."""

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import symlin
+from . import strategies, symlin
 from .errors import DomainError
+from .losses import make_loss
 from .potential import Potential
 from .statistics import ScalarVecScalar
 
@@ -64,31 +65,34 @@ class TwoPointDist:
 
 # --- potential properties ----------------------------------------------------
 
-def _eval_t(P, stat, t):
-    return P.eval(stat, t=t) if P.time_varying else P.eval(stat)
+def _check_trials(trials):
+    if int(trials) < 1:
+        raise DomainError(f"trials = {trials}, need trials >= 1")
+    return int(trials)
 
 
 def check_p1(P, tol=1e-8):
     """U at the zero statistic must be <= 0 (up to tol)."""
-    u0 = P.eval(P.zero(), t=0) if P.time_varying else P.eval(P.zero())
+    u0 = P.eval(P.zero(), t=0)
     return CheckReport(name="p1_start", checks=1, max_violation=float(u0),
                        tol=tol, passed=u0 <= tol, witness={"value": float(u0)})
 
 
 def check_p2(P, trials=1000, tol=1e-8, rng=None, bound_fn=None):
     """V <= U on statistics reachable by statistic-map sums."""
+    trials = _check_trials(trials)
     rng = rng if rng is not None else np.random.default_rng(0)
     bound_fn = bound_fn if bound_fn is not None else P.bound
     horizon = getattr(P, "n", None)
     worst, witness = -math.inf, {}
-    for i in range(int(trials)):
+    for i in range(trials):
         stat = P.sample_statistic(rng)
-        u = P.eval(stat, t=horizon) if P.time_varying else P.eval(stat)
+        u = P.eval(stat, t=horizon)
         v = bound_fn(stat)
         viol = v - u
         if viol > worst:
             worst, witness = viol, {"trial": i, "stat": stat, "U": u, "V": v}
-    return CheckReport(name="p2_dominates_bound", checks=int(trials),
+    return CheckReport(name="p2_dominates_bound", checks=trials,
                        max_violation=float(worst), tol=tol,
                        passed=worst <= tol, witness=witness)
 
@@ -103,11 +107,10 @@ def _draw_distribution(mode, L, rng):
 
 
 def _p3_violation(P, tau, x, y_hat, support, t):
-    before = _eval_t(P, tau, t - 1 if P.time_varying else None)
+    before = P.eval(tau, t=t - 1)
     after = 0.0
     for alpha, p in support:
-        after += p * _eval_t(P, tau + P.stat_map(x, y_hat, alpha),
-                             t if P.time_varying else None)
+        after += p * P.eval(tau + P.stat_map(x, y_hat, alpha), t=t)
     return after - before
 
 
@@ -117,10 +120,11 @@ def check_p3(P, mode="two_point", trials=10000, tol=1e-8, rng=None):
     two_point sweeps the extreme mean-zero laws on [-L, L]; rademacher is the
     sign law alone, sufficient when the potential is convex in the increment.
     """
+    trials = _check_trials(trials)
     rng = rng if rng is not None else np.random.default_rng(0)
     horizon = getattr(P, "n", 8)
     worst, witness = -math.inf, {}
-    for i in range(int(trials)):
+    for i in range(trials):
         t = int(rng.integers(1, horizon + 1)) if P.time_varying else 1
         max_rounds = min(t - 1, 6) if P.time_varying else 6
         tau = P.sample_statistic(rng, max_rounds=max_rounds)
@@ -132,7 +136,7 @@ def check_p3(P, mode="two_point", trials=10000, tol=1e-8, rng=None):
             worst = viol
             witness = {"trial": i, "tau": tau, "x": x, "y_hat": y_hat,
                        "support": support, "t": t, **dist_info}
-    return CheckReport(name=f"p3_supermartingale_{mode}", checks=int(trials),
+    return CheckReport(name=f"p3_supermartingale_{mode}", checks=trials,
                        max_violation=float(worst), tol=tol,
                        passed=worst <= tol, witness=witness)
 
@@ -155,6 +159,8 @@ class PredictableTree:
 
     def __init__(self, levels):
         self.levels = [np.asarray(lv, dtype=float) for lv in levels]
+        if not self.levels:
+            raise DomainError("a predictable tree needs depth >= 1")
         for t, lv in enumerate(self.levels, start=1):
             if lv.shape[0] != 2 ** (t - 1):
                 raise DomainError(
@@ -209,26 +215,28 @@ def gather_tree(tree, codes):
     return np.stack([tree.levels[t][codes[:, t]] for t in range(tree.depth)], axis=1)
 
 
+def walk_tree(tree, root, expand):
+    """Visit a predictable tree level by level; return the leaf states.
+
+    expand(t, idx, x, state) gives the child states (eps = -1, eps = +1) of
+    the level-t node with prefix code idx, which holds x. They land at codes
+    idx and idx + 2^(t-1), so the leaves come out in sign_paths row order.
+    """
+    if tree.depth > MAX_DEPTH:
+        raise DomainError(f"depth {tree.depth} exceeds the exhaustive limit {MAX_DEPTH}")
+    states = [root]
+    for t, level in enumerate(tree.levels, start=1):
+        pairs = [expand(t, idx, level[idx], s) for idx, s in enumerate(states)]
+        states = [lo for lo, _ in pairs] + [hi for _, hi in pairs]
+    return states
+
+
 def tree_expectation(P, tree, value_fn, L=None, y_hat=0.0):
     """Exact E over sign paths of value_fn(sum_t T(x_t(eps), y_hat, eps_t L))."""
     L = P.L if L is None else L
-    n = tree.depth
-    if n > MAX_DEPTH:
-        raise DomainError(f"depth {n} exceeds the exhaustive limit {MAX_DEPTH}")
-    total = 0.0
-
-    def walk(t, idx, tau):
-        nonlocal total
-        if t > n:
-            total += value_fn(tau)
-            return
-        z = tree.node(t, idx)
-        for sign, bit in ((+1.0, 1), (-1.0, 0)):
-            walk(t + 1, idx + bit * (1 << (t - 1)),
-                 tau + P.stat_map(z, y_hat, sign * L))
-
-    walk(1, 0, P.zero())
-    return total / 2 ** n
+    leaves = walk_tree(tree, P.zero(), lambda t, idx, x, tau: (
+        tau + P.stat_map(x, y_hat, -L), tau + P.stat_map(x, y_hat, L)))
+    return sum(value_fn(tau) for tau in leaves) / len(leaves)
 
 
 def brute_force_sup_ev(P, n, rng=None, bound_fn=None, search="random",
@@ -297,14 +305,6 @@ class SmoothnessPair(Potential):
 
 # --- exhaustive martingale inequalities --------------------------------------
 
-def _tree_sign_sums(tree, values=None):
-    n = tree.depth
-    eps = sign_paths(n)
-    codes = prefix_codes(n)
-    g = gather_tree(tree, codes) if values is None else values
-    return eps, g
-
-
 def check_matrix_khintchine(n=10, d1=3, d2=2, n_trees=100, rng=None, trees=None,
                             tol=1e-9):
     """E ||sum eps_t X_t||_sigma <= sqrt(2 E max(||sum XX^T||, ||sum X^T X||) log(d1+d2)).
@@ -322,7 +322,8 @@ def check_matrix_khintchine(n=10, d1=3, d2=2, n_trees=100, rng=None, trees=None,
     worst_ratio, worst_idx = -math.inf, -1
     ratios = []
     for i, tree in enumerate(trees):
-        eps, g = _tree_sign_sums(tree)
+        eps = sign_paths(tree.depth)
+        g = gather_tree(tree, prefix_codes(tree.depth))
         s = np.einsum("pt,ptij->pij", eps, g)
         lhs = float(np.mean(np.linalg.svd(s, compute_uv=False)[:, 0]))
         row = np.einsum("ptij,ptkj->pik", g, g)
@@ -360,7 +361,8 @@ def check_mgf_bound(n, d=4, beta=1.0, n_trees=50, rng=None, tol=1e-9):
     ratios = []
     for i in range(int(n_trees)):
         tree = PredictableTree.random(n, sampler, rng)
-        eps, g = _tree_sign_sums(tree)
+        eps = sign_paths(tree.depth)
+        g = gather_tree(tree, prefix_codes(tree.depth))
         s = np.einsum("pt,ptj->pj", eps, g)
         val = float(np.mean(np.exp(np.sum(s * s, axis=1) / (2.0 * beta * n))))
         ratio = val / math.sqrt(n)
@@ -380,42 +382,30 @@ def check_supermartingale(P, tree, tol=1e-8, L=None):
     """At every internal node: the exact mean of U over the two children is
     at most U at the node. Walks the full tree (exact, no sampling)."""
     L = P.L if L is None else L
-    n = tree.depth
-    worst, witness = [-math.inf], [{}]
-    checks = [0]
+    worst, witness = -math.inf, {}
 
-    def walk(t, idx, tau):
-        if t > n:
-            return
-        z = tree.node(t, idx)
-        before = _eval_t(P, tau, t - 1 if P.time_varying else None)
-        children = {}
-        for sign, bit in ((+1.0, 1), (-1.0, 0)):
-            children[sign] = tau + P.stat_map(z, 0.0, sign * L)
-        after = 0.5 * sum(_eval_t(P, c, t if P.time_varying else None)
-                          for c in children.values())
-        checks[0] += 1
-        viol = after - before
-        if viol > worst[0]:
-            worst[0] = viol
-            witness[0] = {"t": t, "prefix_index": idx, "violation": viol}
-        for sign, bit in ((+1.0, 1), (-1.0, 0)):
-            walk(t + 1, idx + bit * (1 << (t - 1)), children[sign])
+    def expand(t, idx, x, tau):
+        nonlocal worst, witness
+        children = (tau + P.stat_map(x, 0.0, -L), tau + P.stat_map(x, 0.0, L))
+        viol = 0.5 * sum(P.eval(c, t=t) for c in children) - P.eval(tau, t=t - 1)
+        if viol > worst:
+            worst, witness = viol, {"t": t, "prefix_index": idx, "violation": viol}
+        return children
 
-    walk(1, 0, P.zero())
-    return CheckReport(name="supermartingale_tree", checks=checks[0],
-                       max_violation=float(worst[0]), tol=tol,
-                       passed=worst[0] <= tol, witness=witness[0])
+    walk_tree(tree, P.zero(), expand)
+    return CheckReport(name="supermartingale_tree", checks=2 ** tree.depth - 1,
+                       max_violation=float(worst), tol=tol,
+                       passed=worst <= tol, witness=witness)
 
 
 # --- per-round descent and randomized value dominance ------------------------
 
-def round_descent(P, zeta_prev, x, y_hat, loss, B, t=None, grid=101):
-    """max over a y grid (plus endpoints) of U(zeta + T(x, y_hat, dloss)) - U(zeta)."""
+def round_descent(P, zeta_prev, x, y_hat, loss, B, t=1, grid=101):
+    """max over a y grid (plus endpoints) of U(zeta + T(x, y_hat, dloss)) - U(zeta)
+    in round t."""
     ys = np.unique(np.concatenate([np.linspace(-B, B, int(grid)), [-B, B]]))
     table = P.round_values(zeta_prev, x, np.array([y_hat]), ys, loss, t=t)
-    before = _eval_t(P, zeta_prev, t - 1 if P.time_varying else None)
-    return float(np.max(table)) - before
+    return float(np.max(table)) - P.eval(zeta_prev, t=t - 1)
 
 
 # --- lower-bound construction -------------------------------------------------
@@ -435,40 +425,37 @@ def check_necessity(P, tree, learner=None, tol=1e-8, clairvoyant=False):
     the negative control for this check.
     """
     n = tree.depth
-    if n > MAX_DEPTH:
-        raise DomainError(f"depth {n} exceeds the exhaustive limit {MAX_DEPTH}")
     max_node = max(float(np.linalg.svd(lv, compute_uv=False).max())
                    for lv in tree.levels)
     if P.r * max_node > 1.0 + 1e-9:
         raise DomainError("necessity adversary needs r * max ||X||_sigma <= 1")
     if learner is None:
-        learner = lambda pot, zeta, x, t: pot.predict(zeta, x)
-    from .losses import make_loss
+        learner = lambda pot, zeta, x, t: strategies.predict_linearized(
+            pot, zeta, x, pot.B, t=t)
     loss = make_loss("absolute", B=max(P.B, 2.0))
 
-    paths = []
-
-    def walk(t, idx, zeta, eps_sum, cum_loss):
-        if t > n:
-            m_norm = float(symlin.sym_eigvals(zeta.M)[0]) if zeta.M.size else 0.0
-            a_bound = 0.5 * P.eta * P.L ** 2 * P.r * max(m_norm, 0.0) + P.c / P.eta
-            u_norm = float(np.linalg.svd(eps_sum, compute_uv=False).max())
-            comp = n - P.r * u_norm
-            lhs = cum_loss - comp - a_bound
-            rhs = P.r * u_norm - a_bound
-            paths.append((lhs, rhs))
-            return
-        x = tree.node(t, idx)
+    def expand(t, idx, x, state):
+        zeta, eps_sum, cum_loss = state
         y_base = float(learner(P, zeta, x, t))
-        for eps, bit in ((+1.0, 1), (-1.0, 0)):
+        children = []
+        for eps in (-1.0, 1.0):
             y_hat = eps if clairvoyant else y_base
             delta = float(loss.subgradient(y_hat, eps))
-            walk(t + 1, idx + bit * (1 << (t - 1)),
-                 zeta + P.stat_map(x, y_hat, delta),
-                 eps_sum + eps * x,
-                 cum_loss + float(loss.value(y_hat, eps)))
+            children.append((zeta + P.stat_map(x, y_hat, delta),
+                             eps_sum + eps * x,
+                             cum_loss + float(loss.value(y_hat, eps))))
+        return children
 
-    walk(1, 0, P.zero(), np.zeros_like(tree.levels[0][0]), 0.0)
+    paths = []
+    root = (P.zero(), np.zeros_like(tree.levels[0][0]), 0.0)
+    for zeta, eps_sum, cum_loss in walk_tree(tree, root, expand):
+        m_norm = float(symlin.sym_eigvals(zeta.M)[0]) if zeta.M.size else 0.0
+        a_bound = 0.5 * P.eta * P.L ** 2 * P.r * max(m_norm, 0.0) + P.c / P.eta
+        u_norm = float(np.linalg.svd(eps_sum, compute_uv=False).max())
+        comp = n - P.r * u_norm
+        lhs = cum_loss - comp - a_bound
+        rhs = P.r * u_norm - a_bound
+        paths.append((lhs, rhs))
     arr = np.array(paths)
     e_lhs, e_rhs = float(arr[:, 0].mean()), float(arr[:, 1].mean())
     gap = e_lhs - e_rhs

@@ -1,11 +1,13 @@
 """End-to-end command line behavior: configs, exit codes, output streams."""
 
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import burkholder
 from burkholder import cli, harness
 from burkholder.errors import ConfigError
 from burkholder.harness import random_vectors, save_sequence
@@ -137,6 +139,19 @@ def test_run_rejects_data_labels_outside_the_label_range(tmp_path, capsys):
     assert "outside [-B, B]" in err and "-> pass" not in err
 
 
+def test_run_rejects_param_free_instances_outside_the_unit_ball(tmp_path, capsys):
+    seq = random_vectors(30, 3, rng=np.random.default_rng(4))
+    seq = harness.Sequence(seq.kind, [3.0 * x / np.linalg.norm(x) for x in seq.xs],
+                           seq.ys, seq.meta)
+    data = tmp_path / "far.csv"
+    save_sequence(seq, data)
+    path = _cfg(tmp_path, f"family = param_free\nd = 3\ndata_csv = {data}\n")
+    assert cli.main(["run", "--config", path]) == 2
+    out, err = capsys.readouterr()
+    assert "instance norm 3 exceeds 1" in err
+    assert "certificate" not in out + err
+
+
 def test_run_csv_is_byte_identical_with_dense_instances(tmp_path, monkeypatch):
     path = _cfg(tmp_path, "family = matrix\nd1 = 6\nd2 = 5\nn = 40\neta = 0.3\n"
                           "rank = 2\nnoise = 0.05\ncomparator_iters = 60\n")
@@ -201,6 +216,25 @@ def test_verify_necessity_and_its_negative_control(capsys):
     assert "FAIL matrix.necessity_lower_bound" in out
 
 
+@pytest.mark.parametrize("suite", ["p2", "p3", "all"])
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_rejects_fewer_than_one_trial(capsys, suite, trials):
+    assert cli.main(["verify", "--suite", suite, "--trials", trials]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--trials >= 1" in err
+
+
+@pytest.mark.parametrize("suite", ["supermartingale", "necessity", "mgf",
+                                   "khintchine"])
+def test_verify_rejects_a_zero_depth(tmp_path, capsys, suite):
+    path = _cfg(tmp_path, "depth = 0\n")
+    assert cli.main(["verify", "--config", path, "--suite", suite]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "depth >= 1" in err
+
+
 def test_verify_out_file_mirrors_stdout(tmp_path, capsys):
     dest = tmp_path / "verify.txt"
     assert cli.main(["verify", "--suite", "p1", "--out", str(dest)]) == 0
@@ -229,6 +263,23 @@ def test_compare_falls_back_to_a_convex_baseline(tmp_path, capsys):
     assert "vs convex" in out
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_compare_rejects_zero_repetitions_before_any_play(tmp_path, capsys,
+                                                          monkeypatch, where):
+    def no_play(*args, **kwargs):
+        raise AssertionError("compare played a game")
+
+    monkeypatch.setattr(cli, "run_online", no_play)
+    monkeypatch.setattr(cli, "run_randomized_expected", no_play)
+    text = "family = adagrad\nd = 2\nn = 5\n"
+    argv = ["compare", "--trials", "0"] if where == "flag" else ["compare"]
+    path = _cfg(tmp_path, text + ("trials = 0\n" if where == "config" else ""))
+    assert cli.main(argv + ["--config", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "at least one repetition" in err
+
+
 def test_compare_rejects_unknown_strategies(tmp_path, capsys):
     path = _cfg(tmp_path, "family = adagrad\nd = 2\nn = 5\n")
     assert cli.main(["compare", "--config", path, "--strategies",
@@ -243,7 +294,12 @@ def test_no_arguments_is_a_usage_error(capsys):
 
 
 def test_module_entry_point_runs_in_a_subprocess():
+    # the child imports the same package as this process, wherever it lives
+    package_root = os.path.dirname(os.path.dirname(burkholder.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "burkholder.cli", "verify",
-                           "--suite", "p1"], capture_output=True, text=True)
+                           "--suite", "p1"], capture_output=True, text=True,
+                          env=env)
     assert proc.returncode == 0
     assert "pass" in proc.stdout

@@ -68,23 +68,13 @@ def test_prediction_is_zero_at_the_start_and_tracks_observations():
     P = MatrixPotential(2, 2, eta=0.5)
     x = np.zeros((2, 2))
     x[0, 0] = 1.0
-    assert abs(P.predict(P.zero(), x)) < 1e-12
+    assert abs(predict_linearized(P, P.zero(), x, P.B)) < 1e-12
     # after seeing y = +1 at this cell the next prediction moves up
     zeta = P.stat_map(x, 0.0, -1.0)  # subgradient of |0 - 1|
-    assert P.predict(zeta, x) > 0.0
+    assert predict_linearized(P, zeta, x, P.B) > 0.0
     other = np.zeros((2, 2))
     other[1, 1] = 1.0
-    assert abs(P.predict(zeta, other)) < 1e-12
-
-
-def test_predict_agrees_with_the_generic_linearized_strategy():
-    P = MatrixPotential(3, 2, eta=0.3)
-    rng = np.random.default_rng(16)
-    for _ in range(20):
-        zeta = P.sample_statistic(rng, max_rounds=5)
-        x = P.sample_instance(rng)
-        assert P.predict(zeta, x) == pytest.approx(
-            predict_linearized(P, zeta, x, P.B), abs=1e-12)
+    assert abs(predict_linearized(P, zeta, other, P.B)) < 1e-12
 
 
 def test_comparator_bound_reads_the_drift_slot():

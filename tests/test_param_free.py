@@ -9,7 +9,7 @@ from burkholder.errors import ConfigError, DomainError, NumericError
 from burkholder.harness import comparator_grid, random_vectors
 from burkholder.losses import make_loss
 from burkholder.potentials import ParamFreePotential, harmonic_prefix
-from burkholder.strategies import predict_linearized, run_online
+from burkholder.strategies import run_online
 
 
 def test_harmonic_prefix_values():
@@ -51,16 +51,6 @@ def test_tail_telescopes_one_over_two_t():
         assert P.tail(t - 1) - P.tail(t) == pytest.approx(0.5 / t, abs=1e-15)
 
 
-def test_predict_agrees_with_the_generic_linearized_strategy():
-    P = ParamFreePotential(n=8, d=3)
-    rng = np.random.default_rng(13)
-    for t in range(1, 9):
-        zeta = P.sample_statistic(rng, max_rounds=t - 1)
-        x = P.sample_instance(rng)
-        assert P.predict(zeta, t, x) == pytest.approx(
-            predict_linearized(P, zeta, x, P.B, t=t), abs=1e-12)
-
-
 def test_time_index_is_required_and_validated():
     P = ParamFreePotential(n=4, d=2)
     z = P.zero()
@@ -76,8 +66,14 @@ def test_time_index_is_required_and_validated():
 
 def test_rejects_instances_outside_the_unit_ball():
     P = ParamFreePotential(n=4, d=2)
+    with pytest.raises(DomainError, match="exceeds 1"):
+        P.stat_map(np.array([1.2, 0.0]), 0.0, 0.0)
+    # the 1e-9 slack admits rounding just past the sphere
+    P.stat_map(np.array([1.0 + 1e-10, 0.0]), 0.0, 1.0)
+    # the family's own norm decides: ||(0.8, 0.8)||_4 < 1 < ||(0.8, 0.8)||_2
     with pytest.raises(DomainError):
-        P.predict(P.zero(), 1, np.array([1.2, 0.0]))
+        P.stat_map(np.array([0.8, 0.8]), 0.0, 1.0)
+    ParamFreePotential(n=4, d=2, p=4.0).stat_map(np.array([0.8, 0.8]), 0.0, 1.0)
     with pytest.raises(DomainError):
         P.stat_map(np.zeros(3), 0.0, 0.0)
 

@@ -4,17 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burkholder.errors import DomainError
 from burkholder.potentials import AdaGradPotential, MatrixPotential, ParamFreePotential
 from burkholder.losses import make_loss
+from burkholder.statistics import stats_allclose
+from burkholder.strategies import predict_linearized
 from burkholder.verify import (MAX_DEPTH, CheckReport, PredictableTree,
                                SmoothnessPair, TwoPointDist,
                                brute_force_sup_ev, check_matrix_khintchine,
                                check_mgf_bound, check_necessity, check_p1,
                                check_p2, check_p3, check_supermartingale,
                                gather_tree, prefix_codes, replay_p3,
-                               round_descent, sign_paths, tree_expectation)
+                               round_descent, sign_paths, tree_expectation,
+                               walk_tree)
 
 
 def test_two_point_distribution_is_exactly_centered():
@@ -69,6 +74,16 @@ def test_p3_witness_replays_to_the_reported_violation():
     assert report.witness["a"] > 0 and report.witness["b"] > 0
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_sampled_checks_need_at_least_one_trial(trials):
+    P = AdaGradPotential(d=2)
+    with pytest.raises(DomainError, match="trials >= 1"):
+        check_p2(P, trials=trials)
+    for mode in ("two_point", "rademacher"):
+        with pytest.raises(DomainError, match="trials >= 1"):
+            check_p3(P, mode=mode, trials=trials)
+
+
 def test_p3_unknown_mode_is_rejected():
     with pytest.raises(DomainError, match="mode"):
         check_p3(AdaGradPotential(d=2), mode="bogus", trials=1)
@@ -97,6 +112,20 @@ def test_tree_level_shapes_are_validated():
     assert [lv.shape[0] for lv in tree.levels] == [1, 2, 4]
     assert tree.depth == 3
     assert tree.node(3, 2) == 3.0
+
+
+def test_depth_zero_trees_are_rejected():
+    with pytest.raises(DomainError, match="depth >= 1"):
+        PredictableTree([])
+    with pytest.raises(DomainError, match="depth >= 1"):
+        PredictableTree.constant([])
+    with pytest.raises(DomainError, match="depth >= 1"):
+        PredictableTree.random(0, lambda r: 0.0, np.random.default_rng(0))
+    # the sign-sum checks build their trees through the same constructor
+    with pytest.raises(DomainError, match="depth >= 1"):
+        check_mgf_bound(n=0, n_trees=1)
+    with pytest.raises(DomainError, match="depth >= 1"):
+        check_matrix_khintchine(n=0, n_trees=1)
 
 
 def test_perturbed_changes_one_node_only():
@@ -131,6 +160,32 @@ def test_gather_tree_reads_values_along_each_path():
     assert g.shape == (4, 2)
     assert np.array_equal(g[:, 0], [10.0] * 4)
     assert np.array_equal(g[:, 1], [20.0, 30.0, 20.0, 30.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(depth=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       y_hat=st.floats(-1.0, 1.0))
+def test_walk_tree_leaves_fold_the_statistic_map_along_each_sign_path(
+        depth, seed, y_hat):
+    P = AdaGradPotential(d=3, L=0.75, check_convexity=False)
+    tree = PredictableTree.random(depth, P.sample_instance,
+                                  np.random.default_rng(seed))
+    leaves = walk_tree(tree, P.zero(), lambda t, idx, x, tau: (
+        tau + P.stat_map(x, y_hat, -P.L), tau + P.stat_map(x, y_hat, P.L)))
+    eps = sign_paths(depth)
+    g = gather_tree(tree, prefix_codes(depth))
+    assert len(leaves) == 2 ** depth
+    for p, leaf in enumerate(leaves):
+        tau = P.zero()
+        for t in range(depth):
+            tau = tau + P.stat_map(g[p, t], y_hat, eps[p, t] * P.L)
+        assert stats_allclose(leaf, tau, rtol=0.0, atol=0.0)
+
+
+def test_walk_tree_enforces_the_exhaustive_limit():
+    tree = PredictableTree.constant([0.0] * (MAX_DEPTH + 1))
+    with pytest.raises(DomainError, match="exhaustive limit"):
+        walk_tree(tree, 0.0, lambda t, idx, x, s: (s, s))
 
 
 def test_tree_expectation_matches_hand_computed_orthogonality():
@@ -228,7 +283,8 @@ def test_round_descent_separates_good_and_bad_predictions():
     x = np.zeros((5, 5))
     x[1, 2] = 1.0
     zeta = P.zero()
-    good = round_descent(P, zeta, x, P.predict(zeta, x), loss, B=1.0)
+    good = round_descent(P, zeta, x, predict_linearized(P, zeta, x, 1.0),
+                         loss, B=1.0)
     assert good <= 1e-10
     bad = round_descent(P, zeta, x, 1.0, loss, B=1.0)
     assert bad > 0.1
@@ -266,6 +322,34 @@ class TestNecessity:
         report = check_necessity(P, tree, clairvoyant=True)
         assert not report.passed
         assert report.max_violation == pytest.approx(5.0, abs=1e-9)
+
+    @pytest.mark.parametrize("clairvoyant", [False, True])
+    def test_matches_a_separate_replay_of_every_path(self, clairvoyant):
+        P = MatrixPotential(2, 2, eta=0.5)
+        depth = 5
+        tree = self._tree(depth, np.random.default_rng(16))
+        report = check_necessity(P, tree, clairvoyant=clairvoyant)
+        loss = make_loss("absolute", B=2.0)
+        eps = sign_paths(depth)
+        g = gather_tree(tree, prefix_codes(depth))
+        lhs, rhs = [], []
+        for p in range(2 ** depth):
+            zeta, eps_sum, cum = P.zero(), np.zeros((2, 2)), 0.0
+            for t in range(depth):
+                x, y = g[p, t], eps[p, t]
+                y_hat = y if clairvoyant else predict_linearized(
+                    P, zeta, x, P.B, t=t + 1)
+                zeta = zeta + P.stat_map(x, y_hat, float(loss.subgradient(y_hat, y)))
+                eps_sum = eps_sum + y * x
+                cum += float(loss.value(y_hat, y))
+            m_norm = float(np.linalg.eigvalsh(zeta.M)[-1])
+            a_bound = 0.5 * P.eta * P.L ** 2 * P.r * max(m_norm, 0.0) + P.c / P.eta
+            u_norm = float(np.linalg.svd(eps_sum, compute_uv=False)[0])
+            lhs.append(cum - (depth - P.r * u_norm) - a_bound)
+            rhs.append(P.r * u_norm - a_bound)
+        assert report.checks == 2 ** depth
+        assert abs(report.witness["E_lhs"] - float(np.mean(lhs))) <= 1e-12
+        assert abs(report.witness["E_rhs"] - float(np.mean(rhs))) <= 1e-12
 
     def test_oversized_class_radius_is_rejected(self):
         P = MatrixPotential(2, 2, eta=0.5, r=2.0, strict=False,
