@@ -16,9 +16,8 @@ import numpy as np
 from . import harness, verify
 from .errors import ConfigError, DomainError, NumericError, TagMismatchError
 from .losses import make_loss
-from .potential import MappedPotential
-from .potentials import (AdaGradPotential, MatrixPotential, MetaPotential,
-                         ParamFreePotential, VawPotential, standard_families)
+from .potentials import (AdaGradPotential, MatrixPotential, ParamFreePotential,
+                         VawPotential, matrix_meta, standard_families)
 from .strategies import STRATEGIES, run_online, run_randomized_expected
 
 SUITES = ("p1", "p2", "p3", "khintchine", "mgf", "supermartingale",
@@ -73,20 +72,6 @@ def build_loss(cfg):
     return make_loss(cfg.get("loss", "absolute"), B=cfg.get("B", 1.0))
 
 
-def _build_meta(cfg, loss, B):
-    d1 = _require(cfg, "d1", "family meta")
-    d2 = _require(cfg, "d2", "family meta")
-    base = MatrixPotential(d1, d2, eta=_require(cfg, "eta", "family meta"),
-                           r=cfg.get("r", 1.0), L=loss.L, c=cfg.get("c"), B=B)
-    ada = MappedPotential(
-        AdaGradPotential(d1 * d2, variant="l2", L=loss.L, B=B),
-        feature_fn=lambda x: np.asarray(x, dtype=float).reshape(-1),
-        sample_fn=base.sample_instance)
-    return MetaPotential([(base, base.increment_bound()),
-                          (ada, ada.increment_bound())],
-                         eta=cfg.get("meta_eta", 0.25))
-
-
 def build_potential(cfg, loss, n):
     fam = _require(cfg, "family", "this command")
     B = cfg.get("B", 1.0)
@@ -96,11 +81,12 @@ def build_potential(cfg, loss, n):
         return ParamFreePotential(n=n, d=_require(cfg, "d", "family param_free"),
                                   p=cfg.get("p"), beta=cfg.get("beta"),
                                   gamma=cfg.get("gamma"), c=cfg.get("c", 1.0), B=B)
-    if fam == "matrix":
-        return MatrixPotential(_require(cfg, "d1", "family matrix"),
-                               _require(cfg, "d2", "family matrix"),
-                               eta=_require(cfg, "eta", "family matrix"),
-                               r=cfg.get("r", 1.0), L=loss.L, c=cfg.get("c"), B=B)
+    if fam in ("matrix", "meta"):
+        P = MatrixPotential(_require(cfg, "d1", f"family {fam}"),
+                            _require(cfg, "d2", f"family {fam}"),
+                            eta=_require(cfg, "eta", f"family {fam}"),
+                            r=cfg.get("r", 1.0), L=loss.L, c=cfg.get("c"), B=B)
+        return P if fam == "matrix" else matrix_meta(P, eta=cfg.get("meta_eta", 0.25))
     if fam == "adagrad":
         return AdaGradPotential(_require(cfg, "d", "family adagrad"),
                                 variant=cfg.get("variant", "l2"), L=loss.L, B=B)
@@ -110,8 +96,6 @@ def build_potential(cfg, loss, n):
         return VawPotential(_require(cfg, "d", "family vaw"),
                             rho=cfg.get("rho", 2.0), lam=cfg.get("lam", 1.0),
                             c=cfg.get("c"), L=loss.L, B=B)
-    if fam == "meta":
-        return _build_meta(cfg, loss, B)
     raise ConfigError(f"unknown family {fam!r}")
 
 
@@ -122,6 +106,7 @@ def _matrix_family(fam):
 def build_sequence(cfg, rng):
     """Sequence described by the config, plus the round count."""
     fam = cfg.get("family", "")
+    B = cfg.get("B", 1.0)
     if "data_csv" in cfg:
         seq = harness.load_sequence(cfg["data_csv"], d1=cfg.get("d1"),
                                     d2=cfg.get("d2"))
@@ -131,7 +116,6 @@ def build_sequence(cfg, rng):
         if n > len(seq):
             raise ConfigError(f"n = {n} exceeds the {len(seq)} rows in data_csv")
         seq = harness.Sequence(seq.kind, seq.xs[:n], seq.ys[:n], seq.meta)
-        B = cfg.get("B", 1.0)
         for row, y in enumerate(seq.ys, start=1):
             if not abs(y) <= B:
                 raise ConfigError(f"{cfg['data_csv']}: row {row} has label "
@@ -142,7 +126,6 @@ def build_sequence(cfg, rng):
             raise ConfigError("n >= 1")
         kind = cfg.get("sequence",
                        "matrix_completion" if _matrix_family(fam) else "random_vectors")
-        B = cfg.get("B", 1.0)
         if kind == "matrix_completion":
             seq = harness.matrix_completion(
                 n, _require(cfg, "d1", "matrix_completion"),
@@ -281,6 +264,9 @@ def cmd_verify(args):
     depth = cfg.get("depth", 8)
     if args.trials is not None and args.trials < 1:
         raise ConfigError(f"--trials {args.trials}, need --trials >= 1")
+    n_trees = cfg.get("trees", args.trials or 20)
+    if suite in ("khintchine", "mgf", "all") and n_trees < 1:
+        raise ConfigError(f"trees = {n_trees}, need trees >= 1")
     lines, reports = [], []
 
     if args.negative_control and suite in ("khintchine", "mgf"):
@@ -307,28 +293,27 @@ def cmd_verify(args):
                     reports.append((name, verify.check_p3(P, mode="rademacher",
                                                           trials=trials, tol=tol, rng=rng)))
             if run_all or suite == "supermartingale":
-                d = min(depth, 8)
-                tree = verify.PredictableTree.random(d, P.sample_instance, rng)
+                tree = verify.PredictableTree.random(depth, P.sample_instance, rng)
                 reports.append((name, verify.check_supermartingale(P, tree, tol=tol)))
 
     if suite in ("khintchine", "all") and not args.negative_control:
         rng = np.random.default_rng([seed, 1])
         reports.append(("sign_sums", verify.check_matrix_khintchine(
             n=depth, d1=cfg.get("d1", 3), d2=cfg.get("d2", 2),
-            n_trees=cfg.get("trees", args.trials or 20), rng=rng)))
+            n_trees=n_trees, rng=rng)))
 
     if suite in ("mgf", "all") and not args.negative_control:
         rng = np.random.default_rng([seed, 2])
         reports.append(("sign_sums", verify.check_mgf_bound(
             n=depth, d=cfg.get("d", 4), beta=cfg.get("beta", 1.0),
-            n_trees=cfg.get("trees", args.trials or 20), rng=rng)))
+            n_trees=n_trees, rng=rng)))
 
     if suite in ("necessity", "all"):
         rng = np.random.default_rng([seed, 3])
         P = MatrixPotential(cfg.get("d1", 2), cfg.get("d2", 2),
                             eta=cfg.get("eta", 0.5), r=cfg.get("r", 1.0),
                             c=cfg.get("c"), B=cfg.get("B", 1.0))
-        tree = verify.PredictableTree.random(min(depth, 8), P.sample_instance, rng)
+        tree = verify.PredictableTree.random(depth, P.sample_instance, rng)
         reports.append(("matrix", verify.check_necessity(
             P, tree, tol=_family_tol("matrix", tol_override),
             clairvoyant=args.negative_control)))

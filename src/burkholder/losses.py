@@ -53,6 +53,19 @@ class Loss:
             out = np.where(y_hat * y < 0, -y, 0.0)
         return float(out) if out.ndim == 0 else out
 
+    def critical_labels(self, points, B):
+        """Labels where the sup over y in [-B, B] of a mixture over points is
+        attained, for a family convex in delta. Squared: delta is affine in y,
+        so +-B. Hinge: affine on [-B, 0] and [0, B]. Absolute: the mixture is
+        constant on each gap between points, and at a point at most the mean
+        of its two neighbouring gaps."""
+        if self.kind == "squared":
+            return np.array([-B, B])
+        if self.kind == "hinge":
+            return np.array([-B, 0.0, B])
+        knots = np.unique(np.clip(np.asarray(points, dtype=float), -B, B))
+        return np.concatenate([[-B, B], 0.5 * (knots[:-1] + knots[1:])])
+
 
 def make_loss(kind, B=1.0):
     return Loss(kind, B=B)

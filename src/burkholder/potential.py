@@ -99,7 +99,6 @@ class Potential:
         ys = np.asarray(ys, dtype=float)
         if self.linearizable:
             deltas = loss.subgradient(y_hats[:, None], ys[None, :])
-            deltas = np.atleast_2d(deltas)
             out = y_hats[:, None] * deltas
             for d in np.unique(deltas):
                 out[deltas == d] += self.residual(zeta, x, float(d), t=t)

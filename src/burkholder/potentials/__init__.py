@@ -14,21 +14,24 @@ __all__ = [
     "AdaGradPotential", "usq", "MatrixPotential", "doubling_run",
     "MetaPotential", "CombinedPotential", "combine_min", "combine_convex",
     "estimate_increment_bound", "ParamFreePotential", "harmonic_prefix",
-    "VawPotential", "standard_families",
+    "VawPotential", "matrix_meta", "standard_families",
 ]
+
+
+def matrix_meta(matrix, eta=0.25):
+    """Softmax meta over a matrix family and an l2 AdaGrad on the flattened
+    instance, with the same L and B, each charged its increment bound."""
+    ada = MappedPotential(
+        AdaGradPotential(d=matrix.d1 * matrix.d2, variant="l2", L=matrix.L, B=matrix.B),
+        feature_fn=lambda x: np.asarray(x, dtype=float).reshape(-1),
+        sample_fn=matrix.sample_instance)
+    return MetaPotential([(matrix, matrix.increment_bound()),
+                          (ada, ada.increment_bound())], eta=eta)
 
 
 def standard_families(B=1.0):
     """Small fixed instances of every family, used by verification sweeps."""
     matrix = MatrixPotential(d1=3, d2=2, eta=0.5, r=1.0, L=1.0, B=B)
-    ada_member = MappedPotential(
-        AdaGradPotential(d=6, variant="l2", L=1.0, B=B),
-        feature_fn=lambda x: np.asarray(x, dtype=float).reshape(-1),
-        sample_fn=matrix.sample_instance)
-    meta = MetaPotential(
-        [(matrix, matrix.increment_bound()),
-         (ada_member, ada_member.increment_bound())],
-        eta=0.25)
     return {
         "param_free_l2": ParamFreePotential(n=16, d=5, B=B),
         "param_free_l4": ParamFreePotential(n=16, d=5, p=4.0, B=B),
@@ -36,5 +39,5 @@ def standard_families(B=1.0):
         "adagrad_l2": AdaGradPotential(d=5, variant="l2", L=1.0, B=B),
         "adagrad_linf": AdaGradPotential(d=5, variant="linf", L=1.0, B=B),
         "vaw": VawPotential(d=3, rho=2.0, lam=1.0, L=4.0 * B, B=B),
-        "meta": meta,
+        "meta": matrix_meta(matrix),
     }

@@ -18,10 +18,6 @@ from .potential import Potential, Round, Trajectory, accumulate
 GridDistribution = namedtuple("GridDistribution", ["points", "probs"])
 
 
-def _clamp(v, b):
-    return min(b, max(-b, v))
-
-
 def predict_linearized(P, zeta, x, B, t=None, residual=None):
     """Closed-form prediction clamp(-(F(+L) - F(-L)) / (2L), [-B, B]).
 
@@ -35,35 +31,40 @@ def predict_linearized(P, zeta, x, B, t=None, residual=None):
     if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
         raise NumericError("non-finite residual evaluation",
                            {"f_plus": f_plus, "f_minus": f_minus})
-    return _clamp(-(f_plus - f_minus) / (2.0 * P.L), B)
+    return min(B, max(-B, -(f_plus - f_minus) / (2.0 * P.L)))
 
 
-def _y_grid(B, size):
-    g = np.linspace(-B, B, int(size))
-    return np.unique(np.concatenate([g, [-B, B]]))
+def sup_labels(P, loss, B, points=()):
+    """loss.critical_labels for a mixture over points (none: a pure prediction)."""
+    if not P.convex_in_delta:
+        raise DomainError("the sup over labels is exact only for a family convex in delta")
+    return loss.critical_labels(points, B)
 
 
-def predict_convex(P, zeta, x, B, loss, t=None, tol=1e-4,
-                   pred_grid=129, y_grid=129, max_stages=60):
+# The convex strategy's search: grid size, refinement stages, final spacing.
+_PRED_GRID, _MAX_STAGES, _TOL = 129, 60, 1e-4
+
+
+def predict_convex(P, zeta, x, B, loss, t=None):
     """Grid minimax: leftmost minimizer over y_hat of the sup over y.
 
     The outer search runs on a uniform y_hat grid; when the potential
     declares convexity in the prediction the bracket around the leftmost
-    grid minimizer is refined until its spacing is at most tol.
+    grid minimizer is refined until its spacing is at most _TOL.
     """
-    ys = _y_grid(B, y_grid)
+    ys = sup_labels(P, loss, B)
     lo, hi = -B, B
     best = None
-    for _ in range(int(max_stages)):
-        pts = np.linspace(lo, hi, int(pred_grid))
+    for _ in range(_MAX_STAGES):
+        pts = np.linspace(lo, hi, _PRED_GRID)
         table = P.round_values(zeta, x, pts, ys, loss, t=t)
         sup = table.max(axis=1)
         i = int(np.argmin(sup))  # argmin takes the leftmost among ties
         best = float(pts[i])
         if not P.convex_in_prediction:
             return best
-        spacing = pts[1] - pts[0] if pts.size > 1 else 0.0
-        if spacing <= tol:
+        spacing = pts[1] - pts[0]
+        if spacing <= _TOL:
             return best
         lo = float(pts[max(i - 1, 0)])
         hi = float(pts[min(i + 1, pts.size - 1)])
@@ -71,21 +72,21 @@ def predict_convex(P, zeta, x, B, loss, t=None, tol=1e-4,
                        {"bracket": (lo, hi), "last": best})
 
 
-def predict_randomized(P, zeta, x, B, eps1, eps2, rng, loss, t=None, y_grid=129):
+def predict_randomized(P, zeta, x, B, eps1, eps2, rng, loss, t=None):
     """Randomized strategy on an eps1-grid with a multiplicative-weights solver.
 
     Builds N = ceil(2B/eps1) + 1 control points z_i = -B + eps1*i (the top
-    point clipped to B), precomputes the round's value table, and runs
-    ceil(H^2 log N / eps2^2) mirror-descent iterations at step
-    sqrt(2 log N / iters) / H, H being the recentered value bound. Returns
-    (distribution over the control points, sampled prediction).
+    point clipped to B), precomputes the round's value table against the
+    critical labels of that grid, and runs ceil(H^2 log N / eps2^2)
+    mirror-descent iterations at step sqrt(2 log N / iters) / H, H being the
+    recentered value bound. Returns (distribution over the control points,
+    sampled prediction).
     """
     if eps1 <= 0 or eps2 <= 0:
         raise DomainError("eps1 and eps2 must be positive")
     n_pts = math.ceil(2.0 * B / eps1) + 1
     pts = np.minimum(-B + eps1 * np.arange(n_pts), B)
-    ys = _y_grid(B, y_grid)
-    table = P.round_values(zeta, x, pts, ys, loss, t=t)
+    table = P.round_values(zeta, x, pts, sup_labels(P, loss, B, pts), loss, t=t)
     if not np.all(np.isfinite(table)):
         raise NumericError("non-finite round value table",
                            {"max": np.max(table), "min": np.min(table)})
@@ -109,9 +110,9 @@ def predict_randomized(P, zeta, x, B, eps1, eps2, rng, loss, t=None, y_grid=129)
     return dist, float(rng.choice(pts, p=avg))
 
 
-def realized_game_value(P, zeta, x, dist, loss, B, t=None, y_grid=129):
+def realized_game_value(P, zeta, x, dist, loss, B, t=None):
     """sup_y sum_i mu_i U(zeta + T(x, z_i, dloss(z_i, y))) for a grid strategy."""
-    ys = _y_grid(B, y_grid)
+    ys = sup_labels(P, loss, B, dist.points)
     table = P.round_values(zeta, x, dist.points, ys, loss, t=t)
     return float(np.max(dist.probs @ table))
 
@@ -150,30 +151,28 @@ def run_online(P, strategy, sequence, loss, B, rng=None, options=None,
     sequence is an iterable of (x, y) pairs. potential_values[t] records
     U(zeta_t) (with the round index for time-varying families), so the
     per-round descent and the final certificate can be read off directly.
-    on_round(t, zeta_prev, rnd, zeta) is called after every round.
+    on_round(t, zeta_prev, rnd, zeta) is called after every round. options
+    holds the randomized strategy's eps1 and eps2 (0.1 each by default).
     """
     if strategy not in STRATEGIES:
         raise DomainError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    opts = dict(options or {})
     if strategy == "linearized":
         def choose(zeta, x, t):
             return predict_linearized(P, zeta, x, B, t=t)
     elif strategy == "convex":
         def choose(zeta, x, t):
-            return predict_convex(P, zeta, x, B, loss, t=t, **opts)
+            return predict_convex(P, zeta, x, B, loss, t=t)
     else:
         rng = rng if rng is not None else np.random.default_rng(0)
+        opts = options or {}
         eps1, eps2 = opts.get("eps1", 0.1), opts.get("eps2", 0.1)
-        y_grid = opts.get("y_grid", 129)
 
         def choose(zeta, x, t):
-            return predict_randomized(P, zeta, x, B, eps1, eps2, rng, loss, t=t,
-                                      y_grid=y_grid)[1]
+            return predict_randomized(P, zeta, x, B, eps1, eps2, rng, loss, t=t)[1]
     return _play(P, choose, sequence, loss, on_round)
 
 
-def run_randomized_expected(P, sequence, loss, B, eps1, eps2, rng, y_grid=129,
-                            on_round=None):
+def run_randomized_expected(P, sequence, loss, B, eps1, eps2, rng, on_round=None):
     """run_online for the randomized strategy, additionally recording the
     expected loss of each round's distribution (not just the sampled draw).
 
@@ -185,8 +184,7 @@ def run_randomized_expected(P, sequence, loss, B, eps1, eps2, rng, y_grid=129,
 
     def choose(zeta, x, t):
         nonlocal dist
-        dist, y_hat = predict_randomized(P, zeta, x, B, eps1, eps2, rng, loss,
-                                         t=t, y_grid=y_grid)
+        dist, y_hat = predict_randomized(P, zeta, x, B, eps1, eps2, rng, loss, t=t)
         return y_hat
 
     def record(t, zeta_prev, rnd, zeta):

@@ -98,12 +98,14 @@ def dilation_square(x):
 
 
 def _checked_symmetric(s):
-    """The symmetric part of s, checked to hold only finite entries."""
+    """The symmetric part of s and its largest |entry| per row: a row is
+    live when that is positive, and it is non-finite with any entry."""
     s = symmetrize(s)
-    if not np.isfinite(s).all():
+    row_max = np.abs(s).max(axis=0, initial=0.0)  # s is symmetric: rows = columns
+    if not np.isfinite(row_max).all():
         raise NumericError("non-finite entries in symmetric eigensolve",
                            {"max_abs": float(np.nanmax(np.abs(s)))})
-    return s
+    return s, row_max
 
 
 def sym_eig(s):
@@ -113,7 +115,7 @@ def sym_eig(s):
     columns q, so s = q @ diag(w) @ q.T up to roundoff. The input is
     symmetrized defensively before factoring.
     """
-    w, q = np.linalg.eigh(_checked_symmetric(s))
+    w, q = np.linalg.eigh(_checked_symmetric(s)[0])
     return w[::-1].copy(), q[:, ::-1].copy()
 
 
@@ -126,8 +128,8 @@ def sym_eigvals(s):
     spectrum merged with n - k zeros. A fully live input is one plain
     eigvalsh call; an all-zero input makes none.
     """
-    s = _checked_symmetric(s)
-    live = s.any(axis=1)
+    s, row_max = _checked_symmetric(s)
+    live = row_max > 0
     if live.all():
         return np.linalg.eigvalsh(s)[::-1].copy()
     w = np.zeros(s.shape[0])

@@ -247,8 +247,6 @@ def brute_force_sup_ev(P, n, rng=None, bound_fn=None, search="random",
     search: "random" tries k independent trees; "coordinate_ascent" additionally
     hill-climbs single-node perturbations from the best random start.
     """
-    if n > MAX_DEPTH:
-        raise DomainError(f"n = {n} exceeds the exhaustive limit {MAX_DEPTH}")
     rng = rng if rng is not None else np.random.default_rng(0)
     bound_fn = bound_fn if bound_fn is not None else P.bound
     vals = []
@@ -400,10 +398,10 @@ def check_supermartingale(P, tree, tol=1e-8, L=None):
 
 # --- per-round descent and randomized value dominance ------------------------
 
-def round_descent(P, zeta_prev, x, y_hat, loss, B, t=1, grid=101):
-    """max over a y grid (plus endpoints) of U(zeta + T(x, y_hat, dloss)) - U(zeta)
-    in round t."""
-    ys = np.unique(np.concatenate([np.linspace(-B, B, int(grid)), [-B, B]]))
+def round_descent(P, zeta_prev, x, y_hat, loss, B, t=1):
+    """sup over y in [-B, B] of U(zeta + T(x, y_hat, dloss)) - U(zeta) in round
+    t, taken exactly on the loss's critical labels."""
+    ys = strategies.sup_labels(P, loss, B)
     table = P.round_values(zeta_prev, x, np.array([y_hat]), ys, loss, t=t)
     return float(np.max(table)) - P.eval(zeta_prev, t=t - 1)
 

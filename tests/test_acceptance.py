@@ -121,8 +121,8 @@ def test_matrix_regret_certificate():
 
 def test_per_round_descent():
     """The potential never increases between rounds, and the played
-    prediction keeps the sup over a 101-point label grid below the
-    pre-round value, on every matrix and coin-betting run."""
+    prediction keeps the exact sup over labels below the pre-round value,
+    on every matrix and coin-betting run."""
     matrix = _matrix_runs()["records"]
     pf = _param_free_runs()["records"]
     assert len(matrix) == len(pf) == 100

@@ -235,6 +235,26 @@ def test_verify_rejects_a_zero_depth(tmp_path, capsys, suite):
     assert "depth >= 1" in err
 
 
+@pytest.mark.parametrize("suite", ["khintchine", "mgf"])
+def test_verify_rejects_fewer_than_one_tree(tmp_path, capsys, suite):
+    path = _cfg(tmp_path, "trees = 0\n")
+    assert cli.main(["verify", "--config", path, "--suite", suite]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "trees >= 1" in err
+
+
+def test_verify_walks_trees_at_the_configured_depth(tmp_path, capsys):
+    path = _cfg(tmp_path, "family = adagrad\nd = 3\ndepth = 10\n")
+    assert cli.main(["verify", "--config", path, "--suite", "supermartingale"]) == 0
+    out, _ = capsys.readouterr()
+    assert "pass adagrad.supermartingale_tree: checks=1023 " in out
+    path = _cfg(tmp_path, "family = adagrad\nd = 3\ndepth = 15\n")
+    assert cli.main(["verify", "--config", path, "--suite", "supermartingale"]) == 2
+    out, _ = capsys.readouterr()
+    assert out == ""
+
+
 def test_verify_out_file_mirrors_stdout(tmp_path, capsys):
     dest = tmp_path / "verify.txt"
     assert cli.main(["verify", "--suite", "p1", "--out", str(dest)]) == 0

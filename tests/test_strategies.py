@@ -5,18 +5,23 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burkholder.errors import DomainError, NumericError
 from burkholder.losses import make_loss
 from burkholder.potential import (MappedPotential, Potential, Trajectory,
                                   accumulate)
 from burkholder.harness import matrix_completion
-from burkholder.potentials import AdaGradPotential, MatrixPotential, VawPotential
+from burkholder.potentials import (AdaGradPotential, MatrixPotential,
+                                   ParamFreePotential, VawPotential,
+                                   combine_min, matrix_meta)
 from burkholder.statistics import ScalarVec, stats_allclose
-from burkholder.strategies import (STRATEGIES, predict_convex,
+from burkholder.strategies import (STRATEGIES, GridDistribution, predict_convex,
                                    predict_linearized, predict_randomized,
                                    realized_game_value, run_online,
-                                   run_randomized_expected)
+                                   run_randomized_expected, sup_labels)
+from burkholder.verify import round_descent
 
 
 class _Holder:
@@ -38,6 +43,8 @@ def test_linearized_rejects_nonfinite_residuals():
 class _QuadValue(Potential):
     """Round value (y_hat - target)^2, independent of y; for search tests."""
 
+    convex_in_delta = True  # the table does not depend on y
+
     def __init__(self, target, convex=True):
         self.target = target
         self.convex_in_prediction = convex
@@ -50,7 +57,7 @@ class _QuadValue(Potential):
 
 def test_convex_search_refines_to_the_minimizer():
     loss = make_loss("absolute")
-    pred = predict_convex(_QuadValue(0.3), None, None, 1.0, loss, tol=1e-4)
+    pred = predict_convex(_QuadValue(0.3), None, None, 1.0, loss)
     assert abs(pred - 0.3) <= 1e-4
 
 
@@ -133,6 +140,103 @@ def test_randomized_value_stays_within_the_declared_slack():
         realized = realized_game_value(P, zeta, x, dist, loss, P.B)
         budget = P.eval(zeta) + P.L * eps + eps + 1e-9
         assert realized <= budget
+
+
+def test_realized_game_value_is_exact_on_a_fine_grid():
+    """At eps1 = 0.004 the control points are closer than any fixed label
+    grid, so the sup must come from every gap between them. Brute force:
+    the mixture at +-B, at every control point and at every gap midpoint,
+    built from the three residuals F(-1), F(0), F(1)."""
+    loss = make_loss("absolute")
+    P = AdaGradPotential(d=2)
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        zeta = P.sample_statistic(rng, max_rounds=6)
+        x = P.sample_instance(rng)
+        dist, _ = predict_randomized(P, zeta, x, 1.0, eps1=0.004, eps2=0.1,
+                                     rng=rng, loss=loss)
+        z = np.unique(dist.points)
+        ys = np.concatenate([[-1.0, 1.0], z, 0.5 * (z[:-1] + z[1:])])
+        deltas = np.sign(dist.points[:, None] - ys[None, :])
+        residual = {d: P.residual(zeta, x, d) for d in (-1.0, 0.0, 1.0)}
+        table = dist.points[:, None] * deltas + np.vectorize(residual.get)(deltas)
+        brute = float(np.max(dist.probs @ table))
+        assert abs(realized_game_value(P, zeta, x, dist, loss, 1.0) - brute) <= 1e-12
+
+
+def _sup_family(name, loss):
+    B, L = loss.B, loss.L
+    if name == "adagrad":
+        return AdaGradPotential(d=3, L=L, B=B)
+    if name == "matrix":
+        return MatrixPotential(2, 3, eta=0.5, L=L, B=B)
+    if name == "param_free":
+        return ParamFreePotential(n=12, d=3, B=B)
+    if name == "vaw":
+        return VawPotential(d=2, L=L, B=B)
+    return matrix_meta(MatrixPotential(2, 2, eta=0.5, L=L, B=B))
+
+
+@st.composite
+def _sup_cases(draw):
+    name = draw(st.sampled_from(["adagrad", "matrix", "param_free", "vaw", "meta"]))
+    kind = draw(st.sampled_from(["absolute", "hinge", "squared"]))
+    # param_free has L = 1, which squared loss (L = 4B) meets at B = 1/4
+    B = 0.25 if (name, kind) == ("param_free", "squared") else 1.0
+    unit = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0))
+    points = draw(st.lists(unit, min_size=1, max_size=5))
+    points += [points[i % len(points)]
+               for i in draw(st.lists(st.integers(0, 4), max_size=2))]
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=len(points),
+                            max_size=len(points)))
+    probs = np.asarray(weights) + 1e-3
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return name, make_loss(kind, B=B), B * np.asarray(points), probs / probs.sum(), seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sup_cases())
+def test_critical_labels_dominate_a_dense_label_grid(case):
+    name, loss, points, probs, seed = case
+    P = _sup_family(name, loss)
+    rng = np.random.default_rng(seed)
+    zeta = P.sample_statistic(rng, max_rounds=5)
+    x = P.sample_instance(rng)
+    t = int(rng.integers(1, 13))  # only param_free reads it
+    B = loss.B
+
+    def sup(ys):
+        return float(np.max(probs @ P.round_values(zeta, x, points, ys, loss, t=t)))
+
+    exact = sup(sup_labels(P, loss, B, points))
+    assert exact >= sup(np.linspace(-B, B, 2001)) - 1e-12
+
+
+def test_critical_label_sets():
+    assert np.array_equal(make_loss("squared").critical_labels([0.3, 0.3], 1.0),
+                          [-1.0, 1.0])
+    assert np.array_equal(make_loss("hinge").critical_labels([], 1.0),
+                          [-1.0, 0.0, 1.0])
+    absolute = make_loss("absolute", B=2.0)
+    assert np.array_equal(absolute.critical_labels((), 2.0), [-2.0, 2.0])
+    # one label per gap between distinct points, the endpoints among them
+    assert np.array_equal(absolute.critical_labels([1.0, -2.0, 0.0, 1.0, 2.0], 2.0),
+                          [-2.0, 2.0, -1.0, 0.5, 1.5])
+
+
+def test_grid_strategies_need_convexity_in_delta():
+    loss = make_loss("absolute")
+    P = combine_min([AdaGradPotential(d=2), AdaGradPotential(d=2, variant="linf")])
+    assert not P.convex_in_delta
+    zeta, x = P.zero(), np.array([0.6, 0.0])
+    dist = GridDistribution(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+    for call in (lambda: predict_convex(P, zeta, x, 1.0, loss),
+                 lambda: predict_randomized(P, zeta, x, 1.0, 0.5, 0.5,
+                                            np.random.default_rng(0), loss),
+                 lambda: realized_game_value(P, zeta, x, dist, loss, 1.0),
+                 lambda: round_descent(P, zeta, x, 0.0, loss, 1.0)):
+        with pytest.raises(DomainError, match="convex in delta"):
+            call()
 
 
 def test_run_online_bookkeeping():

@@ -115,6 +115,8 @@ def test_live_block_edge_cases():
                           np.zeros(2))
     with pytest.raises(NumericError):
         sym_eigvals(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+    with pytest.raises(NumericError):  # a row the live-block gather would drop
+        sym_eigvals(np.diag([1.0, np.nan, 2.0]))
     with pytest.raises(NumericError):
         sym_eig(np.array([[np.inf]]))
 

@@ -85,7 +85,7 @@ def test_grid_minimax_prediction_matches_a_dense_brute_force():
     for _ in range(40):
         zeta = P.sample_statistic(rng, max_rounds=4)
         x = P.sample_instance(rng)
-        pred = predict_convex(P, zeta, x, 1.0, loss, tol=1e-4)
+        pred = predict_convex(P, zeta, x, 1.0, loss)
         dense = np.linspace(-1, 1, 2049)
         table = P.round_values(zeta, x, dense, ys, loss)
         best = float(table.max(axis=1).min())
