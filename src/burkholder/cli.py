@@ -59,6 +59,8 @@ def parse_config(path):
                 cfg[key] = val
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
+        if key in _FLOAT_KEYS and not math.isfinite(cfg[key]):
+            raise ConfigError(f"{path}:{lineno}: {key} = {val!r} is not finite")
     return cfg
 
 
@@ -107,6 +109,9 @@ def build_sequence(cfg, rng):
     """Sequence described by the config, plus the round count."""
     fam = cfg.get("family", "")
     B = cfg.get("B", 1.0)
+    for key, low in (("d", 1), ("d1", 1), ("d2", 1), ("rank", 0)):
+        if cfg.get(key, low) < low:
+            raise ConfigError(f"{key} = {cfg[key]}, need {key} >= {low}")
     if "data_csv" in cfg:
         seq = harness.load_sequence(cfg["data_csv"], d1=cfg.get("d1"),
                                     d2=cfg.get("d2"))

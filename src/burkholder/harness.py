@@ -15,8 +15,6 @@ import numpy as np
 from . import symlin
 from .errors import DomainError
 
-SEQUENCE_KINDS = ("matrix_completion", "random_vectors", "adversarial_gradient")
-
 CSV_HEADER = ("round", "loss", "cum_loss", "comp_loss", "regret", "bound", "potential")
 
 
@@ -108,16 +106,6 @@ def adversarial_gradient(n, d, B=1.0, rng=None):
             sign = -sign
             remaining = int(rng.integers(1, max_run))
     return Sequence("adversarial_gradient", xs, np.array(ys), {})
-
-
-def make_sequence(kind, n, rng=None, **kw):
-    if kind == "matrix_completion":
-        return matrix_completion(n, rng=rng, **kw)
-    if kind == "random_vectors":
-        return random_vectors(n, rng=rng, **kw)
-    if kind == "adversarial_gradient":
-        return adversarial_gradient(n, rng=rng, **kw)
-    raise DomainError(f"unknown sequence kind {kind!r}; expected one of {SEQUENCE_KINDS}")
 
 
 # --- sequence CSV ------------------------------------------------------------

@@ -17,8 +17,8 @@ class Loss:
     def __init__(self, kind, B=1.0):
         if kind not in KINDS:
             raise DomainError(f"unknown loss kind {kind!r}; expected one of {KINDS}")
-        if B <= 0:
-            raise DomainError("B must be positive")
+        if not 0.0 < B < np.inf:
+            raise DomainError(f"B = {B!r}, need 0 < B < inf")
         if kind == "hinge" and B > 1.0 + 1e-12:
             # subgradient magnitude is |y| <= B; L is pinned at 1, so the
             # margin-0 hinge is only offered on [-1, 1]

@@ -2,10 +2,15 @@
 
 A potential bundles an additive statistic map T(x, y_hat, delta) with an
 evaluation function U over accumulated statistics. Strategies only interact
-with learners through this interface. Families that admit the linear
-decomposition U(zeta + T((x, y_hat), delta)) = y_hat * delta + F(zeta, x, delta)
-set `linearizable` and implement `residual` (the F above); that unlocks the
-closed-form prediction.
+with learners through this interface. A family implements zero, stat_map,
+eval, bound and sample_instance, and optionally regret_bound(stat,
+comparator), increment_bound and a round_values fast path.
+
+A family that admits the linear decomposition
+U(zeta + T(x, y_hat, delta)) = y_hat * delta + U(zeta + T(x, 0, delta))
+declares `linearizable`. Its residual F(zeta, x, delta), the second term,
+is then derived here from eval and stat_map; that unlocks the closed-form
+prediction.
 """
 
 from dataclasses import dataclass, field
@@ -43,11 +48,11 @@ class Potential:
         raise NotImplementedError
 
     def residual(self, zeta, x, delta, t=None):
-        raise NotImplementedError
-
-    def anchor(self):
-        """(x0, y0) with stat_map(x0, y0, 0) equal to the zero statistic."""
-        raise NotImplementedError
+        """F(zeta, x, delta) = U(zeta + T(x, 0, delta)) in round t; the value
+        after the round is y_hat * delta + F when the family is linearizable."""
+        if not self.linearizable:
+            raise DomainError(f"{type(self).__name__} lacks the linear residual decomposition")
+        return self.eval(zeta + self.stat_map(x, 0.0, delta), t=t)
 
     # --- sampling hooks for verification ----------------------------------
     def sample_instance(self, rng):
@@ -187,14 +192,6 @@ class MappedPotential(Potential):
 
     def bound(self, stat):
         return self.inner.bound(stat)
-
-    def residual(self, zeta, x, delta, t=None):
-        return self.inner.residual(zeta, self.feature_fn(x), delta, t=t)
-
-    def anchor(self):
-        if self.sample_fn is None:
-            return self.inner.anchor()
-        raise DomainError("mapped potential has no canonical anchor; query the inner one")
 
     def sample_instance(self, rng):
         if self.sample_fn is not None:

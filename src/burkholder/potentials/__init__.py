@@ -5,15 +5,14 @@ import numpy as np
 from ..potential import MappedPotential
 from .adagrad import AdaGradPotential, usq
 from .matrix import MatrixPotential, doubling_run
-from .meta import (CombinedPotential, MetaPotential, combine_convex,
-                   combine_min, estimate_increment_bound)
+from .meta import CombinedPotential, MetaPotential, combine_convex, combine_min
 from .param_free import ParamFreePotential, harmonic_prefix
 from .vaw import VawPotential
 
 __all__ = [
     "AdaGradPotential", "usq", "MatrixPotential", "doubling_run",
     "MetaPotential", "CombinedPotential", "combine_min", "combine_convex",
-    "estimate_increment_bound", "ParamFreePotential", "harmonic_prefix",
+    "ParamFreePotential", "harmonic_prefix",
     "VawPotential", "matrix_meta", "standard_families",
 ]
 

@@ -64,9 +64,6 @@ class AdaGradPotential(Potential):
     def zero(self):
         return ScalarVecScalar.zero(self.d, coordinatewise=self.variant == "linf")
 
-    def anchor(self):
-        return np.zeros(self.d), 0.0
-
     def stat_map(self, x, y_hat, delta):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.d,):
@@ -90,15 +87,6 @@ class AdaGradPotential(Potential):
         if self.variant == "l2":
             return stat.b + float(np.linalg.norm(stat.x)) - 2.0 * self.L * np.sqrt(max(float(stat.s), 0.0))
         return stat.b + float(np.sum(np.abs(stat.x))) - 2.0 * self.L * float(np.sum(np.sqrt(np.maximum(stat.s, 0.0))))
-
-    def residual(self, zeta, x, delta, t=None):
-        x = np.asarray(x, dtype=float)
-        moved = zeta.x + delta * x
-        if self.variant == "l2":
-            s_new = float(zeta.s) + float(np.dot(x, x))
-        else:
-            s_new = zeta.s + x * x
-        return zeta.b + self._certificate(moved, s_new)
 
     def regret_bound(self, stat, comparator=None):
         """2 L sqrt(s) against unit-ball comparators (euclidean ball for l2,

@@ -43,9 +43,6 @@ class MatrixPotential(Potential):
     def zero(self):
         return ScalarSymPsd.zero(self.dim)
 
-    def anchor(self):
-        return np.zeros((self.d1, self.d2)), 0.0
-
     def stat_map(self, x, y_hat, delta):
         x = symlin.as_matrix(x)
         if x.shape != (self.d1, self.d2):
@@ -69,20 +66,11 @@ class MatrixPotential(Potential):
         lam1 = symlin.sym_eigvals(stat.H - 0.5 * self.eta * self.L ** 2 * stat.M)[0]
         return stat.a + self.r * float(lam1) - self.c / self.eta
 
-    def residual(self, zeta, x, delta, t=None):
-        lte = self._lte(zeta.H + delta * symlin.dilation(x),
-                        zeta.M + symlin.dilation_square(x))
-        return zeta.a + (self.r / self.eta) * lte - self.c / self.eta
-
-    def comparator_bound(self, stat):
-        """A = (eta L^2 r / 2) ||sum dilation_square|| + c / eta, from the M slot."""
+    def regret_bound(self, stat, comparator=None):
+        """A = (eta L^2 r / 2) ||sum dilation_square|| + c / eta, from the M
+        slot; uniform over the nuclear ball, so the comparator is ignored."""
         mnorm = float(symlin.sym_eigvals(stat.M)[0]) if stat.M.size else 0.0
         return 0.5 * self.eta * self.L ** 2 * self.r * max(mnorm, 0.0) + self.c / self.eta
-
-    def regret_bound(self, stat, comparator=None):
-        # uniform over the nuclear ball; the comparator argument is accepted
-        # for interface parity and ignored
-        return self.comparator_bound(stat)
 
     def sample_instance(self, rng):
         x = rng.normal(size=(self.d1, self.d2))

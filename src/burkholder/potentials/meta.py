@@ -65,17 +65,6 @@ class MetaPotential(Potential):
         ex = self.eta * vals - self.eta ** 2 * gamma
         return logsumexp(ex) / self.eta - math.log(self.arity) / self.eta
 
-    def residual(self, zeta, x, delta, t=None):
-        # after the round the drift vector has advanced by C, so the charge
-        # uses gamma + C
-        if not self.linearizable:
-            raise DomainError("a member lacks the linear residual decomposition")
-        taus, gamma = self._split(zeta)
-        fs = np.array([m.residual(tau, x, delta, t=t)
-                       for m, tau in zip(self.members, taus)])
-        ex = self.eta * fs - self.eta ** 2 * (gamma + self.C)
-        return logsumexp(ex) / self.eta - math.log(self.arity) / self.eta
-
     def bound(self, stat):
         taus, gamma = self._split(stat)
         vs = np.array([m.bound(tau) for m, tau in zip(self.members, taus)])
@@ -97,27 +86,6 @@ class MetaPotential(Potential):
 
     def sample_instance(self, rng):
         return self.members[0].sample_instance(rng)
-
-    def anchor(self):
-        return self.members[0].anchor()
-
-
-def estimate_increment_bound(P, rng, trials=10000):
-    """Sampled bound on the squared one-step potential increment, inflated 2x.
-
-    Returns (value, estimated=True). Prefer the potential's analytic
-    increment_bound when it exists.
-    """
-    worst = 0.0
-    for _ in range(int(trials)):
-        tau = P.sample_statistic(rng)
-        x = P.sample_instance(rng)
-        y_hat = float(rng.uniform(-P.B, P.B))
-        alpha = float(rng.uniform(-P.L, P.L))
-        before = P.eval(tau, t=1)
-        after = P.eval(tau + P.stat_map(x, y_hat, alpha), t=1)
-        worst = max(worst, (after - before) ** 2)
-    return 2.0 * worst, True
 
 
 def _check_shared_map(potentials):
@@ -174,16 +142,8 @@ class CombinedPotential(Potential):
     def bound(self, stat):
         return self._agg([p.bound(stat) for p in self.potentials])
 
-    def residual(self, zeta, x, delta, t=None):
-        if not self.linearizable:
-            raise DomainError("a member lacks the linear residual decomposition")
-        return self._agg([p.residual(zeta, x, delta, t=t) for p in self.potentials])
-
     def sample_instance(self, rng):
         return self.potentials[0].sample_instance(rng)
-
-    def anchor(self):
-        return self.potentials[0].anchor()
 
 
 def combine_min(potentials):

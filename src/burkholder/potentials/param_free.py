@@ -39,6 +39,8 @@ class ParamFreePotential(Potential):
     def __init__(self, n, d, p=None, beta=None, gamma=None, c=1.0, B=1.0, strict=True):
         if n < 1:
             raise ConfigError("n >= 1")
+        if d < 1:
+            raise ConfigError("d >= 1")
         if p is not None and p < 2:
             raise ConfigError("p >= 2")
         self.n = int(n)
@@ -79,9 +81,6 @@ class ParamFreePotential(Potential):
     def zero(self):
         return ScalarVec.zero(self.d)
 
-    def anchor(self):
-        return np.zeros(self.d), 0.0
-
     def stat_map(self, x, y_hat, delta):
         """(delta * y_hat, delta * x) for an instance x in the unit ball."""
         x = np.asarray(x, dtype=float)
@@ -111,24 +110,14 @@ class ParamFreePotential(Potential):
         """V(b, x) = b + gamma * exp(||x||^2 / (2 beta n)) - c; equals U at t = n."""
         return self.eval(stat, t=self.n)
 
-    def residual(self, zeta, x, delta, t=None):
-        if t is None:
-            raise DomainError("time-varying residual needs the round index t")
-        x = np.asarray(x, dtype=float)
-        moved = zeta.x + delta * x
-        return zeta.b + self._exp_term(self.norm(moved) ** 2, int(t)) - self.c
-
-    def comparator_bound(self, w):
-        """A(w) = ||w||_* sqrt(2 beta n log(sqrt(beta n) ||w||_* / gamma + 1)) + c."""
-        wn = self.dual_norm(np.asarray(w, dtype=float))
-        bn = self.beta * self.n
-        return wn * math.sqrt(2.0 * bn * math.log(math.sqrt(bn) * wn / self.gamma + 1.0)) + self.c
-
     def regret_bound(self, stat, comparator=None):
-        """Comparator-dependent bound; the statistic does not enter."""
+        """A(w) = ||w||_* sqrt(2 beta n log(sqrt(beta n) ||w||_* / gamma + 1)) + c
+        for the comparator w; the statistic does not enter."""
         if comparator is None:
             raise DomainError("regret bound needs a comparator")
-        return self.comparator_bound(comparator)
+        wn = self.dual_norm(np.asarray(comparator, dtype=float))
+        bn = self.beta * self.n
+        return wn * math.sqrt(2.0 * bn * math.log(math.sqrt(bn) * wn / self.gamma + 1.0)) + self.c
 
     def sample_instance(self, rng):
         v = rng.normal(size=self.d)

@@ -41,9 +41,6 @@ class VawPotential(Potential):
     def zero(self):
         return VecSym.zero(self.dim)
 
-    def anchor(self):
-        return np.zeros(self.d), 0.0
-
     def augment(self, x, y_hat):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.d,):
@@ -95,16 +92,13 @@ class VawPotential(Potential):
             out[i, :] = 0.5 * (q_xx + 2.0 * deltas * q_xz + deltas ** 2 * q_zz) - debt
         return out
 
-    def comparator_bound(self, w, stat):
-        """A_lambda(w) = (lambda/2) ||(w, 1)||^2 + log-determinant debt at stat."""
-        w = np.asarray(w, dtype=float)
-        aug = np.concatenate([w, [1.0]])
-        return 0.5 * self.lam * float(np.dot(aug, aug)) + self._logdet_debt(self._gram(stat.A))
-
     def regret_bound(self, stat, comparator=None):
+        """A_lambda(w) = (lambda/2) ||(w, 1)||^2 + log-determinant debt at stat,
+        for the comparator w."""
         if comparator is None:
             raise DomainError("regret bound needs a comparator")
-        return self.comparator_bound(comparator, stat)
+        aug = np.concatenate([np.asarray(comparator, dtype=float), [1.0]])
+        return 0.5 * self.lam * float(np.dot(aug, aug)) + self._logdet_debt(self._gram(stat.A))
 
     def sample_instance(self, rng):
         v = rng.normal(size=self.d)

@@ -10,7 +10,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import symlin
 from .errors import TagMismatchError
 
 
@@ -58,16 +57,6 @@ class ScalarSymPsd:
     @classmethod
     def zero(cls, dim):
         return cls(0.0, np.zeros((dim, dim)), np.zeros((dim, dim)))
-
-    def min_m_eigenvalue(self):
-        if self.M.size == 0:
-            return 0.0
-        return float(symlin.sym_eigvals(self.M)[-1])
-
-    def validate_psd(self, rel_tol=1e-10):
-        """The M slot must stay psd up to roundoff relative to its norm."""
-        scale = max(float(np.max(np.abs(self.M))), 1.0)
-        return self.min_m_eigenvalue() >= -rel_tol * scale
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,16 +18,14 @@ from .potential import Potential, Round, Trajectory, accumulate
 GridDistribution = namedtuple("GridDistribution", ["points", "probs"])
 
 
-def predict_linearized(P, zeta, x, B, t=None, residual=None):
+def predict_linearized(P, zeta, x, B, t=None):
     """Closed-form prediction clamp(-(F(+L) - F(-L)) / (2L), [-B, B]).
 
-    F is the potential's residual; a different residual can be passed
-    explicitly. Requires the residual to be convex in delta.
+    F is the potential's residual. Requires the residual to be convex in
+    delta.
     """
-    F = residual if residual is not None else (
-        lambda d: P.residual(zeta, x, d, t=t))
-    f_plus = F(+P.L)
-    f_minus = F(-P.L)
+    f_plus = P.residual(zeta, x, +P.L, t=t)
+    f_minus = P.residual(zeta, x, -P.L, t=t)
     if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
         raise NumericError("non-finite residual evaluation",
                            {"f_plus": f_plus, "f_minus": f_minus})

@@ -28,11 +28,6 @@ def symmetrize(s):
     return 0.5 * (s + s.T)
 
 
-def max_asymmetry(s):
-    s = np.asarray(s, dtype=float)
-    return float(np.max(np.abs(s - s.T))) if s.size else 0.0
-
-
 class Entry:
     """The d1 x d2 indicator matrix e_i e_j^T, stored as its index (i, j).
 

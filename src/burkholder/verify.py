@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import strategies, symlin
+from . import strategies
 from .errors import DomainError
 from .losses import make_loss
 from .potential import Potential
@@ -414,7 +414,7 @@ def check_necessity(P, tree, learner=None, tol=1e-8, clairvoyant=False):
     The adversary draws y_t = eps_t and reveals x_t from the tree; over all
     2^n paths we compare E[sup-regret - A] against E[V_lin(sum T(x_t, 0, eps_t))]
     where V_lin(a, u, s) = a + r ||u||_sigma - A(s) is the linear-class bound
-    function. Requires r * max ||X||_sigma <= 1 so the absolute loss of any
+    function and A is P.regret_bound. Requires r * max ||X||_sigma <= 1 so the absolute loss of any
     comparator is exactly linear in its prediction. Also certifies
     E[V_lin] <= 0, the achievability side.
 
@@ -447,8 +447,7 @@ def check_necessity(P, tree, learner=None, tol=1e-8, clairvoyant=False):
     paths = []
     root = (P.zero(), np.zeros_like(tree.levels[0][0]), 0.0)
     for zeta, eps_sum, cum_loss in walk_tree(tree, root, expand):
-        m_norm = float(symlin.sym_eigvals(zeta.M)[0]) if zeta.M.size else 0.0
-        a_bound = 0.5 * P.eta * P.L ** 2 * P.r * max(m_norm, 0.0) + P.c / P.eta
+        a_bound = P.regret_bound(zeta)
         u_norm = float(np.linalg.svd(eps_sum, compute_uv=False).max())
         comp = n - P.r * u_norm
         lhs = cum_loss - comp - a_bound

@@ -208,7 +208,7 @@ def test_param_free_and_vaw_comparator_regret():
         assert len(grid) == 50
         for comp in grid:
             regret = rec["cum"] - comp.total_loss
-            assert regret <= pf["P"].comparator_bound(comp.w) + 1e-6
+            assert regret <= pf["P"].regret_bound(pf["P"].zero(), comp.w) + 1e-6
     vaw = _vaw_runs()
     for i, rec in enumerate(vaw["records"]):
         rng = np.random.default_rng([31, i])
@@ -217,7 +217,7 @@ def test_param_free_and_vaw_comparator_regret():
             w = rng.normal(size=3)
             comp_total = float(np.sum(vaw["loss"].value(xs @ w, rec["ys"])))
             regret = rec["cum"] - comp_total
-            assert regret <= vaw["P"].comparator_bound(w, rec["stat"]) + 1e-6
+            assert regret <= vaw["P"].regret_bound(rec["stat"], w) + 1e-6
 
 
 def test_randomized_strategy_slack(tmp_path, capsys):

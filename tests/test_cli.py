@@ -41,6 +41,35 @@ def test_parse_config_rejects_malformed_lines(tmp_path):
         cli.parse_config(str(tmp_path / "missing.txt"))
 
 
+@pytest.mark.parametrize("line", ["B = nan", "B = inf", "eps1 = nan", "tol = nan"])
+def test_parse_config_rejects_non_finite_floats(tmp_path, capsys, line):
+    key = line.split()[0]
+    path = _cfg(tmp_path, "family = adagrad\nd = 3\nn = 5\n"
+                          f"strategy = randomized\n{line}\n")
+    with pytest.raises(ConfigError, match=f":5: {key} = .* is not finite"):
+        cli.parse_config(path)
+    assert cli.main(["run", "--config", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"{path}:5: {key}" in err and "certificate" not in err
+
+
+@pytest.mark.parametrize("text,key", [
+    ("family = adagrad\nd = 0\n", "d"),
+    ("family = adagrad\nd = -2\n", "d"),
+    ("family = matrix\nd1 = 0\nd2 = 2\neta = 0.5\n", "d1"),
+    ("family = matrix\nd1 = 2\nd2 = 0\neta = 0.5\n", "d2"),
+    ("family = matrix\nd1 = 2\nd2 = 2\neta = 0.5\nrank = -1\n", "rank"),
+])
+def test_run_rejects_generated_dimensions_below_their_minimum(tmp_path, capsys,
+                                                              text, key):
+    path = _cfg(tmp_path, text + "n = 5\n")
+    with pytest.raises(ConfigError, match=f"^{key} = -?\\d+, need {key} >= "):
+        cli.build_sequence(cli.parse_config(path), np.random.default_rng(0))
+    assert cli.main(["run", "--config", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"need {key} >= " in err
+
+
 def test_run_writes_csv_to_stdout_and_summary_to_stderr(tmp_path, capsys):
     path = _cfg(tmp_path, "family = adagrad\nd = 3\nn = 8\nseed = 3\n")
     assert cli.main(["run", "--config", path]) == 0
@@ -242,6 +271,14 @@ def test_verify_rejects_fewer_than_one_tree(tmp_path, capsys, suite):
     out, err = capsys.readouterr()
     assert out == ""
     assert "trees >= 1" in err
+
+
+def test_verify_rejects_a_zero_dimensional_param_free_family(tmp_path, capsys):
+    path = _cfg(tmp_path, "family = param_free\nd = 0\n")
+    assert cli.main(["verify", "--config", path, "--suite", "all"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "d >= 1" in err
 
 
 def test_verify_walks_trees_at_the_configured_depth(tmp_path, capsys):

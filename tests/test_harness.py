@@ -7,7 +7,7 @@ from burkholder.errors import DomainError
 from burkholder.harness import (CSV_HEADER, adversarial_gradient,
                                 best_linear_comparator, build_report, comparator_grid,
                                 comparator_losses, least_squares_comparator,
-                                load_sequence, make_sequence,
+                                load_sequence,
                                 matrix_completion, random_vectors,
                                 save_sequence)
 from burkholder.harness import _design
@@ -60,11 +60,6 @@ def test_adversarial_gradient_cycles_the_basis_in_sign_runs():
         run = run + 1 if a == b else 1
         longest = max(longest, run)
     assert longest <= max(2, int(np.sqrt(n)) + 1)
-
-
-def test_make_sequence_rejects_unknown_kinds():
-    with pytest.raises(DomainError, match="unknown sequence kind"):
-        make_sequence("bogus", 10)
 
 
 def test_vector_sequence_roundtrips_through_csv(tmp_path):

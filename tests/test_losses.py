@@ -62,6 +62,9 @@ def test_rejects_bad_configurations():
         make_loss("logistic")
     with pytest.raises(DomainError):
         make_loss("absolute", B=0.0)
+    for B in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(DomainError, match="0 < B < inf"):
+            make_loss("absolute", B=B)
     with pytest.raises(DomainError):
         make_loss("hinge", B=1.5)
     assert make_loss("hinge", B=1.0).B == 1.0

@@ -10,8 +10,7 @@ from burkholder.potential import MappedPotential, Potential
 from burkholder.potentials import (AdaGradPotential, CombinedPotential,
                                    MatrixPotential, MetaPotential,
                                    ParamFreePotential, VawPotential,
-                                   combine_convex, combine_min,
-                                   estimate_increment_bound)
+                                   combine_convex, combine_min)
 from burkholder.statistics import ScalarVec
 
 
@@ -125,14 +124,6 @@ def test_configuration_guards():
         MetaPotential([(inner, -1.0)], eta=0.5)
     with pytest.raises(ConfigError, match="Lipschitz"):
         MetaPotential([(inner, 1.0), (VawPotential(d=6, L=4.0), 1.0)], eta=0.5)
-
-
-def test_estimated_increment_bound_is_flagged_and_positive():
-    P = AdaGradPotential(d=2)
-    val, estimated = estimate_increment_bound(P, np.random.default_rng(17),
-                                              trials=300)
-    assert estimated
-    assert 0.0 < val <= 2.0 * P.increment_bound()
 
 
 def test_min_combination_takes_the_pointwise_minimum():

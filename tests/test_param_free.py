@@ -90,6 +90,8 @@ def test_exponent_overflow_is_reported():
 def test_configuration_guards():
     with pytest.raises(ConfigError):
         ParamFreePotential(n=0, d=2)
+    with pytest.raises(ConfigError, match="d >= 1"):
+        ParamFreePotential(n=4, d=0)
     with pytest.raises(ConfigError):
         ParamFreePotential(n=4, d=2, p=1.5)
     with pytest.raises(ConfigError):
@@ -125,8 +127,9 @@ def test_comparator_bound_formula_and_interface():
     wn = float(np.linalg.norm(w))
     bn = 1.0 * 8
     expected = wn * math.sqrt(2.0 * bn * math.log(math.sqrt(bn) * wn / P.gamma + 1.0)) + 1.5
-    assert P.comparator_bound(w) == pytest.approx(expected, rel=1e-12)
-    assert P.regret_bound(P.zero(), w) == P.comparator_bound(w)
+    assert P.regret_bound(P.zero(), w) == pytest.approx(expected, rel=1e-12)
+    # the statistic does not enter
+    assert P.regret_bound(P.stat_map(w / 2.0, 0.5, 1.0), w) == P.regret_bound(P.zero(), w)
     with pytest.raises(DomainError):
         P.regret_bound(P.zero())
 
@@ -134,7 +137,7 @@ def test_comparator_bound_formula_and_interface():
 def test_comparator_bound_grows_with_the_dual_norm():
     P = ParamFreePotential(n=16, d=2)
     radii = np.logspace(-2, 2, 9)
-    vals = [P.comparator_bound(np.array([r, 0.0])) for r in radii]
+    vals = [P.regret_bound(P.zero(), np.array([r, 0.0])) for r in radii]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -148,4 +151,4 @@ def test_regret_stays_under_the_comparator_bound_on_a_short_run():
     assert all(v <= 1e-10 for v in traj.potential_values)
     for comp in comparator_grid(seq.xs, seq.ys, loss)[:10]:
         regret = traj.cumulative_loss - comp.total_loss
-        assert regret <= P.comparator_bound(comp.w) + 1e-9
+        assert regret <= P.regret_bound(traj.final_statistic, comp.w) + 1e-9

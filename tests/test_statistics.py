@@ -73,17 +73,6 @@ def test_product_arity_mismatch_is_rejected():
         p + q
 
 
-def test_psd_validation():
-    good = ScalarSymPsd(0.0, np.zeros((2, 2)), np.array([[2.0, 0.0], [0.0, 1.0]]))
-    assert good.validate_psd()
-    assert good.min_m_eigenvalue() == pytest.approx(1.0)
-    bad = ScalarSymPsd(0.0, np.zeros((2, 2)), np.array([[1.0, 0.0], [0.0, -0.5]]))
-    assert not bad.validate_psd()
-    # roundoff-scale negativity is tolerated relative to the matrix norm
-    near = ScalarSymPsd(0.0, np.zeros((2, 2)), np.diag([1.0, -1e-12]))
-    assert near.validate_psd()
-
-
 def test_stats_allclose_discriminates():
     a = ScalarVec(1.0, np.array([1.0, 2.0]))
     assert stats_allclose(a, ScalarVec(1.0, np.array([1.0, 2.0])))
