@@ -18,7 +18,7 @@ from .errors import ConfigError, DomainError, NumericError, TagMismatchError
 from .losses import make_loss
 from .potentials import (AdaGradPotential, MatrixPotential, ParamFreePotential,
                          VawPotential, matrix_meta, standard_families)
-from .strategies import STRATEGIES, run_online, run_randomized_expected
+from .strategies import RANDOMIZED_EPS, STRATEGIES, run_online, run_randomized_expected
 
 SUITES = ("p1", "p2", "p3", "khintchine", "mgf", "supermartingale",
           "necessity", "all")
@@ -27,10 +27,12 @@ _STR_KEYS = {"family", "loss", "strategy", "sequence", "data_csv", "variant",
              "comparator", "comparator_ball"}
 _INT_KEYS = {"n", "d", "d1", "d2", "rank", "seed", "comparator_iters",
              "depth", "trees", "trials"}
-_FLOAT_KEYS = {"B", "L", "eta", "r", "c", "p", "beta", "gamma", "rho", "lam",
-               "meta_eta", "rank_scale", "nuclear_radius", "noise", "skew",
-               "radius", "eps1", "eps2", "tol", "comparator_radius"}
+_FLOAT_KEYS = {"B", "eta", "r", "c", "p", "beta", "gamma", "rho", "lam",
+               "meta_eta", "nuclear_radius", "noise", "skew", "radius", "eps1",
+               "eps2", "tol", "comparator_radius"}
 _KNOWN_KEYS = _STR_KEYS | _INT_KEYS | _FLOAT_KEYS
+_MINIMUM = {"d": 1, "d1": 1, "d2": 1, "rank": 0, "noise": 0, "radius": 0,
+            "nuclear_radius": 0, "comparator_iters": 0}
 
 
 def parse_config(path):
@@ -61,7 +63,16 @@ def parse_config(path):
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
         if key in _FLOAT_KEYS and not math.isfinite(cfg[key]):
             raise ConfigError(f"{path}:{lineno}: {key} = {val!r} is not finite")
+        if key in _MINIMUM and cfg[key] < _MINIMUM[key]:
+            raise ConfigError(f"{key} = {cfg[key]}, need {key} >= {_MINIMUM[key]}")
     return cfg
+
+
+def _seed(args, cfg):
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed = {seed}, need seed >= 0")
+    return seed
 
 
 def _require(cfg, key, context):
@@ -109,9 +120,6 @@ def build_sequence(cfg, rng):
     """Sequence described by the config, plus the round count."""
     fam = cfg.get("family", "")
     B = cfg.get("B", 1.0)
-    for key, low in (("d", 1), ("d1", 1), ("d2", 1), ("rank", 0)):
-        if cfg.get(key, low) < low:
-            raise ConfigError(f"{key} = {cfg[key]}, need {key} >= {low}")
     if "data_csv" in cfg:
         seq = harness.load_sequence(cfg["data_csv"], d1=cfg.get("d1"),
                                     d2=cfg.get("d2"))
@@ -156,7 +164,7 @@ def build_sequence(cfg, rng):
     return seq, len(seq)
 
 
-def build_comparator(cfg, fam, seq, loss, P):
+def build_comparator(cfg, fam, seq, loss):
     mode = cfg.get("comparator", "auto")
     if mode == "zero":
         per = np.asarray(loss.value(np.zeros(len(seq)), seq.ys), dtype=float)
@@ -180,14 +188,13 @@ def build_comparator(cfg, fam, seq, loss, P):
 
 
 def _randomized_slack(P, loss, n, eps1, eps2, rng):
-    k, estimated = P.prediction_lipschitz(P.zero(), P.sample_instance(rng),
-                                          loss, P.B, t=1)
+    k, estimated = P.prediction_lipschitz(P.zero(), P.sample_instance(rng), loss, t=1)
     return n * (k * eps1 + eps2), k, estimated
 
 
 def cmd_run(args):
     cfg = parse_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = _seed(args, cfg)
     rng = np.random.default_rng(seed)
     loss = build_loss(cfg)
     seq, n = build_sequence(cfg, rng)
@@ -199,20 +206,18 @@ def cmd_run(args):
     if strategy == "linearized" and not P.linearizable:
         raise ConfigError(f"strategy linearized needs a linearizable family; "
                           f"{fam} is not, use convex or randomized")
-    options = {}
+    eps1 = cfg.get("eps1", RANDOMIZED_EPS)
+    eps2 = cfg.get("eps2", RANDOMIZED_EPS)
     slack = 0.0
     if strategy == "randomized":
-        options = {"eps1": cfg.get("eps1", 0.05), "eps2": cfg.get("eps2", 0.05)}
-        slack, _, _ = _randomized_slack(P, loss, n, options["eps1"],
-                                        options["eps2"], np.random.default_rng(0))
+        slack, _, _ = _randomized_slack(P, loss, n, eps1, eps2, np.random.default_rng(0))
     # the comparator is deterministic and draws nothing from rng, so building
     # it first lets the bound column fill while the run goes
-    comp = build_comparator(cfg, fam, seq, loss, P)
-    w_arg = comp.w if fam in ("param_free", "vaw") else None
-    bounds = [P.regret_bound(P.zero(), w_arg)]
-    traj = run_online(P, strategy, seq, loss, P.B, rng=rng, options=options,
+    comp = build_comparator(cfg, fam, seq, loss)
+    bounds = [P.regret_bound(P.zero(), comp.w)]
+    traj = run_online(P, strategy, seq, loss, rng=rng, eps1=eps1, eps2=eps2,
                       on_round=lambda t, zeta_prev, rnd, zeta:
-                      bounds.append(P.regret_bound(zeta, w_arg)))
+                      bounds.append(P.regret_bound(zeta, comp.w)))
     report = harness.build_report(traj, comp.per_round, bounds)
     tol = cfg.get("tol", 1e-6)
     v_final = P.bound(traj.final_statistic)
@@ -263,7 +268,7 @@ def _print_report(rep, lines):
 
 def cmd_verify(args):
     cfg = parse_config(args.config) if args.config else {}
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = _seed(args, cfg)
     suite = args.suite
     tol_override = cfg.get("tol")
     depth = cfg.get("depth", 8)
@@ -344,13 +349,13 @@ def cmd_compare(args):
             raise ConfigError(f"unknown strategy {s!r}; expected one of {STRATEGIES}")
     if not strategies:
         raise ConfigError("compare needs at least one strategy")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = _seed(args, cfg)
     reps = args.trials if args.trials is not None else cfg.get("trials", 20)
     if reps < 1:
         raise ConfigError(f"trials = {reps}, compare needs at least one repetition")
     loss = build_loss(cfg)
-    eps1 = cfg.get("eps1", 0.05)
-    eps2 = cfg.get("eps2", 0.05)
+    eps1 = cfg.get("eps1", RANDOMIZED_EPS)
+    eps2 = cfg.get("eps2", RANDOMIZED_EPS)
     tol = cfg.get("tol", 1e-6)
 
     sums = {s: [] for s in strategies}
@@ -365,14 +370,13 @@ def cmd_compare(args):
         for si, s in enumerate(strategies):
             rng_s = np.random.default_rng([seed, rep_i, 1 + si])
             if s == "randomized":
-                traj, expected = run_randomized_expected(P, seq, loss, P.B,
-                                                         eps1, eps2, rng_s)
+                traj, expected = run_randomized_expected(P, seq, loss, eps1, eps2, rng_s)
                 sums[s].append(float(expected.sum()))
             else:
                 if s == "linearized" and not P.linearizable:
                     raise ConfigError(f"strategy linearized needs a linearizable "
                                       f"family; {cfg['family']} is not")
-                traj = run_online(P, s, seq, loss, P.B, rng=rng_s)
+                traj = run_online(P, s, seq, loss, rng=rng_s)
                 sums[s].append(traj.cumulative_loss)
             certs[s].append(P.bound(traj.final_statistic))
 

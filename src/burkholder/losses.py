@@ -53,12 +53,13 @@ class Loss:
             out = np.where(y_hat * y < 0, -y, 0.0)
         return float(out) if out.ndim == 0 else out
 
-    def critical_labels(self, points, B):
+    def critical_labels(self, points):
         """Labels where the sup over y in [-B, B] of a mixture over points is
         attained, for a family convex in delta. Squared: delta is affine in y,
         so +-B. Hinge: affine on [-B, 0] and [0, B]. Absolute: the mixture is
         constant on each gap between points, and at a point at most the mean
         of its two neighbouring gaps."""
+        B = self.B
         if self.kind == "squared":
             return np.array([-B, B])
         if self.kind == "hinge":

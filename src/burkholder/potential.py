@@ -26,7 +26,7 @@ class Potential:
     convex_in_delta = False
     convex_in_prediction = False
     linearizable = False
-    time_varying = False
+    horizon = None  # the round count n when U depends on the round index
 
     # --- contract surface -------------------------------------------------
     def zero(self):
@@ -38,8 +38,8 @@ class Potential:
     def eval(self, stat, t=None):
         """U at a statistic after round t (t = 0 at the start).
 
-        Every family takes t; families that are not time_varying ignore it,
-        so callers pass the round index without asking which kind they hold.
+        Every family takes t; families without a horizon ignore it, so
+        callers pass the round index without asking which kind they hold.
         """
         raise NotImplementedError
 
@@ -69,7 +69,7 @@ class Potential:
         return zeta
 
     # --- constants for the randomized strategy and meta combination -------
-    def prediction_lipschitz(self, zeta, x, loss, B, t=None, rng=None):
+    def prediction_lipschitz(self, zeta, x, loss, *, t=None, rng=None):
         """(K, estimated): Lipschitz constant of y_hat -> U(zeta + T) over y.
 
         Linearizable families override this with the exact constant L. The
@@ -79,10 +79,10 @@ class Potential:
         if self.linearizable:
             return self.L, False
         rng = rng or np.random.default_rng(0)
-        grid = np.linspace(-B, B, 201)
+        grid = np.linspace(-self.B, self.B, 201)
         worst = 0.0
         for _ in range(8):
-            y = float(rng.uniform(-B, B))
+            y = float(rng.uniform(-self.B, self.B))
             vals = np.array([
                 self.eval(zeta + self.stat_map(x, float(g), loss.subgradient(float(g), y)), t=t)
                 for g in grid])
@@ -179,7 +179,7 @@ class MappedPotential(Potential):
         self.convex_in_delta = inner.convex_in_delta
         self.convex_in_prediction = inner.convex_in_prediction
         self.linearizable = inner.linearizable
-        self.time_varying = inner.time_varying
+        self.horizon = inner.horizon
 
     def zero(self):
         return self.inner.zero()

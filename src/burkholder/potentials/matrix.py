@@ -83,8 +83,7 @@ class MatrixPotential(Potential):
         return step ** 2
 
 
-def doubling_run(d1, d2, sequence, loss, B=1.0, r=1.0, L=1.0, c=None, R=1.0,
-                 on_round=None):
+def doubling_run(d1, d2, sequence, loss, *, r=1.0, c=None, R=1.0, on_round=None):
     """Doubling trick over spectral budgets B_k = R^2 2^k.
 
     Starts epoch k with eta_k = sqrt(2 c / (L^2 B_k)) and a fresh statistic;
@@ -92,7 +91,8 @@ def doubling_run(d1, d2, sequence, loss, B=1.0, r=1.0, L=1.0, c=None, R=1.0,
     spectral norm reaches the budget. Returns (trajectory, epochs) where each
     epoch record is (start_round, eta, budget). on_round(t, zeta_prev, rnd,
     zeta) sees each round's statistics before any epoch reset; the
-    trajectory keeps only the last round's statistic.
+    trajectory keeps only the last round's statistic. L and the range B are
+    the loss's.
     """
     if R <= 0:
         raise DomainError("R > 0")
@@ -103,8 +103,8 @@ def doubling_run(d1, d2, sequence, loss, B=1.0, r=1.0, L=1.0, c=None, R=1.0,
 
     def fresh(k):
         budget = R ** 2 * 2 ** k
-        eta = math.sqrt(2.0 * c_val / (L ** 2 * budget))
-        pot = MatrixPotential(d1, d2, eta=eta, r=r, L=L, c=c_val, B=B)
+        eta = math.sqrt(2.0 * c_val / (loss.L ** 2 * budget))
+        pot = MatrixPotential(d1, d2, eta=eta, r=r, L=loss.L, c=c_val, B=loss.B)
         return pot, budget
 
     pot, budget = fresh(k)
@@ -112,7 +112,7 @@ def doubling_run(d1, d2, sequence, loss, B=1.0, r=1.0, L=1.0, c=None, R=1.0,
     traj.potential_values.append(pot.eval(zeta, t=0))
     epochs.append((1, pot.eta, budget))
     for t, (x, y) in enumerate(sequence, start=1):
-        y_hat = predict_linearized(pot, zeta, x, B, t=t)
+        y_hat = predict_linearized(pot, zeta, x, t=t)
         delta = float(loss.subgradient(y_hat, y))
         last = accumulate(zeta, x, y_hat, delta, pot)
         rnd = Round(t=t, x=x, y_hat=float(y_hat), y=float(y),

@@ -29,12 +29,7 @@ class MetaPotential(Potential):
         if np.any(self.C < 0):
             raise ConfigError("C[a] >= 0")
         self.eta = float(eta)
-        Ls = {m.L for m in self.members}
-        if len(Ls) != 1:
-            raise ConfigError("members must share one Lipschitz constant L")
-        self.L = Ls.pop()
-        self.B = self.members[0].B
-        self.time_varying = any(m.time_varying for m in self.members)
+        _share_game_constants(self, self.members)
         # the prediction term is a common additive shift inside the softmax,
         # so linearizability survives aggregation; so does delta-convexity
         # (increasing convex composition of convex functions)
@@ -93,6 +88,19 @@ def _check_shared_map(potentials):
         raise ConfigError("combined potentials must share one statistic space")
 
 
+def _share_game_constants(combo, members):
+    """Give combo the L and B that every member holds, and the horizon of the
+    members that have one (a stationary member's None puts no limit on it)."""
+    for attr, what in (("L", "Lipschitz constant L"), ("B", "range B"),
+                       ("horizon", "horizon")):
+        values = {getattr(m, attr) for m in members}
+        if attr == "horizon":
+            values = (values - {None}) or {None}
+        if len(values) != 1:
+            raise ConfigError(f"members must share one {what}; got {sorted(values)}")
+        setattr(combo, attr, values.pop())
+
+
 class CombinedPotential(Potential):
     """Pointwise minimum or convex mixture of potentials over one statistic map."""
 
@@ -112,12 +120,7 @@ class CombinedPotential(Potential):
                 raise ConfigError("weights on the simplex")
             self.mode = "convex"
             self.weights = weights
-        Ls = {p.L for p in self.potentials}
-        if len(Ls) != 1:
-            raise ConfigError("members must share one Lipschitz constant L")
-        self.L = Ls.pop()
-        self.B = self.potentials[0].B
-        self.time_varying = self.potentials[0].time_varying
+        _share_game_constants(self, self.potentials)
         all_lin = all(p.linearizable for p in self.potentials)
         self.linearizable = all_lin
         # a minimum of convex functions is not convex; a mixture is

@@ -34,7 +34,6 @@ class ParamFreePotential(Potential):
 
     convex_in_delta = True
     linearizable = True
-    time_varying = True
 
     def __init__(self, n, d, p=None, beta=None, gamma=None, c=1.0, B=1.0, strict=True):
         if n < 1:
@@ -43,7 +42,7 @@ class ParamFreePotential(Potential):
             raise ConfigError("d >= 1")
         if p is not None and p < 2:
             raise ConfigError("p >= 2")
-        self.n = int(n)
+        self.horizon = int(n)
         self.d = int(d)
         self.p = p
         self.beta = float(beta) if beta is not None else (1.0 if p is None else p - 1.0)
@@ -52,11 +51,12 @@ class ParamFreePotential(Potential):
         self.c = float(c)
         if self.c <= 0:
             raise ConfigError("c > 0")
-        self._H = harmonic_prefix(self.n)
-        self.gamma = float(gamma) if gamma is not None else self.c * math.exp(-0.5 * self._H[self.n])
+        self._H = harmonic_prefix(self.horizon)
+        H_n = self._H[self.horizon]
+        self.gamma = float(gamma) if gamma is not None else self.c * math.exp(-0.5 * H_n)
         if self.gamma <= 0:
             raise ConfigError("gamma > 0")
-        if strict and self.gamma * math.exp(0.5 * self._H[self.n]) > self.c * (1 + 1e-9):
+        if strict and self.gamma * math.exp(0.5 * H_n) > self.c * (1 + 1e-9):
             raise ConfigError("gamma * exp(H_n / 2) <= c")
         self.B = float(B)
         self.L = 1.0
@@ -76,7 +76,7 @@ class ParamFreePotential(Potential):
 
     def tail(self, t):
         # (1/2) * sum_{s=t+1}^{n} 1/s
-        return 0.5 * (self._H[self.n] - self._H[t])
+        return 0.5 * (self._H[self.horizon] - self._H[t])
 
     def zero(self):
         return ScalarVec.zero(self.d)
@@ -100,15 +100,15 @@ class ParamFreePotential(Potential):
         if t is None:
             raise DomainError("time-varying potential needs the round index t")
         t = int(t)
-        if not 0 <= t <= self.n:
-            raise DomainError(f"t = {t} outside 0..{self.n}")
+        if not 0 <= t <= self.horizon:
+            raise DomainError(f"t = {t} outside 0..{self.horizon}")
         if t == 0:
             return stat.b + self.gamma * math.exp(self.tail(0)) - self.c
         return stat.b + self._exp_term(self.norm(stat.x) ** 2, t) - self.c
 
     def bound(self, stat):
         """V(b, x) = b + gamma * exp(||x||^2 / (2 beta n)) - c; equals U at t = n."""
-        return self.eval(stat, t=self.n)
+        return self.eval(stat, t=self.horizon)
 
     def regret_bound(self, stat, comparator=None):
         """A(w) = ||w||_* sqrt(2 beta n log(sqrt(beta n) ||w||_* / gamma + 1)) + c
@@ -116,7 +116,7 @@ class ParamFreePotential(Potential):
         if comparator is None:
             raise DomainError("regret bound needs a comparator")
         wn = self.dual_norm(np.asarray(comparator, dtype=float))
-        bn = self.beta * self.n
+        bn = self.beta * self.horizon
         return wn * math.sqrt(2.0 * bn * math.log(math.sqrt(bn) * wn / self.gamma + 1.0)) + self.c
 
     def sample_instance(self, rng):

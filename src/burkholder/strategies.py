@@ -18,7 +18,7 @@ from .potential import Potential, Round, Trajectory, accumulate
 GridDistribution = namedtuple("GridDistribution", ["points", "probs"])
 
 
-def predict_linearized(P, zeta, x, B, t=None):
+def predict_linearized(P, zeta, x, *, t=None):
     """Closed-form prediction clamp(-(F(+L) - F(-L)) / (2L), [-B, B]).
 
     F is the potential's residual. Requires the residual to be convex in
@@ -29,29 +29,29 @@ def predict_linearized(P, zeta, x, B, t=None):
     if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
         raise NumericError("non-finite residual evaluation",
                            {"f_plus": f_plus, "f_minus": f_minus})
-    return min(B, max(-B, -(f_plus - f_minus) / (2.0 * P.L)))
+    return min(P.B, max(-P.B, -(f_plus - f_minus) / (2.0 * P.L)))
 
 
-def sup_labels(P, loss, B, points=()):
+def sup_labels(P, loss, *, points=()):
     """loss.critical_labels for a mixture over points (none: a pure prediction)."""
     if not P.convex_in_delta:
         raise DomainError("the sup over labels is exact only for a family convex in delta")
-    return loss.critical_labels(points, B)
+    return loss.critical_labels(points)
 
 
 # The convex strategy's search: grid size, refinement stages, final spacing.
 _PRED_GRID, _MAX_STAGES, _TOL = 129, 60, 1e-4
 
 
-def predict_convex(P, zeta, x, B, loss, t=None):
+def predict_convex(P, zeta, x, loss, *, t=None):
     """Grid minimax: leftmost minimizer over y_hat of the sup over y.
 
     The outer search runs on a uniform y_hat grid; when the potential
     declares convexity in the prediction the bracket around the leftmost
     grid minimizer is refined until its spacing is at most _TOL.
     """
-    ys = sup_labels(P, loss, B)
-    lo, hi = -B, B
+    ys = sup_labels(P, loss)
+    lo, hi = -P.B, P.B
     best = None
     for _ in range(_MAX_STAGES):
         pts = np.linspace(lo, hi, _PRED_GRID)
@@ -70,21 +70,32 @@ def predict_convex(P, zeta, x, B, loss, t=None):
                        {"bracket": (lo, hi), "last": best})
 
 
-def predict_randomized(P, zeta, x, B, eps1, eps2, rng, loss, t=None):
+# The randomized strategy's default eps1 and eps2.
+RANDOMIZED_EPS = 0.05
+
+
+def predict_randomized(P, zeta, x, eps1, eps2, rng, loss, *, t=None):
     """Randomized strategy on an eps1-grid with a multiplicative-weights solver.
 
     Builds N = ceil(2B/eps1) + 1 control points z_i = -B + eps1*i (the top
     point clipped to B), precomputes the round's value table against the
     critical labels of that grid, and runs ceil(H^2 log N / eps2^2)
     mirror-descent iterations at step sqrt(2 log N / iters) / H, H being the
-    recentered value bound. Returns (distribution over the control points,
-    sampled prediction).
+    recentered value bound. A grid size numpy cannot represent, or an
+    iteration count beyond the float range, raises DomainError. Returns
+    (distribution over the control points, sampled prediction).
     """
     if eps1 <= 0 or eps2 <= 0:
         raise DomainError("eps1 and eps2 must be positive")
-    n_pts = math.ceil(2.0 * B / eps1) + 1
-    pts = np.minimum(-B + eps1 * np.arange(n_pts), B)
-    table = P.round_values(zeta, x, pts, sup_labels(P, loss, B, pts), loss, t=t)
+    B = P.B
+    try:
+        n_pts = math.ceil(2.0 * B / eps1) + 1
+        pts = np.minimum(-B + eps1 * np.arange(n_pts), B)
+    except (OverflowError, ValueError) as exc:
+        raise DomainError(f"eps1 = {eps1:g} with B = {B:g} asks for a grid of "
+                          f"{2.0 * B / eps1:.4g} points, which numpy cannot represent") from exc
+    ys = sup_labels(P, loss, points=pts)
+    table = P.round_values(zeta, x, pts, ys, loss, t=t)
     if not np.all(np.isfinite(table)):
         raise NumericError("non-finite round value table",
                            {"max": np.max(table), "min": np.min(table)})
@@ -95,7 +106,11 @@ def predict_randomized(P, zeta, x, B, eps1, eps2, rng, loss, t=None):
         dist = GridDistribution(pts, mu)
         return dist, float(rng.choice(pts, p=mu))
     table = table - mid  # shifting the payoff is neutral after normalization
-    iters = math.ceil(half_range ** 2 * math.log(n_pts) / eps2 ** 2)
+    try:
+        iters = math.ceil(float(half_range) ** 2 * math.log(n_pts) / eps2 ** 2)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"eps2 = {eps2:g} with B = {B:g} asks for more solver "
+                          f"iterations than a float can represent") from exc
     step = math.sqrt(2.0 * math.log(n_pts) / iters) / half_range
     avg = np.zeros(n_pts)
     for _ in range(iters):
@@ -108,9 +123,9 @@ def predict_randomized(P, zeta, x, B, eps1, eps2, rng, loss, t=None):
     return dist, float(rng.choice(pts, p=avg))
 
 
-def realized_game_value(P, zeta, x, dist, loss, B, t=None):
+def realized_game_value(P, zeta, x, dist, loss, *, t=None):
     """sup_y sum_i mu_i U(zeta + T(x, z_i, dloss(z_i, y))) for a grid strategy."""
-    ys = sup_labels(P, loss, B, dist.points)
+    ys = sup_labels(P, loss, points=dist.points)
     table = P.round_values(zeta, x, dist.points, ys, loss, t=t)
     return float(np.max(dist.probs @ table))
 
@@ -142,35 +157,33 @@ def _play(P, choose, sequence, loss, on_round):
     return traj
 
 
-def run_online(P, strategy, sequence, loss, B, rng=None, options=None,
-               on_round=None):
+def run_online(P, strategy, sequence, loss, *, rng=None, eps1=RANDOMIZED_EPS,
+               eps2=RANDOMIZED_EPS, on_round=None):
     """Play the full protocol and record the trajectory.
 
     sequence is an iterable of (x, y) pairs. potential_values[t] records
     U(zeta_t) (with the round index for time-varying families), so the
     per-round descent and the final certificate can be read off directly.
-    on_round(t, zeta_prev, rnd, zeta) is called after every round. options
-    holds the randomized strategy's eps1 and eps2 (0.1 each by default).
+    on_round(t, zeta_prev, rnd, zeta) is called after every round. eps1
+    and eps2 tune the randomized strategy.
     """
     if strategy not in STRATEGIES:
         raise DomainError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if strategy == "linearized":
         def choose(zeta, x, t):
-            return predict_linearized(P, zeta, x, B, t=t)
+            return predict_linearized(P, zeta, x, t=t)
     elif strategy == "convex":
         def choose(zeta, x, t):
-            return predict_convex(P, zeta, x, B, loss, t=t)
+            return predict_convex(P, zeta, x, loss, t=t)
     else:
         rng = rng if rng is not None else np.random.default_rng(0)
-        opts = options or {}
-        eps1, eps2 = opts.get("eps1", 0.1), opts.get("eps2", 0.1)
 
         def choose(zeta, x, t):
-            return predict_randomized(P, zeta, x, B, eps1, eps2, rng, loss, t=t)[1]
+            return predict_randomized(P, zeta, x, eps1, eps2, rng, loss, t=t)[1]
     return _play(P, choose, sequence, loss, on_round)
 
 
-def run_randomized_expected(P, sequence, loss, B, eps1, eps2, rng, on_round=None):
+def run_randomized_expected(P, sequence, loss, eps1, eps2, rng, *, on_round=None):
     """run_online for the randomized strategy, additionally recording the
     expected loss of each round's distribution (not just the sampled draw).
 
@@ -182,7 +195,7 @@ def run_randomized_expected(P, sequence, loss, B, eps1, eps2, rng, on_round=None
 
     def choose(zeta, x, t):
         nonlocal dist
-        dist, y_hat = predict_randomized(P, zeta, x, B, eps1, eps2, rng, loss, t=t)
+        dist, y_hat = predict_randomized(P, zeta, x, eps1, eps2, rng, loss, t=t)
         return y_hat
 
     def record(t, zeta_prev, rnd, zeta):

@@ -83,11 +83,10 @@ def check_p2(P, trials=1000, tol=1e-8, rng=None, bound_fn=None):
     trials = _check_trials(trials)
     rng = rng if rng is not None else np.random.default_rng(0)
     bound_fn = bound_fn if bound_fn is not None else P.bound
-    horizon = getattr(P, "n", None)
     worst, witness = -math.inf, {}
     for i in range(trials):
         stat = P.sample_statistic(rng)
-        u = P.eval(stat, t=horizon)
+        u = P.eval(stat, t=P.horizon)
         v = bound_fn(stat)
         viol = v - u
         if viol > worst:
@@ -122,11 +121,10 @@ def check_p3(P, mode="two_point", trials=10000, tol=1e-8, rng=None):
     """
     trials = _check_trials(trials)
     rng = rng if rng is not None else np.random.default_rng(0)
-    horizon = getattr(P, "n", 8)
     worst, witness = -math.inf, {}
     for i in range(trials):
-        t = int(rng.integers(1, horizon + 1)) if P.time_varying else 1
-        max_rounds = min(t - 1, 6) if P.time_varying else 6
+        t = int(rng.integers(1, P.horizon + 1)) if P.horizon else 1
+        max_rounds = min(t - 1, 6) if P.horizon else 6
         tau = P.sample_statistic(rng, max_rounds=max_rounds)
         x = P.sample_instance(rng)
         y_hat = float(rng.uniform(-P.B, P.B))
@@ -231,16 +229,15 @@ def walk_tree(tree, root, expand):
     return states
 
 
-def tree_expectation(P, tree, value_fn, L=None, y_hat=0.0):
-    """Exact E over sign paths of value_fn(sum_t T(x_t(eps), y_hat, eps_t L))."""
-    L = P.L if L is None else L
+def tree_expectation(P, tree, value_fn):
+    """Exact E over sign paths of value_fn(sum_t T(x_t(eps), 0, eps_t L))."""
     leaves = walk_tree(tree, P.zero(), lambda t, idx, x, tau: (
-        tau + P.stat_map(x, y_hat, -L), tau + P.stat_map(x, y_hat, L)))
+        tau + P.stat_map(x, 0.0, -P.L), tau + P.stat_map(x, 0.0, P.L)))
     return sum(value_fn(tau) for tau in leaves) / len(leaves)
 
 
 def brute_force_sup_ev(P, n, rng=None, bound_fn=None, search="random",
-                       k=20, ascent_steps=200, L=None):
+                       k=20, ascent_steps=200):
     """Search trees for large E[V(sum T)]; approximates the game start value
     from below. Returns (best value, best tree, values per candidate).
 
@@ -253,7 +250,7 @@ def brute_force_sup_ev(P, n, rng=None, bound_fn=None, search="random",
     best_tree, best = None, -math.inf
     for _ in range(int(k)):
         tree = PredictableTree.random(n, P.sample_instance, rng)
-        v = tree_expectation(P, tree, bound_fn, L=L)
+        v = tree_expectation(P, tree, bound_fn)
         vals.append(v)
         if v > best:
             best, best_tree = v, tree
@@ -262,7 +259,7 @@ def brute_force_sup_ev(P, n, rng=None, bound_fn=None, search="random",
             level = int(rng.integers(1, n + 1))
             idx = int(rng.integers(0, 2 ** (level - 1)))
             cand = best_tree.perturbed(level, idx, P.sample_instance(rng))
-            v = tree_expectation(P, cand, bound_fn, L=L)
+            v = tree_expectation(P, cand, bound_fn)
             if v > best:
                 best, best_tree = v, cand
     elif search != "random":
@@ -376,15 +373,14 @@ def check_mgf_bound(n, d=4, beta=1.0, n_trees=50, rng=None, tol=1e-9):
                        extras={"asserted": asserted, "ratios": ratios})
 
 
-def check_supermartingale(P, tree, tol=1e-8, L=None):
+def check_supermartingale(P, tree, tol=1e-8):
     """At every internal node: the exact mean of U over the two children is
     at most U at the node. Walks the full tree (exact, no sampling)."""
-    L = P.L if L is None else L
     worst, witness = -math.inf, {}
 
     def expand(t, idx, x, tau):
         nonlocal worst, witness
-        children = (tau + P.stat_map(x, 0.0, -L), tau + P.stat_map(x, 0.0, L))
+        children = (tau + P.stat_map(x, 0.0, -P.L), tau + P.stat_map(x, 0.0, P.L))
         viol = 0.5 * sum(P.eval(c, t=t) for c in children) - P.eval(tau, t=t - 1)
         if viol > worst:
             worst, witness = viol, {"t": t, "prefix_index": idx, "violation": viol}
@@ -398,10 +394,10 @@ def check_supermartingale(P, tree, tol=1e-8, L=None):
 
 # --- per-round descent and randomized value dominance ------------------------
 
-def round_descent(P, zeta_prev, x, y_hat, loss, B, t=1):
+def round_descent(P, zeta_prev, x, y_hat, loss, *, t=1):
     """sup over y in [-B, B] of U(zeta + T(x, y_hat, dloss)) - U(zeta) in round
     t, taken exactly on the loss's critical labels."""
-    ys = strategies.sup_labels(P, loss, B)
+    ys = strategies.sup_labels(P, loss)
     table = P.round_values(zeta_prev, x, np.array([y_hat]), ys, loss, t=t)
     return float(np.max(table)) - P.eval(zeta_prev, t=t - 1)
 
@@ -416,7 +412,8 @@ def check_necessity(P, tree, learner=None, tol=1e-8, clairvoyant=False):
     where V_lin(a, u, s) = a + r ||u||_sigma - A(s) is the linear-class bound
     function and A is P.regret_bound. Requires r * max ||X||_sigma <= 1 so the absolute loss of any
     comparator is exactly linear in its prediction. Also certifies
-    E[V_lin] <= 0, the achievability side.
+    E[V_lin] <= 0, the achievability side. learner(P, zeta, x, t=t) predicts
+    each round; the default is predict_linearized.
 
     clairvoyant=True replaces the learner's prediction with the label itself,
     violating predictability; the lower bound must then fail, which makes it
@@ -428,13 +425,12 @@ def check_necessity(P, tree, learner=None, tol=1e-8, clairvoyant=False):
     if P.r * max_node > 1.0 + 1e-9:
         raise DomainError("necessity adversary needs r * max ||X||_sigma <= 1")
     if learner is None:
-        learner = lambda pot, zeta, x, t: strategies.predict_linearized(
-            pot, zeta, x, pot.B, t=t)
+        learner = strategies.predict_linearized
     loss = make_loss("absolute", B=max(P.B, 2.0))
 
     def expand(t, idx, x, state):
         zeta, eps_sum, cum_loss = state
-        y_base = float(learner(P, zeta, x, t))
+        y_base = float(learner(P, zeta, x, t=t))
         children = []
         for eps in (-1.0, 1.0):
             y_hat = eps if clairvoyant else y_base

@@ -47,10 +47,10 @@ def _matrix_runs():
             nonlocal worst, scan_s
             s0 = time.perf_counter()
             worst = max(worst, round_descent(P, zeta_prev, rnd.x, rnd.y_hat,
-                                             loss, 1.0))
+                                             loss))
             scan_s += time.perf_counter() - s0
 
-        traj = run_online(P, "linearized", seq, loss, 1.0, on_round=scan)
+        traj = run_online(P, "linearized", seq, loss, on_round=scan)
         comp = comparator_losses(seq.xs, seq.ys, loss,
                                  seq.meta["planted"].reshape(-1))
         m_norm = float(np.linalg.eigvalsh(traj.final_statistic.M)[-1])
@@ -80,9 +80,9 @@ def _param_free_runs():
         def scan(t, zeta_prev, rnd, zeta):
             nonlocal worst
             worst = max(worst, round_descent(P, zeta_prev, rnd.x, rnd.y_hat,
-                                             loss, 1.0, t=t))
+                                             loss, t=t))
 
-        traj = run_online(P, "linearized", seq, loss, 1.0, on_round=scan)
+        traj = run_online(P, "linearized", seq, loss, on_round=scan)
         records.append({"xs": seq.xs, "ys": seq.ys,
                         "cum": traj.cumulative_loss,
                         "max_u_step": float(np.max(np.diff(traj.potential_values))),
@@ -100,7 +100,7 @@ def _vaw_runs():
     for i in range(100):
         rng = np.random.default_rng([13, i])
         seq = random_vectors(50, 3, noise=0.1, B=1.0, rng=rng)
-        traj = run_online(P, "convex", seq, loss, 1.0)
+        traj = run_online(P, "convex", seq, loss)
         records.append({"xs": seq.xs, "ys": seq.ys,
                         "cum": traj.cumulative_loss,
                         "stat": traj.final_statistic})

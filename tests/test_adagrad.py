@@ -38,7 +38,7 @@ def test_usq_dominates_the_linear_certificate():
 def test_prediction_closed_form_in_one_dimension():
     P = AdaGradPotential(d=1)
     zeta = ScalarVecScalar(0.0, np.array([2.0]), 4.0)
-    pred = predict_linearized(P, zeta, np.array([1.0]), 1.0)
+    pred = predict_linearized(P, zeta, np.array([1.0]))
     # residuals are usq(2 + delta, sqrt(5)): 3 - 2*sqrt(5) and -3
     assert pred == pytest.approx(math.sqrt(5.0) - 3.0, abs=1e-12)
 
@@ -114,7 +114,7 @@ def test_regret_bound_along_a_descent_run():
     rng = np.random.default_rng(14)
     seq = random_vectors(80, 4, noise=0.4, rng=rng)
     P = AdaGradPotential(d=4)
-    traj = run_online(P, "linearized", seq, loss, P.B)
+    traj = run_online(P, "linearized", seq, loss)
     assert all(v <= 1e-10 for v in traj.potential_values)
     zeta = traj.final_statistic
     for _ in range(40):

@@ -1,8 +1,12 @@
 """End-to-end command line behavior: configs, exit codes, output streams."""
 
+import csv
+import io
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ import burkholder
 from burkholder import cli, harness
 from burkholder.errors import ConfigError
 from burkholder.harness import random_vectors, save_sequence
+from burkholder.strategies import run_online
 from burkholder.symlin import Entry
 
 
@@ -68,6 +73,76 @@ def test_run_rejects_generated_dimensions_below_their_minimum(tmp_path, capsys,
     assert cli.main(["run", "--config", path]) == 2
     out, err = capsys.readouterr()
     assert out == "" and f"need {key} >= " in err
+
+
+def test_known_config_keys_match_the_readme():
+    """The parser accepts exactly the keys README's command line section
+    lists, so a dead or an undocumented key fails here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    bullets = re.search(r"\n\n((?:- .*\n(?:  .*\n)*)+)", section).group(1)
+    assert set(re.findall(r"`(\w+)`", bullets)) == cli._KNOWN_KEYS
+
+
+@pytest.mark.parametrize("key", ["L", "rank_scale"])
+def test_keys_nothing_reads_are_unknown(tmp_path, capsys, key):
+    path = _cfg(tmp_path, f"family = adagrad\nd = 3\nn = 5\n{key} = 50\n")
+    assert cli.main(["run", "--config", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"unknown config key {key!r}" in err
+
+
+@pytest.mark.parametrize("line", ["noise = -1", "radius = -0.5", "nuclear_radius = -1",
+                                  "comparator_iters = -5", "seed = -1"])
+def test_run_rejects_negative_sequence_and_seed_values(tmp_path, capsys, line):
+    key = line.split()[0]
+    family = ("family = matrix\nd1 = 2\nd2 = 2\neta = 0.5\n" if key == "nuclear_radius"
+              else "family = adagrad\nd = 3\n")
+    path = _cfg(tmp_path, f"{family}n = 5\n{line}\n")
+    assert cli.main(["run", "--config", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"{key} = -" in err and f"need {key} >= 0" in err
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "compare"])
+def test_a_negative_seed_flag_is_a_configuration_error(tmp_path, capsys, command):
+    path = _cfg(tmp_path, "family = adagrad\nd = 3\nn = 5\n")
+    assert cli.main([command, "--config", path, "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "seed = -1, need seed >= 0" in err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("key", ["eps1", "eps2"])
+def test_unrepresentable_randomized_eps_exits_2(tmp_path, capsys, command, key):
+    path = _cfg(tmp_path, "family = adagrad\nd = 3\nn = 5\nstrategy = randomized\n"
+                          f"{key} = 1e-300\n")
+    extra = ["--trials", "1"] if command == "compare" else []
+    assert cli.main([command, "--config", path] + extra) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"{key} = 1e-300 with B = 1 asks for" in err
+
+
+def test_run_bound_column_charges_the_comparator(tmp_path, capsys):
+    """An adagrad comparator outside the unit ball adds its excess-norm charge
+    to every row's bound, as regret_bound(zeta, w) prescribes."""
+    path = _cfg(tmp_path, "family = adagrad\nd = 3\nn = 30\ncomparator_radius = 4\n")
+    dest = tmp_path / "run.csv"
+    assert cli.main(["run", "--config", path, "--seed", "1", "--out", str(dest)]) == 0
+    capsys.readouterr()
+    cfg = cli.parse_config(path)
+    loss = cli.build_loss(cfg)
+    seq, n = cli.build_sequence(cfg, np.random.default_rng(1))
+    P = cli.build_potential(cfg, loss, n)
+    comp = cli.build_comparator(cfg, "adagrad", seq, loss)
+    assert np.linalg.norm(comp.w) > 1.0
+    zetas = [P.zero()]
+    run_online(P, "linearized", seq, loss,
+               on_round=lambda t, zeta_prev, rnd, zeta: zetas.append(zeta))
+    rows = list(csv.DictReader(io.StringIO(dest.read_text())))
+    assert [r["bound"] for r in rows] == [f"{P.regret_bound(z, comp.w):.12g}"
+                                          for z in zetas]
+    assert P.regret_bound(zetas[-1], comp.w) > P.regret_bound(zetas[-1])
 
 
 def test_run_writes_csv_to_stdout_and_summary_to_stderr(tmp_path, capsys):

@@ -157,7 +157,7 @@ class TestRegretReport:
         seq = random_vectors(n, 2, rng=np.random.default_rng(9))
         loss = make_loss("absolute", B=1.0)
         bounds = [P.regret_bound(P.zero())]
-        traj = run_online(P, "linearized", seq, loss, B=1.0,
+        traj = run_online(P, "linearized", seq, loss,
                           on_round=lambda t, zeta_prev, rnd, zeta:
                           bounds.append(P.regret_bound(zeta)))
         comp = np.full(n, 0.125)

@@ -68,13 +68,13 @@ def test_prediction_is_zero_at_the_start_and_tracks_observations():
     P = MatrixPotential(2, 2, eta=0.5)
     x = np.zeros((2, 2))
     x[0, 0] = 1.0
-    assert abs(predict_linearized(P, P.zero(), x, P.B)) < 1e-12
+    assert abs(predict_linearized(P, P.zero(), x)) < 1e-12
     # after seeing y = +1 at this cell the next prediction moves up
     zeta = P.stat_map(x, 0.0, -1.0)  # subgradient of |0 - 1|
-    assert predict_linearized(P, zeta, x, P.B) > 0.0
+    assert predict_linearized(P, zeta, x) > 0.0
     other = np.zeros((2, 2))
     other[1, 1] = 1.0
-    assert abs(predict_linearized(P, zeta, other, P.B)) < 1e-12
+    assert abs(predict_linearized(P, zeta, other)) < 1e-12
 
 
 def test_comparator_bound_reads_the_drift_slot():
@@ -139,7 +139,7 @@ def test_full_run_certificate_and_regret():
     rng = np.random.default_rng(22)
     seq = matrix_completion(60, 4, 3, rank=2, rng=rng)
     P = MatrixPotential(4, 3, eta=0.25)
-    traj = run_online(P, "linearized", seq, loss, P.B)
+    traj = run_online(P, "linearized", seq, loss)
     assert P.bound(traj.final_statistic) <= 1e-10
     comp = np.asarray(loss.value(
         np.array([float(np.sum(seq.meta["planted"] * x)) for x in seq.xs]),

@@ -126,6 +126,25 @@ def test_configuration_guards():
         MetaPotential([(inner, 1.0), (VawPotential(d=6, L=4.0), 1.0)], eta=0.5)
 
 
+def test_members_must_share_one_horizon_and_one_range():
+    short, long = ParamFreePotential(n=8, d=5), ParamFreePotential(n=16, d=5)
+    with pytest.raises(ConfigError, match="horizon"):
+        MetaPotential([(short, 1.0), (long, 1.0)], eta=0.5)
+    with pytest.raises(ConfigError, match="horizon"):
+        combine_min([short, long])
+    with pytest.raises(ConfigError, match="range B"):
+        combine_min([AdaGradPotential(d=5), AdaGradPotential(d=5, B=0.5)])
+    with pytest.raises(ConfigError, match="range B"):
+        MetaPotential([(AdaGradPotential(d=5), 1.0),
+                       (AdaGradPotential(d=5, B=0.5), 1.0)], eta=0.5)
+    same = ParamFreePotential(n=16, d=5, p=4.0)
+    assert MetaPotential([(long, 1.0), (same, 1.0)], eta=0.5).horizon == 16
+    assert combine_convex([long, same], [0.5, 0.5]).horizon == 16
+    assert combine_min([AdaGradPotential(d=5)] * 2).horizon is None
+    # a stationary member ignores t, so it leaves the horizon to the others
+    assert MetaPotential([(long, 1.0), (AdaGradPotential(d=5), 1.0)], eta=0.5).horizon == 16
+
+
 def test_min_combination_takes_the_pointwise_minimum():
     a = MatrixPotential(3, 2, eta=0.5)
     b = MatrixPotential(3, 2, eta=0.25)

@@ -147,7 +147,7 @@ def test_regret_stays_under_the_comparator_bound_on_a_short_run():
     loss = make_loss("absolute")
     seq = random_vectors(40, 3, noise=0.3, rng=np.random.default_rng(21))
     P = ParamFreePotential(n=40, d=3)
-    traj = run_online(P, "linearized", seq, loss, P.B)
+    traj = run_online(P, "linearized", seq, loss)
     assert all(v <= 1e-10 for v in traj.potential_values)
     for comp in comparator_grid(seq.xs, seq.ys, loss)[:10]:
         regret = traj.cumulative_loss - comp.total_loss

@@ -25,8 +25,9 @@ from burkholder.verify import round_descent
 
 
 class _Holder:
-    """A family reduced to L and a residual F(delta)."""
+    """A family reduced to L, B and a residual F(delta)."""
     L = 1.0
+    B = 1.0
 
     def __init__(self, F):
         self.F = F
@@ -38,13 +39,15 @@ class _Holder:
 def test_linearized_prediction_arithmetic():
     # F(+1) = 5, F(-1) = 1 gives raw = -(5 - 1)/2 = -2, clamped by B
     P = _Holder(lambda d: 5.0 if d > 0 else 1.0)
-    assert predict_linearized(P, None, None, 3.0) == -2.0
-    assert predict_linearized(P, None, None, 1.0) == -1.0
+    P.B = 3.0
+    assert predict_linearized(P, None, None) == -2.0
+    P.B = 1.0
+    assert predict_linearized(P, None, None) == -1.0
 
 
 def test_linearized_rejects_nonfinite_residuals():
     with pytest.raises(NumericError):
-        predict_linearized(_Holder(lambda d: math.inf), None, None, 1.0)
+        predict_linearized(_Holder(lambda d: math.inf), None, None)
 
 
 class _QuadValue(Potential):
@@ -64,30 +67,30 @@ class _QuadValue(Potential):
 
 def test_convex_search_refines_to_the_minimizer():
     loss = make_loss("absolute")
-    pred = predict_convex(_QuadValue(0.3), None, None, 1.0, loss)
+    pred = predict_convex(_QuadValue(0.3), None, None, loss)
     assert abs(pred - 0.3) <= 1e-4
 
 
 def test_grid_search_without_convexity_stays_on_the_first_grid():
     loss = make_loss("absolute")
-    pred = predict_convex(_QuadValue(0.3, convex=False), None, None, 1.0, loss)
+    pred = predict_convex(_QuadValue(0.3, convex=False), None, None, loss)
     # nearest point of linspace(-1, 1, 129) to 0.3
     assert pred == pytest.approx(0.296875, abs=1e-12)
 
 
 def test_tied_grid_minima_resolve_leftmost():
     loss = make_loss("absolute")
-    pred = predict_convex(_QuadValue(0.0, convex=False), None, None, 1.0, loss)
+    pred = predict_convex(_QuadValue(0.0, convex=False), None, None, loss)
     assert pred == 0.0
     flat = _QuadValue(0.0, convex=False)
     flat.round_values = lambda *a, **k: np.zeros((129, 129))
-    assert predict_convex(flat, None, None, 1.0, loss) == -1.0
+    assert predict_convex(flat, None, None, loss) == -1.0
 
 
 def test_randomized_grid_layout():
     rng = np.random.default_rng(0)
     loss = make_loss("absolute")
-    dist, sample = predict_randomized(_QuadValue(0.5), None, None, 1.0,
+    dist, sample = predict_randomized(_QuadValue(0.5), None, None,
                                       eps1=0.5, eps2=0.2, rng=rng, loss=loss)
     assert np.allclose(dist.points, [-1.0, -0.5, 0.0, 0.5, 1.0])
     assert sample in dist.points
@@ -100,7 +103,7 @@ def test_randomized_grid_layout():
 def test_randomized_flat_table_returns_uniform():
     flat = _QuadValue(0.0)
     flat.round_values = lambda *a, **k: np.full((5, 129), 2.5)
-    dist, _ = predict_randomized(flat, None, None, 1.0, eps1=0.5, eps2=0.2,
+    dist, _ = predict_randomized(flat, None, None, eps1=0.5, eps2=0.2,
                                  rng=np.random.default_rng(1),
                                  loss=make_loss("absolute"))
     assert np.allclose(dist.probs, 0.2)
@@ -109,13 +112,34 @@ def test_randomized_flat_table_returns_uniform():
 def test_randomized_rejects_bad_tolerances_and_tables():
     loss = make_loss("absolute")
     with pytest.raises(DomainError):
-        predict_randomized(_QuadValue(0.0), None, None, 1.0, eps1=0.0,
+        predict_randomized(_QuadValue(0.0), None, None, eps1=0.0,
                            eps2=0.1, rng=np.random.default_rng(0), loss=loss)
     broken = _QuadValue(0.0)
     broken.round_values = lambda *a, **k: np.full((5, 129), np.nan)
     with pytest.raises(NumericError):
-        predict_randomized(broken, None, None, 1.0, eps1=0.5, eps2=0.1,
+        predict_randomized(broken, None, None, eps1=0.5, eps2=0.1,
                            rng=np.random.default_rng(0), loss=loss)
+
+
+def test_unrepresentable_eps_fail_before_building():
+    """A grid size numpy cannot represent raises before round_values runs;
+    an iteration count beyond the float range raises before the solver loops."""
+    loss = make_loss("absolute")
+    untouched = _QuadValue(0.0)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("built a value table")
+
+    untouched.round_values = no_table
+    for eps1 in (1e-300, 5e-324):  # a grid of 2e300 points; 2 / 5e-324 is inf
+        with pytest.raises(DomainError, match="^eps1 = .* with B = 1 asks for a grid"):
+            predict_randomized(untouched, None, None, eps1, 0.1,
+                               np.random.default_rng(0), loss)
+    P = AdaGradPotential(d=2)
+    for eps2 in (1e-160, 1e-300):  # eps2 ** 2 is subnormal, then zero
+        with pytest.raises(DomainError, match="^eps2 = .* with B = 1 asks for more solver"):
+            predict_randomized(P, P.zero(), np.array([0.6, 0.0]), 0.5, eps2,
+                               np.random.default_rng(0), loss)
 
 
 def test_randomized_distribution_is_deterministic_per_seed():
@@ -125,7 +149,7 @@ def test_randomized_distribution_is_deterministic_per_seed():
     outs = []
     for _ in range(2):
         rng = np.random.default_rng(42)
-        dist, sample = predict_randomized(P, zeta, np.array([0.3, -0.4]), 1.0,
+        dist, sample = predict_randomized(P, zeta, np.array([0.3, -0.4]),
                                           eps1=0.1, eps2=0.1, rng=rng, loss=loss)
         outs.append((dist.probs.copy(), sample))
     assert np.array_equal(outs[0][0], outs[1][0])
@@ -142,9 +166,9 @@ def test_randomized_value_stays_within_the_declared_slack():
     for _ in range(25):
         zeta = P.sample_statistic(rng, max_rounds=5)
         x = P.sample_instance(rng)
-        dist, _ = predict_randomized(P, zeta, x, P.B, eps1=eps, eps2=eps,
+        dist, _ = predict_randomized(P, zeta, x, eps1=eps, eps2=eps,
                                      rng=rng, loss=loss)
-        realized = realized_game_value(P, zeta, x, dist, loss, P.B)
+        realized = realized_game_value(P, zeta, x, dist, loss)
         budget = P.eval(zeta) + P.L * eps + eps + 1e-9
         assert realized <= budget
 
@@ -160,7 +184,7 @@ def test_realized_game_value_is_exact_on_a_fine_grid():
     for _ in range(10):
         zeta = P.sample_statistic(rng, max_rounds=6)
         x = P.sample_instance(rng)
-        dist, _ = predict_randomized(P, zeta, x, 1.0, eps1=0.004, eps2=0.1,
+        dist, _ = predict_randomized(P, zeta, x, eps1=0.004, eps2=0.1,
                                      rng=rng, loss=loss)
         z = np.unique(dist.points)
         ys = np.concatenate([[-1.0, 1.0], z, 0.5 * (z[:-1] + z[1:])])
@@ -168,7 +192,7 @@ def test_realized_game_value_is_exact_on_a_fine_grid():
         residual = {d: P.residual(zeta, x, d) for d in (-1.0, 0.0, 1.0)}
         table = dist.points[:, None] * deltas + np.vectorize(residual.get)(deltas)
         brute = float(np.max(dist.probs @ table))
-        assert abs(realized_game_value(P, zeta, x, dist, loss, 1.0) - brute) <= 1e-12
+        assert abs(realized_game_value(P, zeta, x, dist, loss) - brute) <= 1e-12
 
 
 def _sup_family(name, loss):
@@ -215,19 +239,19 @@ def test_critical_labels_dominate_a_dense_label_grid(case):
     def sup(ys):
         return float(np.max(probs @ P.round_values(zeta, x, points, ys, loss, t=t)))
 
-    exact = sup(sup_labels(P, loss, B, points))
+    exact = sup(sup_labels(P, loss, points=points))
     assert exact >= sup(np.linspace(-B, B, 2001)) - 1e-12
 
 
 def test_critical_label_sets():
-    assert np.array_equal(make_loss("squared").critical_labels([0.3, 0.3], 1.0),
+    assert np.array_equal(make_loss("squared").critical_labels([0.3, 0.3]),
                           [-1.0, 1.0])
-    assert np.array_equal(make_loss("hinge").critical_labels([], 1.0),
+    assert np.array_equal(make_loss("hinge").critical_labels([]),
                           [-1.0, 0.0, 1.0])
     absolute = make_loss("absolute", B=2.0)
-    assert np.array_equal(absolute.critical_labels((), 2.0), [-2.0, 2.0])
+    assert np.array_equal(absolute.critical_labels(()), [-2.0, 2.0])
     # one label per gap between distinct points, the endpoints among them
-    assert np.array_equal(absolute.critical_labels([1.0, -2.0, 0.0, 1.0, 2.0], 2.0),
+    assert np.array_equal(absolute.critical_labels([1.0, -2.0, 0.0, 1.0, 2.0]),
                           [-2.0, 2.0, -1.0, 0.5, 1.5])
 
 
@@ -237,11 +261,11 @@ def test_grid_strategies_need_convexity_in_delta():
     assert not P.convex_in_delta
     zeta, x = P.zero(), np.array([0.6, 0.0])
     dist = GridDistribution(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
-    for call in (lambda: predict_convex(P, zeta, x, 1.0, loss),
-                 lambda: predict_randomized(P, zeta, x, 1.0, 0.5, 0.5,
+    for call in (lambda: predict_convex(P, zeta, x, loss),
+                 lambda: predict_randomized(P, zeta, x, 0.5, 0.5,
                                             np.random.default_rng(0), loss),
-                 lambda: realized_game_value(P, zeta, x, dist, loss, 1.0),
-                 lambda: round_descent(P, zeta, x, 0.0, loss, 1.0)):
+                 lambda: realized_game_value(P, zeta, x, dist, loss),
+                 lambda: round_descent(P, zeta, x, 0.0, loss)):
         with pytest.raises(DomainError, match="convex in delta"):
             call()
 
@@ -252,7 +276,7 @@ def test_run_online_bookkeeping():
     rng = np.random.default_rng(3)
     seq = [(P.sample_instance(rng), float(rng.uniform(-1, 1))) for _ in range(10)]
     stats = [P.zero()]
-    traj = run_online(P, "linearized", seq, loss, P.B,
+    traj = run_online(P, "linearized", seq, loss,
                       on_round=lambda t, zeta_prev, rnd, zeta: stats.append(zeta))
     assert traj.n == 10
     assert len(stats) == 11
@@ -271,7 +295,7 @@ def test_run_online_bookkeeping():
 
 def test_run_online_rejects_unknown_strategies():
     with pytest.raises(DomainError, match="unknown strategy"):
-        run_online(AdaGradPotential(d=2), "greedy", [], make_loss("absolute"), 1.0)
+        run_online(AdaGradPotential(d=2), "greedy", [], make_loss("absolute"))
     assert set(STRATEGIES) == {"linearized", "convex", "randomized"}
 
 
@@ -280,11 +304,10 @@ def test_randomized_runs_are_reproducible():
     loss = make_loss("absolute")
     rng = np.random.default_rng(8)
     seq = [(P.sample_instance(rng), float(rng.uniform(-1, 1))) for _ in range(6)]
-    opts = {"eps1": 0.2, "eps2": 0.2}
-    t1 = run_online(P, "randomized", seq, loss, 1.0,
-                    rng=np.random.default_rng(5), options=opts)
-    t2 = run_online(P, "randomized", seq, loss, 1.0,
-                    rng=np.random.default_rng(5), options=opts)
+    t1 = run_online(P, "randomized", seq, loss,
+                    rng=np.random.default_rng(5), eps1=0.2, eps2=0.2)
+    t2 = run_online(P, "randomized", seq, loss,
+                    rng=np.random.default_rng(5), eps1=0.2, eps2=0.2)
     assert [r.y_hat for r in t1.rounds] == [r.y_hat for r in t2.rounds]
 
 
@@ -293,7 +316,7 @@ def test_expected_loss_recording():
     loss = make_loss("absolute")
     rng = np.random.default_rng(4)
     seq = [(P.sample_instance(rng), float(rng.uniform(-1, 1))) for _ in range(6)]
-    traj, expected = run_randomized_expected(P, seq, loss, 1.0, eps1=0.2,
+    traj, expected = run_randomized_expected(P, seq, loss, eps1=0.2,
                                              eps2=0.2,
                                              rng=np.random.default_rng(7))
     assert expected.shape == (6,)
@@ -315,12 +338,12 @@ def test_accumulate_enforces_the_subgradient_range():
 def test_prediction_lipschitz_routes():
     loss = make_loss("absolute")
     P = AdaGradPotential(d=2)
-    k, estimated = P.prediction_lipschitz(P.zero(), np.array([1.0, 0.0]), loss, 1.0)
+    k, estimated = P.prediction_lipschitz(P.zero(), np.array([1.0, 0.0]), loss)
     assert (k, estimated) == (1.0, False)
     loss_sq = make_loss("squared")
     V = VawPotential(d=2, L=loss_sq.L)
     k, estimated = V.prediction_lipschitz(V.zero(), np.array([1.0, 0.0]),
-                                          loss_sq, 1.0)
+                                          loss_sq)
     assert estimated
     assert k > 0.0
 
@@ -362,10 +385,10 @@ def test_on_round_sees_every_statistic_in_order(randomized):
         calls.append((t, zeta_prev, rnd, zeta))
 
     if randomized:
-        traj, _ = run_randomized_expected(P, seq, loss, P.B, 0.2, 0.2,
+        traj, _ = run_randomized_expected(P, seq, loss, 0.2, 0.2,
                                           np.random.default_rng(1), on_round=on_round)
     else:
-        traj = run_online(P, "linearized", seq, loss, P.B, on_round=on_round)
+        traj = run_online(P, "linearized", seq, loss, on_round=on_round)
     assert [c[0] for c in calls] == list(range(1, traj.n + 1))
     assert stats_allclose(calls[0][1], P.zero(), rtol=0, atol=0)
     for (_, _, _, before), (_, after_prev, _, _) in zip(calls, calls[1:]):
@@ -389,7 +412,7 @@ def test_a_run_holds_one_statistic():
         refs.append(weakref.ref(zeta))
         most_alive = max(most_alive, sum(r() is not None for r in refs))
 
-    traj = run_online(P, "linearized", seq, loss, P.B, on_round=on_round)
+    traj = run_online(P, "linearized", seq, loss, on_round=on_round)
     assert len(refs) == 50
     assert most_alive <= 2  # this round's statistic and the one before it
     alive = [r() for r in refs if r() is not None]

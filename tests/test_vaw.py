@@ -85,7 +85,7 @@ def test_grid_minimax_prediction_matches_a_dense_brute_force():
     for _ in range(40):
         zeta = P.sample_statistic(rng, max_rounds=4)
         x = P.sample_instance(rng)
-        pred = predict_convex(P, zeta, x, 1.0, loss)
+        pred = predict_convex(P, zeta, x, loss)
         dense = np.linspace(-1, 1, 2049)
         table = P.round_values(zeta, x, dense, ys, loss)
         best = float(table.max(axis=1).min())
@@ -126,9 +126,9 @@ def test_descent_and_certificate_on_a_short_run():
     rng = np.random.default_rng(11)
     seq = [(P.sample_instance(rng), float(rng.uniform(-1, 1))) for _ in range(15)]
     descents = []
-    traj = run_online(P, "convex", seq, loss, P.B,
+    traj = run_online(P, "convex", seq, loss,
                       on_round=lambda t, zeta_prev, rnd, zeta: descents.append(
-                          round_descent(P, zeta_prev, rnd.x, rnd.y_hat, loss, 1.0)))
+                          round_descent(P, zeta_prev, rnd.x, rnd.y_hat, loss)))
     vals = traj.potential_values
     for prev, cur in zip(vals, vals[1:]):
         assert cur <= prev + 1e-3  # grid minimax tolerance

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burkholder.errors import DomainError
-from burkholder.potentials import AdaGradPotential, MatrixPotential, ParamFreePotential
+from burkholder.potential import MappedPotential
+from burkholder.potentials import (AdaGradPotential, MatrixPotential, MetaPotential,
+                                   ParamFreePotential)
 from burkholder.losses import make_loss
 from burkholder.statistics import stats_allclose
 from burkholder.strategies import predict_linearized
@@ -252,6 +254,30 @@ def test_supermartingale_handles_time_varying_potentials():
     assert report.checks == 15
 
 
+@pytest.mark.parametrize("wrapper", ["meta", "mapped"])
+def test_p2_and_p3_read_the_horizon_through_wrappers(wrapper):
+    """p2 evaluates U at the horizon and p3 draws its round from 1..n, for a
+    softmax meta and a reindexing wrapper over param_free members too."""
+    pf = ParamFreePotential(n=16, d=3)
+    if wrapper == "meta":
+        P = MetaPotential([(pf, 1.0), (ParamFreePotential(n=16, d=3, p=4.0), 1.0)],
+                          eta=0.5)
+    else:
+        P = MappedPotential(pf, lambda x: np.asarray(x, dtype=float).reshape(-1),
+                            sample_fn=lambda r: pf.sample_instance(r).reshape(1, 3))
+    assert P.horizon == 16
+    assert check_p2(P, trials=50, rng=np.random.default_rng(1)).passed
+    rounds, inner_eval = set(), P.eval
+
+    def recording_eval(stat, t=None):
+        rounds.add(t)
+        return inner_eval(stat, t=t)
+
+    P.eval = recording_eval
+    check_p3(P, trials=400, rng=np.random.default_rng(2))
+    assert rounds == set(range(17))  # t - 1 and t for every t in 1..16
+
+
 def test_khintchine_on_random_and_fixed_sequences():
     report = check_matrix_khintchine(n=6, n_trees=20,
                                      rng=np.random.default_rng(10))
@@ -283,10 +309,9 @@ def test_round_descent_separates_good_and_bad_predictions():
     x = np.zeros((5, 5))
     x[1, 2] = 1.0
     zeta = P.zero()
-    good = round_descent(P, zeta, x, predict_linearized(P, zeta, x, 1.0),
-                         loss, B=1.0)
+    good = round_descent(P, zeta, x, predict_linearized(P, zeta, x), loss)
     assert good <= 1e-10
-    bad = round_descent(P, zeta, x, 1.0, loss, B=1.0)
+    bad = round_descent(P, zeta, x, 1.0, loss)
     assert bad > 0.1
 
 
@@ -338,7 +363,7 @@ class TestNecessity:
             for t in range(depth):
                 x, y = g[p, t], eps[p, t]
                 y_hat = y if clairvoyant else predict_linearized(
-                    P, zeta, x, P.B, t=t + 1)
+                    P, zeta, x, t=t + 1)
                 zeta = zeta + P.stat_map(x, y_hat, float(loss.subgradient(y_hat, y)))
                 eps_sum = eps_sum + y * x
                 cum += float(loss.value(y_hat, y))
