@@ -367,15 +367,15 @@ def cmd_compare(args):
         seq, n = build_sequence(cfg, rng_seq)
         if P is None:
             P = build_potential(cfg, loss, n)
+            if "linearized" in strategies and not P.linearizable:
+                raise ConfigError(f"strategy linearized needs a linearizable "
+                                  f"family; {cfg['family']} is not")
         for si, s in enumerate(strategies):
             rng_s = np.random.default_rng([seed, rep_i, 1 + si])
             if s == "randomized":
                 traj, expected = run_randomized_expected(P, seq, loss, eps1, eps2, rng_s)
                 sums[s].append(float(expected.sum()))
             else:
-                if s == "linearized" and not P.linearizable:
-                    raise ConfigError(f"strategy linearized needs a linearizable "
-                                      f"family; {cfg['family']} is not")
                 traj = run_online(P, s, seq, loss, rng=rng_s)
                 sums[s].append(traj.cumulative_loss)
             certs[s].append(P.bound(traj.final_statistic))

@@ -73,8 +73,8 @@ class Potential:
         """(K, estimated): Lipschitz constant of y_hat -> U(zeta + T) over y.
 
         Linearizable families override this with the exact constant L. The
-        fallback samples finite differences on a dense grid and inflates 2x;
-        estimated=True flags that path.
+        fallback samples finite differences on a dense grid, one value table
+        per sampled label, and inflates 2x; estimated=True flags that path.
         """
         if self.linearizable:
             return self.L, False
@@ -83,9 +83,7 @@ class Potential:
         worst = 0.0
         for _ in range(8):
             y = float(rng.uniform(-self.B, self.B))
-            vals = np.array([
-                self.eval(zeta + self.stat_map(x, float(g), loss.subgradient(float(g), y)), t=t)
-                for g in grid])
+            vals = self.round_values(zeta, x, grid, [y], loss, t=t)[:, 0]
             worst = max(worst, float(np.max(np.abs(np.diff(vals)))) / (grid[1] - grid[0]))
         return 2.0 * worst, True
 

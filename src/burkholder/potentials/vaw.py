@@ -56,41 +56,50 @@ class VawPotential(Potential):
 
     def _logdet_debt(self, G):
         sign, logdet = np.linalg.slogdet(G)
-        if sign <= 0:
-            raise NumericError("gram matrix lost positivity", {"sign": sign})
+        if not (sign > 0 and np.isfinite(logdet)):
+            raise NumericError("gram matrix lost positivity or finiteness",
+                               {"sign": sign, "logdet": logdet})
         return self.c * (logdet - self.dim * math.log(self.lam))
+
+    def _solve(self, G, rhs):
+        try:
+            return np.linalg.solve(G, rhs)
+        except np.linalg.LinAlgError as exc:  # unreachable for lam > 0
+            raise NumericError("singular gram solve", {"lam": self.lam}) from exc
 
     def eval(self, stat, t=None):
         G = self._gram(stat.A)
-        try:
-            sol = np.linalg.solve(G, stat.x)
-        except np.linalg.LinAlgError as exc:  # unreachable for lam > 0
-            raise NumericError("singular gram solve", {"lam": self.lam}) from exc
-        return 0.5 * float(np.dot(stat.x, sol)) - self._logdet_debt(G)
+        return 0.5 * float(np.dot(stat.x, self._solve(G, stat.x))) - self._logdet_debt(G)
 
     def bound(self, stat):
         """U and V coincide for this family."""
         return self.eval(stat)
 
     def round_values(self, zeta, x, y_hats, ys, loss, t=None):
-        # For fixed y_hat the prediction only enters through z, and delta
-        # enters the quadratic form affinely: one factorization per y_hat
-        # serves the whole y grid.
+        # The round adds rho z z^T to G0 = rho A + lam I, with z = a - y_hat e,
+        # a = (x, 0) and e = (0, ..., 0, 1). One solve of G0 against
+        # [zeta.x, a, e] gives every inner product the table needs. With
+        # s = z^T G0^-1 z, q = zeta.x^T G0^-1 z and den = 1 + rho s, the
+        # determinant lemma gives log det G = log det G0 + log den, and
+        # Sherman-Morrison gives v^T G^-1 v = p + (2 delta q + delta^2 s -
+        # rho q^2) / den for v = zeta.x + delta z, p = zeta.x^T G0^-1 zeta.x.
         y_hats = np.asarray(y_hats, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        out = np.empty((y_hats.size, ys.size))
-        for i, yh in enumerate(y_hats):
-            z = self.augment(x, float(yh))
-            A_new = zeta.A + np.outer(z, z)
-            G = self._gram(A_new)
-            sol = np.linalg.solve(G, np.stack([zeta.x, z], axis=1))
-            q_xx = float(np.dot(zeta.x, sol[:, 0]))
-            q_xz = float(np.dot(z, sol[:, 0]))
-            q_zz = float(np.dot(z, sol[:, 1]))
-            debt = self._logdet_debt(G)
-            deltas = np.asarray(loss.subgradient(float(yh), ys), dtype=float)
-            out[i, :] = 0.5 * (q_xx + 2.0 * deltas * q_xz + deltas ** 2 * q_zz) - debt
-        return out
+        G0 = self._gram(zeta.A)
+        cols = np.column_stack([zeta.x, self.augment(x, 0.0), np.eye(self.dim)[-1]])
+        inner = cols.T @ self._solve(G0, cols)
+        debt0 = self._logdet_debt(G0)
+        yh = y_hats[:, None]
+        q = inner[0, 1] - yh * inner[0, 2]
+        s = inner[1, 1] - 2.0 * yh * inner[1, 2] + yh ** 2 * inner[2, 2]
+        den = 1.0 + self.rho * s
+        bad = ~(np.isfinite(den) & (den > 0))
+        if bad.any():
+            i = int(np.argmax(bad[:, 0]))
+            raise NumericError("rank-one gram update lost positivity",
+                               {"y_hat": float(y_hats[i]), "denominator": float(den[i, 0])})
+        deltas = np.asarray(loss.subgradient(yh, ys), dtype=float)
+        quad = inner[0, 0] + (2.0 * deltas * q + deltas ** 2 * s - self.rho * q ** 2) / den
+        return 0.5 * quad - (debt0 + self.c * np.log(den))
 
     def regret_bound(self, stat, comparator=None):
         """A_lambda(w) = (lambda/2) ||(w, 1)||^2 + log-determinant debt at stat,

@@ -112,10 +112,10 @@ def predict_randomized(P, zeta, x, eps1, eps2, rng, loss, *, t=None):
         raise DomainError(f"eps2 = {eps2:g} with B = {B:g} asks for more solver "
                           f"iterations than a float can represent") from exc
     step = math.sqrt(2.0 * math.log(n_pts) / iters) / half_range
+    factors = np.exp(-step * table.T)  # row j: the update against label j
     avg = np.zeros(n_pts)
     for _ in range(iters):
-        j = int(np.argmax(mu @ table))
-        mu = mu * np.exp(-step * table[:, j])
+        mu *= factors[(mu @ table).argmax()]
         mu /= mu.sum()
         avg += mu
     avg /= iters

@@ -412,6 +412,21 @@ def test_compare_rejects_zero_repetitions_before_any_play(tmp_path, capsys,
     assert "at least one repetition" in err
 
 
+def test_compare_rejects_linearized_on_a_nonlinearizable_family_before_any_play(
+        tmp_path, capsys, monkeypatch):
+    def no_play(*args, **kwargs):
+        raise AssertionError("compare played a game")
+
+    monkeypatch.setattr(cli, "run_online", no_play)
+    monkeypatch.setattr(cli, "run_randomized_expected", no_play)
+    path = _cfg(tmp_path, "family = vaw\nloss = squared\nd = 2\nn = 5\n")
+    assert cli.main(["compare", "--config", path, "--strategies",
+                     "convex,linearized"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "needs a linearizable family" in err
+
+
 def test_compare_rejects_unknown_strategies(tmp_path, capsys):
     path = _cfg(tmp_path, "family = adagrad\nd = 2\nn = 5\n")
     assert cli.main(["compare", "--config", path, "--strategies",

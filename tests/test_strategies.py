@@ -100,6 +100,39 @@ def test_randomized_grid_layout():
     assert dist.points[int(np.argmax(dist.probs))] == 0.5
 
 
+def _reference_mw(table, eps2):
+    """The multiplicative-weights loop with the update factors recomputed
+    every iteration, as the cached version must reproduce bit for bit."""
+    n_pts = table.shape[0]
+    mid = 0.5 * (table.max() + table.min())
+    half_range = 0.5 * (table.max() - table.min())
+    table = table - mid
+    iters = math.ceil(float(half_range) ** 2 * math.log(n_pts) / eps2 ** 2)
+    step = math.sqrt(2.0 * math.log(n_pts) / iters) / half_range
+    mu = np.full(n_pts, 1.0 / n_pts)
+    avg = np.zeros(n_pts)
+    for _ in range(iters):
+        j = int(np.argmax(mu @ table))
+        mu = mu * np.exp(-step * table[:, j])
+        mu /= mu.sum()
+        avg += mu
+    return avg / iters
+
+
+@pytest.mark.parametrize("eps1", [2.0, 1.0, 0.05])
+def test_randomized_solver_matches_the_uncached_loop(eps1):
+    loss = make_loss("absolute")
+    rng = np.random.default_rng(int(1 / eps1))
+    for _ in range(5):
+        stub = _QuadValue(0.0)
+        n_pts = math.ceil(2.0 / eps1) + 1
+        table = rng.normal(size=(n_pts, n_pts + 1)) * rng.uniform(0.1, 3.0)
+        stub.round_values = lambda *a, table=table, **k: table
+        dist, _ = predict_randomized(stub, None, None, eps1=eps1, eps2=0.2,
+                                     rng=np.random.default_rng(0), loss=loss)
+        assert np.array_equal(dist.probs, _reference_mw(table, 0.2))
+
+
 def test_randomized_flat_table_returns_uniform():
     flat = _QuadValue(0.0)
     flat.round_values = lambda *a, **k: np.full((5, 129), 2.5)

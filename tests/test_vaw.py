@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from burkholder.errors import ConfigError, DomainError
+from burkholder.errors import ConfigError, DomainError, NumericError
 from burkholder.losses import make_loss
 from burkholder.potential import Potential
 from burkholder.potentials import VawPotential
@@ -58,8 +60,8 @@ def test_augmentation_carries_the_negated_prediction():
 
 
 def test_round_values_factorization_matches_the_naive_table():
-    """The one-solve-per-prediction override must agree with evaluating the
-    moved statistic entry by entry."""
+    """The closed-form override (one Gram solve per table) must agree with
+    evaluating the moved statistic entry by entry."""
     loss = make_loss("squared")
     P = VawPotential(d=2, L=loss.L)
     rng = np.random.default_rng(7)
@@ -71,6 +73,58 @@ def test_round_values_factorization_matches_the_naive_table():
         fast = P.round_values(zeta, x, y_hats, ys, loss)
         naive = Potential.round_values(P, zeta, x, y_hats, ys, loss)
         assert np.allclose(fast, naive, atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["squared", "absolute", "hinge"]),
+       max_rounds=st.sampled_from([8, 40]),
+       lam=st.floats(1e-4, 10.0),
+       seed=st.integers(0, 2 ** 32 - 1),
+       points=st.lists(st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
+                       min_size=1, max_size=6),
+       repeats=st.lists(st.integers(0, 5), max_size=2))
+def test_closed_form_table_matches_the_generic_table(kind, max_rounds, lam, seed,
+                                                     points, repeats):
+    """Sherman-Morrison and the determinant lemma against the generic
+    entry-by-entry table, at small lam, with repeated and boundary
+    predictions, on the loss's critical labels."""
+    loss = make_loss(kind)
+    P = VawPotential(d=3, lam=lam, L=loss.L)
+    rng = np.random.default_rng(seed)
+    zeta = P.sample_statistic(rng, max_rounds=max_rounds)
+    x = P.sample_instance(rng)
+    y_hats = np.array(points + [points[i % len(points)] for i in repeats])
+    ys = loss.critical_labels(y_hats)
+    fast = P.round_values(zeta, x, y_hats, ys, loss)
+    naive = Potential.round_values(P, zeta, x, y_hats, ys, loss)
+    assert fast.shape == naive.shape
+    assert np.all(np.abs(fast - naive) <= 1e-12 * np.maximum(1.0, np.abs(naive)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gram_fails_loudly(bad):
+    P = VawPotential(d=2)
+    A = np.eye(3)
+    A[0, 1] = A[1, 0] = bad
+    stat = VecSym(np.ones(3), A)
+    with pytest.raises(NumericError):
+        P.eval(stat)
+    with pytest.raises(NumericError):
+        P.regret_bound(stat, np.zeros(2))
+
+
+def test_rank_one_denominator_fails_loudly():
+    # G0 = -lam I has a positive determinant in dimension 4, so only the
+    # rank-one denominator 1 + rho z^T G0^-1 z can reveal the lost positivity
+    loss = make_loss("squared")
+    P = VawPotential(d=3, rho=2.0, lam=1.0, L=loss.L)
+    zeta = VecSym(np.zeros(4), -(P.lam / P.rho) * 2.0 * np.eye(4))
+    x = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(NumericError, match="rank-one") as info:
+        P.round_values(zeta, x, np.array([-P.B, 0.0, P.B]), np.array([0.0]), loss)
+    assert info.value.context["y_hat"] == -P.B
+    assert info.value.context["denominator"] < 0
 
 
 def test_grid_minimax_prediction_matches_a_dense_brute_force():
