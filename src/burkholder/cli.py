@@ -27,11 +27,10 @@ _STR_KEYS = {"family", "loss", "strategy", "sequence", "data_csv", "variant",
              "comparator", "comparator_ball"}
 _INT_KEYS = {"n", "d", "d1", "d2", "rank", "seed", "comparator_iters",
              "depth", "trees", "trials"}
-_FLOAT_KEYS = {"B", "eta", "r", "c", "p", "beta", "gamma", "rho", "lam",
-               "meta_eta", "nuclear_radius", "noise", "skew", "radius", "eps1",
-               "eps2", "tol", "comparator_radius"}
+_FLOAT_KEYS = {"B", "eta", "r", "c", "p", "lam", "meta_eta", "nuclear_radius",
+               "noise", "skew", "radius", "eps1", "eps2", "tol", "comparator_radius"}
 _KNOWN_KEYS = _STR_KEYS | _INT_KEYS | _FLOAT_KEYS
-_MINIMUM = {"d": 1, "d1": 1, "d2": 1, "rank": 0, "noise": 0, "radius": 0,
+_MINIMUM = {"d": 1, "d1": 1, "d2": 1, "rank": 0, "noise": 0, "skew": 0, "radius": 0,
             "nuclear_radius": 0, "comparator_iters": 0}
 
 
@@ -87,28 +86,26 @@ def build_loss(cfg):
 
 def build_potential(cfg, loss, n):
     fam = _require(cfg, "family", "this command")
-    B = cfg.get("B", 1.0)
     if fam == "param_free":
         if abs(loss.L - 1.0) > 1e-12:
             raise ConfigError("param_free needs a loss with subgradient bound L = 1")
         return ParamFreePotential(n=n, d=_require(cfg, "d", "family param_free"),
-                                  p=cfg.get("p"), beta=cfg.get("beta"),
-                                  gamma=cfg.get("gamma"), c=cfg.get("c", 1.0), B=B)
+                                  p=cfg.get("p"), c=cfg.get("c", 1.0), B=loss.B)
     if fam in ("matrix", "meta"):
         P = MatrixPotential(_require(cfg, "d1", f"family {fam}"),
                             _require(cfg, "d2", f"family {fam}"),
                             eta=_require(cfg, "eta", f"family {fam}"),
-                            r=cfg.get("r", 1.0), L=loss.L, c=cfg.get("c"), B=B)
+                            r=cfg.get("r", 1.0), L=loss.L, c=cfg.get("c"), B=loss.B)
         return P if fam == "matrix" else matrix_meta(P, eta=cfg.get("meta_eta", 0.25))
     if fam == "adagrad":
         return AdaGradPotential(_require(cfg, "d", "family adagrad"),
-                                variant=cfg.get("variant", "l2"), L=loss.L, B=B)
+                                variant=cfg.get("variant", "l2"), L=loss.L, B=loss.B)
     if fam == "vaw":
         if loss.kind != "squared":
             raise ConfigError("vaw needs loss = squared")
         return VawPotential(_require(cfg, "d", "family vaw"),
-                            rho=cfg.get("rho", 2.0), lam=cfg.get("lam", 1.0),
-                            c=cfg.get("c"), L=loss.L, B=B)
+                            rho=loss.rho, lam=cfg.get("lam", 1.0),
+                            c=cfg.get("c"), L=loss.L, B=loss.B)
     raise ConfigError(f"unknown family {fam!r}")
 
 
@@ -315,8 +312,7 @@ def cmd_verify(args):
     if suite in ("mgf", "all") and not args.negative_control:
         rng = np.random.default_rng([seed, 2])
         reports.append(("sign_sums", verify.check_mgf_bound(
-            n=depth, d=cfg.get("d", 4), beta=cfg.get("beta", 1.0),
-            n_trees=n_trees, rng=rng)))
+            n=depth, d=cfg.get("d", 4), n_trees=n_trees, rng=rng)))
 
     if suite in ("necessity", "all"):
         rng = np.random.default_rng([seed, 3])
@@ -446,10 +442,7 @@ def main(argv=None):
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_compare(args)
-    except (ConfigError, DomainError, NumericError, TagMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, DomainError, NumericError, TagMismatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

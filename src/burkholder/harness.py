@@ -197,16 +197,14 @@ def _project(w, shape, ball, radius):
     raise DomainError(f"unknown ball {ball!r}")
 
 
-def best_linear_comparator(xs, ys, loss, ball="l2", radius=1.0, iters=2000,
-                           w0=None):
+def best_linear_comparator(xs, ys, loss, ball="l2", radius=1.0, iters=2000):
     """Projected subgradient descent for the best fixed linear predictor in a
     norm ball, tracking the best iterate. Deterministic given the inputs."""
     if radius < 0:
         raise DomainError("radius >= 0")
     forward, adjoint, shape = _design(xs)
     ys = np.asarray(ys, dtype=float)
-    w = (np.zeros(math.prod(shape)) if w0 is None
-         else np.asarray(w0, dtype=float).reshape(-1).copy())
+    w = np.zeros(math.prod(shape))
     best_w, best_val = w.copy(), float(np.sum(loss.value(forward(w), ys)))
     for it in range(1, int(iters) + 1):
         preds = forward(w)
@@ -245,29 +243,26 @@ def least_squares_comparator(xs, ys, loss):
                       "least squares")
 
 
-def comparator_grid(xs, ys, loss, radii=None, directions=None):
-    """Fixed comparators rho * u over a radius grid and direction set.
+def comparator_grid(xs, ys, loss, radii=None):
+    """Fixed comparators rho * u over a radius grid.
 
-    The default direction opposes the summed subgradient at the zero
-    prediction, which is the steepest linear descent direction at w = 0.
+    The direction u opposes the summed subgradient at the zero prediction,
+    which is the steepest linear descent direction at w = 0.
     Returns a list of Comparator records, best first.
     """
     forward, adjoint, shape = _design(xs)
     ys = np.asarray(ys, dtype=float)
     if radii is None:
         radii = np.logspace(-2, 2, 41)
-    if directions is None:
-        g0 = adjoint(np.asarray(loss.subgradient(np.zeros(len(ys)), ys), dtype=float))
-        ng = np.linalg.norm(g0)
-        directions = [-g0 / ng] if ng > 0 else [np.eye(math.prod(shape))[0]]
+    g0 = adjoint(np.asarray(loss.subgradient(np.zeros(len(ys)), ys), dtype=float))
+    ng = np.linalg.norm(g0)
+    u = -g0 / ng if ng > 0 else np.eye(math.prod(shape))[0]
     out = []
-    for u in directions:
-        u = np.asarray(u, dtype=float).reshape(-1)
-        for rho in radii:
-            w = rho * u
-            per_round = np.asarray(loss.value(forward(w), ys), dtype=float)
-            out.append(Comparator(w.reshape(shape), float(per_round.sum()),
-                                  per_round, f"grid radius {rho:g}"))
+    for rho in radii:
+        w = rho * u
+        per_round = np.asarray(loss.value(forward(w), ys), dtype=float)
+        out.append(Comparator(w.reshape(shape), float(per_round.sum()),
+                              per_round, f"grid radius {rho:g}"))
     out.sort(key=lambda c: c.total_loss)
     return out
 

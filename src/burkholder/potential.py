@@ -191,6 +191,10 @@ class MappedPotential(Potential):
     def bound(self, stat):
         return self.inner.bound(stat)
 
+    def round_values(self, zeta, x, y_hats, ys, loss, t=None):
+        # the inner family's table, closed form included, on the mapped instance
+        return self.inner.round_values(zeta, self.feature_fn(x), y_hats, ys, loss, t=t)
+
     def sample_instance(self, rng):
         if self.sample_fn is not None:
             return self.sample_fn(rng)

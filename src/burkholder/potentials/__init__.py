@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from ..losses import make_loss
 from ..potential import MappedPotential
 from .adagrad import AdaGradPotential, usq
 from .matrix import MatrixPotential, doubling_run
@@ -31,12 +32,13 @@ def matrix_meta(matrix, eta=0.25):
 def standard_families(B=1.0):
     """Small fixed instances of every family, used by verification sweeps."""
     matrix = MatrixPotential(d1=3, d2=2, eta=0.5, r=1.0, L=1.0, B=B)
+    squared = make_loss("squared", B=B)
     return {
         "param_free_l2": ParamFreePotential(n=16, d=5, B=B),
         "param_free_l4": ParamFreePotential(n=16, d=5, p=4.0, B=B),
         "matrix": matrix,
         "adagrad_l2": AdaGradPotential(d=5, variant="l2", L=1.0, B=B),
         "adagrad_linf": AdaGradPotential(d=5, variant="linf", L=1.0, B=B),
-        "vaw": VawPotential(d=3, rho=2.0, lam=1.0, L=4.0 * B, B=B),
+        "vaw": VawPotential(d=3, rho=squared.rho, lam=1.0, L=squared.L, B=B),
         "meta": matrix_meta(matrix),
     }

@@ -25,17 +25,18 @@ def harmonic_prefix(n):
 
 
 class ParamFreePotential(Potential):
-    """Norm: l2 by default, or an lp norm with p >= 2 (smoothness beta = p - 1).
+    """Norm: l2 by default, or an lp norm with p >= 2.
 
-    gamma defaults to c * exp(-H_n / 2), the largest value for which the
-    potential starts at exactly zero; larger gamma violates the start
-    condition and is rejected when strict.
+    Both constants are derived, not chosen. beta is the norm's smoothness,
+    1 for l2 and p - 1 for lp: a smaller beta breaks the supermartingale
+    property and a larger one only loosens A(w). gamma = c * exp(-H_n / 2)
+    is the largest value for which the potential starts at or below zero.
     """
 
     convex_in_delta = True
     linearizable = True
 
-    def __init__(self, n, d, p=None, beta=None, gamma=None, c=1.0, B=1.0, strict=True):
+    def __init__(self, n, d, p=None, c=1.0, B=1.0):
         if n < 1:
             raise ConfigError("n >= 1")
         if d < 1:
@@ -45,19 +46,12 @@ class ParamFreePotential(Potential):
         self.horizon = int(n)
         self.d = int(d)
         self.p = p
-        self.beta = float(beta) if beta is not None else (1.0 if p is None else p - 1.0)
-        if self.beta <= 0:
-            raise ConfigError("beta > 0")
+        self.beta = 1.0 if p is None else p - 1.0
         self.c = float(c)
         if self.c <= 0:
             raise ConfigError("c > 0")
         self._H = harmonic_prefix(self.horizon)
-        H_n = self._H[self.horizon]
-        self.gamma = float(gamma) if gamma is not None else self.c * math.exp(-0.5 * H_n)
-        if self.gamma <= 0:
-            raise ConfigError("gamma > 0")
-        if strict and self.gamma * math.exp(0.5 * H_n) > self.c * (1 + 1e-9):
-            raise ConfigError("gamma * exp(H_n / 2) <= c")
+        self.gamma = self.c * math.exp(-0.5 * self._H[self.horizon])
         self.B = float(B)
         self.L = 1.0
 

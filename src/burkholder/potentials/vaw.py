@@ -16,6 +16,12 @@ from ..statistics import VecSym
 
 
 class VawPotential(Potential):
+    """rho is the loss's strong convexity modulus, handed over as Loss.rho.
+
+    It must not exceed that modulus: a larger rho makes V stop bounding the
+    regret, and a smaller one only raises the log-determinant debt.
+    """
+
     convex_in_delta = True
     convex_in_prediction = True
 

@@ -31,7 +31,6 @@ class CheckReport:
     passed: bool
     witness: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
-    seed: object = None
 
     def line(self):
         status = "pass" if self.passed else "FAIL"
@@ -339,12 +338,14 @@ def check_matrix_khintchine(n=10, d1=3, d2=2, n_trees=100, rng=None, trees=None,
                        extras={"ratios": ratios})
 
 
-def check_mgf_bound(n, d=4, beta=1.0, n_trees=50, rng=None, tol=1e-9):
-    """E exp(||sum eps_t x_t||^2 / (2 beta n)) <= sqrt(n), exact per tree.
+def check_mgf_bound(n, d=4, n_trees=50, rng=None, tol=1e-9):
+    """E exp(||sum eps_t x_t||^2 / (2n)) <= sqrt(n), exact per tree.
 
-    Asserted only for n >= 4; for smaller n the report carries the observed
-    ratios without a pass verdict on them (the bound is then informational:
-    a single unit vector at n = 1 already gives e^{1/(2 beta)} > 1).
+    The increments are l2 vectors in the unit ball, so the smoothness
+    constant is the euclidean one, beta = 1. Asserted only for n >= 4; for
+    smaller n the report carries the observed ratios without a pass verdict
+    on them (the bound is then informational: a single unit vector at n = 1
+    already gives e^{1/2} > 1).
     """
     rng = rng if rng is not None else np.random.default_rng(0)
 
@@ -359,7 +360,7 @@ def check_mgf_bound(n, d=4, beta=1.0, n_trees=50, rng=None, tol=1e-9):
         eps = sign_paths(tree.depth)
         g = gather_tree(tree, prefix_codes(tree.depth))
         s = np.einsum("pt,ptj->pj", eps, g)
-        val = float(np.mean(np.exp(np.sum(s * s, axis=1) / (2.0 * beta * n))))
+        val = float(np.mean(np.exp(np.sum(s * s, axis=1) / (2.0 * n))))
         ratio = val / math.sqrt(n)
         ratios.append(ratio)
         if ratio > worst_ratio:

@@ -182,13 +182,13 @@ def test_mgf_bound_exhaustive():
     n = 8..14; below the crossover the ratios are recorded, not asserted."""
     small = {}
     for n in range(1, 4):
-        rep = check_mgf_bound(n=n, d=4, beta=1.0, n_trees=50,
+        rep = check_mgf_bound(n=n, d=4, n_trees=50,
                               rng=np.random.default_rng([19, n]))
         assert rep.passed and not rep.extras["asserted"]
         small[n] = rep.witness["ratio"]
     assert small[1] > 1.0  # the bound genuinely fails at n = 1
     for n in range(8, 15):
-        rep = check_mgf_bound(n=n, d=4, beta=1.0, n_trees=50,
+        rep = check_mgf_bound(n=n, d=4, n_trees=50,
                               rng=np.random.default_rng([19, n]))
         assert rep.passed and rep.extras["asserted"], rep.line()
         assert rep.max_violation <= 1e-9

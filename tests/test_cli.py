@@ -84,7 +84,7 @@ def test_known_config_keys_match_the_readme():
     assert set(re.findall(r"`(\w+)`", bullets)) == cli._KNOWN_KEYS
 
 
-@pytest.mark.parametrize("key", ["L", "rank_scale"])
+@pytest.mark.parametrize("key", ["L", "rank_scale", "rho", "beta", "gamma"])
 def test_keys_nothing_reads_are_unknown(tmp_path, capsys, key):
     path = _cfg(tmp_path, f"family = adagrad\nd = 3\nn = 5\n{key} = 50\n")
     assert cli.main(["run", "--config", path]) == 2
@@ -93,7 +93,7 @@ def test_keys_nothing_reads_are_unknown(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("line", ["noise = -1", "radius = -0.5", "nuclear_radius = -1",
-                                  "comparator_iters = -5", "seed = -1"])
+                                  "skew = -1", "comparator_iters = -5", "seed = -1"])
 def test_run_rejects_negative_sequence_and_seed_values(tmp_path, capsys, line):
     key = line.split()[0]
     family = ("family = matrix\nd1 = 2\nd2 = 2\neta = 0.5\n" if key == "nuclear_radius"
@@ -282,6 +282,13 @@ def test_verify_p1_covers_the_catalog(capsys):
     assert all(l.startswith("pass ") and ".p1_start" in l for l in lines)
     names = {l.split()[1].split(".")[0] for l in lines}
     assert {"matrix", "vaw", "meta", "param_free_l2"} <= names
+
+
+def test_verify_catalog_rejects_a_nonpositive_range(tmp_path, capsys):
+    path = _cfg(tmp_path, "B = -1\n")
+    assert cli.main(["verify", "--config", path, "--suite", "p1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "need 0 < B < inf" in err
 
 
 def test_verify_scopes_to_a_configured_family(tmp_path, capsys):

@@ -79,7 +79,7 @@ def test_rejects_instances_outside_the_unit_ball():
 
 
 def test_exponent_overflow_is_reported():
-    P = ParamFreePotential(n=4, d=2, strict=False)
+    P = ParamFreePotential(n=4, d=2)
     big = P.stat_map(np.array([1.0, 0.0]), 0.0, 1.0)
     for _ in range(60):
         big = big + big
@@ -95,16 +95,7 @@ def test_configuration_guards():
     with pytest.raises(ConfigError):
         ParamFreePotential(n=4, d=2, p=1.5)
     with pytest.raises(ConfigError):
-        ParamFreePotential(n=4, d=2, beta=0.0)
-    with pytest.raises(ConfigError):
         ParamFreePotential(n=4, d=2, c=0.0)
-    with pytest.raises(ConfigError):
-        ParamFreePotential(n=4, d=2, gamma=-1.0)
-    # gamma too large for the start condition unless strict is lifted
-    with pytest.raises(ConfigError):
-        ParamFreePotential(n=4, d=2, gamma=1.0, c=1.0)
-    loose = ParamFreePotential(n=4, d=2, gamma=1.0, c=1.0, strict=False)
-    assert loose.eval(loose.zero(), t=0) > 0.0
 
 
 def test_lp_norms_and_duality():
