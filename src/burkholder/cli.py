@@ -205,9 +205,9 @@ def cmd_run(args):
                           f"{fam} is not, use convex or randomized")
     eps1 = cfg.get("eps1", RANDOMIZED_EPS)
     eps2 = cfg.get("eps2", RANDOMIZED_EPS)
-    slack = 0.0
+    slack, k, estimated = 0.0, None, False
     if strategy == "randomized":
-        slack, _, _ = _randomized_slack(P, loss, n, eps1, eps2, np.random.default_rng(0))
+        slack, k, estimated = _randomized_slack(P, loss, n, eps1, eps2, np.random.default_rng(0))
     # the comparator is deterministic and draws nothing from rng, so building
     # it first lets the bound column fill while the run goes
     comp = build_comparator(cfg, fam, seq, loss)
@@ -233,6 +233,8 @@ def cmd_run(args):
     verdict = "pass" if cert_ok else "FAIL"
     extra = f" randomized_slack={slack:.6g}" if slack else ""
     print(f"certificate V={v_final:.6g} tol={tol:g}{extra} -> {verdict}", file=info)
+    if estimated:
+        print(f"randomized_slack uses an estimated Lipschitz constant K={k:.6g}", file=info)
     return 0 if cert_ok else 1
 
 
@@ -340,9 +342,11 @@ def cmd_verify(args):
 def cmd_compare(args):
     cfg = parse_config(args.config)
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    for s in strategies:
+    for i, s in enumerate(strategies):
         if s not in STRATEGIES:
             raise ConfigError(f"unknown strategy {s!r}; expected one of {STRATEGIES}")
+        if s in strategies[:i]:
+            raise ConfigError(f"strategy {s!r} is listed twice in --strategies")
     if not strategies:
         raise ConfigError("compare needs at least one strategy")
     seed = _seed(args, cfg)

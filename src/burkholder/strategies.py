@@ -3,8 +3,8 @@
 Three routes to a prediction whose worst-case one-round value does not
 increase the potential: a closed form for linearizable families, a grid
 minimax for families convex in the prediction, and a randomized grid
-strategy with a multiplicative-weights inner solver whose slack is
-controlled by (eps1, eps2).
+strategy whose slack is controlled by (eps1, eps2): an exact game solver
+for two critical labels, multiplicative weights for more.
 """
 
 import math
@@ -75,15 +75,16 @@ RANDOMIZED_EPS = 0.05
 
 
 def predict_randomized(P, zeta, x, eps1, eps2, rng, loss, *, t=None):
-    """Randomized strategy on an eps1-grid with a multiplicative-weights solver.
+    """Randomized strategy on an eps1-grid: a distribution solving the round's game.
 
     Builds N = ceil(2B/eps1) + 1 control points z_i = -B + eps1*i (the top
-    point clipped to B), precomputes the round's value table against the
-    critical labels of that grid, and runs ceil(H^2 log N / eps2^2)
-    mirror-descent iterations at step sqrt(2 log N / iters) / H, H being the
-    recentered value bound. A grid size numpy cannot represent, or an
-    iteration count beyond the float range, raises DomainError. Returns
-    (distribution over the control points, sampled prediction).
+    point clipped to B) and the round's table against their critical labels.
+    A flat table gives the uniform distribution, two label columns an exact
+    solution on at most two points, more columns multiplicative weights:
+    ceil(H^2 log N / eps2^2) steps of size sqrt(2 log N / iters) / H, H the
+    recentered value bound. A grid numpy cannot represent, or a step count
+    beyond the float range, raises DomainError. Returns (distribution over
+    the control points, sampled prediction).
     """
     if eps1 <= 0 or eps2 <= 0:
         raise DomainError("eps1 and eps2 must be positive")
@@ -106,6 +107,9 @@ def predict_randomized(P, zeta, x, eps1, eps2, rng, loss, *, t=None):
         dist = GridDistribution(pts, mu)
         return dist, float(rng.choice(pts, p=mu))
     table = table - mid  # shifting the payoff is neutral after normalization
+    if table.shape[1] == 2:
+        dist = _solve_two_labels(pts, table, half_range)
+        return dist, float(rng.choice(dist.points, p=dist.probs))
     try:
         iters = math.ceil(float(half_range) ** 2 * math.log(n_pts) / eps2 ** 2)
     except (OverflowError, ZeroDivisionError) as exc:
@@ -121,6 +125,34 @@ def predict_randomized(P, zeta, x, eps1, eps2, rng, loss, *, t=None):
     avg /= iters
     dist = GridDistribution(pts, avg)
     return dist, float(rng.choice(pts, p=avg))
+
+
+def _solve_two_labels(pts, table, half_range):
+    """Exact minimax distribution over pts for an N x 2 game, certified by its
+    dual: the peak over q in [0, 1] of the lower envelope of the lines
+    q a_i + (1 - q) b_i, built in slope order (O(N log N) time, O(N) memory)."""
+    (a, b), s = table.T.tolist(), (table[:, 0] - table[:, 1]).tolist()  # s: slopes in q
+    hull, starts = [], []  # envelope lines, and the q from which each is lowest
+    for i in sorted(range(len(s)), key=lambda j: (-s[j], b[j])):  # ties: lowest index
+        if hull and s[hull[-1]] == s[i]:
+            continue  # the same slope at a higher intercept or grid index
+        while hull and (b[i] - b[hull[-1]]) / (s[hull[-1]] - s[i]) <= starts[-1]:
+            del hull[-1], starts[-1]
+        starts.append((b[i] - b[hull[-1]]) / (s[hull[-1]] - s[i]) if hull else -math.inf)
+        hull.append(i)
+    m = next((j for j, i in enumerate(hull) if s[i] <= 0), len(hull))
+    q = min(1.0, max(0.0, (starts + [math.inf])[m]))
+    r = int(np.argmin(np.maximum(a, b)))  # the best pure row, lowest index on ties
+    i, k = (hull[m - 1], hull[m]) if 0 < q < 1 and s[hull[m]] < 0 else (r, r)
+    p = s[k] / (s[k] - s[i]) if i != k else 1.0  # equalizes the two labels
+    if p * a[i] + (1.0 - p) * a[k] >= max(a[r], b[r]):
+        i, k, p = r, r, 1.0  # a pure optimum takes one point
+    mu = np.bincount([i, k], [p, 1.0 - p], minlength=len(a))
+    primal, dual = float(np.max(mu @ table)), float(np.min(table @ [q, 1.0 - q]))
+    if abs(primal - dual) > 1e-12 * max(1.0, half_range):
+        raise NumericError("two-label game solution fails its duality check",
+                           {"primal": primal, "dual": dual, "rows": (i, k), "q": q})
+    return GridDistribution(pts[mu > 0], mu[mu > 0])
 
 
 def realized_game_value(P, zeta, x, dist, loss, *, t=None):

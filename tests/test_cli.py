@@ -176,6 +176,24 @@ def test_run_randomized_reports_its_slack(tmp_path, capsys):
     assert cli.main(["run", "--config", path]) == 0
     _, err = capsys.readouterr()
     assert "randomized_slack=" in err
+    assert "estimated" not in err  # adagrad's Lipschitz constant is exact
+
+
+def test_run_labels_an_estimated_slack(tmp_path, capsys):
+    """vaw's Lipschitz constant comes from the sampled estimate: run says so
+    on its own line and leaves the certificate line's format alone."""
+    path = _cfg(tmp_path, "family = vaw\nloss = squared\nd = 3\nn = 10\n"
+                          "strategy = randomized\n")
+    assert cli.main(["run", "--config", path]) == 0
+    _, err = capsys.readouterr()
+    lines = err.splitlines()
+    cert = next(i for i, line in enumerate(lines) if line.startswith("certificate"))
+    assert re.fullmatch(r"certificate V=\S+ tol=\S+ randomized_slack=\S+ -> pass",
+                        lines[cert])
+    k = re.fullmatch(r"randomized_slack uses an estimated Lipschitz constant K=(\S+)",
+                     lines[cert + 1]).group(1)
+    slack = float(re.search(r"randomized_slack=(\S+)", lines[cert]).group(1))
+    assert slack == pytest.approx(10 * (float(k) * 0.05 + 0.05), rel=1e-5)
 
 
 def test_run_configuration_errors_exit_2(tmp_path, capsys):
@@ -440,6 +458,20 @@ def test_compare_rejects_unknown_strategies(tmp_path, capsys):
                      "sorcery"]) == 2
     _, err = capsys.readouterr()
     assert "unknown strategy" in err
+
+
+def test_compare_rejects_duplicate_strategies(tmp_path, capsys, monkeypatch):
+    def no_play(*args, **kwargs):
+        raise AssertionError("compare played a game")
+
+    monkeypatch.setattr(cli, "run_online", no_play)
+    monkeypatch.setattr(cli, "run_randomized_expected", no_play)
+    path = _cfg(tmp_path, "family = vaw\nloss = squared\nd = 3\nn = 5\n")
+    assert cli.main(["compare", "--config", path, "--strategies",
+                     "randomized,randomized,convex"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "strategy 'randomized' is listed twice" in err
 
 
 def test_no_arguments_is_a_usage_error(capsys):

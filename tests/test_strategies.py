@@ -1,11 +1,12 @@
 """Prediction strategies, statistic accumulation, and trajectory records."""
 
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from burkholder.errors import DomainError, NumericError
@@ -131,6 +132,139 @@ def test_randomized_solver_matches_the_uncached_loop(eps1):
         dist, _ = predict_randomized(stub, None, None, eps1=eps1, eps2=0.2,
                                      rng=np.random.default_rng(0), loss=loss)
         assert np.array_equal(dist.probs, _reference_mw(table, 0.2))
+
+
+def _two_label_game(table):
+    """predict_randomized on a stub whose value table is the given N x 2
+    table, N being 2**k + 1 so that eps1 = 2 / (N - 1) is exact."""
+    stub = _QuadValue(0.0)
+    stub.round_values = lambda *a, **k: table
+    eps1 = 2.0 / (table.shape[0] - 1)
+    return predict_randomized(stub, None, None, eps1=eps1, eps2=0.2,
+                              rng=np.random.default_rng(0),
+                              loss=make_loss("squared"))
+
+
+def _grid_probs(dist, n_pts):
+    """The distribution's probabilities on the full grid of n_pts points."""
+    grid = np.linspace(-1.0, 1.0, n_pts)
+    rows = np.searchsorted(grid, dist.points)
+    assert np.array_equal(grid[rows], dist.points)
+    probs = np.zeros(n_pts)
+    probs[rows] = dist.probs
+    return probs
+
+
+def _pairwise_game_value(table):
+    """Brute force: the least worst-case value over every pure row and every
+    pair of rows mixed so that both labels get the same value."""
+    a, b = table[:, 0], table[:, 1]
+    values = list(np.maximum(a, b))
+    for i in np.flatnonzero(a > b):
+        for k in np.flatnonzero(b > a):
+            p = (b[k] - a[k]) / ((a[i] - b[i]) + (b[k] - a[k]))
+            values.append(p * a[i] + (1.0 - p) * a[k])
+    return min(values)
+
+
+@st.composite
+def _two_label_tables(draw):
+    n_pts = draw(st.sampled_from([2, 3, 5, 9, 17, 33]))
+    # small integers make ties, parallel lines and duplicate rows likely
+    entry = st.one_of(st.integers(-3, 3).map(float), st.floats(-5.0, 5.0))
+    cells = draw(st.lists(entry, min_size=2 * n_pts, max_size=2 * n_pts))
+    return np.array(cells).reshape(n_pts, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_two_label_tables())
+def test_two_label_solver_is_the_exact_game_value(table):
+    """The exact solver's worst case equals the brute-force game value and
+    never exceeds what multiplicative weights reach on the same table."""
+    assume(np.ptp(table) > 2e-12)  # a flat table takes the uniform shortcut
+    dist, sample = _two_label_game(table)
+    assert len(dist.points) <= 2 and sample in dist.points
+    assert np.all(dist.probs > 0) and dist.probs.sum() == pytest.approx(1.0, abs=1e-15)
+    value = float(np.max(_grid_probs(dist, table.shape[0]) @ table))
+    assert abs(value - _pairwise_game_value(table)) <= 1e-12
+    assert value <= float(np.max(_reference_mw(table, 0.2) @ table)) + 1e-12
+
+
+@pytest.mark.parametrize("rows, support, probs", [
+    ([[3, 1], [2, 0], [2.5, -1]], [1], [1.0]),           # every line increasing
+    ([[0, 2], [1, 3], [-1, 0.5]], [2], [1.0]),           # every line decreasing
+    ([[1, 1], [0, 2], [2, 0]], [0], [1.0]),              # a flat row ties the mixture
+    ([[1.5, 1.5], [0, 2], [2, 0]], [1, 2], [0.5, 0.5]),  # the mixture beats it
+    ([[0, 1], [1, 0]], [0, 1], [0.5, 0.5]),              # N = 2
+    ([[0, 1], [0, 1], [1, 0], [1, 0], [2, 2]], [0, 2], [0.5, 0.5]),  # duplicate rows
+    ([[0, 3], [0, 3], [3, 0], [1, 1], [1, 1]], [3], [1.0]),  # tied pure rows
+])
+def test_two_label_solver_on_degenerate_tables(rows, support, probs):
+    """Pure optima take one point, ties the lowest grid index."""
+    table = np.array(rows, dtype=float)
+    dist, _ = _two_label_game(table)
+    grid = np.linspace(-1.0, 1.0, table.shape[0])
+    assert np.array_equal(dist.points, grid[support])
+    assert np.array_equal(dist.probs, probs)
+
+
+class _SkewedTable(np.ndarray):
+    """A value table whose products with a label weight read 1e-6 high."""
+
+    def __matmul__(self, other):
+        return np.asarray(self) @ other + 1e-6
+
+
+def test_two_label_solver_certifies_its_solution():
+    table = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]).view(_SkewedTable)
+    with pytest.raises(NumericError, match="duality check") as info:
+        _two_label_game(table)
+    ctx = info.value.context
+    assert ctx["dual"] - ctx["primal"] == pytest.approx(1e-6, rel=1e-6)
+    assert ctx["rows"] == (2, 2)
+
+
+def test_exact_two_label_game_needs_no_eps2_slack():
+    """On squared-loss VAW the round value of the exact solution exceeds the
+    potential by at most K eps1, however loose eps2 is; the distribution is
+    the same for every eps2 and deterministic per seed."""
+    loss = make_loss("squared")
+    P = VawPotential(d=3, L=loss.L)
+    rng = np.random.default_rng(17)
+    states = [(P.zero(), P.sample_instance(rng))]
+    states += [(P.sample_statistic(rng, max_rounds=5), P.sample_instance(rng))
+               for _ in range(8)]
+    for zeta, x in states:
+        k, _ = P.prediction_lipschitz(zeta, x, loss)
+        runs = [predict_randomized(P, zeta, x, eps1=0.05, eps2=eps2,
+                                   rng=np.random.default_rng(3), loss=loss)
+                for eps2 in (1e-3, 1e3, 1e3)]
+        dist, sample = runs[0]
+        assert len(dist.points) <= 2
+        for other, other_sample in runs[1:]:
+            assert np.array_equal(other.points, dist.points)
+            assert np.array_equal(other.probs, dist.probs)
+            assert other_sample == sample
+        realized = realized_game_value(P, zeta, x, dist, loss)
+        assert realized <= P.eval(zeta) + k * 0.05 + 1e-9
+
+
+def test_a_fine_two_label_grid_takes_linear_memory():
+    """eps1 = 1e-5 is a grid of 200,001 points: an N x N intermediate would
+    take 3.2e11 bytes, the solver stays within 1 kB per point."""
+    loss = make_loss("squared")
+    P = VawPotential(d=2, L=loss.L)
+    rng = np.random.default_rng(5)
+    zeta, x = P.sample_statistic(rng, max_rounds=4), P.sample_instance(rng)
+    tracemalloc.start()
+    try:
+        dist, _ = predict_randomized(P, zeta, x, eps1=1e-5, eps2=0.1,
+                                     rng=rng, loss=loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dist.points) <= 2
+    assert peak < 1000 * 200_001
 
 
 def test_randomized_flat_table_returns_uniform():
