@@ -31,7 +31,7 @@ _FLOAT_KEYS = {"B", "eta", "r", "c", "p", "lam", "meta_eta", "nuclear_radius",
                "noise", "skew", "radius", "eps1", "eps2", "tol", "comparator_radius"}
 _KNOWN_KEYS = _STR_KEYS | _INT_KEYS | _FLOAT_KEYS
 _MINIMUM = {"d": 1, "d1": 1, "d2": 1, "rank": 0, "noise": 0, "skew": 0, "radius": 0,
-            "nuclear_radius": 0, "comparator_iters": 0}
+            "nuclear_radius": 0, "comparator_iters": 0, "eps2": 0}
 
 
 def parse_config(path):
@@ -185,6 +185,7 @@ def build_comparator(cfg, fam, seq, loss):
 
 
 def _randomized_slack(P, loss, n, eps1, eps2, rng):
+    """The a-priori slack n (K eps1 + eps2), K, and whether K is estimated."""
     k, estimated = P.prediction_lipschitz(P.zero(), P.sample_instance(rng), loss, t=1)
     return n * (k * eps1 + eps2), k, estimated
 
@@ -212,7 +213,7 @@ def cmd_run(args):
     # it first lets the bound column fill while the run goes
     comp = build_comparator(cfg, fam, seq, loss)
     bounds = [P.regret_bound(P.zero(), comp.w)]
-    traj = run_online(P, strategy, seq, loss, rng=rng, eps1=eps1, eps2=eps2,
+    traj = run_online(P, strategy, seq, loss, rng=rng, eps1=eps1,
                       on_round=lambda t, zeta_prev, rnd, zeta:
                       bounds.append(P.regret_bound(zeta, comp.w)))
     report = harness.build_report(traj, comp.per_round, bounds)
@@ -373,7 +374,7 @@ def cmd_compare(args):
         for si, s in enumerate(strategies):
             rng_s = np.random.default_rng([seed, rep_i, 1 + si])
             if s == "randomized":
-                traj, expected = run_randomized_expected(P, seq, loss, eps1, eps2, rng_s)
+                traj, expected = run_randomized_expected(P, seq, loss, eps1, rng_s)
                 sums[s].append(float(expected.sum()))
             else:
                 traj = run_online(P, s, seq, loss, rng=rng_s)

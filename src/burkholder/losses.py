@@ -71,59 +71,3 @@ class Loss:
 def make_loss(kind, B=1.0):
     return Loss(kind, B=B)
 
-
-def _check_support(support):
-    if not support:
-        raise DomainError("empty support")
-    ys = np.array([float(y) for y, _ in support])
-    ps = np.array([float(p) for _, p in support])
-    if np.any(ps < -1e-15):
-        raise DomainError("negative probability in support")
-    if abs(ps.sum() - 1.0) > 1e-9:
-        raise DomainError(f"probabilities sum to {ps.sum()}, not 1")
-    order = np.argsort(ys)
-    return ys[order], ps[order]
-
-
-def argmin_over_distribution(loss, support):
-    """Minimizer of y_hat -> E_{y ~ p} loss(y_hat, y) for finite support p.
-
-    Absolute loss returns the weighted median, with an even split resolved
-    to the midpoint of the minimizing interval. Squared loss returns the
-    mean. Hinge (margin 0) returns 0, which is always a minimizer.
-    """
-    ys, ps = _check_support(support)
-    if loss.kind == "squared":
-        return float(np.dot(ys, ps))
-    if loss.kind == "hinge":
-        return 0.0
-    cum = np.cumsum(ps)
-    k = int(np.searchsorted(cum, 0.5 - 1e-12))
-    if abs(cum[k] - 0.5) <= 1e-12 and k + 1 < ys.size:
-        # mass splits evenly: any point of [ys[k], ys[k+1]] minimizes
-        return float(0.5 * (ys[k] + ys[k + 1]))
-    return float(ys[k])
-
-
-def expected_subgradient_range(loss, r, support):
-    """Expected (left, right) subderivative of the expected loss at r.
-
-    The minimizer returned by argmin_over_distribution brackets zero:
-    lo <= 0 <= hi. This is the certificate that a subgradient choice with
-    zero mean exists at the minimizer, which is what turns regret residuals
-    into martingale differences.
-    """
-    ys, ps = _check_support(support)
-    if loss.kind == "squared":
-        g = float(np.dot(2.0 * (r - ys), ps))
-        return g, g
-    if loss.kind == "absolute":
-        lo = float(np.dot(np.where(ys < r, 1.0, -1.0), ps))
-        hi = float(np.dot(np.where(ys <= r, 1.0, -1.0), ps))
-        return lo, hi
-    # hinge at margin 0
-    prod = r * ys
-    base = np.where(prod < 0, -ys, 0.0)
-    lo = np.where(np.isclose(r, 0.0), np.minimum(0.0, -ys), base)
-    hi = np.where(np.isclose(r, 0.0), np.maximum(0.0, -ys), base)
-    return float(np.dot(lo, ps)), float(np.dot(hi, ps))

@@ -3,8 +3,9 @@
 Three routes to a prediction whose worst-case one-round value does not
 increase the potential: a closed form for linearizable families, a grid
 minimax for families convex in the prediction, and a randomized grid
-strategy whose slack is controlled by (eps1, eps2): an exact game solver
-for two critical labels, multiplicative weights for more.
+strategy whose slack is controlled by the grid spacing eps1. Each of its
+rounds is solved exactly: by the two-label game solver, or by a pure
+saddle point; any other table is refused.
 """
 
 import math
@@ -21,9 +22,10 @@ GridDistribution = namedtuple("GridDistribution", ["points", "probs"])
 def predict_linearized(P, zeta, x, *, t=None):
     """Closed-form prediction clamp(-(F(+L) - F(-L)) / (2L), [-B, B]).
 
-    F is the potential's residual. Requires the residual to be convex in
-    delta.
+    F is the potential's residual, which must be convex in delta.
     """
+    if not P.convex_in_delta:
+        raise DomainError("the linearized prediction needs a family convex in delta")
     f_plus = P.residual(zeta, x, +P.L, t=t)
     f_minus = P.residual(zeta, x, -P.L, t=t)
     if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
@@ -70,24 +72,22 @@ def predict_convex(P, zeta, x, loss, *, t=None):
                        {"bracket": (lo, hi), "last": best})
 
 
-# The randomized strategy's default eps1 and eps2.
+# The randomized strategy's default eps1.
 RANDOMIZED_EPS = 0.05
 
 
-def predict_randomized(P, zeta, x, eps1, eps2, rng, loss, *, t=None):
+def predict_randomized(P, zeta, x, eps1, rng, loss, *, t=None):
     """Randomized strategy on an eps1-grid: a distribution solving the round's game.
 
     Builds N = ceil(2B/eps1) + 1 control points z_i = -B + eps1*i (the top
     point clipped to B) and the round's table against their critical labels.
-    A flat table gives the uniform distribution, two label columns an exact
-    solution on at most two points, more columns multiplicative weights:
-    ceil(H^2 log N / eps2^2) steps of size sqrt(2 log N / iters) / H, H the
-    recentered value bound. A grid numpy cannot represent, or a step count
-    beyond the float range, raises DomainError. Returns (distribution over
-    the control points, sampled prediction).
+    A flat table gives the uniform distribution, any other the exact
+    solution of _solve_game, on at most two points. A grid numpy cannot
+    represent raises DomainError. Returns (distribution over the control
+    points, sampled prediction).
     """
-    if eps1 <= 0 or eps2 <= 0:
-        raise DomainError("eps1 and eps2 must be positive")
+    if eps1 <= 0:
+        raise DomainError("eps1 must be positive")
     B = P.B
     try:
         n_pts = math.ceil(2.0 * B / eps1) + 1
@@ -102,29 +102,44 @@ def predict_randomized(P, zeta, x, eps1, eps2, rng, loss, *, t=None):
                            {"max": np.max(table), "min": np.min(table)})
     mid = 0.5 * (table.max() + table.min())
     half_range = 0.5 * (table.max() - table.min())
-    mu = np.full(n_pts, 1.0 / n_pts)
     if half_range <= 1e-12:
-        dist = GridDistribution(pts, mu)
-        return dist, float(rng.choice(pts, p=mu))
-    table = table - mid  # shifting the payoff is neutral after normalization
-    if table.shape[1] == 2:
-        dist = _solve_two_labels(pts, table, half_range)
-        return dist, float(rng.choice(dist.points, p=dist.probs))
-    try:
-        iters = math.ceil(float(half_range) ** 2 * math.log(n_pts) / eps2 ** 2)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise DomainError(f"eps2 = {eps2:g} with B = {B:g} asks for more solver "
-                          f"iterations than a float can represent") from exc
-    step = math.sqrt(2.0 * math.log(n_pts) / iters) / half_range
-    factors = np.exp(-step * table.T)  # row j: the update against label j
-    avg = np.zeros(n_pts)
-    for _ in range(iters):
-        mu *= factors[(mu @ table).argmax()]
-        mu /= mu.sum()
-        avg += mu
-    avg /= iters
-    dist = GridDistribution(pts, avg)
-    return dist, float(rng.choice(pts, p=avg))
+        mu = np.full(n_pts, 1.0 / n_pts)
+        return GridDistribution(pts, mu), float(rng.choice(pts, p=mu))
+    # shifting the payoff moves no optimum
+    dist = _solve_game(pts, table - mid, half_range)
+    return dist, float(rng.choice(dist.points, p=dist.probs))
+
+
+def _solve_game(pts, table, half_range):
+    """Exact minimax distribution over pts for a round table, on at most two points.
+
+    A constant column only sets a floor under the value, and an optimum of
+    the other columns stays optimal, so constant columns are dropped (the
+    y = 0 column of hinge loss on a linearizable family). Two live columns
+    go to _solve_two_labels. Otherwise the best pure row of the whole
+    table, lowest index on ties, is returned if it is a saddle point:
+    min_i max_j T equals max_j min_i T within 1e-12 max(1, half_range),
+    which certifies it. Any other table raises DomainError.
+
+    Absolute loss on a linearizable family always has that saddle point.
+    Row i scores a_i (delta = -1) against labels above z_i and b_i
+    (delta = +1) against labels below it, and a_i - b_i = -2 z_i + F(-1) -
+    F(1) falls as i grows. So the midpoint column where that difference
+    changes sign has, as its minimum over rows, some row's maximum over
+    columns; by convexity no endpoint row's F(0) entry exceeds
+    max(a_i, b_i).
+    """
+    live = table[:, np.ptp(table, axis=0) > 0]
+    if live.shape[1] == 2:
+        return _solve_two_labels(pts, live, half_range)
+    worst = table.max(axis=1)
+    r = int(np.argmin(worst))  # argmin takes the lowest index among ties
+    upper, lower = float(worst[r]), float(table.min(axis=0).max())
+    if upper - lower > 1e-12 * max(1.0, half_range):
+        raise DomainError(f"no exact solver for a {table.shape[0]} x {table.shape[1]} "
+                          f"round table without a pure saddle point: min max "
+                          f"{upper:.6g} > max min {lower:.6g}")
+    return GridDistribution(pts[r:r + 1], np.ones(1))
 
 
 def _solve_two_labels(pts, table, half_range):
@@ -190,14 +205,14 @@ def _play(P, choose, sequence, loss, on_round):
 
 
 def run_online(P, strategy, sequence, loss, *, rng=None, eps1=RANDOMIZED_EPS,
-               eps2=RANDOMIZED_EPS, on_round=None):
+               on_round=None):
     """Play the full protocol and record the trajectory.
 
     sequence is an iterable of (x, y) pairs. potential_values[t] records
     U(zeta_t) (with the round index for time-varying families), so the
     per-round descent and the final certificate can be read off directly.
-    on_round(t, zeta_prev, rnd, zeta) is called after every round. eps1
-    and eps2 tune the randomized strategy.
+    on_round(t, zeta_prev, rnd, zeta) is called after every round. eps1 is
+    the randomized strategy's grid spacing.
     """
     if strategy not in STRATEGIES:
         raise DomainError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -211,11 +226,11 @@ def run_online(P, strategy, sequence, loss, *, rng=None, eps1=RANDOMIZED_EPS,
         rng = rng if rng is not None else np.random.default_rng(0)
 
         def choose(zeta, x, t):
-            return predict_randomized(P, zeta, x, eps1, eps2, rng, loss, t=t)[1]
+            return predict_randomized(P, zeta, x, eps1, rng, loss, t=t)[1]
     return _play(P, choose, sequence, loss, on_round)
 
 
-def run_randomized_expected(P, sequence, loss, eps1, eps2, rng, *, on_round=None):
+def run_randomized_expected(P, sequence, loss, eps1, rng, *, on_round=None):
     """run_online for the randomized strategy, additionally recording the
     expected loss of each round's distribution (not just the sampled draw).
 
@@ -227,7 +242,7 @@ def run_randomized_expected(P, sequence, loss, eps1, eps2, rng, *, on_round=None
 
     def choose(zeta, x, t):
         nonlocal dist
-        dist, y_hat = predict_randomized(P, zeta, x, eps1, eps2, rng, loss, t=t)
+        dist, y_hat = predict_randomized(P, zeta, x, eps1, rng, loss, t=t)
         return y_hat
 
     def record(t, zeta_prev, rnd, zeta):

@@ -93,7 +93,8 @@ def test_keys_nothing_reads_are_unknown(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("line", ["noise = -1", "radius = -0.5", "nuclear_radius = -1",
-                                  "skew = -1", "comparator_iters = -5", "seed = -1"])
+                                  "skew = -1", "comparator_iters = -5", "seed = -1",
+                                  "eps2 = -0.1"])
 def test_run_rejects_negative_sequence_and_seed_values(tmp_path, capsys, line):
     key = line.split()[0]
     family = ("family = matrix\nd1 = 2\nd2 = 2\neta = 0.5\n" if key == "nuclear_radius"
@@ -113,7 +114,7 @@ def test_a_negative_seed_flag_is_a_configuration_error(tmp_path, capsys, command
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
-@pytest.mark.parametrize("key", ["eps1", "eps2"])
+@pytest.mark.parametrize("key", ["eps1"])
 def test_unrepresentable_randomized_eps_exits_2(tmp_path, capsys, command, key):
     path = _cfg(tmp_path, "family = adagrad\nd = 3\nn = 5\nstrategy = randomized\n"
                           f"{key} = 1e-300\n")

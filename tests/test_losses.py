@@ -1,11 +1,10 @@
-"""Loss values, subgradient conventions, and distributional minimizers."""
+"""Loss values, subgradient conventions, and critical constants."""
 
 import numpy as np
 import pytest
 
 from burkholder.errors import DomainError
-from burkholder.losses import (Loss, argmin_over_distribution,
-                               expected_subgradient_range, make_loss)
+from burkholder.losses import Loss, make_loss
 
 
 def test_values():
@@ -73,63 +72,3 @@ def test_rejects_bad_configurations():
 def test_repr_names_the_kind():
     assert "squared" in repr(Loss("squared"))
 
-
-def test_squared_argmin_is_the_mean():
-    support = [(0.0, 0.25), (1.0, 0.75)]
-    assert argmin_over_distribution(make_loss("squared"), support) == pytest.approx(0.75)
-
-
-def test_absolute_argmin_is_the_weighted_median():
-    loss = make_loss("absolute")
-    assert argmin_over_distribution(loss, [(0.0, 0.6), (1.0, 0.4)]) == 0.0
-    assert argmin_over_distribution(loss, [(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)]) == 0.0
-    # an even split minimizes everywhere on the middle interval; the
-    # midpoint convention keeps the choice deterministic
-    assert argmin_over_distribution(loss, [(0.0, 0.5), (1.0, 0.5)]) == 0.5
-
-
-def test_hinge_argmin_is_zero():
-    assert argmin_over_distribution(make_loss("hinge"), [(1.0, 0.9), (-1.0, 0.1)]) == 0.0
-
-
-def test_argmin_rejects_invalid_supports():
-    loss = make_loss("absolute")
-    with pytest.raises(DomainError):
-        argmin_over_distribution(loss, [])
-    with pytest.raises(DomainError):
-        argmin_over_distribution(loss, [(0.0, 0.7), (1.0, 0.7)])
-    with pytest.raises(DomainError):
-        argmin_over_distribution(loss, [(0.0, 1.5), (1.0, -0.5)])
-
-
-def test_expected_subderivatives_bracket_zero_at_the_argmin():
-    """The distributional minimizer must admit a zero expected subgradient;
-    lo <= 0 <= hi is exactly that certificate."""
-    rng = np.random.default_rng(2024)
-    for kind in ("absolute", "squared", "hinge"):
-        loss = make_loss(kind)
-        for _ in range(200):
-            k = int(rng.integers(1, 5))
-            ys = rng.uniform(-1, 1, size=k)
-            ps = rng.uniform(0.1, 1.0, size=k)
-            ps = ps / ps.sum()
-            support = list(zip(ys, ps))
-            r = argmin_over_distribution(loss, support)
-            lo, hi = expected_subgradient_range(loss, r, support)
-            assert lo <= 1e-9, (kind, support, lo)
-            assert hi >= -1e-9, (kind, support, hi)
-
-
-def test_argmin_actually_minimizes_the_expected_loss():
-    rng = np.random.default_rng(7)
-    grid = np.linspace(-1, 1, 401)
-    for kind in ("absolute", "squared", "hinge"):
-        loss = make_loss(kind)
-        for _ in range(50):
-            ys = rng.uniform(-1, 1, size=3)
-            ps = rng.dirichlet(np.ones(3))
-            support = list(zip(ys, ps))
-            r = argmin_over_distribution(loss, support)
-            best = float(np.min(ps @ loss.value(grid[None, :], ys[:, None])))
-            at_r = float(ps @ loss.value(r, ys))
-            assert at_r <= best + 1e-9

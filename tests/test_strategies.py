@@ -29,6 +29,7 @@ class _Holder:
     """A family reduced to L, B and a residual F(delta)."""
     L = 1.0
     B = 1.0
+    convex_in_delta = True
 
     def __init__(self, F):
         self.F = F
@@ -88,50 +89,26 @@ def test_tied_grid_minima_resolve_leftmost():
     assert predict_convex(flat, None, None, loss) == -1.0
 
 
+class _RecordingGrid(_QuadValue):
+    """_QuadValue that keeps the prediction grid it was asked to tabulate."""
+
+    def round_values(self, zeta, x, y_hats, ys, loss, t=None):
+        self.grid = np.asarray(y_hats)
+        return super().round_values(zeta, x, y_hats, ys, loss, t=t)
+
+
 def test_randomized_grid_layout():
-    rng = np.random.default_rng(0)
-    loss = make_loss("absolute")
-    dist, sample = predict_randomized(_QuadValue(0.5), None, None,
-                                      eps1=0.5, eps2=0.2, rng=rng, loss=loss)
-    assert np.allclose(dist.points, [-1.0, -0.5, 0.0, 0.5, 1.0])
-    assert sample in dist.points
-    assert dist.probs.min() >= 0.0
-    assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
-    # the solver should pile mass on the minimizing point
-    assert dist.points[int(np.argmax(dist.probs))] == 0.5
-
-
-def _reference_mw(table, eps2):
-    """The multiplicative-weights loop with the update factors recomputed
-    every iteration, as the cached version must reproduce bit for bit."""
-    n_pts = table.shape[0]
-    mid = 0.5 * (table.max() + table.min())
-    half_range = 0.5 * (table.max() - table.min())
-    table = table - mid
-    iters = math.ceil(float(half_range) ** 2 * math.log(n_pts) / eps2 ** 2)
-    step = math.sqrt(2.0 * math.log(n_pts) / iters) / half_range
-    mu = np.full(n_pts, 1.0 / n_pts)
-    avg = np.zeros(n_pts)
-    for _ in range(iters):
-        j = int(np.argmax(mu @ table))
-        mu = mu * np.exp(-step * table[:, j])
-        mu /= mu.sum()
-        avg += mu
-    return avg / iters
-
-
-@pytest.mark.parametrize("eps1", [2.0, 1.0, 0.05])
-def test_randomized_solver_matches_the_uncached_loop(eps1):
-    loss = make_loss("absolute")
-    rng = np.random.default_rng(int(1 / eps1))
-    for _ in range(5):
-        stub = _QuadValue(0.0)
-        n_pts = math.ceil(2.0 / eps1) + 1
-        table = rng.normal(size=(n_pts, n_pts + 1)) * rng.uniform(0.1, 3.0)
-        stub.round_values = lambda *a, table=table, **k: table
-        dist, _ = predict_randomized(stub, None, None, eps1=eps1, eps2=0.2,
-                                     rng=np.random.default_rng(0), loss=loss)
-        assert np.array_equal(dist.probs, _reference_mw(table, 0.2))
+    """The grid is -B + eps1 i with its top point clipped to B; the table
+    has a pure saddle point, so all mass goes to the minimizing point."""
+    for eps1, grid in ((0.5, [-1.0, -0.5, 0.0, 0.5, 1.0]),
+                       (0.75, [-1.0, -0.25, 0.5, 1.0])):
+        stub = _RecordingGrid(0.5)
+        dist, sample = predict_randomized(stub, None, None, eps1=eps1,
+                                          rng=np.random.default_rng(0),
+                                          loss=make_loss("absolute"))
+        assert np.allclose(stub.grid, grid, rtol=0, atol=1e-15)
+        assert np.array_equal(dist.points, [0.5]) and np.array_equal(dist.probs, [1.0])
+        assert sample == 0.5
 
 
 def _two_label_game(table):
@@ -140,7 +117,7 @@ def _two_label_game(table):
     stub = _QuadValue(0.0)
     stub.round_values = lambda *a, **k: table
     eps1 = 2.0 / (table.shape[0] - 1)
-    return predict_randomized(stub, None, None, eps1=eps1, eps2=0.2,
+    return predict_randomized(stub, None, None, eps1=eps1,
                               rng=np.random.default_rng(0),
                               loss=make_loss("squared"))
 
@@ -179,15 +156,13 @@ def _two_label_tables(draw):
 @settings(max_examples=80, deadline=None)
 @given(_two_label_tables())
 def test_two_label_solver_is_the_exact_game_value(table):
-    """The exact solver's worst case equals the brute-force game value and
-    never exceeds what multiplicative weights reach on the same table."""
+    """The exact solver's worst case equals the brute-force game value."""
     assume(np.ptp(table) > 2e-12)  # a flat table takes the uniform shortcut
     dist, sample = _two_label_game(table)
     assert len(dist.points) <= 2 and sample in dist.points
     assert np.all(dist.probs > 0) and dist.probs.sum() == pytest.approx(1.0, abs=1e-15)
     value = float(np.max(_grid_probs(dist, table.shape[0]) @ table))
     assert abs(value - _pairwise_game_value(table)) <= 1e-12
-    assert value <= float(np.max(_reference_mw(table, 0.2) @ table)) + 1e-12
 
 
 @pytest.mark.parametrize("rows, support, probs", [
@@ -226,8 +201,8 @@ def test_two_label_solver_certifies_its_solution():
 
 def test_exact_two_label_game_needs_no_eps2_slack():
     """On squared-loss VAW the round value of the exact solution exceeds the
-    potential by at most K eps1, however loose eps2 is; the distribution is
-    the same for every eps2 and deterministic per seed."""
+    potential by at most K eps1, with no solver term; the distribution is
+    deterministic per seed."""
     loss = make_loss("squared")
     P = VawPotential(d=3, L=loss.L)
     rng = np.random.default_rng(17)
@@ -236,15 +211,13 @@ def test_exact_two_label_game_needs_no_eps2_slack():
                for _ in range(8)]
     for zeta, x in states:
         k, _ = P.prediction_lipschitz(zeta, x, loss)
-        runs = [predict_randomized(P, zeta, x, eps1=0.05, eps2=eps2,
-                                   rng=np.random.default_rng(3), loss=loss)
-                for eps2 in (1e-3, 1e3, 1e3)]
-        dist, sample = runs[0]
+        (dist, sample), (again, again_sample) = [
+            predict_randomized(P, zeta, x, eps1=0.05, rng=np.random.default_rng(3),
+                               loss=loss) for _ in range(2)]
         assert len(dist.points) <= 2
-        for other, other_sample in runs[1:]:
-            assert np.array_equal(other.points, dist.points)
-            assert np.array_equal(other.probs, dist.probs)
-            assert other_sample == sample
+        assert np.array_equal(again.points, dist.points)
+        assert np.array_equal(again.probs, dist.probs)
+        assert again_sample == sample
         realized = realized_game_value(P, zeta, x, dist, loss)
         assert realized <= P.eval(zeta) + k * 0.05 + 1e-9
 
@@ -258,8 +231,7 @@ def test_a_fine_two_label_grid_takes_linear_memory():
     zeta, x = P.sample_statistic(rng, max_rounds=4), P.sample_instance(rng)
     tracemalloc.start()
     try:
-        dist, _ = predict_randomized(P, zeta, x, eps1=1e-5, eps2=0.1,
-                                     rng=rng, loss=loss)
+        dist, _ = predict_randomized(P, zeta, x, eps1=1e-5, rng=rng, loss=loss)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -270,7 +242,7 @@ def test_a_fine_two_label_grid_takes_linear_memory():
 def test_randomized_flat_table_returns_uniform():
     flat = _QuadValue(0.0)
     flat.round_values = lambda *a, **k: np.full((5, 129), 2.5)
-    dist, _ = predict_randomized(flat, None, None, eps1=0.5, eps2=0.2,
+    dist, _ = predict_randomized(flat, None, None, eps1=0.5,
                                  rng=np.random.default_rng(1),
                                  loss=make_loss("absolute"))
     assert np.allclose(dist.probs, 0.2)
@@ -280,17 +252,23 @@ def test_randomized_rejects_bad_tolerances_and_tables():
     loss = make_loss("absolute")
     with pytest.raises(DomainError):
         predict_randomized(_QuadValue(0.0), None, None, eps1=0.0,
-                           eps2=0.1, rng=np.random.default_rng(0), loss=loss)
+                           rng=np.random.default_rng(0), loss=loss)
     broken = _QuadValue(0.0)
     broken.round_values = lambda *a, **k: np.full((5, 129), np.nan)
     with pytest.raises(NumericError):
-        predict_randomized(broken, None, None, eps1=0.5, eps2=0.1,
+        predict_randomized(broken, None, None, eps1=0.5,
+                           rng=np.random.default_rng(0), loss=loss)
+    # rock-paper-scissors: three live columns and no pure saddle point
+    broken.round_values = lambda *a, **k: np.array([[0.0, 1.0, -1.0],
+                                                    [-1.0, 0.0, 1.0],
+                                                    [1.0, -1.0, 0.0]])
+    with pytest.raises(DomainError, match="3 x 3 round table without a pure saddle"):
+        predict_randomized(broken, None, None, eps1=1.0,
                            rng=np.random.default_rng(0), loss=loss)
 
 
 def test_unrepresentable_eps_fail_before_building():
-    """A grid size numpy cannot represent raises before round_values runs;
-    an iteration count beyond the float range raises before the solver loops."""
+    """A grid size numpy cannot represent raises before round_values runs."""
     loss = make_loss("absolute")
     untouched = _QuadValue(0.0)
 
@@ -300,12 +278,7 @@ def test_unrepresentable_eps_fail_before_building():
     untouched.round_values = no_table
     for eps1 in (1e-300, 5e-324):  # a grid of 2e300 points; 2 / 5e-324 is inf
         with pytest.raises(DomainError, match="^eps1 = .* with B = 1 asks for a grid"):
-            predict_randomized(untouched, None, None, eps1, 0.1,
-                               np.random.default_rng(0), loss)
-    P = AdaGradPotential(d=2)
-    for eps2 in (1e-160, 1e-300):  # eps2 ** 2 is subnormal, then zero
-        with pytest.raises(DomainError, match="^eps2 = .* with B = 1 asks for more solver"):
-            predict_randomized(P, P.zero(), np.array([0.6, 0.0]), 0.5, eps2,
+            predict_randomized(untouched, None, None, eps1,
                                np.random.default_rng(0), loss)
 
 
@@ -317,7 +290,7 @@ def test_randomized_distribution_is_deterministic_per_seed():
     for _ in range(2):
         rng = np.random.default_rng(42)
         dist, sample = predict_randomized(P, zeta, np.array([0.3, -0.4]),
-                                          eps1=0.1, eps2=0.1, rng=rng, loss=loss)
+                                          eps1=0.1, rng=rng, loss=loss)
         outs.append((dist.probs.copy(), sample))
     assert np.array_equal(outs[0][0], outs[1][0])
     assert outs[0][1] == outs[1][1]
@@ -325,7 +298,7 @@ def test_randomized_distribution_is_deterministic_per_seed():
 
 def test_randomized_value_stays_within_the_declared_slack():
     """The distribution's worst-case round value may exceed the potential by
-    at most K*eps1 + eps2 (grid spacing plus solver tolerance)."""
+    at most K*eps1, the grid spacing's share: the solve itself is exact."""
     loss = make_loss("absolute")
     P = AdaGradPotential(d=3)
     rng = np.random.default_rng(9)
@@ -333,26 +306,26 @@ def test_randomized_value_stays_within_the_declared_slack():
     for _ in range(25):
         zeta = P.sample_statistic(rng, max_rounds=5)
         x = P.sample_instance(rng)
-        dist, _ = predict_randomized(P, zeta, x, eps1=eps, eps2=eps,
-                                     rng=rng, loss=loss)
+        dist, _ = predict_randomized(P, zeta, x, eps1=eps, rng=rng, loss=loss)
         realized = realized_game_value(P, zeta, x, dist, loss)
-        budget = P.eval(zeta) + P.L * eps + eps + 1e-9
+        budget = P.eval(zeta) + P.L * eps + 1e-9
         assert realized <= budget
 
 
 def test_realized_game_value_is_exact_on_a_fine_grid():
-    """At eps1 = 0.004 the control points are closer than any fixed label
-    grid, so the sup must come from every gap between them. Brute force:
-    the mixture at +-B, at every control point and at every gap midpoint,
-    built from the three residuals F(-1), F(0), F(1)."""
+    """On the eps1 = 0.004 grid the control points are closer than any
+    fixed label grid, so the sup of a mixture over all of them must come
+    from every gap between them. Brute force: the mixture at +-B, at every
+    control point and at every gap midpoint, built from the three
+    residuals F(-1), F(0), F(1)."""
     loss = make_loss("absolute")
     P = AdaGradPotential(d=2)
     rng = np.random.default_rng(21)
+    points = np.minimum(-1.0 + 0.004 * np.arange(501), 1.0)
     for _ in range(10):
         zeta = P.sample_statistic(rng, max_rounds=6)
         x = P.sample_instance(rng)
-        dist, _ = predict_randomized(P, zeta, x, eps1=0.004, eps2=0.1,
-                                     rng=rng, loss=loss)
+        dist = GridDistribution(points, rng.dirichlet(np.ones(points.size)))
         z = np.unique(dist.points)
         ys = np.concatenate([[-1.0, 1.0], z, 0.5 * (z[:-1] + z[1:])])
         deltas = np.sign(dist.points[:, None] - ys[None, :])
@@ -422,14 +395,45 @@ def test_critical_label_sets():
                           [-2.0, 2.0, -1.0, 0.5, 1.5])
 
 
+@pytest.mark.parametrize("kind", ["hinge", "absolute"])
+@pytest.mark.parametrize("name", ["param_free", "adagrad", "adagrad_linf",
+                                  "matrix", "meta"])
+def test_linearizable_rounds_are_solved_exactly(name, kind):
+    """On a linearizable family the hinge table is a two-label game floored
+    by its constant y = 0 column, and the absolute-loss table has a pure
+    saddle point: the solution takes at most two points and its realized
+    value is the brute-force game value of the whole grid table."""
+    loss = make_loss(kind)
+    P = (AdaGradPotential(d=3, variant="linf") if name == "adagrad_linf"
+         else _sup_family(name, loss))
+    rng = np.random.default_rng(31)
+    for eps1 in (0.5, 0.13, 0.05):
+        pts = np.minimum(-1.0 + eps1 * np.arange(math.ceil(2.0 / eps1) + 1), 1.0)
+        for _ in range(4):
+            zeta, x = P.sample_statistic(rng, max_rounds=6), P.sample_instance(rng)
+            t = int(rng.integers(1, 13))  # only param_free reads it
+            dist, sample = predict_randomized(P, zeta, x, eps1, rng, loss, t=t)
+            assert len(dist.points) <= 2 and sample in dist.points
+            table = P.round_values(zeta, x, pts, sup_labels(P, loss, points=pts), loss, t=t)
+            if kind == "hinge":
+                constant = np.ptp(table, axis=0) == 0
+                assert constant.tolist() == [False, True, False]
+                brute = max(_pairwise_game_value(table[:, ~constant]), table[0, 1])
+            else:
+                brute = float(table.max(axis=1).min())
+            realized = realized_game_value(P, zeta, x, dist, loss, t=t)
+            assert abs(realized - brute) <= 1e-12 * max(1.0, np.ptp(table))
+
+
 def test_grid_strategies_need_convexity_in_delta():
     loss = make_loss("absolute")
     P = combine_min([AdaGradPotential(d=2), AdaGradPotential(d=2, variant="linf")])
     assert not P.convex_in_delta
     zeta, x = P.zero(), np.array([0.6, 0.0])
     dist = GridDistribution(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
-    for call in (lambda: predict_convex(P, zeta, x, loss),
-                 lambda: predict_randomized(P, zeta, x, 0.5, 0.5,
+    for call in (lambda: predict_linearized(P, zeta, x),
+                 lambda: predict_convex(P, zeta, x, loss),
+                 lambda: predict_randomized(P, zeta, x, 0.5,
                                             np.random.default_rng(0), loss),
                  lambda: realized_game_value(P, zeta, x, dist, loss),
                  lambda: round_descent(P, zeta, x, 0.0, loss)):
@@ -472,9 +476,9 @@ def test_randomized_runs_are_reproducible():
     rng = np.random.default_rng(8)
     seq = [(P.sample_instance(rng), float(rng.uniform(-1, 1))) for _ in range(6)]
     t1 = run_online(P, "randomized", seq, loss,
-                    rng=np.random.default_rng(5), eps1=0.2, eps2=0.2)
+                    rng=np.random.default_rng(5), eps1=0.2)
     t2 = run_online(P, "randomized", seq, loss,
-                    rng=np.random.default_rng(5), eps1=0.2, eps2=0.2)
+                    rng=np.random.default_rng(5), eps1=0.2)
     assert [r.y_hat for r in t1.rounds] == [r.y_hat for r in t2.rounds]
 
 
@@ -484,7 +488,6 @@ def test_expected_loss_recording():
     rng = np.random.default_rng(4)
     seq = [(P.sample_instance(rng), float(rng.uniform(-1, 1))) for _ in range(6)]
     traj, expected = run_randomized_expected(P, seq, loss, eps1=0.2,
-                                             eps2=0.2,
                                              rng=np.random.default_rng(7))
     assert expected.shape == (6,)
     assert np.all(expected >= 0.0)
@@ -575,7 +578,7 @@ def test_on_round_sees_every_statistic_in_order(randomized):
         calls.append((t, zeta_prev, rnd, zeta))
 
     if randomized:
-        traj, _ = run_randomized_expected(P, seq, loss, 0.2, 0.2,
+        traj, _ = run_randomized_expected(P, seq, loss, 0.2,
                                           np.random.default_rng(1), on_round=on_round)
     else:
         traj = run_online(P, "linearized", seq, loss, on_round=on_round)
