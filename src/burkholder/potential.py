@@ -11,6 +11,10 @@ U(zeta + T(x, y_hat, delta)) = y_hat * delta + U(zeta + T(x, 0, delta))
 declares `linearizable`. Its residual F(zeta, x, delta), the second term,
 is then derived here from eval and stat_map; that unlocks the closed-form
 prediction.
+
+stat_map takes k rounds at once (delta of shape (k,), instances stacked
+along a leading axis) and returns a stack of k statistics; eval and bound
+of a stack return k values, at one scalar round index t.
 """
 
 from dataclasses import dataclass, field
@@ -58,13 +62,16 @@ class Potential:
     def sample_instance(self, rng):
         raise NotImplementedError
 
+    def sample_rounds(self, rng, max_rounds=8):
+        """Up to max_rounds random rounds (x, y_hat, delta), in draw order."""
+        return [(self.sample_instance(rng), float(rng.uniform(-self.B, self.B)),
+                 float(rng.uniform(-self.L, self.L)))
+                for _ in range(int(rng.integers(0, max_rounds + 1)))]
+
     def sample_statistic(self, rng, max_rounds=8):
         """A statistic reachable as a sum of statistic-map outputs."""
         zeta = self.zero()
-        for _ in range(int(rng.integers(0, max_rounds + 1))):
-            x = self.sample_instance(rng)
-            y_hat = float(rng.uniform(-self.B, self.B))
-            delta = float(rng.uniform(-self.L, self.L))
+        for x, y_hat, delta in self.sample_rounds(rng, max_rounds):
             zeta = zeta + self.stat_map(x, y_hat, delta)
         return zeta
 
@@ -73,19 +80,16 @@ class Potential:
         """(K, estimated): Lipschitz constant of y_hat -> U(zeta + T) over y.
 
         Linearizable families override this with the exact constant L. The
-        fallback samples finite differences on a dense grid, one value table
-        per sampled label, and inflates 2x; estimated=True flags that path.
+        fallback samples finite differences on a dense grid, in one value
+        table over 8 sampled labels, and inflates 2x; estimated=True flags
+        that path.
         """
         if self.linearizable:
             return self.L, False
         rng = rng or np.random.default_rng(0)
         grid = np.linspace(-self.B, self.B, 201)
-        worst = 0.0
-        for _ in range(8):
-            y = float(rng.uniform(-self.B, self.B))
-            vals = self.round_values(zeta, x, grid, [y], loss, t=t)[:, 0]
-            worst = max(worst, float(np.max(np.abs(np.diff(vals)))) / (grid[1] - grid[0]))
-        return 2.0 * worst, True
+        vals = self.round_values(zeta, x, grid, rng.uniform(-self.B, self.B, size=8), loss, t=t)
+        return 2.0 * (float(np.max(np.abs(np.diff(vals, axis=0)))) / (grid[1] - grid[0])), True
 
     def increment_bound(self):
         """Analytic bound on sup (U(tau + T) - U(tau))^2, or None if unknown."""
@@ -97,21 +101,33 @@ class Potential:
 
     # --- shared helpers ----------------------------------------------------
     def round_values(self, zeta, x, y_hats, ys, loss, t=None):
-        """Table of U(zeta + T(x, y_hat, dloss(y_hat, y))) over a grid pair."""
-        y_hats = np.asarray(y_hats, dtype=float)
-        ys = np.asarray(ys, dtype=float)
+        """Table of U(zeta + T(x, y_hat, dloss(y_hat, y))) over a grid pair, in
+        one stacked evaluation: of the residual at each distinct delta when
+        the family is linearizable, else of every entry."""
+        y_hats = np.asarray(y_hats, dtype=float)[:, None]
+        deltas = np.asarray(loss.subgradient(y_hats, np.asarray(ys, dtype=float)[None, :]),
+                            dtype=float)
         if self.linearizable:
-            deltas = loss.subgradient(y_hats[:, None], ys[None, :])
-            out = y_hats[:, None] * deltas
-            for d in np.unique(deltas):
-                out[deltas == d] += self.residual(zeta, x, float(d), t=t)
-            return out
-        out = np.empty((y_hats.size, ys.size))
-        for i, yh in enumerate(y_hats):
-            for j, y in enumerate(ys):
-                d = float(loss.subgradient(float(yh), float(y)))
-                out[i, j] = self.eval(zeta + self.stat_map(x, float(yh), d), t=t)
-        return out
+            uniq, inv = np.unique(deltas, return_inverse=True)
+            return y_hats * deltas + self.residual(
+                zeta, _repeat(x, uniq.size), uniq, t=t)[inv.reshape(deltas.shape)]
+        y_hats, deltas = np.broadcast_arrays(y_hats, deltas)
+        steps = self.stat_map(_repeat(x, deltas.size), y_hats.ravel(), deltas.ravel())
+        return self.eval(zeta + steps, t=t).reshape(deltas.shape)
+
+
+def _repeat(x, k):
+    """k copies of the instance x stacked, as a read-only view."""
+    x = np.asarray(x, dtype=float)
+    return np.broadcast_to(x, (k,) + x.shape)
+
+
+def batch_instances(x, delta, shape):
+    """(x, delta) as float arrays; x stacks instances along delta's axes."""
+    x, delta = np.asarray(x, dtype=float), np.asarray(delta, dtype=float)
+    if x.shape != delta.shape + shape:
+        raise DomainError(f"instance shape {x.shape} != {delta.shape + shape}")
+    return x, delta
 
 
 def accumulate(zeta, x, y_hat, delta, potential):
@@ -183,7 +199,10 @@ class MappedPotential(Potential):
         return self.inner.zero()
 
     def stat_map(self, x, y_hat, delta):
-        return self.inner.stat_map(self.feature_fn(x), y_hat, delta)
+        # the featurizer maps one instance, so a stack is mapped row by row
+        feats = (np.stack([self.feature_fn(xi) for xi in x]) if np.ndim(delta)
+                 else self.feature_fn(x))
+        return self.inner.stat_map(feats, y_hat, delta)
 
     def eval(self, stat, t=None):
         return self.inner.eval(stat, t=t)

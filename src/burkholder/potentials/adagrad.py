@@ -8,9 +8,9 @@ supermartingale under the adaptive y-slot update.
 
 import numpy as np
 
-from ..errors import ConfigError, DomainError
-from ..potential import Potential
-from ..statistics import ScalarVecScalar
+from ..errors import ConfigError
+from ..potential import Potential, batch_instances
+from ..statistics import ScalarVecScalar, map_slots
 
 VARIANTS = ("l2", "linf")
 
@@ -21,20 +21,17 @@ def usq(x, y):
     x may be a vector (l2 norm) or a scalar. Continuous across the seam
     (both branches give -||x|| at y = ||x||).
     """
-    nx = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-    y = float(y)
-    if y >= nx:
-        return -np.sqrt(2.0 * y * y - nx * nx)
-    return nx - 2.0 * y
+    return float(_usq(_l2(np.atleast_1d(np.asarray(x, dtype=float))), float(y)))
 
 
-def _usq_coordwise(x, ys):
-    x = np.asarray(x, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    out = np.where(ys >= np.abs(x),
-                   -np.sqrt(np.maximum(2.0 * ys * ys - x * x, 0.0)),
-                   np.abs(x) - 2.0 * ys)
-    return float(np.sum(out))
+def _l2(x):
+    return np.sqrt(np.vecdot(x, x))
+
+
+def _usq(nx, y):
+    """usq elementwise, from the norms nx >= 0 of its first argument."""
+    return np.where(y >= nx, -np.sqrt(np.maximum(2.0 * y * y - nx * nx, 0.0)),
+                    nx - 2.0 * y)
 
 
 class AdaGradPotential(Potential):
@@ -65,28 +62,23 @@ class AdaGradPotential(Potential):
         return ScalarVecScalar.zero(self.d, coordinatewise=self.variant == "linf")
 
     def stat_map(self, x, y_hat, delta):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
-            raise DomainError(f"instance shape {x.shape} != ({self.d},)")
-        if self.variant == "l2":
-            s = float(np.dot(x, x))
-        else:
-            s = x * x
-        return ScalarVecScalar(delta * y_hat, delta * x, s)
-
-    def _certificate(self, xsum, s):
-        if self.variant == "l2":
-            return usq(xsum, self.L * np.sqrt(max(float(s), 0.0)))
-        return _usq_coordwise(xsum, self.L * np.sqrt(np.maximum(s, 0.0)))
+        x, delta = batch_instances(x, delta, (self.d,))
+        s = np.vecdot(x, x) if self.variant == "l2" else x * x
+        return ScalarVecScalar(delta * y_hat, delta[..., None] * x, s)
 
     def eval(self, stat, t=None):
-        return stat.b + self._certificate(stat.x, stat.s)
+        y = self.L * np.sqrt(np.maximum(stat.s, 0.0))
+        if self.variant == "l2":
+            return stat.b + _usq(_l2(stat.x), y)
+        return stat.b + np.add.reduce(_usq(np.abs(stat.x), y), axis=-1)
 
     def bound(self, stat):
         """V = b + ||x||_2 - 2 L sqrt(s), coordinatewise summed for linf."""
+        root = np.sqrt(np.maximum(stat.s, 0.0))
         if self.variant == "l2":
-            return stat.b + float(np.linalg.norm(stat.x)) - 2.0 * self.L * np.sqrt(max(float(stat.s), 0.0))
-        return stat.b + float(np.sum(np.abs(stat.x))) - 2.0 * self.L * float(np.sum(np.sqrt(np.maximum(stat.s, 0.0))))
+            return stat.b + _l2(stat.x) - 2.0 * self.L * root
+        return (stat.b + np.add.reduce(np.abs(stat.x), axis=-1)
+                - 2.0 * self.L * np.add.reduce(root, axis=-1))
 
     def regret_bound(self, stat, comparator=None):
         """2 L sqrt(s) against unit-ball comparators (euclidean ball for l2,
@@ -108,8 +100,7 @@ class AdaGradPotential(Potential):
 
     def sample_instance(self, rng):
         v = rng.normal(size=self.d)
-        nv = np.linalg.norm(v)
-        return v / max(nv, 1.0)
+        return v / max(_l2(v), 1.0)
 
     def increment_bound(self):
         # usq is 1-Lipschitz in x and 2-Lipschitz in its y slot; a round moves
@@ -119,13 +110,11 @@ class AdaGradPotential(Potential):
 
     def _verify_delta_convexity(self, trials=200, tol=1e-9):
         rng = np.random.default_rng(20240901)
-        for _ in range(trials):
-            zeta = self.sample_statistic(rng, max_rounds=4)
-            x = self.sample_instance(rng)
-            d0, d1 = np.sort(rng.uniform(-self.L, self.L, size=2))
-            mid = 0.5 * (d0 + d1)
-            lhs = self.residual(zeta, x, mid)
-            rhs = 0.5 * (self.residual(zeta, x, d0) + self.residual(zeta, x, d1))
-            if lhs > rhs + tol:
-                raise ConfigError(
-                    f"residual is not convex in delta (gap {lhs - rhs:.3e})")
+        draws = [(self.sample_statistic(rng, max_rounds=4), self.sample_instance(rng),
+                  np.sort(rng.uniform(-self.L, self.L, size=2))) for _ in range(trials)]
+        zetas = map_slots(lambda *slots: np.stack(slots), *(d[0] for d in draws))
+        xs, (d0, d1) = np.stack([d[1] for d in draws]), np.array([d[2] for d in draws]).T
+        gap = np.max(self.residual(zetas, xs, 0.5 * (d0 + d1))
+                     - 0.5 * (self.residual(zetas, xs, d0) + self.residual(zetas, xs, d1)))
+        if gap > tol:
+            raise ConfigError(f"residual is not convex in delta (gap {gap:.3e})")

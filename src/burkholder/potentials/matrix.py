@@ -39,16 +39,17 @@ class MatrixPotential(Potential):
         self.c = float(c) if c is not None else self.r * math.log(self.dim)
         if strict and self.c < self.r * math.log(self.dim) * (1 - 1e-12):
             raise ConfigError("c >= r*log(d1+d2)")
+        self._comparator_norm = (None, 0.0)  # (comparator, its nuclear norm)
 
     def zero(self):
         return ScalarSymPsd.zero(self.dim)
 
     def stat_map(self, x, y_hat, delta):
-        x = symlin.as_matrix(x)
-        if x.shape != (self.d1, self.d2):
-            raise DomainError(f"instance shape {x.shape} != ({self.d1}, {self.d2})")
+        x, delta = symlin.as_matrix(x), np.asarray(delta, dtype=float)
+        if x.shape != delta.shape + (self.d1, self.d2):
+            raise DomainError(f"instance shape {x.shape} != {delta.shape + (self.d1, self.d2)}")
         return ScalarSymPsd(delta * y_hat,
-                            delta * symlin.dilation(x),
+                            delta[..., None, None] * symlin.dilation(x),
                             symlin.dilation_square(x))
 
     def _lte(self, H, M):
@@ -63,14 +64,24 @@ class MatrixPotential(Potential):
 
     def bound(self, stat):
         """V = a + r * lambda_1(H - (eta L^2 / 2) M) - c / eta."""
-        lam1 = symlin.sym_eigvals(stat.H - 0.5 * self.eta * self.L ** 2 * stat.M)[0]
-        return stat.a + self.r * float(lam1) - self.c / self.eta
+        lam1 = symlin.sym_eigvals(stat.H - 0.5 * self.eta * self.L ** 2 * stat.M)[..., 0]
+        return stat.a + self.r * lam1 - self.c / self.eta
 
     def regret_bound(self, stat, comparator=None):
-        """A = (eta L^2 r / 2) ||sum dilation_square|| + c / eta, from the M
-        slot; uniform over the nuclear ball, so the comparator is ignored."""
+        """A = (eta L^2 r / 2) ||sum dilation_square|| + c / eta, plus (||W||_*
+        - r) lambda_1(H) for a comparator W outside the radius-r ball: regret
+        <= a + ||W||_* ||sum delta X||_sigma by convexity, and V <= 0 covers
+        r lambda_1(H). ||W||_* is computed once per comparator object; up to
+        1e-12 r over r (a projected comparator's roundoff) counts as inside."""
         mnorm = float(symlin.sym_eigvals(stat.M)[0]) if stat.M.size else 0.0
-        return 0.5 * self.eta * self.L ** 2 * self.r * max(mnorm, 0.0) + self.c / self.eta
+        bound = 0.5 * self.eta * self.L ** 2 * self.r * max(mnorm, 0.0) + self.c / self.eta
+        if comparator is not None and self._comparator_norm[0] is not comparator:
+            w = np.reshape(np.asarray(comparator, dtype=float), (self.d1, self.d2))
+            self._comparator_norm = (comparator, float(np.linalg.svd(w, compute_uv=False).sum()))
+        excess = self._comparator_norm[1] - self.r if comparator is not None else 0.0
+        if excess > 1e-12 * self.r:
+            bound += excess * max(float(symlin.sym_eigvals(stat.H)[0]), 0.0)
+        return bound
 
     def sample_instance(self, rng):
         x = rng.normal(size=(self.d1, self.d2))

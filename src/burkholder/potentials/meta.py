@@ -45,25 +45,23 @@ class MetaPotential(Potential):
 
     def stat_map(self, x, y_hat, delta):
         parts = tuple(m.stat_map(x, y_hat, delta) for m in self.members)
-        return ProductStat(parts + (ScalarVec(0.0, self.C.copy()),))
+        batch = np.shape(delta)
+        drift = ScalarVec(np.zeros(batch), np.broadcast_to(self.C, batch + self.C.shape).copy())
+        return ProductStat(parts + (drift,))
 
     def _split(self, stat):
         return stat.parts[:-1], stat.parts[-1].x
 
-    def member_values(self, stat, t=None):
-        taus, _ = self._split(stat)
-        return np.array([m.eval(tau, t=t) for m, tau in zip(self.members, taus)])
-
     def eval(self, stat, t=None):
-        vals = self.member_values(stat, t=t)
-        _, gamma = self._split(stat)
+        taus, gamma = self._split(stat)
+        vals = np.stack([m.eval(tau, t=t) for m, tau in zip(self.members, taus)], axis=-1)
         ex = self.eta * vals - self.eta ** 2 * gamma
         return logsumexp(ex) / self.eta - math.log(self.arity) / self.eta
 
     def bound(self, stat):
         taus, gamma = self._split(stat)
-        vs = np.array([m.bound(tau) for m, tau in zip(self.members, taus)])
-        return float(np.max(vs - self.eta * gamma)) - math.log(self.arity) / self.eta
+        vs = np.stack([m.bound(tau) for m, tau in zip(self.members, taus)], axis=-1)
+        return np.max(vs - self.eta * gamma, axis=-1) - math.log(self.arity) / self.eta
 
     def regret_bound(self, stat, comparator=None):
         """Best member bound plus its accumulated stability charge plus the
@@ -128,10 +126,10 @@ class CombinedPotential(Potential):
                                 and all(p.convex_in_delta for p in self.potentials))
 
     def _agg(self, vals):
-        vals = np.asarray(vals, dtype=float)
+        vals = np.stack(vals, axis=-1)
         if self.mode == "min":
-            return float(np.min(vals))
-        return float(np.dot(self.weights, vals))
+            return np.min(vals, axis=-1)
+        return np.vecdot(vals, self.weights)
 
     def zero(self):
         return self.potentials[0].zero()

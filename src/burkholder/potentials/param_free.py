@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigError, DomainError, NumericError
-from ..potential import Potential
+from ..potential import Potential, batch_instances
 from ..statistics import ScalarVec
 
 MAX_EXPONENT = 700.0
@@ -56,11 +56,10 @@ class ParamFreePotential(Potential):
         self.L = 1.0
 
     def norm(self, x):
-        # the formulas of np.linalg.norm and np.sum, bit for bit, without
-        # their dispatch cost: stat_map measures every instance
+        """The norm of x over its last axis."""
         if self.p is None:
-            return math.sqrt(float(np.dot(x, x)))
-        return float(np.add.reduce(np.abs(x) ** self.p)) ** (1.0 / self.p)
+            return np.sqrt(np.vecdot(x, x))
+        return np.add.reduce(np.abs(x) ** self.p, axis=-1) ** (1.0 / self.p)
 
     def dual_norm(self, w):
         if self.p is None:
@@ -77,18 +76,18 @@ class ParamFreePotential(Potential):
 
     def stat_map(self, x, y_hat, delta):
         """(delta * y_hat, delta * x) for an instance x in the unit ball."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
-            raise DomainError(f"instance shape {x.shape} != ({self.d},)")
-        if self.norm(x) > 1.0 + 1e-9:
-            raise DomainError(f"instance norm {self.norm(x):.6g} exceeds 1")
-        return ScalarVec(delta * y_hat, delta * x)
+        x, delta = batch_instances(x, delta, (self.d,))
+        norms = self.norm(x)
+        if np.count_nonzero(norms > 1.0 + 1e-9):
+            raise DomainError(f"instance norm {norms.max():.6g} exceeds 1")
+        return ScalarVec(delta * y_hat, delta[..., None] * x)
 
     def _exp_term(self, sq_norm, t):
         exponent = sq_norm / (2.0 * self.beta * t) + self.tail(t)
-        if exponent > MAX_EXPONENT:
-            raise NumericError("potential exponent overflow", {"exponent": exponent})
-        return self.gamma * math.exp(exponent)
+        if np.count_nonzero(exponent > MAX_EXPONENT):
+            raise NumericError("potential exponent overflow",
+                               {"exponent": float(exponent.max())})
+        return self.gamma * np.exp(exponent)
 
     def eval(self, stat, t=None):
         if t is None:

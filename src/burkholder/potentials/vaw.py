@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigError, DomainError, NumericError
-from ..potential import Potential
+from ..potential import Potential, batch_instances
 from ..statistics import VecSym
 
 
@@ -48,21 +48,20 @@ class VawPotential(Potential):
         return VecSym.zero(self.dim)
 
     def augment(self, x, y_hat):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
-            raise DomainError(f"instance shape {x.shape} != ({self.d},)")
-        return np.concatenate([x, [-float(y_hat)]])
+        x, _ = batch_instances(x, y_hat, (self.d,))
+        return np.concatenate([x, -np.asarray(y_hat, dtype=float)[..., None]], axis=-1)
 
     def stat_map(self, x, y_hat, delta):
         z = self.augment(x, y_hat)
-        return VecSym(delta * z, np.outer(z, z))
+        delta = np.asarray(delta, dtype=float)[..., None]
+        return VecSym(delta * z, z[..., :, None] * z[..., None, :])
 
     def _gram(self, A):
         return self.rho * A + self.lam * np.eye(self.dim)
 
     def _logdet_debt(self, G):
         sign, logdet = np.linalg.slogdet(G)
-        if not (sign > 0 and np.isfinite(logdet)):
+        if not np.all((sign > 0) & np.isfinite(logdet)):
             raise NumericError("gram matrix lost positivity or finiteness",
                                {"sign": sign, "logdet": logdet})
         return self.c * (logdet - self.dim * math.log(self.lam))
@@ -75,7 +74,8 @@ class VawPotential(Potential):
 
     def eval(self, stat, t=None):
         G = self._gram(stat.A)
-        return 0.5 * float(np.dot(stat.x, self._solve(G, stat.x))) - self._logdet_debt(G)
+        sol = self._solve(G, stat.x[..., None])[..., 0]
+        return 0.5 * np.vecdot(stat.x, sol) - self._logdet_debt(G)
 
     def bound(self, stat):
         """U and V coincide for this family."""

@@ -2,8 +2,10 @@
 
 Each class is a tagged point in one learner state space. Addition is
 componentwise, defined only between statistics with the same tag and
-shapes; the zero element is the additive identity. Instances are treated
-as immutable values.
+per-statistic shapes; the zero element is the additive identity. Instances
+are treated as immutable values. A stack of k statistics carries a leading
+axis of length k in every slot (the batch axes are those of the `lead`
+slot beyond its own ndim), and addition broadcasts over batch axes.
 """
 
 from dataclasses import dataclass, fields
@@ -19,22 +21,33 @@ def _require_same_tag(a, b):
             f"cannot combine {type(a).__name__} with {type(b).__name__}")
 
 
-def _require_same_shape(name, x, y):
-    if np.shape(x) != np.shape(y):
-        raise TagMismatchError(
-            f"{name} shapes differ: {np.shape(x)} vs {np.shape(y)}")
+class _Slots:
+    lead = ("x", 1)  # (slot name, its per-statistic ndim)
 
-
-@dataclass(frozen=True, eq=False)
-class ScalarVec:
-    """(b, x): scalar plus vector."""
-    b: float
-    x: np.ndarray
+    @property
+    def batch_ndim(self):
+        name, ndim = self.lead
+        return np.ndim(getattr(self, name)) - ndim
 
     def __add__(self, other):
         _require_same_tag(self, other)
-        _require_same_shape("x", self.x, other.x)
-        return ScalarVec(self.b + other.b, self.x + other.x)
+        na, nb = self.batch_ndim, other.batch_ndim
+        out = []
+        for name in self.__dataclass_fields__:
+            x, y = getattr(self, name), getattr(other, name)
+            # a python float is a scalar slot
+            sx, sy = getattr(x, "shape", ())[na:], getattr(y, "shape", ())[nb:]
+            if sx != sy:
+                raise TagMismatchError(f"{name} shapes differ: {sx} vs {sy}")
+            out.append(x + y)
+        return type(self)(*out)
+
+
+@dataclass(frozen=True, eq=False)
+class ScalarVec(_Slots):
+    """(b, x): scalar plus vector."""
+    b: float
+    x: np.ndarray
 
     @classmethod
     def zero(cls, dim):
@@ -42,17 +55,12 @@ class ScalarVec:
 
 
 @dataclass(frozen=True, eq=False)
-class ScalarSymPsd:
+class ScalarSymPsd(_Slots):
     """(a, H, M): scalar, symmetric matrix, and a psd accumulator matrix."""
     a: float
     H: np.ndarray
     M: np.ndarray
-
-    def __add__(self, other):
-        _require_same_tag(self, other)
-        _require_same_shape("H", self.H, other.H)
-        _require_same_shape("M", self.M, other.M)
-        return ScalarSymPsd(self.a + other.a, self.H + other.H, self.M + other.M)
+    lead = ("H", 2)
 
     @classmethod
     def zero(cls, dim):
@@ -60,16 +68,10 @@ class ScalarSymPsd:
 
 
 @dataclass(frozen=True, eq=False)
-class VecSym:
+class VecSym(_Slots):
     """(x, A): vector plus symmetric second-moment accumulator."""
     x: np.ndarray
     A: np.ndarray
-
-    def __add__(self, other):
-        _require_same_tag(self, other)
-        _require_same_shape("x", self.x, other.x)
-        _require_same_shape("A", self.A, other.A)
-        return VecSym(self.x + other.x, self.A + other.A)
 
     @classmethod
     def zero(cls, dim):
@@ -77,7 +79,7 @@ class VecSym:
 
 
 @dataclass(frozen=True, eq=False)
-class ScalarVecScalar:
+class ScalarVecScalar(_Slots):
     """(b, x, s): scalar, vector, and a nonnegative accumulator.
 
     s is a scalar for whole-norm accumulation and a vector when per-coordinate
@@ -86,12 +88,6 @@ class ScalarVecScalar:
     b: float
     x: np.ndarray
     s: object
-
-    def __add__(self, other):
-        _require_same_tag(self, other)
-        _require_same_shape("x", self.x, other.x)
-        _require_same_shape("s", self.s, other.s)
-        return ScalarVecScalar(self.b + other.b, self.x + other.x, self.s + other.s)
 
     @classmethod
     def zero(cls, dim, coordinatewise=False):
@@ -110,6 +106,20 @@ class ProductStat:
             raise TagMismatchError(
                 f"product arities differ: {len(self.parts)} vs {len(other.parts)}")
         return ProductStat(tuple(a + b for a, b in zip(self.parts, other.parts)))
+
+
+def map_slots(fn, *stats):
+    """The statistic whose every slot is fn of the matching slots of stats.
+
+    With one stack, `map_slots(lambda a: a[idx], stack)` takes members;
+    product statistics are mapped part by part.
+    """
+    first = stats[0]
+    if isinstance(first, ProductStat):
+        return ProductStat(tuple(map_slots(fn, *ps)
+                                 for ps in zip(*(s.parts for s in stats))))
+    return type(first)(*(fn(*(getattr(s, f.name) for s in stats))
+                         for f in fields(first)))
 
 
 def stats_allclose(a, b, rtol=1e-12, atol=1e-12):

@@ -3,16 +3,19 @@
 Everything here operates on plain numpy arrays, except `Entry`, an indicator
 matrix e_i e_j^T carried as its index. The self-adjoint dilation embeds a
 rectangular matrix into a symmetric one so that spectral quantities reduce
-to eigenvalues.
+to eigenvalues. Dense arguments may carry leading batch axes.
 
 Every spectrum of a statistic slot goes through `sym_eigvals`. It factors
 only the live principal block of its argument (the rows that are not
 identically zero) and pads the spectrum with exact zeros for the rest.
-This is exact in exact arithmetic. In floating point the padded zeros are
-exact where a dense solve leaves roundoff of order 1e-16 times the norm,
-so results agree with a dense eigvalsh to roundoff, not bit for bit.
-Completion statistics touch only the rows and columns seen so far, so
-their spectra cost the cube of the live size instead of (d1 + d2)^3.
+For a stack the live block is the union of the members' live rows, so one
+batched eigvalsh serves all; a row dead in one member but live in another
+is a zero row inside its block, still an exact zero eigenvalue. This is
+exact in exact arithmetic. In floating point the padded zeros are exact where a
+dense solve leaves roundoff of order 1e-16 times the norm, so results agree
+with a dense eigvalsh to roundoff, not bit for bit. Completion statistics
+touch only the rows and columns seen so far, so their spectra cost the cube
+of the live size instead of (d1 + d2)^3.
 """
 
 import numpy as np
@@ -23,9 +26,9 @@ from .errors import DomainError, NumericError
 def symmetrize(s):
     """Return the symmetric part (s + s^T) / 2 as a new array."""
     s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
         raise DomainError(f"expected a square matrix, got shape {s.shape}")
-    return 0.5 * (s + s.T)
+    return 0.5 * (s + s.swapaxes(-1, -2))
 
 
 class Entry:
@@ -55,7 +58,7 @@ class Entry:
 
 
 def as_matrix(x):
-    """x itself when it is an Entry, else x as a 2-D float array."""
+    """x itself when it is an Entry, else x as a float array of at least 2-D."""
     if isinstance(x, Entry):
         return x
     return np.atleast_2d(np.asarray(x, dtype=float))
@@ -68,35 +71,36 @@ def dilation(x):
     eigenvalues come in +/- pairs padded with zeros.
     """
     x = as_matrix(x)
-    d1, d2 = x.shape
-    out = np.zeros((d1 + d2, d1 + d2))
+    *batch, d1, d2 = x.shape
+    out = np.zeros((*batch, d1 + d2, d1 + d2))
     if isinstance(x, Entry):
         out[x.i, d1 + x.j] = out[d1 + x.j, x.i] = 1.0
         return out
-    out[:d1, d1:] = x
-    out[d1:, :d1] = x.T
+    out[..., :d1, d1:] = x
+    out[..., d1:, :d1] = x.swapaxes(-1, -2)
     return out
 
 
 def dilation_square(x):
     """Block diagonal [[X X^T, 0], [0, X^T X]]; equals dilation(x) @ dilation(x)."""
     x = as_matrix(x)
-    d1, d2 = x.shape
-    out = np.zeros((d1 + d2, d1 + d2))
+    *batch, d1, d2 = x.shape
+    out = np.zeros((*batch, d1 + d2, d1 + d2))
     if isinstance(x, Entry):
         # e_i e_j^T (e_i e_j^T)^T = e_i e_i^T and the transpose product is e_j e_j^T
         out[x.i, x.i] = out[d1 + x.j, d1 + x.j] = 1.0
         return out
-    out[:d1, :d1] = x @ x.T
-    out[d1:, d1:] = x.T @ x
+    xt = x.swapaxes(-1, -2)
+    out[..., :d1, :d1] = x @ xt
+    out[..., d1:, d1:] = xt @ x
     return out
 
 
 def _checked_symmetric(s):
-    """The symmetric part of s and its largest |entry| per row: a row is
-    live when that is positive, and it is non-finite with any entry."""
-    s = symmetrize(s)
-    row_max = np.abs(s).max(axis=0, initial=0.0)  # s is symmetric: rows = columns
+    """The symmetric part of s and its largest |entry| per row over the
+    stack: a row is live when that is positive, non-finite with any entry."""
+    s = symmetrize(s)  # symmetric: rows = columns
+    row_max = np.abs(s).max(axis=tuple(range(s.ndim - 1)), initial=0.0)
     if not np.isfinite(row_max).all():
         raise NumericError("non-finite entries in symmetric eigensolve",
                            {"max_abs": float(np.nanmax(np.abs(s)))})
@@ -115,32 +119,33 @@ def sym_eig(s):
 
 
 def sym_eigvals(s):
-    """Eigenvalues only, descending.
+    """Eigenvalues only, descending along the last axis.
 
     Only the live principal block is factored: the rows of the symmetrized
-    input that are not identically zero. Each of the other n - k rows
-    contributes an exact zero eigenvalue, so the result is the block's
-    spectrum merged with n - k zeros. A fully live input is one plain
-    eigvalsh call; an all-zero input makes none.
+    input that are not identically zero in some member of the stack. Each
+    of the other n - k rows contributes an exact zero eigenvalue, so the
+    result is the block's spectrum merged with n - k zeros. A fully live
+    input is one plain eigvalsh call; an all-zero input makes none.
     """
     s, row_max = _checked_symmetric(s)
     live = row_max > 0
     if live.all():
-        return np.linalg.eigvalsh(s)[::-1].copy()
-    w = np.zeros(s.shape[0])
+        return np.linalg.eigvalsh(s)[..., ::-1].copy()
+    w = np.zeros(s.shape[:-1])
     k = int(np.count_nonzero(live))
     if k:
-        w[:k] = np.linalg.eigvalsh(s[live][:, live])
-    return np.sort(w)[::-1].copy()
+        w[..., :k] = np.linalg.eigvalsh(s[..., live, :][..., live])
+    return np.sort(w, axis=-1)[..., ::-1].copy()
 
 
 def logsumexp(vals):
-    """log(sum(exp(vals))) with the max shifted out; safe for large spreads."""
+    """log(sum(exp(vals))) over the last axis with the max shifted out; safe
+    for large spreads."""
     vals = np.asarray(vals, dtype=float)
-    m = float(np.max(vals))
-    if not np.isfinite(m):
+    m = vals.max(axis=-1)
+    if not np.isfinite(m).all():
         raise NumericError("non-finite value in logsumexp", {"values": vals})
-    return m + float(np.log(np.sum(np.exp(vals - m))))
+    return m + np.log(np.exp(vals - m[..., None]).sum(axis=-1))
 
 
 def log_trace_exp(s):
@@ -149,9 +154,9 @@ def log_trace_exp(s):
 
 
 def spectral_norm(x):
-    """Largest singular value of x, via the top eigenvalue of its dilation."""
-    lam = sym_eigvals(dilation(x))
-    return max(float(lam[0]), 0.0)
+    """Largest singular value of x, by an SVD without factors."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return float(np.linalg.svd(x, compute_uv=False).max(initial=0.0))
 
 
 def _project_l1_sorted(s, radius):

@@ -6,6 +6,12 @@ properties are sampled with seeded generators. Every check returns a
 CheckReport carrying the worst violation and a witness that replays to the
 same value. A sampled or searched check certifies violations only: a sup
 below tolerance does not prove none exists.
+
+p2 and p3 draw their trials in the order of a per-trial loop and evaluate
+them stacked, CHUNK trials at a time: one stat_map call, and eval calls per
+round index t shared by a group of trials. The worst trial is evaluated
+again on its own, and that value is reported, so the witness replays to it
+bit for bit.
 """
 
 import math
@@ -16,10 +22,10 @@ import numpy as np
 from . import strategies
 from .errors import DomainError
 from .losses import make_loss
-from .potential import Potential
-from .statistics import ScalarVecScalar
+from .statistics import map_slots
 
 MAX_DEPTH = 14
+CHUNK = 128  # trials per stacked evaluation in p2 and p3; bounds its memory
 
 
 @dataclass
@@ -77,22 +83,58 @@ def check_p1(P, tol=1e-8):
                        tol=tol, passed=u0 <= tol, witness={"value": float(u0)})
 
 
+def _stack_rounds(P, per_trial, extra=()):
+    """(taus, steps) from one stat_map call over every round (x, y_hat, delta):
+    taus stacks each trial's rounds summed onto zero in round order, as a
+    sequential fold does; steps stacks the maps of the extra rounds."""
+    rounds = [r for trial in per_trial for r in trial] + list(extra)
+    zero = P.zero()
+    taus = map_slots(lambda z: np.zeros((len(per_trial),) + np.shape(z)), zero)
+    if not rounds:
+        return taus, None
+    steps = P.stat_map(*(np.array(v) for v in zip(*rounds)))  # x, y_hat, delta
+    # row len(rounds) is zero: the step of a trial that has no round r
+    padded = map_slots(lambda a, z: np.concatenate([a, np.asarray(z)[None]]), steps, zero)
+    start = np.cumsum([0] + [len(trial) for trial in per_trial])
+    for r in range(max(len(trial) for trial in per_trial)):
+        taus = taus + _member(padded, np.where(start[:-1] + r < start[1:],
+                                               start[:-1] + r, len(rounds)))
+    return taus, _member(steps, slice(start[-1], None))
+
+
+def _member(stack, i):
+    return map_slots(lambda a: a[i], stack)
+
+
+def _sweep(trials, draw, evaluate):
+    """Draw the trials in order, evaluate(draws) -> (violations, stack) them
+    CHUNK at a time; the first worst trial's index, draw and stack member."""
+    worst, found = -math.inf, None
+    for lo in range(0, trials, CHUNK):
+        draws = [draw() for _ in range(min(CHUNK, trials - lo))]
+        viol, stack = evaluate(draws)
+        j = int(np.argmax(viol))
+        if found is None or viol[j] > worst:
+            worst, found = viol[j], (lo + j, draws[j], _member(stack, j))
+    return found
+
+
 def check_p2(P, trials=1000, tol=1e-8, rng=None, bound_fn=None):
-    """V <= U on statistics reachable by statistic-map sums."""
+    """V <= U on statistics reachable by statistic-map sums. bound_fn
+    (default P.bound) gets stacks of statistics, as P.bound does."""
     trials = _check_trials(trials)
     rng = rng if rng is not None else np.random.default_rng(0)
     bound_fn = bound_fn if bound_fn is not None else P.bound
-    worst, witness = -math.inf, {}
-    for i in range(trials):
-        stat = P.sample_statistic(rng)
-        u = P.eval(stat, t=P.horizon)
-        v = bound_fn(stat)
-        viol = v - u
-        if viol > worst:
-            worst, witness = viol, {"trial": i, "stat": stat, "U": u, "V": v}
+
+    def evaluate(draws):
+        stats, _ = _stack_rounds(P, draws)
+        return bound_fn(stats) - P.eval(stats, t=P.horizon), stats
+
+    i, _, stat = _sweep(trials, lambda: P.sample_rounds(rng), evaluate)
+    u, v = float(P.eval(stat, t=P.horizon)), float(bound_fn(stat))
     return CheckReport(name="p2_dominates_bound", checks=trials,
-                       max_violation=float(worst), tol=tol,
-                       passed=worst <= tol, witness=witness)
+                       max_violation=v - u, tol=tol, passed=v - u <= tol,
+                       witness={"trial": i, "stat": stat, "U": u, "V": v})
 
 
 def _draw_distribution(mode, L, rng):
@@ -104,14 +146,6 @@ def _draw_distribution(mode, L, rng):
     raise DomainError(f"unknown p3 mode {mode!r}")
 
 
-def _p3_violation(P, tau, x, y_hat, support, t):
-    before = P.eval(tau, t=t - 1)
-    after = 0.0
-    for alpha, p in support:
-        after += p * P.eval(tau + P.stat_map(x, y_hat, alpha), t=t)
-    return after - before
-
-
 def check_p3(P, mode="two_point", trials=10000, tol=1e-8, rng=None):
     """Restricted concavity: E U(tau + T(z, alpha)) <= U(tau) for mean-zero alpha.
 
@@ -120,28 +154,45 @@ def check_p3(P, mode="two_point", trials=10000, tol=1e-8, rng=None):
     """
     trials = _check_trials(trials)
     rng = rng if rng is not None else np.random.default_rng(0)
-    worst, witness = -math.inf, {}
-    for i in range(trials):
+
+    def draw():
         t = int(rng.integers(1, P.horizon + 1)) if P.horizon else 1
-        max_rounds = min(t - 1, 6) if P.horizon else 6
-        tau = P.sample_statistic(rng, max_rounds=max_rounds)
+        rounds = P.sample_rounds(rng, max_rounds=min(t - 1, 6) if P.horizon else 6)
         x = P.sample_instance(rng)
         y_hat = float(rng.uniform(-P.B, P.B))
-        support, dist_info = _draw_distribution(mode, P.L, rng)
-        viol = _p3_violation(P, tau, x, y_hat, support, t)
-        if viol > worst:
-            worst = viol
-            witness = {"trial": i, "tau": tau, "x": x, "y_hat": y_hat,
-                       "support": support, "t": t, **dist_info}
+        return (t, rounds, x, y_hat) + _draw_distribution(mode, P.L, rng)
+
+    def evaluate(draws):
+        taus, steps = _stack_rounds(P, [d[1] for d in draws], [
+            (x, y_hat, alpha) for _, _, x, y_hat, support, _ in draws for alpha, _ in support])
+        k = len(draws[0][4])  # one mode's laws share a support size
+        after = _member(taus, np.repeat(np.arange(len(draws)), k)) + steps
+        probs = np.array([[p for _, p in d[4]] for d in draws])
+        ts = np.array([d[0] for d in draws])
+        viol = np.empty(len(draws))
+        for t in sorted(set(ts.tolist())):
+            sel = np.flatnonzero(ts == t)
+            u_after = P.eval(_member(after, (sel[:, None] * k + np.arange(k)).ravel()), t=t)
+            viol[sel] = ((probs[sel] * u_after.reshape(-1, k)).sum(axis=1)
+                         - P.eval(_member(taus, sel), t=t - 1))
+        return viol, taus
+
+    i, (t, _, x, y_hat, support, dist_info), tau = _sweep(trials, draw, evaluate)
+    witness = {"trial": i, "tau": tau, "x": x, "y_hat": y_hat,
+               "support": support, "t": t, **dist_info}
+    worst = float(replay_p3(P, witness))
     return CheckReport(name=f"p3_supermartingale_{mode}", checks=trials,
-                       max_violation=float(worst), tol=tol,
+                       max_violation=worst, tol=tol,
                        passed=worst <= tol, witness=witness)
 
 
 def replay_p3(P, witness):
-    """Recompute the violation stored in a p3 witness."""
-    return _p3_violation(P, witness["tau"], witness["x"], witness["y_hat"],
-                         witness["support"], witness["t"])
+    """Recompute, one statistic at a time, the violation of a p3 witness."""
+    tau, t = witness["tau"], witness["t"]
+    after = 0.0
+    for alpha, p in witness["support"]:
+        after += p * P.eval(tau + P.stat_map(witness["x"], witness["y_hat"], alpha), t=t)
+    return after - P.eval(tau, t=t - 1)
 
 
 # --- predictable trees -------------------------------------------------------
@@ -266,37 +317,6 @@ def brute_force_sup_ev(P, n, rng=None, bound_fn=None, search="random",
     return best, best_tree, vals
 
 
-class SmoothnessPair(Potential):
-    """Statistic (sum delta x, sum ||x||^2) with V = ||x_slot||^2 - C * s.
-
-    The exact-enumeration oracle for the squared-norm martingale inequality;
-    for the euclidean norm and C = 1 the expectation is zero on every tree
-    by orthogonality of martingale increments.
-    """
-
-    def __init__(self, d, C=1.0, L=1.0):
-        self.d = int(d)
-        self.C = float(C)
-        self.L = float(L)
-
-    def zero(self):
-        return ScalarVecScalar.zero(self.d)
-
-    def stat_map(self, x, y_hat, delta):
-        x = np.asarray(x, dtype=float)
-        return ScalarVecScalar(delta * y_hat, delta * x, float(np.dot(x, x)))
-
-    def bound(self, stat):
-        return float(np.dot(stat.x, stat.x)) - self.C * float(stat.s)
-
-    def eval(self, stat, t=None):
-        return self.bound(stat)
-
-    def sample_instance(self, rng):
-        v = rng.normal(size=self.d)
-        return v / max(np.linalg.norm(v), 1.0)
-
-
 # --- exhaustive martingale inequalities --------------------------------------
 
 def check_matrix_khintchine(n=10, d1=3, d2=2, n_trees=100, rng=None, trees=None,
@@ -313,9 +333,8 @@ def check_matrix_khintchine(n=10, d1=3, d2=2, n_trees=100, rng=None, trees=None,
             s = np.linalg.svd(x, compute_uv=False)[0]
             return x / max(s, 1.0)
         trees = [PredictableTree.random(n, sampler, rng) for _ in range(n_trees)]
-    worst_ratio, worst_idx = -math.inf, -1
     ratios = []
-    for i, tree in enumerate(trees):
+    for tree in trees:
         eps = sign_paths(tree.depth)
         g = gather_tree(tree, prefix_codes(tree.depth))
         s = np.einsum("pt,ptij->pij", eps, g)
@@ -326,16 +345,19 @@ def check_matrix_khintchine(n=10, d1=3, d2=2, n_trees=100, rng=None, trees=None,
         col_n = np.linalg.eigvalsh(col)[:, -1]
         rhs = math.sqrt(2.0 * float(np.mean(np.maximum(row_n, col_n)))
                         * math.log(g.shape[2] + g.shape[3]))
-        ratio = lhs / rhs if rhs > 0 else 0.0
-        ratios.append(ratio)
-        if ratio > worst_ratio:
-            worst_ratio, worst_idx = ratio, i
-    viol = worst_ratio - 1.0
-    return CheckReport(name="matrix_khintchine", checks=len(trees),
-                       max_violation=float(viol), tol=tol,
-                       passed=viol <= tol,
-                       witness={"tree_index": worst_idx, "ratio": worst_ratio},
-                       extras={"ratios": ratios})
+        ratios.append(lhs / rhs if rhs > 0 else 0.0)
+    return _ratio_report("matrix_khintchine", ratios, tol)
+
+
+def _ratio_report(name, ratios, tol, **extras):
+    """Report on the worst ratio lhs / rhs <= 1 of a sign-sum inequality;
+    extras["asserted"] = False reports it without a verdict."""
+    i = int(np.argmax(ratios))
+    viol = ratios[i] - 1.0
+    return CheckReport(name=name, checks=len(ratios), max_violation=float(viol),
+                       tol=tol, passed=viol <= tol or not extras.get("asserted", True),
+                       witness={"tree_index": i, "ratio": ratios[i]},
+                       extras={**extras, "ratios": ratios})
 
 
 def check_mgf_bound(n, d=4, n_trees=50, rng=None, tol=1e-9):
@@ -353,25 +375,15 @@ def check_mgf_bound(n, d=4, n_trees=50, rng=None, tol=1e-9):
         v = r.normal(size=d)
         return v / max(np.linalg.norm(v), 1.0)
 
-    worst_ratio, worst_idx = -math.inf, -1
     ratios = []
-    for i in range(int(n_trees)):
+    for _ in range(int(n_trees)):
         tree = PredictableTree.random(n, sampler, rng)
         eps = sign_paths(tree.depth)
         g = gather_tree(tree, prefix_codes(tree.depth))
         s = np.einsum("pt,ptj->pj", eps, g)
         val = float(np.mean(np.exp(np.sum(s * s, axis=1) / (2.0 * n))))
-        ratio = val / math.sqrt(n)
-        ratios.append(ratio)
-        if ratio > worst_ratio:
-            worst_ratio, worst_idx = ratio, i
-    viol = worst_ratio - 1.0
-    asserted = n >= 4
-    return CheckReport(name=f"mgf_bound_n{n}", checks=int(n_trees),
-                       max_violation=float(viol), tol=tol,
-                       passed=(viol <= tol) if asserted else True,
-                       witness={"tree_index": worst_idx, "ratio": worst_ratio},
-                       extras={"asserted": asserted, "ratios": ratios})
+        ratios.append(val / math.sqrt(n))
+    return _ratio_report(f"mgf_bound_n{n}", ratios, tol, asserted=n >= 4)
 
 
 def check_supermartingale(P, tree, tol=1e-8):

@@ -146,6 +146,23 @@ def test_run_bound_column_charges_the_comparator(tmp_path, capsys):
     assert P.regret_bound(zetas[-1], comp.w) > P.regret_bound(zetas[-1])
 
 
+def test_run_matrix_bound_covers_a_comparator_outside_the_ball(tmp_path, capsys):
+    """A nuclear-ball comparator of radius 8 against r = 1: the bound column
+    charges (||W||_* - r) lambda_1(H), so it covers the regret on every row."""
+    path = _cfg(tmp_path, "family = matrix\nd1 = 4\nd2 = 4\neta = 0.5\nn = 200\n"
+                          "rank = 1\nnoise = 0\nnuclear_radius = 8\ncomparator = ball\n"
+                          "comparator_radius = 8\nr = 1\n")
+    dest = tmp_path / "run.csv"
+    assert cli.main(["run", "--config", path, "--seed", "0", "--out", str(dest)]) == 0
+    out, _ = capsys.readouterr()
+    rows = list(csv.DictReader(io.StringIO(dest.read_text())))
+    assert len(rows) == 201
+    assert all(float(r["bound"]) >= float(r["regret"]) for r in rows)
+    regret = float(re.search(r"regret=(\S+)", out).group(1))
+    assert regret > 60.0  # the run the uncharged bound (19.4) failed to cover
+    assert float(re.search(r" bound=(\S+)", out).group(1)) >= regret
+
+
 def test_run_writes_csv_to_stdout_and_summary_to_stderr(tmp_path, capsys):
     path = _cfg(tmp_path, "family = adagrad\nd = 3\nn = 8\nseed = 3\n")
     assert cli.main(["run", "--config", path]) == 0
@@ -301,6 +318,21 @@ def test_verify_p1_covers_the_catalog(capsys):
     assert all(l.startswith("pass ") and ".p1_start" in l for l in lines)
     names = {l.split()[1].split(".")[0] for l in lines}
     assert {"matrix", "vaw", "meta", "param_free_l2"} <= names
+
+
+def test_verify_all_matches_the_benchmark_reference(capsys):
+    """verify --suite all at seed 0 names the same checks, with the same
+    verdicts and trial counts, as the benchmark's stored reference."""
+    ref = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify_all.txt"
+
+    def summary(text):
+        return [(l.split()[0], l.split()[1], l.split()[2]) for l in text.splitlines()
+                if l and not l.startswith(" ")]
+
+    assert cli.main(["verify", "--suite", "all", "--seed", "0"]) == 0
+    out, _ = capsys.readouterr()
+    assert summary(out) == summary(ref.read_text())
+    assert len(summary(out)) == 38
 
 
 def test_verify_catalog_rejects_a_nonpositive_range(tmp_path, capsys):

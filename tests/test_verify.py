@@ -8,20 +8,53 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burkholder.errors import DomainError
-from burkholder.potential import MappedPotential
+from burkholder.potential import MappedPotential, Potential
 from burkholder.potentials import (AdaGradPotential, MatrixPotential, MetaPotential,
                                    ParamFreePotential)
 from burkholder.losses import make_loss
-from burkholder.statistics import stats_allclose
+from burkholder.statistics import ScalarVecScalar, stats_allclose
 from burkholder.strategies import predict_linearized
 from burkholder.verify import (MAX_DEPTH, CheckReport, PredictableTree,
-                               SmoothnessPair, TwoPointDist,
+                               TwoPointDist,
                                brute_force_sup_ev, check_matrix_khintchine,
                                check_mgf_bound, check_necessity, check_p1,
                                check_p2, check_p3, check_supermartingale,
                                gather_tree, prefix_codes, replay_p3,
                                round_descent, sign_paths, tree_expectation,
                                walk_tree)
+
+
+class SmoothnessPair(Potential):
+    """Statistic (sum delta x, sum ||x||^2) with V = ||x_slot||^2 - C * s.
+
+    The exact-enumeration oracle for the squared-norm martingale inequality;
+    for the euclidean norm and C = 1 the expectation is zero on every tree
+    by orthogonality of martingale increments. Like the families, it takes
+    stacked inputs: instances along a leading axis, one y_hat and delta each.
+    """
+
+    def __init__(self, d, C=1.0, L=1.0):
+        self.d = int(d)
+        self.C = float(C)
+        self.L = float(L)
+
+    def zero(self):
+        return ScalarVecScalar.zero(self.d)
+
+    def stat_map(self, x, y_hat, delta):
+        x = np.asarray(x, dtype=float)
+        delta = np.asarray(delta, dtype=float)
+        return ScalarVecScalar(delta * y_hat, delta[..., None] * x, np.vecdot(x, x))
+
+    def bound(self, stat):
+        return np.vecdot(stat.x, stat.x) - self.C * stat.s
+
+    def eval(self, stat, t=None):
+        return self.bound(stat)
+
+    def sample_instance(self, rng):
+        v = rng.normal(size=self.d)
+        return v / max(np.linalg.norm(v), 1.0)
 
 
 def test_two_point_distribution_is_exactly_centered():
