@@ -3,7 +3,7 @@
 A potential bundles an additive statistic map T(x, y_hat, delta) with an
 evaluation function U over accumulated statistics. Strategies only interact
 with learners through this interface. A family implements zero, stat_map,
-eval, bound and sample_instance, and optionally regret_bound(stat,
+eval, bound and sample_instances, and optionally regret_bound(stat,
 comparator), increment_bound and a round_values fast path.
 
 A family that admits the linear decomposition
@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .statistics import map_slots
 
 
 class Potential:
@@ -59,21 +60,27 @@ class Potential:
         return self.eval(zeta + self.stat_map(x, 0.0, delta), t=t)
 
     # --- sampling hooks for verification ----------------------------------
-    def sample_instance(self, rng):
+    def sample_instances(self, rng, k):
+        """k instances from the family's domain, stacked on a leading axis."""
         raise NotImplementedError
 
-    def sample_rounds(self, rng, max_rounds=8):
-        """Up to max_rounds random rounds (x, y_hat, delta), in draw order."""
-        return [(self.sample_instance(rng), float(rng.uniform(-self.B, self.B)),
-                 float(rng.uniform(-self.L, self.L)))
-                for _ in range(int(rng.integers(0, max_rounds + 1)))]
+    def sample_instance(self, rng):
+        return self.sample_instances(rng, 1)[0]
+
+    def sample_rounds(self, rng, m, max_rounds=8):
+        """Random rounds of m trials as one block, one generator call per
+        quantity: (counts, (x, y_hat, delta)). Trial i has counts[i] rounds,
+        up to max_rounds (or max_rounds[i]), stacked in trial order."""
+        counts = rng.integers(0, max_rounds + 1, size=m)
+        total = int(counts.sum())
+        return counts, (self.sample_instances(rng, total),
+                        rng.uniform(-self.B, self.B, total),
+                        rng.uniform(-self.L, self.L, total))
 
     def sample_statistic(self, rng, max_rounds=8):
         """A statistic reachable as a sum of statistic-map outputs."""
-        zeta = self.zero()
-        for x, y_hat, delta in self.sample_rounds(rng, max_rounds):
-            zeta = zeta + self.stat_map(x, y_hat, delta)
-        return zeta
+        taus, _ = stack_rounds(self, *self.sample_rounds(rng, 1, max_rounds))
+        return map_slots(lambda a: a[0], taus)
 
     # --- constants for the randomized strategy and meta combination -------
     def prediction_lipschitz(self, zeta, x, loss, *, t=None, rng=None):
@@ -120,6 +127,23 @@ def _repeat(x, k):
     """k copies of the instance x stacked, as a read-only view."""
     x = np.asarray(x, dtype=float)
     return np.broadcast_to(x, (k,) + x.shape)
+
+
+def stack_rounds(P, counts, rounds):
+    """(taus, rest) from one stat_map call over the stacked rounds (x, y_hat,
+    delta): taus[i] folds the next counts[i] rounds onto zero in round order;
+    rest stacks the maps of the rounds after them (None without rounds)."""
+    counts, zero, rows = np.asarray(counts), P.zero(), len(rounds[2])
+    taus = map_slots(lambda z: np.zeros(counts.shape + np.shape(z)), zero)
+    if not rows:
+        return taus, None
+    # row `rows` is zero: the step of a trial that has no round r
+    padded = map_slots(lambda a, z: np.concatenate([a, np.asarray(z)[None]]),
+                       P.stat_map(*rounds), zero)
+    start = np.cumsum(counts) - counts
+    for r in range(int(counts.max(initial=0))):
+        taus = taus + map_slots(lambda a: a[np.where(r < counts, start + r, rows)], padded)
+    return taus, map_slots(lambda a: a[int(counts.sum()):rows], padded)
 
 
 def batch_instances(x, delta, shape):
@@ -181,7 +205,8 @@ class MappedPotential(Potential):
     """Delegate that reindexes the instance space through a featurizer.
 
     Used to run a vector-statistic family on matrix instances (and similar)
-    when combining potentials over one shared stream.
+    when combining potentials over one shared stream. sample_fn(rng, k), when
+    given, draws k instances of the outer space stacked.
     """
 
     def __init__(self, inner, feature_fn, sample_fn=None):
@@ -214,10 +239,10 @@ class MappedPotential(Potential):
         # the inner family's table, closed form included, on the mapped instance
         return self.inner.round_values(zeta, self.feature_fn(x), y_hats, ys, loss, t=t)
 
-    def sample_instance(self, rng):
+    def sample_instances(self, rng, k):
         if self.sample_fn is not None:
-            return self.sample_fn(rng)
-        return self.inner.sample_instance(rng)
+            return self.sample_fn(rng, k)
+        return self.inner.sample_instances(rng, k)
 
     def increment_bound(self):
         return self.inner.increment_bound()

@@ -24,7 +24,7 @@ def matrix_meta(matrix, eta=0.25):
     ada = MappedPotential(
         AdaGradPotential(d=matrix.d1 * matrix.d2, variant="l2", L=matrix.L, B=matrix.B),
         feature_fn=lambda x: np.asarray(x, dtype=float).reshape(-1),
-        sample_fn=matrix.sample_instance)
+        sample_fn=matrix.sample_instances)
     return MetaPotential([(matrix, matrix.increment_bound()),
                           (ada, ada.increment_bound())], eta=eta)
 

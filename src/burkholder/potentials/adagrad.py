@@ -9,8 +9,8 @@ supermartingale under the adaptive y-slot update.
 import numpy as np
 
 from ..errors import ConfigError
-from ..potential import Potential, batch_instances
-from ..statistics import ScalarVecScalar, map_slots
+from ..potential import Potential, batch_instances, stack_rounds
+from ..statistics import ScalarVecScalar
 
 VARIANTS = ("l2", "linf")
 
@@ -98,9 +98,9 @@ class AdaGradPotential(Potential):
             excess = max(wn - 1.0, 0.0) * xnorm
         return base + excess
 
-    def sample_instance(self, rng):
-        v = rng.normal(size=self.d)
-        return v / max(_l2(v), 1.0)
+    def sample_instances(self, rng, k):
+        v = rng.normal(size=(k, self.d))
+        return v / np.maximum(_l2(v), 1.0)[:, None]
 
     def increment_bound(self):
         # usq is 1-Lipschitz in x and 2-Lipschitz in its y slot; a round moves
@@ -110,10 +110,9 @@ class AdaGradPotential(Potential):
 
     def _verify_delta_convexity(self, trials=200, tol=1e-9):
         rng = np.random.default_rng(20240901)
-        draws = [(self.sample_statistic(rng, max_rounds=4), self.sample_instance(rng),
-                  np.sort(rng.uniform(-self.L, self.L, size=2))) for _ in range(trials)]
-        zetas = map_slots(lambda *slots: np.stack(slots), *(d[0] for d in draws))
-        xs, (d0, d1) = np.stack([d[1] for d in draws]), np.array([d[2] for d in draws]).T
+        zetas, _ = stack_rounds(self, *self.sample_rounds(rng, trials, 4))
+        xs = self.sample_instances(rng, trials)
+        d0, d1 = np.sort(rng.uniform(-self.L, self.L, size=(trials, 2)), axis=1).T
         gap = np.max(self.residual(zetas, xs, 0.5 * (d0 + d1))
                      - 0.5 * (self.residual(zetas, xs, d0) + self.residual(zetas, xs, d1)))
         if gap > tol:

@@ -83,10 +83,9 @@ class MatrixPotential(Potential):
             bound += excess * max(float(symlin.sym_eigvals(stat.H)[0]), 0.0)
         return bound
 
-    def sample_instance(self, rng):
-        x = rng.normal(size=(self.d1, self.d2))
-        sn = symlin.spectral_norm(x)
-        return x / max(sn, 1.0)
+    def sample_instances(self, rng, k):
+        x = rng.normal(size=(k, self.d1, self.d2))
+        return x / np.maximum(symlin.spectral_norm(x), 1.0)[:, None, None]
 
     def increment_bound(self):
         # |delta y_hat| <= L B, softmax moves at most r L ||X|| + (eta r L^2 / 2) ||X||^2

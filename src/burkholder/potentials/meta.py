@@ -77,8 +77,8 @@ class MetaPotential(Potential):
             raise DomainError("no member exposes a regret bound for this comparator")
         return min(vals) + math.log(self.arity) / self.eta
 
-    def sample_instance(self, rng):
-        return self.members[0].sample_instance(rng)
+    def sample_instances(self, rng, k):
+        return self.members[0].sample_instances(rng, k)
 
 
 def _check_shared_map(potentials):
@@ -143,8 +143,8 @@ class CombinedPotential(Potential):
     def bound(self, stat):
         return self._agg([p.bound(stat) for p in self.potentials])
 
-    def sample_instance(self, rng):
-        return self.potentials[0].sample_instance(rng)
+    def sample_instances(self, rng, k):
+        return self.potentials[0].sample_instances(rng, k)
 
 
 def combine_min(potentials):

@@ -112,9 +112,7 @@ class ParamFreePotential(Potential):
         bn = self.beta * self.horizon
         return wn * math.sqrt(2.0 * bn * math.log(math.sqrt(bn) * wn / self.gamma + 1.0)) + self.c
 
-    def sample_instance(self, rng):
-        v = rng.normal(size=self.d)
-        nv = self.norm(v)
-        if nv == 0:
-            return v
-        return v / nv * rng.uniform(0.0, 1.0)
+    def sample_instances(self, rng, k):
+        v = rng.normal(size=(k, self.d))
+        nv = self.norm(v)[:, None]
+        return v / np.where(nv > 0, nv, 1.0) * rng.uniform(0.0, 1.0, size=(k, 1))

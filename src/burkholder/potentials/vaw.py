@@ -115,6 +115,6 @@ class VawPotential(Potential):
         aug = np.concatenate([np.asarray(comparator, dtype=float), [1.0]])
         return 0.5 * self.lam * float(np.dot(aug, aug)) + self._logdet_debt(self._gram(stat.A))
 
-    def sample_instance(self, rng):
-        v = rng.normal(size=self.d)
-        return v / max(np.linalg.norm(v), 1.0)
+    def sample_instances(self, rng, k):
+        v = rng.normal(size=(k, self.d))
+        return v / np.maximum(np.sqrt(np.vecdot(v, v)), 1.0)[:, None]

@@ -154,9 +154,9 @@ def log_trace_exp(s):
 
 
 def spectral_norm(x):
-    """Largest singular value of x, by an SVD without factors."""
+    """Largest singular value over the last two axes (0 if empty), one SVD."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    return float(np.linalg.svd(x, compute_uv=False).max(initial=0.0))
+    return np.linalg.svd(x, compute_uv=False).max(axis=-1, initial=0.0)
 
 
 def _project_l1_sorted(s, radius):

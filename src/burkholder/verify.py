@@ -7,11 +7,11 @@ CheckReport carrying the worst violation and a witness that replays to the
 same value. A sampled or searched check certifies violations only: a sup
 below tolerance does not prove none exists.
 
-p2 and p3 draw their trials in the order of a per-trial loop and evaluate
-them stacked, CHUNK trials at a time: one stat_map call, and eval calls per
-round index t shared by a group of trials. The worst trial is evaluated
-again on its own, and that value is reported, so the witness replays to it
-bit for bit.
+p2 and p3 draw their trials in blocks of CHUNK, one generator call per
+quantity (Potential.sample_rounds, draw_p3), and evaluate each block
+stacked: one stat_map call, and eval calls per round index t shared by a
+group of trials. The worst trial is evaluated again on its own, and that
+value is reported, so the witness replays to it bit for bit.
 """
 
 import math
@@ -22,6 +22,7 @@ import numpy as np
 from . import strategies
 from .errors import DomainError
 from .losses import make_loss
+from .potential import stack_rounds
 from .statistics import map_slots
 
 MAX_DEPTH = 14
@@ -70,10 +71,10 @@ class TwoPointDist:
 
 # --- potential properties ----------------------------------------------------
 
-def _check_trials(trials):
+def _trials_and_rng(trials, rng):
     if int(trials) < 1:
         raise DomainError(f"trials = {trials}, need trials >= 1")
-    return int(trials)
+    return int(trials), rng if rng is not None else np.random.default_rng(0)
 
 
 def check_p1(P, tol=1e-8):
@@ -83,67 +84,55 @@ def check_p1(P, tol=1e-8):
                        tol=tol, passed=u0 <= tol, witness={"value": float(u0)})
 
 
-def _stack_rounds(P, per_trial, extra=()):
-    """(taus, steps) from one stat_map call over every round (x, y_hat, delta):
-    taus stacks each trial's rounds summed onto zero in round order, as a
-    sequential fold does; steps stacks the maps of the extra rounds."""
-    rounds = [r for trial in per_trial for r in trial] + list(extra)
-    zero = P.zero()
-    taus = map_slots(lambda z: np.zeros((len(per_trial),) + np.shape(z)), zero)
-    if not rounds:
-        return taus, None
-    steps = P.stat_map(*(np.array(v) for v in zip(*rounds)))  # x, y_hat, delta
-    # row len(rounds) is zero: the step of a trial that has no round r
-    padded = map_slots(lambda a, z: np.concatenate([a, np.asarray(z)[None]]), steps, zero)
-    start = np.cumsum([0] + [len(trial) for trial in per_trial])
-    for r in range(max(len(trial) for trial in per_trial)):
-        taus = taus + _member(padded, np.where(start[:-1] + r < start[1:],
-                                               start[:-1] + r, len(rounds)))
-    return taus, _member(steps, slice(start[-1], None))
-
-
 def _member(stack, i):
     return map_slots(lambda a: a[i], stack)
 
 
-def _sweep(trials, draw, evaluate):
-    """Draw the trials in order, evaluate(draws) -> (violations, stack) them
-    CHUNK at a time; the first worst trial's index, draw and stack member."""
+def _sweep(trials, block):
+    """block(m) draws and evaluates m trials -> (violations, member), where
+    member(j) is what the report keeps of trial j; blocks hold CHUNK trials.
+    The first worst trial's index and member."""
     worst, found = -math.inf, None
     for lo in range(0, trials, CHUNK):
-        draws = [draw() for _ in range(min(CHUNK, trials - lo))]
-        viol, stack = evaluate(draws)
+        viol, member = block(min(CHUNK, trials - lo))
         j = int(np.argmax(viol))
         if found is None or viol[j] > worst:
-            worst, found = viol[j], (lo + j, draws[j], _member(stack, j))
+            worst, found = viol[j], (lo + j, member(j))
     return found
 
 
 def check_p2(P, trials=1000, tol=1e-8, rng=None, bound_fn=None):
     """V <= U on statistics reachable by statistic-map sums. bound_fn
     (default P.bound) gets stacks of statistics, as P.bound does."""
-    trials = _check_trials(trials)
-    rng = rng if rng is not None else np.random.default_rng(0)
+    trials, rng = _trials_and_rng(trials, rng)
     bound_fn = bound_fn if bound_fn is not None else P.bound
 
-    def evaluate(draws):
-        stats, _ = _stack_rounds(P, draws)
-        return bound_fn(stats) - P.eval(stats, t=P.horizon), stats
+    def block(m):
+        stats, _ = stack_rounds(P, *P.sample_rounds(rng, m))
+        return bound_fn(stats) - P.eval(stats, t=P.horizon), lambda j: _member(stats, j)
 
-    i, _, stat = _sweep(trials, lambda: P.sample_rounds(rng), evaluate)
+    i, stat = _sweep(trials, block)
     u, v = float(P.eval(stat, t=P.horizon)), float(bound_fn(stat))
     return CheckReport(name="p2_dominates_bound", checks=trials,
                        max_violation=v - u, tol=tol, passed=v - u <= tol,
                        witness={"trial": i, "stat": stat, "U": u, "V": v})
 
 
-def _draw_distribution(mode, L, rng):
+def draw_p3(P, mode, rng, m):
+    """m p3 trials as one block, one generator call per quantity: (t, counts,
+    rounds, x, y_hat, alphas, probs), t in 1..horizon (1 without one) and
+    tau the sum of up to min(t - 1, 6) rounds. Trial i's law puts probs[i]
+    on alphas[i]: (a, -b) weighed as by TwoPointDist, or 1/2 on each of +-L."""
+    if mode not in ("two_point", "rademacher"):
+        raise DomainError(f"unknown p3 mode {mode!r}")
+    t = rng.integers(1, P.horizon + 1, size=m) if P.horizon else np.ones(m, dtype=int)
+    counts, rounds = P.sample_rounds(rng, m, np.minimum(t - 1, 6) if P.horizon else 6)
+    x, y_hat = P.sample_instances(rng, m), rng.uniform(-P.B, P.B, m)
     if mode == "rademacher":
-        return [(+L, 0.5), (-L, 0.5)], {"mode": mode}
-    if mode == "two_point":
-        d = TwoPointDist(float(rng.uniform(1e-3, L)), float(rng.uniform(1e-3, L)))
-        return d.support(), {"mode": mode, "a": d.a, "b": d.b}
-    raise DomainError(f"unknown p3 mode {mode!r}")
+        return t, counts, rounds, x, y_hat, np.tile([P.L, -P.L], (m, 1)), np.full((m, 2), 0.5)
+    a, b = rng.uniform(1e-3, P.L, size=(2, m))
+    return (t, counts, rounds, x, y_hat, np.stack([a, -b], axis=1),
+            np.stack([b, a], axis=1) / (a + b)[:, None])
 
 
 def check_p3(P, mode="two_point", trials=10000, tol=1e-8, rng=None):
@@ -152,34 +141,26 @@ def check_p3(P, mode="two_point", trials=10000, tol=1e-8, rng=None):
     two_point sweeps the extreme mean-zero laws on [-L, L]; rademacher is the
     sign law alone, sufficient when the potential is convex in the increment.
     """
-    trials = _check_trials(trials)
-    rng = rng if rng is not None else np.random.default_rng(0)
+    trials, rng = _trials_and_rng(trials, rng)
 
-    def draw():
-        t = int(rng.integers(1, P.horizon + 1)) if P.horizon else 1
-        rounds = P.sample_rounds(rng, max_rounds=min(t - 1, 6) if P.horizon else 6)
-        x = P.sample_instance(rng)
-        y_hat = float(rng.uniform(-P.B, P.B))
-        return (t, rounds, x, y_hat) + _draw_distribution(mode, P.L, rng)
-
-    def evaluate(draws):
-        taus, steps = _stack_rounds(P, [d[1] for d in draws], [
-            (x, y_hat, alpha) for _, _, x, y_hat, support, _ in draws for alpha, _ in support])
-        k = len(draws[0][4])  # one mode's laws share a support size
-        after = _member(taus, np.repeat(np.arange(len(draws)), k)) + steps
-        probs = np.array([[p for _, p in d[4]] for d in draws])
-        ts = np.array([d[0] for d in draws])
-        viol = np.empty(len(draws))
-        for t in sorted(set(ts.tolist())):
-            sel = np.flatnonzero(ts == t)
-            u_after = P.eval(_member(after, (sel[:, None] * k + np.arange(k)).ravel()), t=t)
+    def block(m):
+        draws = t, counts, rounds, x, y_hat, alphas, probs = draw_p3(P, mode, rng, m)
+        k = alphas.shape[1]
+        tests = (np.repeat(x, k, axis=0), np.repeat(y_hat, k), alphas.ravel())
+        taus, steps = stack_rounds(P, counts, [np.concatenate(v) for v in zip(rounds, tests)])
+        after = _member(taus, np.repeat(np.arange(m), k)) + steps
+        viol = np.empty(m)
+        for ti in sorted(set(t.tolist())):  # np.unique imports numpy.ma: +1 MB RSS
+            sel = np.flatnonzero(t == ti)
+            u_after = P.eval(_member(after, (sel[:, None] * k + np.arange(k)).ravel()), t=ti)
             viol[sel] = ((probs[sel] * u_after.reshape(-1, k)).sum(axis=1)
-                         - P.eval(_member(taus, sel), t=t - 1))
-        return viol, taus
+                         - P.eval(_member(taus, sel), t=ti - 1))
+        return viol, lambda j: (_member(taus, j),) + tuple(d[j] for d in draws[3:]) + (t[j],)
 
-    i, (t, _, x, y_hat, support, dist_info), tau = _sweep(trials, draw, evaluate)
-    witness = {"trial": i, "tau": tau, "x": x, "y_hat": y_hat,
-               "support": support, "t": t, **dist_info}
+    i, (tau, x, y_hat, alphas, probs, t) = _sweep(trials, block)
+    witness = {"trial": i, "tau": tau, "x": x, "y_hat": float(y_hat), "t": int(t),
+               "support": [(float(a), float(p)) for a, p in zip(alphas, probs)], "mode": mode,
+               **({"a": float(alphas[0]), "b": -float(alphas[1])} if mode == "two_point" else {})}
     worst = float(replay_p3(P, witness))
     return CheckReport(name=f"p3_supermartingale_{mode}", checks=trials,
                        max_violation=worst, tol=tol,
@@ -189,10 +170,8 @@ def check_p3(P, mode="two_point", trials=10000, tol=1e-8, rng=None):
 def replay_p3(P, witness):
     """Recompute, one statistic at a time, the violation of a p3 witness."""
     tau, t = witness["tau"], witness["t"]
-    after = 0.0
-    for alpha, p in witness["support"]:
-        after += p * P.eval(tau + P.stat_map(witness["x"], witness["y_hat"], alpha), t=t)
-    return after - P.eval(tau, t=t - 1)
+    return sum(p * P.eval(tau + P.stat_map(witness["x"], witness["y_hat"], alpha), t=t)
+               for alpha, p in witness["support"]) - P.eval(tau, t=t - 1)
 
 
 # --- predictable trees -------------------------------------------------------

@@ -335,6 +335,15 @@ def test_verify_all_matches_the_benchmark_reference(capsys):
     assert len(summary(out)) == 38
 
 
+@pytest.mark.parametrize("seed", [1, 11])
+def test_verify_all_passes_at_other_seeds(seed, capsys):
+    """Every catalog check passes on the block-drawn streams of more seeds."""
+    assert cli.main(["verify", "--suite", "all", "--seed", str(seed)]) == 0
+    out, _ = capsys.readouterr()
+    assert "FAIL" not in out
+    assert len([l for l in out.splitlines() if l.startswith("pass ")]) == 38
+
+
 def test_verify_catalog_rejects_a_nonpositive_range(tmp_path, capsys):
     path = _cfg(tmp_path, "B = -1\n")
     assert cli.main(["verify", "--config", path, "--suite", "p1"]) == 2

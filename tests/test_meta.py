@@ -19,7 +19,7 @@ def _meta_pair(eta=0.25):
     ada = MappedPotential(
         AdaGradPotential(d=6),
         feature_fn=lambda x: np.asarray(x, dtype=float).reshape(-1),
-        sample_fn=matrix.sample_instance)
+        sample_fn=matrix.sample_instances)
     return MetaPotential([(matrix, matrix.increment_bound()),
                           (ada, ada.increment_bound())], eta=eta)
 

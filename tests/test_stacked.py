@@ -1,5 +1,6 @@
 """Stacked statistics: a batch of k statistics evaluates like k single ones,
-and the two-phase p2/p3 checks report what a plain per-trial loop reports."""
+the two-phase p2/p3 checks report what a plain per-trial loop reports on the
+same drawn block, and every family's block sampler stays in its domain."""
 
 import math
 
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 
 from burkholder.potential import MappedPotential
-from burkholder.potentials import (AdaGradPotential, MatrixPotential, combine_convex,
-                                   combine_min, standard_families)
+from burkholder.potentials import (AdaGradPotential, MatrixPotential, ParamFreePotential,
+                                   combine_convex, combine_min, standard_families)
 from burkholder.statistics import map_slots, stats_allclose
-from burkholder.verify import TwoPointDist, check_p2, check_p3, replay_p3
+from burkholder.symlin import spectral_norm
+from burkholder.verify import CHUNK, check_p2, check_p3, draw_p3, replay_p3
 
 
 def _cases():
@@ -20,39 +22,45 @@ def _cases():
     cases["combine_convex"] = combine_convex([m1, m2], [0.3, 0.7])
     cases["mapped_reshape"] = MappedPotential(
         AdaGradPotential(d=6), lambda x: np.asarray(x, dtype=float).reshape(-1),
-        sample_fn=m1.sample_instance)
+        sample_fn=m1.sample_instances)
     return cases
 
 
 CASES = _cases()
 
 
+def _fold(P, counts, rounds, i):
+    """Trial i's statistic, summed one stat_map call per round."""
+    start = int(np.sum(counts[:i]))
+    zeta = P.zero()
+    for r in range(start, start + int(counts[i])):
+        zeta = zeta + P.stat_map(rounds[0][r], float(rounds[1][r]), float(rounds[2][r]))
+    return zeta
+
+
 def _plain_p2(P, trials, rng):
     worst, trial = -math.inf, None
-    for i in range(trials):
-        stat = P.sample_statistic(rng)
-        viol = P.bound(stat) - P.eval(stat, t=P.horizon)
-        if viol > worst:
-            worst, trial = viol, i
+    for lo in range(0, trials, CHUNK):
+        counts, rounds = P.sample_rounds(rng, min(CHUNK, trials - lo))
+        for i in range(len(counts)):
+            stat = _fold(P, counts, rounds, i)
+            viol = P.bound(stat) - P.eval(stat, t=P.horizon)
+            if viol > worst:
+                worst, trial = viol, lo + i
     return worst, trial
 
 
 def _plain_p3(P, mode, trials, rng):
     worst, trial = -math.inf, None
-    for i in range(trials):
-        t = int(rng.integers(1, P.horizon + 1)) if P.horizon else 1
-        tau = P.sample_statistic(rng, max_rounds=min(t - 1, 6) if P.horizon else 6)
-        x = P.sample_instance(rng)
-        y_hat = float(rng.uniform(-P.B, P.B))
-        if mode == "rademacher":
-            support = [(P.L, 0.5), (-P.L, 0.5)]
-        else:
-            support = TwoPointDist(float(rng.uniform(1e-3, P.L)),
-                                   float(rng.uniform(1e-3, P.L))).support()
-        viol = sum(p * P.eval(tau + P.stat_map(x, y_hat, a), t=t)
-                   for a, p in support) - P.eval(tau, t=t - 1)
-        if viol > worst:
-            worst, trial = viol, i
+    for lo in range(0, trials, CHUNK):
+        t, counts, rounds, x, y_hat, alphas, probs = draw_p3(P, mode, rng,
+                                                             min(CHUNK, trials - lo))
+        for i in range(len(t)):
+            tau = _fold(P, counts, rounds, i)
+            viol = sum(p * P.eval(tau + P.stat_map(x[i], float(y_hat[i]), a), t=int(t[i]))
+                       for a, p in zip(alphas[i], probs[i])) - P.eval(tau, t=int(t[i]) - 1)
+            if viol > worst:
+                worst, trial = viol, lo + i
     return worst, trial
 
 
@@ -109,3 +117,61 @@ def test_stacked_stat_map_matches_single_calls(name):
         assert stats_allclose(map_slots(lambda s: s[i], stacked),
                               P.stat_map(xs[i], float(y_hats[i]), float(deltas[i])),
                               rtol=0.0, atol=0.0)
+
+
+def _domain_norms(P, xs):
+    """Each instance's norm in the family's domain, whose unit ball it is."""
+    if xs.ndim == 3:
+        return spectral_norm(xs)
+    if isinstance(P, ParamFreePotential):
+        return P.norm(xs)
+    return np.linalg.norm(xs, axis=-1)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sample_instances_stacks_k_instances_of_the_domain(name):
+    P = CASES[name]
+    rng = np.random.default_rng(8)
+    shape = np.shape(P.sample_instance(rng))
+    for k in (0, 1, 7):
+        xs = P.sample_instances(rng, k)
+        assert xs.shape == (k,) + shape
+        assert np.all(_domain_norms(P, xs) <= 1.0 + 1e-12)
+        if k:
+            stats = P.stat_map(xs, np.zeros(k), np.full(k, P.L))
+            assert np.shape(P.eval(stats, t=P.horizon)) == (k,)
+
+
+def _matrix_formula(P, rng):
+    x = rng.normal(size=(P.d1, P.d2))
+    return x / max(np.linalg.svd(x, compute_uv=False).max(), 1.0)
+
+
+def _unit_ball_formula(P, rng):
+    v = rng.normal(size=P.d)
+    return v / max(np.linalg.norm(v), 1.0)
+
+
+def _param_free_formula(P, rng):
+    v = rng.normal(size=P.d)
+    return v / P.norm(v) * rng.uniform(0.0, 1.0)
+
+
+FORMULAS = {"matrix": _matrix_formula, "adagrad_l2": _unit_ball_formula,
+            "adagrad_linf": _unit_ball_formula, "vaw": _unit_ball_formula,
+            "param_free_l2": _param_free_formula, "param_free_l4": _param_free_formula}
+
+
+@pytest.mark.parametrize("name", sorted(FORMULAS))
+def test_sample_instance_draws_the_per_instance_formula(name):
+    """A block of one draws what the per-instance formula draws, bit for bit.
+    The l4 norm's p-th root of a stack may round differently from the scalar
+    one in the last bit, so that family is held to 1e-15."""
+    P, formula = CASES[name], FORMULAS[name]
+    for seed in range(1000):
+        got = P.sample_instance(np.random.default_rng(seed))
+        want = formula(P, np.random.default_rng(seed))
+        if name == "param_free_l4":
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        else:
+            assert np.array_equal(got, want), seed

@@ -530,7 +530,7 @@ def test_mapped_potential_reindexes_instances():
     assert mapped.residual(mapped.zero(), X, 0.5) == inner.residual(
         inner.zero(), flat(X), 0.5)
     assert mapped.linearizable == inner.linearizable
-    sampled = MappedPotential(inner, flat, sample_fn=lambda r: r.normal(size=(2, 3)))
+    sampled = MappedPotential(inner, flat, sample_fn=lambda r, k: r.normal(size=(k, 2, 3)))
     assert sampled.sample_instance(np.random.default_rng(0)).shape == (2, 3)
 
 

@@ -52,9 +52,9 @@ class SmoothnessPair(Potential):
     def eval(self, stat, t=None):
         return self.bound(stat)
 
-    def sample_instance(self, rng):
-        v = rng.normal(size=self.d)
-        return v / max(np.linalg.norm(v), 1.0)
+    def sample_instances(self, rng, k):
+        v = rng.normal(size=(k, self.d))
+        return v / np.maximum(np.sqrt(np.vecdot(v, v)), 1.0)[:, None]
 
 
 def test_two_point_distribution_is_exactly_centered():
@@ -297,7 +297,7 @@ def test_p2_and_p3_read_the_horizon_through_wrappers(wrapper):
                           eta=0.5)
     else:
         P = MappedPotential(pf, lambda x: np.asarray(x, dtype=float).reshape(-1),
-                            sample_fn=lambda r: pf.sample_instance(r).reshape(1, 3))
+                            sample_fn=lambda r, k: pf.sample_instances(r, k).reshape(k, 1, 3))
     assert P.horizon == 16
     assert check_p2(P, trials=50, rng=np.random.default_rng(1)).passed
     rounds, inner_eval = set(), P.eval
