@@ -303,7 +303,7 @@ def cmd_verify(args):
                     reports.append((name, verify.check_p3(P, mode="rademacher",
                                                           trials=trials, tol=tol, rng=rng)))
             if run_all or suite == "supermartingale":
-                tree = verify.PredictableTree.random(depth, P.sample_instance, rng)
+                tree = verify.PredictableTree.random(depth, P.sample_instances, rng)
                 reports.append((name, verify.check_supermartingale(P, tree, tol=tol)))
 
     if suite in ("khintchine", "all") and not args.negative_control:
@@ -322,7 +322,7 @@ def cmd_verify(args):
         P = MatrixPotential(cfg.get("d1", 2), cfg.get("d2", 2),
                             eta=cfg.get("eta", 0.5), r=cfg.get("r", 1.0),
                             c=cfg.get("c"), B=cfg.get("B", 1.0))
-        tree = verify.PredictableTree.random(depth, P.sample_instance, rng)
+        tree = verify.PredictableTree.random(depth, P.sample_instances, rng)
         reports.append(("matrix", verify.check_necessity(
             P, tree, tol=_family_tol("matrix", tol_override),
             clairvoyant=args.negative_control)))

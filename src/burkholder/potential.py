@@ -224,10 +224,12 @@ class MappedPotential(Potential):
         return self.inner.zero()
 
     def stat_map(self, x, y_hat, delta):
-        # the featurizer maps one instance, so a stack is mapped row by row
-        feats = (np.stack([self.feature_fn(xi) for xi in x]) if np.ndim(delta)
-                 else self.feature_fn(x))
-        return self.inner.stat_map(feats, y_hat, delta)
+        if not np.ndim(delta):
+            return self.inner.stat_map(self.feature_fn(x), y_hat, delta)
+        # the featurizer maps one instance, so a stack is mapped row by row;
+        # a zero instance gives an empty stack its feature shape
+        feats = [self.feature_fn(xi) for xi in x] or [self.feature_fn(np.zeros(np.shape(x)[1:]))]
+        return self.inner.stat_map(np.stack(feats)[:len(x)], y_hat, delta)
 
     def eval(self, stat, t=None):
         return self.inner.eval(stat, t=t)

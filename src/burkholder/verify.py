@@ -12,6 +12,10 @@ quantity (Potential.sample_rounds, draw_p3), and evaluate each block
 stacked: one stat_map call, and eval calls per round index t shared by a
 group of trials. The worst trial is evaluated again on its own, and that
 value is reported, so the witness replays to it bit for bit.
+
+A predictable tree draws each level with one sampler(rng, k) call, the
+contract of sample_instances, and is walked a level at a time: one stack of
+statistics per level, one stat_map call to its children.
 """
 
 import math
@@ -24,6 +28,7 @@ from .errors import DomainError
 from .losses import make_loss
 from .potential import stack_rounds
 from .statistics import map_slots
+from .symlin import spectral_norm
 
 MAX_DEPTH = 14
 CHUNK = 128  # trials per stacked evaluation in p2 and p3; bounds its memory
@@ -43,30 +48,6 @@ class CheckReport:
         status = "pass" if self.passed else "FAIL"
         return (f"{status} {self.name}: checks={self.checks} "
                 f"max_violation={self.max_violation:.3e} tol={self.tol:.1e}")
-
-
-@dataclass(frozen=True)
-class TwoPointDist:
-    """Support {a, -b} with weights (b, a) / (a + b); an exact mean-zero law.
-
-    Two-point laws are the extreme points of the mean-zero distributions on
-    [-L, L], so sweeping them covers the full restricted-concavity property
-    for potentials convex in the increment.
-    """
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise DomainError("a > 0 and b > 0")
-
-    def support(self):
-        s = self.a + self.b
-        return [(self.a, self.b / s), (-self.b, self.a / s)]
-
-    def mean(self):
-        # common-numerator form: exactly zero in floating point
-        return (self.a * self.b - self.b * self.a) / (self.a + self.b)
 
 
 # --- potential properties ----------------------------------------------------
@@ -122,7 +103,10 @@ def draw_p3(P, mode, rng, m):
     """m p3 trials as one block, one generator call per quantity: (t, counts,
     rounds, x, y_hat, alphas, probs), t in 1..horizon (1 without one) and
     tau the sum of up to min(t - 1, 6) rounds. Trial i's law puts probs[i]
-    on alphas[i]: (a, -b) weighed as by TwoPointDist, or 1/2 on each of +-L."""
+    on alphas[i]: 1/2 on each of +-L, or (b, a) / (a + b) on (a, -b), the
+    extreme mean-zero laws of [-L, L]. The rademacher mean is exactly zero;
+    the two-point weights round, so that mean is zero only to roundoff (a
+    few ulp of L), not bitwise."""
     if mode not in ("two_point", "rademacher"):
         raise DomainError(f"unknown p3 mode {mode!r}")
     t = rng.integers(1, P.horizon + 1, size=m) if P.horizon else np.ones(m, dtype=int)
@@ -176,8 +160,15 @@ def replay_p3(P, witness):
 
 # --- predictable trees -------------------------------------------------------
 
+def _exhaustive(depth):
+    """depth, when its 2^depth sign paths are within the exhaustive limit."""
+    if depth > MAX_DEPTH:
+        raise DomainError(f"depth {depth} exceeds the exhaustive limit {MAX_DEPTH}")
+    return depth
+
+
 class PredictableTree:
-    """Depth-n binary tree of instance values.
+    """Depth-n binary tree of instance values, 1 <= n <= MAX_DEPTH.
 
     levels[t-1] has one value per sign prefix of length t-1 (2^(t-1) nodes),
     so the value revealed at round t depends only on the first t-1 signs.
@@ -188,6 +179,7 @@ class PredictableTree:
         self.levels = [np.asarray(lv, dtype=float) for lv in levels]
         if not self.levels:
             raise DomainError("a predictable tree needs depth >= 1")
+        _exhaustive(self.depth)
         for t, lv in enumerate(self.levels, start=1):
             if lv.shape[0] != 2 ** (t - 1):
                 raise DomainError(
@@ -209,11 +201,9 @@ class PredictableTree:
 
     @classmethod
     def random(cls, depth, sampler, rng):
-        if depth > MAX_DEPTH:
-            raise DomainError(f"depth {depth} exceeds the exhaustive limit {MAX_DEPTH}")
-        return cls([np.stack([np.asarray(sampler(rng), dtype=float)
-                              for _ in range(2 ** (t - 1))])
-                    for t in range(1, depth + 1)])
+        """Level t is one call sampler(rng, 2^(t-1)), the family contract of
+        sample_instances: its nodes' instances stacked in prefix order."""
+        return cls([sampler(rng, 2 ** t) for t in range(_exhaustive(depth))])
 
     def perturbed(self, level, index, value):
         levels = [lv.copy() for lv in self.levels]
@@ -223,9 +213,7 @@ class PredictableTree:
 
 def sign_paths(n):
     """(2^n, n) array of sign paths; bit s-1 of the row index gives eps_s."""
-    if n > MAX_DEPTH:
-        raise DomainError(f"n = {n} exceeds the exhaustive limit {MAX_DEPTH}")
-    p = np.arange(2 ** n)[:, None]
+    p = np.arange(2 ** _exhaustive(n))[:, None]
     bits = (p >> np.arange(n)[None, :]) & 1
     return 2.0 * bits - 1.0
 
@@ -242,27 +230,39 @@ def gather_tree(tree, codes):
     return np.stack([tree.levels[t][codes[:, t]] for t in range(tree.depth)], axis=1)
 
 
-def walk_tree(tree, root, expand):
-    """Visit a predictable tree level by level; return the leaf states.
+def _twice(a):
+    """A level's stack of k (an array or a statistic) repeated for its 2k
+    children: the eps = -1 child of prefix code idx is row idx, the eps = +1
+    child row idx + k, so the leaves come out in sign_paths row order."""
+    if isinstance(a, np.ndarray):
+        return np.concatenate([a, a])
+    return map_slots(_twice, a)
 
-    expand(t, idx, x, state) gives the child states (eps = -1, eps = +1) of
-    the level-t node with prefix code idx, which holds x. They land at codes
-    idx and idx + 2^(t-1), so the leaves come out in sign_paths row order.
-    """
-    if tree.depth > MAX_DEPTH:
-        raise DomainError(f"depth {tree.depth} exceeds the exhaustive limit {MAX_DEPTH}")
-    states = [root]
-    for t, level in enumerate(tree.levels, start=1):
-        pairs = [expand(t, idx, level[idx], s) for idx, s in enumerate(states)]
-        states = [lo for lo, _ in pairs] + [hi for _, hi in pairs]
-    return states
+
+def _children(P, taus, x):
+    """The children of a level's stacked statistics taus, whose nodes hold
+    x: taus + T(x, 0, eps L) for eps = -1 and +1."""
+    k = len(x)
+    return _twice(taus) + P.stat_map(_twice(x), np.zeros(2 * k), np.repeat([-P.L, P.L], k))
+
+
+def _root(P):
+    return map_slots(lambda z: np.zeros((1,) + np.shape(z)), P.zero())
+
+
+def tree_leaves(P, tree):
+    """The stack of sum_t T(x_t(eps), 0, eps_t L) over sign paths, in
+    sign_paths row order."""
+    taus = _root(P)
+    for x in tree.levels:
+        taus = _children(P, taus, x)
+    return taus
 
 
 def tree_expectation(P, tree, value_fn):
-    """Exact E over sign paths of value_fn(sum_t T(x_t(eps), 0, eps_t L))."""
-    leaves = walk_tree(tree, P.zero(), lambda t, idx, x, tau: (
-        tau + P.stat_map(x, 0.0, -P.L), tau + P.stat_map(x, 0.0, P.L)))
-    return sum(value_fn(tau) for tau in leaves) / len(leaves)
+    """Exact E over sign paths of value_fn(sum_t T(x_t(eps), 0, eps_t L));
+    value_fn takes the stack of leaves, as P.bound does."""
+    return float(np.mean(value_fn(tree_leaves(P, tree))))
 
 
 def brute_force_sup_ev(P, n, rng=None, bound_fn=None, search="random",
@@ -278,7 +278,7 @@ def brute_force_sup_ev(P, n, rng=None, bound_fn=None, search="random",
     vals = []
     best_tree, best = None, -math.inf
     for _ in range(int(k)):
-        tree = PredictableTree.random(n, P.sample_instance, rng)
+        tree = PredictableTree.random(n, P.sample_instances, rng)
         v = tree_expectation(P, tree, bound_fn)
         vals.append(v)
         if v > best:
@@ -307,10 +307,9 @@ def check_matrix_khintchine(n=10, d1=3, d2=2, n_trees=100, rng=None, trees=None,
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     if trees is None:
-        def sampler(r):
-            x = r.normal(size=(d1, d2))
-            s = np.linalg.svd(x, compute_uv=False)[0]
-            return x / max(s, 1.0)
+        def sampler(r, k):
+            x = r.normal(size=(k, d1, d2))
+            return x / np.maximum(spectral_norm(x), 1.0)[:, None, None]
         trees = [PredictableTree.random(n, sampler, rng) for _ in range(n_trees)]
     ratios = []
     for tree in trees:
@@ -350,9 +349,9 @@ def check_mgf_bound(n, d=4, n_trees=50, rng=None, tol=1e-9):
     """
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    def sampler(r):
-        v = r.normal(size=d)
-        return v / max(np.linalg.norm(v), 1.0)
+    def sampler(r, k):
+        v = r.normal(size=(k, d))
+        return v / np.maximum(np.sqrt(np.vecdot(v, v)), 1.0)[:, None]
 
     ratios = []
     for _ in range(int(n_trees)):
@@ -367,20 +366,22 @@ def check_mgf_bound(n, d=4, n_trees=50, rng=None, tol=1e-9):
 
 def check_supermartingale(P, tree, tol=1e-8):
     """At every internal node: the exact mean of U over the two children is
-    at most U at the node. Walks the full tree (exact, no sampling)."""
+    at most U at the node. Walks the full tree a level at a time (exact, no
+    sampling); a level's children are the next level's nodes, so U is
+    evaluated once per level. The witness is the first worst node."""
     worst, witness = -math.inf, {}
-
-    def expand(t, idx, x, tau):
-        nonlocal worst, witness
-        children = (tau + P.stat_map(x, 0.0, -P.L), tau + P.stat_map(x, 0.0, P.L))
-        viol = 0.5 * sum(P.eval(c, t=t) for c in children) - P.eval(tau, t=t - 1)
-        if viol > worst:
-            worst, witness = viol, {"t": t, "prefix_index": idx, "violation": viol}
-        return children
-
-    walk_tree(tree, P.zero(), expand)
+    taus = _root(P)
+    u = P.eval(taus, t=0)
+    for t, x in enumerate(tree.levels, start=1):
+        taus = _children(P, taus, x)
+        u_node, u = u, P.eval(taus, t=t)
+        viol = 0.5 * (u[:len(x)] + u[len(x):]) - u_node
+        i = int(np.argmax(viol))
+        if viol[i] > worst:
+            worst = float(viol[i])
+            witness = {"t": t, "prefix_index": i, "violation": worst}
     return CheckReport(name="supermartingale_tree", checks=2 ** tree.depth - 1,
-                       max_violation=float(worst), tol=tol,
+                       max_violation=worst, tol=tol,
                        passed=worst <= tol, witness=witness)
 
 
@@ -412,43 +413,33 @@ def check_necessity(P, tree, learner=None, tol=1e-8, clairvoyant=False):
     the negative control for this check.
     """
     n = tree.depth
-    max_node = max(float(np.linalg.svd(lv, compute_uv=False).max())
-                   for lv in tree.levels)
-    if P.r * max_node > 1.0 + 1e-9:
+    if P.r * max(float(spectral_norm(lv).max()) for lv in tree.levels) > 1.0 + 1e-9:
         raise DomainError("necessity adversary needs r * max ||X||_sigma <= 1")
     if learner is None:
         learner = strategies.predict_linearized
     loss = make_loss("absolute", B=max(P.B, 2.0))
 
-    def expand(t, idx, x, state):
-        zeta, eps_sum, cum_loss = state
-        y_base = float(learner(P, zeta, x, t=t))
-        children = []
-        for eps in (-1.0, 1.0):
-            y_hat = eps if clairvoyant else y_base
-            delta = float(loss.subgradient(y_hat, eps))
-            children.append((zeta + P.stat_map(x, y_hat, delta),
-                             eps_sum + eps * x,
-                             cum_loss + float(loss.value(y_hat, eps))))
-        return children
+    # the walk carries, per path prefix, the statistic, sum eps_s x_s and the loss
+    zetas, eps_sum, cum_loss = _root(P), np.zeros((1,) + tree.levels[0].shape[1:]), np.zeros(1)
+    for t, x in enumerate(tree.levels, start=1):
+        eps, xs = np.repeat([-1.0, 1.0], len(x)), _twice(x)
+        y_hat = eps if clairvoyant else _twice(np.array(
+            [float(learner(P, _member(zetas, i), x[i], t=t)) for i in range(len(x))]))
+        zetas = _twice(zetas) + P.stat_map(xs, y_hat, loss.subgradient(y_hat, eps))
+        eps_sum = _twice(eps_sum) + eps[:, None, None] * xs
+        cum_loss = _twice(cum_loss) + loss.value(y_hat, eps)
 
-    paths = []
-    root = (P.zero(), np.zeros_like(tree.levels[0][0]), 0.0)
-    for zeta, eps_sum, cum_loss in walk_tree(tree, root, expand):
-        a_bound = P.regret_bound(zeta)
-        u_norm = float(np.linalg.svd(eps_sum, compute_uv=False).max())
-        comp = n - P.r * u_norm
-        lhs = cum_loss - comp - a_bound
-        rhs = P.r * u_norm - a_bound
-        paths.append((lhs, rhs))
-    arr = np.array(paths)
-    e_lhs, e_rhs = float(arr[:, 0].mean()), float(arr[:, 1].mean())
+    a_bound = np.array([P.regret_bound(_member(zetas, p)) for p in range(len(cum_loss))])
+    u_norm = spectral_norm(eps_sum)
+    lhs = cum_loss - (n - P.r * u_norm) - a_bound
+    rhs = P.r * u_norm - a_bound
+    e_lhs, e_rhs = float(lhs.mean()), float(rhs.mean())
     gap = e_lhs - e_rhs
     # lower bound: E[sup-regret - A] >= E[V_lin]; achievability: E[V_lin] <= 0
     viol = max(e_rhs - e_lhs, e_rhs)
-    return CheckReport(name="necessity_lower_bound", checks=arr.shape[0],
+    return CheckReport(name="necessity_lower_bound", checks=len(lhs),
                        max_violation=float(viol),
                        tol=tol, passed=viol <= tol,
                        witness={"E_gap": gap, "E_lhs": e_lhs, "E_rhs": e_rhs},
-                       extras={"max_path_excess": float(arr[:, 0].max()),
+                       extras={"max_path_excess": float(lhs.max()),
                                "E_regret_gap": gap})

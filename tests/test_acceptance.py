@@ -267,18 +267,18 @@ def test_supermartingale_trees_and_combinations():
     min and convex mixtures of passing potentials keep the properties."""
     rng = np.random.default_rng([23, 0])
     matrix = MatrixPotential(3, 2, eta=0.5)
-    tree = PredictableTree.random(10, matrix.sample_instance, rng)
+    tree = PredictableTree.random(10, matrix.sample_instances, rng)
     rep = check_supermartingale(matrix, tree, tol=1e-6)
     assert rep.passed and rep.checks == 2 ** 10 - 1, rep.line()
 
     pf = ParamFreePotential(n=10, d=5, c=1.0)
-    tree = PredictableTree.random(10, pf.sample_instance,
+    tree = PredictableTree.random(10, pf.sample_instances,
                                   np.random.default_rng([23, 1]))
     rep = check_supermartingale(pf, tree, tol=1e-8)
     assert rep.passed, rep.line()
 
     meta = standard_families(B=1.0)["meta"]
-    tree = PredictableTree.random(10, meta.sample_instance,
+    tree = PredictableTree.random(10, meta.sample_instances,
                                   np.random.default_rng([23, 2]))
     rep = check_supermartingale(meta, tree, tol=1e-6)
     assert rep.passed, rep.line()

@@ -1,6 +1,7 @@
 """Stacked statistics: a batch of k statistics evaluates like k single ones,
 the two-phase p2/p3 checks report what a plain per-trial loop reports on the
-same drawn block, and every family's block sampler stays in its domain."""
+same drawn block, every family's block sampler stays in its domain, and a
+tree drawn a level at a time holds what per-node draws give."""
 
 import math
 
@@ -12,7 +13,9 @@ from burkholder.potentials import (AdaGradPotential, MatrixPotential, ParamFreeP
                                    combine_convex, combine_min, standard_families)
 from burkholder.statistics import map_slots, stats_allclose
 from burkholder.symlin import spectral_norm
-from burkholder.verify import CHUNK, check_p2, check_p3, draw_p3, replay_p3
+from burkholder.verify import (CHUNK, PredictableTree, check_matrix_khintchine,
+                               check_mgf_bound, check_p2, check_p3, draw_p3, gather_tree,
+                               prefix_codes, replay_p3, sign_paths)
 
 
 def _cases():
@@ -137,9 +140,8 @@ def test_sample_instances_stacks_k_instances_of_the_domain(name):
         xs = P.sample_instances(rng, k)
         assert xs.shape == (k,) + shape
         assert np.all(_domain_norms(P, xs) <= 1.0 + 1e-12)
-        if k:
-            stats = P.stat_map(xs, np.zeros(k), np.full(k, P.L))
-            assert np.shape(P.eval(stats, t=P.horizon)) == (k,)
+        stats = P.stat_map(xs, np.zeros(k), np.full(k, P.L))
+        assert np.shape(P.eval(stats, t=P.horizon)) == (k,)
 
 
 def _matrix_formula(P, rng):
@@ -175,3 +177,43 @@ def test_sample_instance_draws_the_per_instance_formula(name):
             np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
         else:
             assert np.array_equal(got, want), seed
+
+
+def _per_node_tree(depth, draw, rng):
+    """A tree drawn one node at a time, level by level in prefix order."""
+    return PredictableTree([np.stack([draw(rng) for _ in range(2 ** t)]) for t in range(depth)])
+
+
+@pytest.mark.parametrize("name", sorted(FORMULAS) + ["meta"])
+def test_level_drawn_trees_match_per_node_draws(name):
+    """PredictableTree.random draws a level with one sample_instances call.
+    That is what per-node sample_instance calls draw, bit for bit, except
+    for param_free, which draws a level's normals before its uniforms: its
+    trees agree at the one-node root level only."""
+    P = CASES[name]
+    for seed in range(20):
+        got = PredictableTree.random(6, P.sample_instances, np.random.default_rng(seed))
+        want = _per_node_tree(6, P.sample_instance, np.random.default_rng(seed))
+        same = [np.array_equal(a, b) for a, b in zip(got.levels, want.levels)]
+        assert same == ([True] + [False] * 5 if name.startswith("param_free") else [True] * 6)
+
+
+def test_sign_sum_trees_match_per_node_draws():
+    """The khintchine and mgf checks draw their trees a level at a time; the
+    ratios equal those of trees drawn node by node with the per-instance
+    formulas (spectral-norm ball, l2 unit ball)."""
+    n, matrix, ball = 5, CASES["matrix"], CASES["adagrad_l2"]
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        trees = [_per_node_tree(n, lambda r: _matrix_formula(matrix, r), rng) for _ in range(4)]
+        rep = check_matrix_khintchine(n=n, d1=matrix.d1, d2=matrix.d2, n_trees=4,
+                                      rng=np.random.default_rng(seed))
+        assert rep.extras["ratios"] == check_matrix_khintchine(trees=trees).extras["ratios"]
+        rng = np.random.default_rng(seed)
+        trees = [_per_node_tree(n, lambda r: _unit_ball_formula(ball, r), rng) for _ in range(4)]
+        want = []
+        for tree in trees:
+            s = np.einsum("pt,ptj->pj", sign_paths(n), gather_tree(tree, prefix_codes(n)))
+            want.append(float(np.mean(np.exp(np.sum(s * s, axis=1) / (2.0 * n)))) / math.sqrt(n))
+        rep = check_mgf_bound(n=n, d=ball.d, n_trees=4, rng=np.random.default_rng(seed))
+        assert rep.extras["ratios"] == want

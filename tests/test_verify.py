@@ -10,18 +10,18 @@ from hypothesis import strategies as st
 from burkholder.errors import DomainError
 from burkholder.potential import MappedPotential, Potential
 from burkholder.potentials import (AdaGradPotential, MatrixPotential, MetaPotential,
-                                   ParamFreePotential)
+                                   ParamFreePotential, standard_families)
 from burkholder.losses import make_loss
-from burkholder.statistics import ScalarVecScalar, stats_allclose
+from burkholder.statistics import ScalarVecScalar, map_slots, stats_allclose
 from burkholder.strategies import predict_linearized
+from burkholder.symlin import spectral_norm
 from burkholder.verify import (MAX_DEPTH, CheckReport, PredictableTree,
-                               TwoPointDist,
                                brute_force_sup_ev, check_matrix_khintchine,
                                check_mgf_bound, check_necessity, check_p1,
                                check_p2, check_p3, check_supermartingale,
-                               gather_tree, prefix_codes, replay_p3,
+                               draw_p3, gather_tree, prefix_codes, replay_p3,
                                round_descent, sign_paths, tree_expectation,
-                               walk_tree)
+                               tree_leaves)
 
 
 class SmoothnessPair(Potential):
@@ -57,16 +57,17 @@ class SmoothnessPair(Potential):
         return v / np.maximum(np.sqrt(np.vecdot(v, v)), 1.0)[:, None]
 
 
-def test_two_point_distribution_is_exactly_centered():
-    d = TwoPointDist(0.1, 0.7700000000001)
-    (a, pa), (nb, pb) = d.support()
-    assert (a, nb) == (0.1, -0.7700000000001)
-    assert pa + pb == pytest.approx(1.0, abs=1e-15)
-    assert d.mean() == 0.0  # bitwise zero, not merely tiny
-    with pytest.raises(DomainError):
-        TwoPointDist(0.0, 1.0)
-    with pytest.raises(DomainError):
-        TwoPointDist(1.0, -0.5)
+@pytest.mark.parametrize("name", sorted(standard_families()))
+def test_p3_laws_are_mean_zero_to_roundoff(name):
+    """The laws draw_p3 draws are probability laws on [-L, L] with mean zero:
+    exactly for rademacher, within 4 ulp of L for the two-point weights."""
+    P = standard_families()[name]
+    for mode in ("two_point", "rademacher"):
+        *_, alphas, probs = draw_p3(P, mode, np.random.default_rng(17), 10000)
+        assert np.all(probs > 0) and np.all(np.abs(alphas) <= P.L)
+        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-15
+        mean = np.abs((probs * alphas).sum(axis=1))
+        assert np.max(mean) <= (4 * np.finfo(float).eps * P.L if mode == "two_point" else 0.0)
 
 
 def test_report_line_format():
@@ -141,7 +142,7 @@ def test_tree_level_shapes_are_validated():
     with pytest.raises(DomainError, match="level 1"):
         PredictableTree([np.array([1.0, 2.0])])
     with pytest.raises(DomainError, match="exhaustive limit"):
-        PredictableTree.random(MAX_DEPTH + 1, lambda r: 0.0,
+        PredictableTree.random(MAX_DEPTH + 1, lambda r, k: np.zeros(k),
                                np.random.default_rng(0))
     tree = PredictableTree.constant([1.0, 2.0, 3.0])
     assert [lv.shape[0] for lv in tree.levels] == [1, 2, 4]
@@ -155,7 +156,7 @@ def test_depth_zero_trees_are_rejected():
     with pytest.raises(DomainError, match="depth >= 1"):
         PredictableTree.constant([])
     with pytest.raises(DomainError, match="depth >= 1"):
-        PredictableTree.random(0, lambda r: 0.0, np.random.default_rng(0))
+        PredictableTree.random(0, lambda r, k: np.zeros(k), np.random.default_rng(0))
     # the sign-sum checks build their trees through the same constructor
     with pytest.raises(DomainError, match="depth >= 1"):
         check_mgf_bound(n=0, n_trees=1)
@@ -165,7 +166,7 @@ def test_depth_zero_trees_are_rejected():
 
 def test_perturbed_changes_one_node_only():
     rng = np.random.default_rng(4)
-    tree = PredictableTree.random(3, lambda r: float(r.normal()), rng)
+    tree = PredictableTree.random(3, lambda r, k: r.normal(size=k), rng)
     bumped = tree.perturbed(2, 1, 9.0)
     assert bumped.node(2, 1) == 9.0
     assert tree.node(2, 1) != 9.0
@@ -198,29 +199,25 @@ def test_gather_tree_reads_values_along_each_path():
 
 
 @settings(max_examples=40, deadline=None)
-@given(depth=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
-       y_hat=st.floats(-1.0, 1.0))
-def test_walk_tree_leaves_fold_the_statistic_map_along_each_sign_path(
-        depth, seed, y_hat):
+@given(depth=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_tree_leaves_fold_the_statistic_map_along_each_sign_path(depth, seed):
     P = AdaGradPotential(d=3, L=0.75, check_convexity=False)
-    tree = PredictableTree.random(depth, P.sample_instance,
+    tree = PredictableTree.random(depth, P.sample_instances,
                                   np.random.default_rng(seed))
-    leaves = walk_tree(tree, P.zero(), lambda t, idx, x, tau: (
-        tau + P.stat_map(x, y_hat, -P.L), tau + P.stat_map(x, y_hat, P.L)))
+    leaves = tree_leaves(P, tree)
     eps = sign_paths(depth)
     g = gather_tree(tree, prefix_codes(depth))
-    assert len(leaves) == 2 ** depth
-    for p, leaf in enumerate(leaves):
+    assert len(leaves.b) == 2 ** depth
+    for p in range(2 ** depth):
         tau = P.zero()
         for t in range(depth):
-            tau = tau + P.stat_map(g[p, t], y_hat, eps[p, t] * P.L)
-        assert stats_allclose(leaf, tau, rtol=0.0, atol=0.0)
+            tau = tau + P.stat_map(g[p, t], 0.0, eps[p, t] * P.L)
+        assert stats_allclose(map_slots(lambda a: a[p], leaves), tau, rtol=0.0, atol=0.0)
 
 
-def test_walk_tree_enforces_the_exhaustive_limit():
-    tree = PredictableTree.constant([0.0] * (MAX_DEPTH + 1))
+def test_tree_construction_enforces_the_exhaustive_limit():
     with pytest.raises(DomainError, match="exhaustive limit"):
-        walk_tree(tree, 0.0, lambda t, idx, x, s: (s, s))
+        PredictableTree.constant([0.0] * (MAX_DEPTH + 1))
 
 
 def test_tree_expectation_matches_hand_computed_orthogonality():
@@ -235,7 +232,7 @@ def test_tree_expectation_matches_hand_computed_orthogonality():
 def test_tree_expectation_agrees_with_a_vectorized_route():
     P = SmoothnessPair(d=3, C=0.7)
     rng = np.random.default_rng(5)
-    tree = PredictableTree.random(5, P.sample_instance, rng)
+    tree = PredictableTree.random(5, P.sample_instances, rng)
     recursive = tree_expectation(P, tree, P.bound)
     eps = sign_paths(5)
     g = gather_tree(tree, prefix_codes(5))
@@ -267,12 +264,12 @@ def test_sup_search_respects_the_smoothness_threshold():
 def test_supermartingale_walks_every_internal_node():
     P = MatrixPotential(3, 2, eta=0.5)
     rng = np.random.default_rng(7)
-    tree = PredictableTree.random(5, P.sample_instance, rng)
+    tree = PredictableTree.random(5, P.sample_instances, rng)
     report = check_supermartingale(P, tree)
     assert report.passed
     assert report.checks == 2 ** 5 - 1
     bad = check_supermartingale(SmoothnessPair(d=2, C=0.0),
-                                PredictableTree.random(4, lambda r: r.normal(size=2) / 2.0,
+                                PredictableTree.random(4, lambda r, k: r.normal(size=(k, 2)) / 2.0,
                                                        np.random.default_rng(8)))
     assert not bad.passed
     assert bad.witness["violation"] == bad.max_violation > 0
@@ -280,7 +277,7 @@ def test_supermartingale_walks_every_internal_node():
 
 def test_supermartingale_handles_time_varying_potentials():
     P = ParamFreePotential(n=16, d=4)
-    tree = PredictableTree.random(4, P.sample_instance,
+    tree = PredictableTree.random(4, P.sample_instances,
                                   np.random.default_rng(9))
     report = check_supermartingale(P, tree)
     assert report.passed
@@ -352,9 +349,9 @@ class TestNecessity:
     """Exact sign-adversary comparison on small matrix games."""
 
     def _tree(self, depth, rng):
-        def sampler(r):
-            x = r.normal(size=(2, 2))
-            return x / (np.linalg.svd(x, compute_uv=False)[0] + 1e-12)
+        def sampler(r, k):
+            x = r.normal(size=(k, 2, 2))
+            return x / (spectral_norm(x) + 1e-12)[:, None, None]
         return PredictableTree.random(depth, sampler, rng)
 
     def test_potential_learner_matches_the_lower_bound(self):
@@ -417,7 +414,5 @@ class TestNecessity:
             check_necessity(P, tree)
 
     def test_depth_guard(self):
-        P = MatrixPotential(2, 2, eta=0.5)
-        tree = PredictableTree.constant([np.eye(2) * 0.5] * (MAX_DEPTH + 1))
         with pytest.raises(DomainError, match="exhaustive limit"):
-            check_necessity(P, tree)
+            PredictableTree.constant([np.eye(2) * 0.5] * (MAX_DEPTH + 1))
