@@ -72,31 +72,32 @@ class AdaGradPotential(Potential):
             return stat.b + _usq(_l2(stat.x), y)
         return stat.b + np.add.reduce(_usq(np.abs(stat.x), y), axis=-1)
 
-    def bound(self, stat):
-        """V = b + ||x||_2 - 2 L sqrt(s), coordinatewise summed for linf."""
+    def _norms(self, stat):
+        """(||x||, sum of sqrt(s)): the l2 norm and root for l2, the l1 norm
+        and the coordinate roots summed for linf."""
         root = np.sqrt(np.maximum(stat.s, 0.0))
         if self.variant == "l2":
-            return stat.b + _l2(stat.x) - 2.0 * self.L * root
-        return (stat.b + np.add.reduce(np.abs(stat.x), axis=-1)
-                - 2.0 * self.L * np.add.reduce(root, axis=-1))
+            return _l2(stat.x), root
+        return np.add.reduce(np.abs(stat.x), axis=-1), np.add.reduce(root, axis=-1)
+
+    def bound(self, stat):
+        """V = b + ||x||_2 - 2 L sqrt(s), coordinatewise summed for linf."""
+        xnorm, root = self._norms(stat)
+        return stat.b + xnorm - 2.0 * self.L * root
 
     def regret_bound(self, stat, comparator=None):
         """2 L sqrt(s) against unit-ball comparators (euclidean ball for l2,
         box for linf), plus the excess-norm charge when the comparator leaves
         the unit ball. Valid along trajectories run with a descent strategy,
-        where the potential stays nonpositive."""
-        if self.variant == "l2":
-            base = 2.0 * self.L * float(np.sqrt(max(float(stat.s), 0.0)))
-            xnorm = float(np.linalg.norm(stat.x))
-        else:
-            base = 2.0 * self.L * float(np.sum(np.sqrt(np.maximum(stat.s, 0.0))))
-            xnorm = float(np.sum(np.abs(stat.x)))
+        where the potential stays nonpositive. A stack of statistics gives
+        one bound per member."""
+        xnorm, root = self._norms(stat)
         excess = 0.0
         if comparator is not None:
             w = np.asarray(comparator, dtype=float)
             wn = float(np.linalg.norm(w)) if self.variant == "l2" else float(np.max(np.abs(w)))
             excess = max(wn - 1.0, 0.0) * xnorm
-        return base + excess
+        return 2.0 * self.L * root + excess
 
     def sample_instances(self, rng, k):
         v = rng.normal(size=(k, self.d))

@@ -72,15 +72,16 @@ class MatrixPotential(Potential):
         - r) lambda_1(H) for a comparator W outside the radius-r ball: regret
         <= a + ||W||_* ||sum delta X||_sigma by convexity, and V <= 0 covers
         r lambda_1(H). ||W||_* is computed once per comparator object; up to
-        1e-12 r over r (a projected comparator's roundoff) counts as inside."""
-        mnorm = float(symlin.sym_eigvals(stat.M)[0]) if stat.M.size else 0.0
-        bound = 0.5 * self.eta * self.L ** 2 * self.r * max(mnorm, 0.0) + self.c / self.eta
+        1e-12 r over r (a projected comparator's roundoff) counts as inside.
+        A stack of statistics gives one bound per member."""
+        mnorm = symlin.sym_eigvals(stat.M)[..., 0]
+        bound = 0.5 * self.eta * self.L ** 2 * self.r * np.maximum(mnorm, 0.0) + self.c / self.eta
         if comparator is not None and self._comparator_norm[0] is not comparator:
             w = np.reshape(np.asarray(comparator, dtype=float), (self.d1, self.d2))
             self._comparator_norm = (comparator, float(np.linalg.svd(w, compute_uv=False).sum()))
         excess = self._comparator_norm[1] - self.r if comparator is not None else 0.0
         if excess > 1e-12 * self.r:
-            bound += excess * max(float(symlin.sym_eigvals(stat.H)[0]), 0.0)
+            bound = bound + excess * np.maximum(symlin.sym_eigvals(stat.H)[..., 0], 0.0)
         return bound
 
     def sample_instances(self, rng, k):
@@ -132,7 +133,7 @@ def doubling_run(d1, d2, sequence, loss, *, r=1.0, c=None, R=1.0, on_round=None)
         if on_round is not None:
             on_round(t, zeta, rnd, last)
         zeta = last
-        m_norm = float(symlin.sym_eigvals(zeta.M)[0]) if zeta.M.size else 0.0
+        m_norm = float(symlin.sym_eigvals(zeta.M)[0])
         if m_norm >= budget * (1 - 1e-12):
             k += 1
             pot, budget = fresh(k)

@@ -65,17 +65,17 @@ class MetaPotential(Potential):
 
     def regret_bound(self, stat, comparator=None):
         """Best member bound plus its accumulated stability charge plus the
-        softmax entry fee log|A| / eta."""
+        softmax entry fee log|A| / eta; one per member of a stack."""
         taus, gamma = self._split(stat)
         vals = []
-        for m, tau, g in zip(self.members, taus, gamma):
+        for i, (m, tau) in enumerate(zip(self.members, taus)):
             try:
-                vals.append(m.regret_bound(tau, comparator) + self.eta * float(g))
+                vals.append(m.regret_bound(tau, comparator) + self.eta * gamma[..., i])
             except (NotImplementedError, DomainError):
                 continue
         if not vals:
             raise DomainError("no member exposes a regret bound for this comparator")
-        return min(vals) + math.log(self.arity) / self.eta
+        return np.min(vals, axis=0) + math.log(self.arity) / self.eta
 
     def sample_instances(self, rng, k):
         return self.members[0].sample_instances(rng, k)

@@ -105,7 +105,8 @@ class ParamFreePotential(Potential):
 
     def regret_bound(self, stat, comparator=None):
         """A(w) = ||w||_* sqrt(2 beta n log(sqrt(beta n) ||w||_* / gamma + 1)) + c
-        for the comparator w; the statistic does not enter."""
+        for the comparator w. The statistic does not enter, so the one value
+        broadcasts against a stack of statistics."""
         if comparator is None:
             raise DomainError("regret bound needs a comparator")
         wn = self.dual_norm(np.asarray(comparator, dtype=float))

@@ -107,17 +107,6 @@ def _checked_symmetric(s):
     return s, row_max
 
 
-def sym_eig(s):
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns (w, q) with eigenvalues w in descending order and orthonormal
-    columns q, so s = q @ diag(w) @ q.T up to roundoff. The input is
-    symmetrized defensively before factoring.
-    """
-    w, q = np.linalg.eigh(_checked_symmetric(s)[0])
-    return w[::-1].copy(), q[:, ::-1].copy()
-
-
 def sym_eigvals(s):
     """Eigenvalues only, descending along the last axis.
 

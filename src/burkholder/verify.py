@@ -15,7 +15,10 @@ value is reported, so the witness replays to it bit for bit.
 
 A predictable tree draws each level with one sampler(rng, k) call, the
 contract of sample_instances, and is walked a level at a time: one stack of
-statistics per level, one stat_map call to its children.
+statistics per level, one stat_map call to its children. Every tree check
+reads that fold: the sign-sum checks take their sums from a family's leaves
+(the matrix H and M slots, the param_free x slot), and check_necessity
+bounds its leaves with one stacked regret_bound call.
 """
 
 import math
@@ -23,12 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import strategies
+from . import strategies, symlin
 from .errors import DomainError
 from .losses import make_loss
 from .potential import stack_rounds
+from .potentials import MatrixPotential, ParamFreePotential
 from .statistics import map_slots
-from .symlin import spectral_norm
 
 MAX_DEPTH = 14
 CHUNK = 128  # trials per stacked evaluation in p2 and p3; bounds its memory
@@ -218,18 +221,6 @@ def sign_paths(n):
     return 2.0 * bits - 1.0
 
 
-def prefix_codes(n):
-    """(2^n, n) int array: node index at each level along every path."""
-    p = np.arange(2 ** n)[:, None]
-    masks = (1 << np.arange(n)[None, :]) - 1
-    return p & masks
-
-
-def gather_tree(tree, codes):
-    """Per-path node values, shape (paths, depth, *value_shape)."""
-    return np.stack([tree.levels[t][codes[:, t]] for t in range(tree.depth)], axis=1)
-
-
 def _twice(a):
     """A level's stack of k (an array or a statistic) repeated for its 2k
     children: the eps = -1 child of prefix code idx is row idx, the eps = +1
@@ -303,26 +294,22 @@ def check_matrix_khintchine(n=10, d1=3, d2=2, n_trees=100, rng=None, trees=None,
     """E ||sum eps_t X_t||_sigma <= sqrt(2 E max(||sum XX^T||, ||sum X^T X||) log(d1+d2)).
 
     Exact over all 2^n sign paths for each tree; node spectral norms are
-    held at <= 1 by the random generator. Reports the worst ratio.
+    held at <= 1 by the random generator. Reports the worst ratio. Each tree
+    folds into the leaves of the matrix family at unit L: the top eigenvalue
+    of the dilation sum H is ||sum eps_t X_t||_sigma, and that of the block
+    diagonal M is max(||sum XX^T||, ||sum X^T X||).
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     if trees is None:
-        def sampler(r, k):
-            x = r.normal(size=(k, d1, d2))
-            return x / np.maximum(spectral_norm(x), 1.0)[:, None, None]
-        trees = [PredictableTree.random(n, sampler, rng) for _ in range(n_trees)]
+        draw = MatrixPotential(d1, d2, eta=1.0).sample_instances
+        trees = [PredictableTree.random(n, draw, rng) for _ in range(n_trees)]
     ratios = []
     for tree in trees:
-        eps = sign_paths(tree.depth)
-        g = gather_tree(tree, prefix_codes(tree.depth))
-        s = np.einsum("pt,ptij->pij", eps, g)
-        lhs = float(np.mean(np.linalg.svd(s, compute_uv=False)[:, 0]))
-        row = np.einsum("ptij,ptkj->pik", g, g)
-        col = np.einsum("ptij,ptik->pjk", g, g)
-        row_n = np.linalg.eigvalsh(row)[:, -1]
-        col_n = np.linalg.eigvalsh(col)[:, -1]
-        rhs = math.sqrt(2.0 * float(np.mean(np.maximum(row_n, col_n)))
-                        * math.log(g.shape[2] + g.shape[3]))
+        d1, d2 = tree.levels[0].shape[1:]
+        leaves = tree_leaves(MatrixPotential(d1, d2, eta=1.0), tree)
+        lhs = float(np.mean(symlin.sym_eigvals(leaves.H)[:, 0]))
+        rhs = math.sqrt(2.0 * float(np.mean(symlin.sym_eigvals(leaves.M)[:, 0]))
+                        * math.log(d1 + d2))
         ratios.append(lhs / rhs if rhs > 0 else 0.0)
     return _ratio_report("matrix_khintchine", ratios, tol)
 
@@ -330,6 +317,8 @@ def check_matrix_khintchine(n=10, d1=3, d2=2, n_trees=100, rng=None, trees=None,
 def _ratio_report(name, ratios, tol, **extras):
     """Report on the worst ratio lhs / rhs <= 1 of a sign-sum inequality;
     extras["asserted"] = False reports it without a verdict."""
+    if not ratios:
+        raise DomainError(f"{name} checks 0 trees, need at least 1")
     i = int(np.argmax(ratios))
     viol = ratios[i] - 1.0
     return CheckReport(name=name, checks=len(ratios), max_violation=float(viol),
@@ -342,10 +331,11 @@ def check_mgf_bound(n, d=4, n_trees=50, rng=None, tol=1e-9):
     """E exp(||sum eps_t x_t||^2 / (2n)) <= sqrt(n), exact per tree.
 
     The increments are l2 vectors in the unit ball, so the smoothness
-    constant is the euclidean one, beta = 1. Asserted only for n >= 4; for
-    smaller n the report carries the observed ratios without a pass verdict
-    on them (the bound is then informational: a single unit vector at n = 1
-    already gives e^{1/2} > 1).
+    constant is the euclidean one, beta = 1. sum eps_t x_t is the x slot of
+    the param_free family's leaves. Asserted only for n >= 4; for smaller n
+    the report carries the observed ratios without a pass verdict on them
+    (the bound is then informational: a single unit vector at n = 1 already
+    gives e^{1/2} > 1).
     """
     rng = rng if rng is not None else np.random.default_rng(0)
 
@@ -356,11 +346,8 @@ def check_mgf_bound(n, d=4, n_trees=50, rng=None, tol=1e-9):
     ratios = []
     for _ in range(int(n_trees)):
         tree = PredictableTree.random(n, sampler, rng)
-        eps = sign_paths(tree.depth)
-        g = gather_tree(tree, prefix_codes(tree.depth))
-        s = np.einsum("pt,ptj->pj", eps, g)
-        val = float(np.mean(np.exp(np.sum(s * s, axis=1) / (2.0 * n))))
-        ratios.append(val / math.sqrt(n))
+        s = tree_leaves(ParamFreePotential(n, d), tree).x
+        ratios.append(float(np.mean(np.exp(np.sum(s * s, axis=1) / (2.0 * n)))) / math.sqrt(n))
     return _ratio_report(f"mgf_bound_n{n}", ratios, tol, asserted=n >= 4)
 
 
@@ -406,14 +393,15 @@ def check_necessity(P, tree, learner=None, tol=1e-8, clairvoyant=False):
     function and A is P.regret_bound. Requires r * max ||X||_sigma <= 1 so the absolute loss of any
     comparator is exactly linear in its prediction. Also certifies
     E[V_lin] <= 0, the achievability side. learner(P, zeta, x, t=t) predicts
-    each round; the default is predict_linearized.
+    each round on a single statistic, once per node; the default is
+    predict_linearized. A is evaluated on the stack of leaves in one call.
 
     clairvoyant=True replaces the learner's prediction with the label itself,
     violating predictability; the lower bound must then fail, which makes it
     the negative control for this check.
     """
     n = tree.depth
-    if P.r * max(float(spectral_norm(lv).max()) for lv in tree.levels) > 1.0 + 1e-9:
+    if P.r * max(float(symlin.spectral_norm(lv).max()) for lv in tree.levels) > 1.0 + 1e-9:
         raise DomainError("necessity adversary needs r * max ||X||_sigma <= 1")
     if learner is None:
         learner = strategies.predict_linearized
@@ -429,8 +417,8 @@ def check_necessity(P, tree, learner=None, tol=1e-8, clairvoyant=False):
         eps_sum = _twice(eps_sum) + eps[:, None, None] * xs
         cum_loss = _twice(cum_loss) + loss.value(y_hat, eps)
 
-    a_bound = np.array([P.regret_bound(_member(zetas, p)) for p in range(len(cum_loss))])
-    u_norm = spectral_norm(eps_sum)
+    a_bound = P.regret_bound(zetas)
+    u_norm = symlin.spectral_norm(eps_sum)
     lhs = cum_loss - (n - P.r * u_norm) - a_bound
     rhs = P.r * u_norm - a_bound
     e_lhs, e_rhs = float(lhs.mean()), float(rhs.mean())

@@ -14,8 +14,9 @@ from burkholder.potentials import (AdaGradPotential, MatrixPotential, ParamFreeP
 from burkholder.statistics import map_slots, stats_allclose
 from burkholder.symlin import spectral_norm
 from burkholder.verify import (CHUNK, PredictableTree, check_matrix_khintchine,
-                               check_mgf_bound, check_p2, check_p3, draw_p3, gather_tree,
-                               prefix_codes, replay_p3, sign_paths)
+                               check_mgf_bound, check_p2, check_p3, draw_p3, replay_p3,
+                               sign_paths, tree_leaves)
+from tree_oracle import gather_tree, prefix_codes
 
 
 def _cases():
@@ -196,6 +197,22 @@ def test_level_drawn_trees_match_per_node_draws(name):
         want = _per_node_tree(6, P.sample_instance, np.random.default_rng(seed))
         same = [np.array_equal(a, b) for a, b in zip(got.levels, want.levels)]
         assert same == ([True] + [False] * 5 if name.startswith("param_free") else [True] * 6)
+
+
+@pytest.mark.parametrize("name", sorted(set(CASES) - {"combine_min", "combine_convex"}))
+def test_regret_bound_on_tree_leaves_matches_single_calls(name):
+    """regret_bound takes a stack of statistics like the rest of the
+    contract: on the leaves of a tree it equals a per-leaf loop bit for bit,
+    with no comparator (where the family allows it) and with one outside
+    the unit ball."""
+    P = CASES[name]
+    rng = np.random.default_rng(7)
+    leaves = tree_leaves(P, PredictableTree.random(4, P.sample_instances, rng))
+    needs_comparator = name == "vaw" or name.startswith("param_free")
+    for w in ([] if needs_comparator else [None]) + [3.0 * P.sample_instance(rng)]:
+        stacked = np.broadcast_to(P.regret_bound(leaves, w), (2 ** 4,))
+        single = [P.regret_bound(map_slots(lambda a: a[p], leaves), w) for p in range(2 ** 4)]
+        assert np.array_equal(stacked, single)
 
 
 def test_sign_sum_trees_match_per_node_draws():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from burkholder.errors import DomainError, NumericError
 from burkholder.symlin import (Entry, dilation, dilation_square, log_trace_exp,
                                logsumexp, nuclear_projection,
-                               spectral_norm, sym_eig, sym_eigvals, symmetrize)
+                               spectral_norm, sym_eigvals, symmetrize)
 
 
 def _power_top_eig(s, iters=2000, seed=0):
@@ -54,19 +54,10 @@ class TestEigensolve:
             w = sym_eigvals(s)
             assert w[0] == pytest.approx(_power_top_eig(s), abs=1e-8)
 
-    def test_descending_order_and_reconstruction(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            s = _random_sym(rng, 5)
-            w, q = sym_eig(s)
-            assert np.all(np.diff(w) <= 1e-12)
-            assert np.allclose(q @ np.diag(w) @ q.T, s, atol=1e-10)
-            assert np.allclose(q.T @ q, np.eye(5), atol=1e-10)
-
     def test_eigvals_agree_with_full_solve(self):
         rng = np.random.default_rng(17)
         s = _random_sym(rng, 6)
-        assert np.allclose(sym_eigvals(s), sym_eig(s)[0], atol=1e-12)
+        assert np.allclose(sym_eigvals(s), np.linalg.eigvalsh(s)[::-1], atol=1e-12)
 
 
 @st.composite
@@ -116,7 +107,7 @@ def test_live_block_edge_cases():
     with pytest.raises(NumericError):  # a row the live-block gather would drop
         sym_eigvals(np.diag([1.0, np.nan, 2.0]))
     with pytest.raises(NumericError):
-        sym_eig(np.array([[np.inf]]))
+        sym_eigvals(np.array([[np.inf]]))
 
 
 def test_dilation_layout():

@@ -19,9 +19,9 @@ from burkholder.verify import (MAX_DEPTH, CheckReport, PredictableTree,
                                brute_force_sup_ev, check_matrix_khintchine,
                                check_mgf_bound, check_necessity, check_p1,
                                check_p2, check_p3, check_supermartingale,
-                               draw_p3, gather_tree, prefix_codes, replay_p3,
-                               round_descent, sign_paths, tree_expectation,
-                               tree_leaves)
+                               draw_p3, replay_p3, round_descent, sign_paths,
+                               tree_expectation, tree_leaves)
+from tree_oracle import gather_tree, khintchine_ratio, prefix_codes
 
 
 class SmoothnessPair(Potential):
@@ -320,6 +320,32 @@ def test_khintchine_on_random_and_fixed_sequences():
              np.array([[0.5, 0.5], [0.0, 0.0], [0.5, -0.5]])]
     const = check_matrix_khintchine(trees=[PredictableTree.constant(fixed)])
     assert const.passed and const.checks == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_khintchine_ratios_match_the_einsum_oracle(seed):
+    """The check folds each tree into the matrix family's H and M slots; the
+    oracle sums gathered paths by einsum and takes an SVD and two eigvalsh."""
+    rng = np.random.default_rng(seed)
+    d1, d2 = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    depth = int(rng.integers(1, 8))
+    P = MatrixPotential(d1, d2, eta=1.0)
+    trees = [PredictableTree.random(depth, P.sample_instances, rng) for _ in range(3)]
+    trees.append(PredictableTree.constant(list(P.sample_instances(rng, depth))))
+    trees.append(PredictableTree.constant([np.zeros((d1, d2))] * depth))
+    got = check_matrix_khintchine(trees=trees).extras["ratios"]
+    want = [khintchine_ratio(tree) for tree in trees]
+    assert got[-1] == want[-1] == 0.0  # a zero tree has no denominator
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_sign_sum_checks_need_at_least_one_tree():
+    with pytest.raises(DomainError, match="0 trees"):
+        check_matrix_khintchine(n_trees=0)
+    with pytest.raises(DomainError, match="0 trees"):
+        check_matrix_khintchine(trees=[])
+    with pytest.raises(DomainError, match="0 trees"):
+        check_mgf_bound(n=4, n_trees=0)
 
 
 def test_mgf_bound_asserts_only_past_the_crossover():
