@@ -14,8 +14,7 @@ from .potentials import (AdaGradPotential, CombinedPotential, MatrixPotential,
                          MetaPotential, ParamFreePotential, VawPotential,
                          combine_convex, combine_min, doubling_run,
                          standard_families, usq)
-from .statistics import (ProductStat, ScalarSymPsd, ScalarVec, ScalarVecScalar,
-                         VecSym, stats_allclose)
+from .statistics import ProductStat, ScalarSymPsd, ScalarVec, ScalarVecScalar, VecSym
 from .strategies import (STRATEGIES, predict_convex, predict_linearized,
                          predict_randomized, realized_game_value, run_online,
                          run_randomized_expected)
@@ -31,5 +30,5 @@ __all__ = [
     "combine_convex", "combine_min", "doubling_run", "make_loss",
     "predict_convex", "predict_linearized", "predict_randomized",
     "realized_game_value", "run_online", "run_randomized_expected",
-    "standard_families", "stats_allclose", "usq",
+    "standard_families", "usq",
 ]

@@ -14,7 +14,7 @@ from .. import symlin
 from ..errors import ConfigError, DomainError, NumericError
 from ..potential import Potential, Round, Trajectory, accumulate
 from ..statistics import ScalarSymPsd
-from ..strategies import predict_linearized
+from ..strategies import linearized_round, value_after
 
 
 class MatrixPotential(Potential):
@@ -123,13 +123,13 @@ def doubling_run(d1, d2, sequence, loss, *, r=1.0, c=None, R=1.0, on_round=None)
     traj.potential_values.append(pot.eval(zeta, t=0))
     epochs.append((1, pot.eta, budget))
     for t, (x, y) in enumerate(sequence, start=1):
-        y_hat = predict_linearized(pot, zeta, x, t=t)
+        y_hat, residuals = linearized_round(pot, zeta, x, t=t)
         delta = float(loss.subgradient(y_hat, y))
         last = accumulate(zeta, x, y_hat, delta, pot)
         rnd = Round(t=t, x=x, y_hat=float(y_hat), y=float(y),
                     delta=delta, loss=float(loss.value(y_hat, y)))
         traj.rounds.append(rnd)
-        traj.potential_values.append(pot.eval(last, t=t))
+        traj.potential_values.append(value_after(pot, last, rnd, residuals))
         if on_round is not None:
             on_round(t, zeta, rnd, last)
         zeta = last

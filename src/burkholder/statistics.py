@@ -121,14 +121,3 @@ def map_slots(fn, *stats):
     return type(first)(*(fn(*(getattr(s, f.name) for s in stats))
                          for f in fields(first)))
 
-
-def stats_allclose(a, b, rtol=1e-12, atol=1e-12):
-    """Numeric equality between two statistics of the same tag."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, ProductStat):
-        return len(a.parts) == len(b.parts) and all(
-            stats_allclose(p, q, rtol, atol) for p, q in zip(a.parts, b.parts))
-    return all(
-        np.allclose(getattr(a, f.name), getattr(b, f.name), rtol=rtol, atol=atol)
-        for f in fields(a))

@@ -24,6 +24,12 @@ def predict_linearized(P, zeta, x, *, t=None):
 
     F is the potential's residual, which must be convex in delta.
     """
+    return linearized_round(P, zeta, x, t=t)[0]
+
+
+def linearized_round(P, zeta, x, *, t=None):
+    """(predict_linearized, (F(-L), F(+L))): the prediction and the two
+    residuals it read, which value_after reuses."""
     if not P.convex_in_delta:
         raise DomainError("the linearized prediction needs a family convex in delta")
     f_plus = P.residual(zeta, x, +P.L, t=t)
@@ -31,7 +37,16 @@ def predict_linearized(P, zeta, x, *, t=None):
     if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
         raise NumericError("non-finite residual evaluation",
                            {"f_plus": f_plus, "f_minus": f_minus})
-    return min(P.B, max(-P.B, -(f_plus - f_minus) / (2.0 * P.L)))
+    return min(P.B, max(-P.B, -(f_plus - f_minus) / (2.0 * P.L))), (f_minus, f_plus)
+
+
+def value_after(P, nxt, rnd, residuals):
+    """U(nxt) after round rnd: y_hat delta + F(delta) when delta = +-L and
+    residuals holds (F(-L), F(+L)) from linearized_round, else P.eval(nxt).
+    The two agree in exact arithmetic for a linearizable family."""
+    if residuals is not None and abs(rnd.delta) == P.L:
+        return rnd.y_hat * rnd.delta + residuals[rnd.delta > 0]
+    return P.eval(nxt, t=rnd.t)
 
 
 def sup_labels(P, loss, *, points=()):
@@ -183,20 +198,22 @@ STRATEGIES = ("linearized", "convex", "randomized")
 def _play(P, choose, sequence, loss, on_round):
     """The online protocol: choose(zeta, x, t) predicts, the statistic advances.
 
-    Only the running statistic is held; on_round(t, zeta_prev, rnd, zeta),
-    when given, sees each round's record and the statistics around it.
+    choose returns (y_hat, residuals), where residuals is linearized_round's
+    pair or None; value_after records U from it. Only the running statistic
+    is held; on_round(t, zeta_prev, rnd, zeta), when given, sees each
+    round's record and the statistics around it.
     """
     traj = Trajectory()
     zeta = P.zero()
     traj.potential_values.append(P.eval(zeta, t=0))
     for t, (x, y) in enumerate(sequence, start=1):
-        y_hat = choose(zeta, x, t)
+        y_hat, residuals = choose(zeta, x, t)
         delta = float(loss.subgradient(y_hat, y))
         nxt = accumulate(zeta, x, y_hat, delta, P)
         rnd = Round(t=t, x=x, y_hat=float(y_hat), y=float(y),
                     delta=delta, loss=float(loss.value(y_hat, y)))
         traj.rounds.append(rnd)
-        traj.potential_values.append(P.eval(nxt, t=t))
+        traj.potential_values.append(value_after(P, nxt, rnd, residuals))
         if on_round is not None:
             on_round(t, zeta, rnd, nxt)
         zeta = nxt
@@ -218,15 +235,15 @@ def run_online(P, strategy, sequence, loss, *, rng=None, eps1=RANDOMIZED_EPS,
         raise DomainError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if strategy == "linearized":
         def choose(zeta, x, t):
-            return predict_linearized(P, zeta, x, t=t)
+            return linearized_round(P, zeta, x, t=t)
     elif strategy == "convex":
         def choose(zeta, x, t):
-            return predict_convex(P, zeta, x, loss, t=t)
+            return predict_convex(P, zeta, x, loss, t=t), None
     else:
         rng = rng if rng is not None else np.random.default_rng(0)
 
         def choose(zeta, x, t):
-            return predict_randomized(P, zeta, x, eps1, rng, loss, t=t)[1]
+            return predict_randomized(P, zeta, x, eps1, rng, loss, t=t)[1], None
     return _play(P, choose, sequence, loss, on_round)
 
 
@@ -243,7 +260,7 @@ def run_randomized_expected(P, sequence, loss, eps1, rng, *, on_round=None):
     def choose(zeta, x, t):
         nonlocal dist
         dist, y_hat = predict_randomized(P, zeta, x, eps1, rng, loss, t=t)
-        return y_hat
+        return y_hat, None
 
     def record(t, zeta_prev, rnd, zeta):
         expected.append(float(dist.probs @ np.asarray(

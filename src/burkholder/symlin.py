@@ -5,9 +5,11 @@ matrix e_i e_j^T carried as its index. The self-adjoint dilation embeds a
 rectangular matrix into a symmetric one so that spectral quantities reduce
 to eigenvalues. Dense arguments may carry leading batch axes.
 
-Every spectrum of a statistic slot goes through `sym_eigvals`. It factors
-only the live principal block of its argument (the rows that are not
-identically zero) and pads the spectrum with exact zeros for the rest.
+Every spectrum of a statistic slot goes through `sym_eigvals`. A diagonal
+argument (the M slot of a completion run) is its own spectrum, so it is
+sorted, not factored. Otherwise only the live principal block of the
+argument (the rows that are not identically zero) is factored, and the
+spectrum is padded with exact zeros for the rest.
 For a stack the live block is the union of the members' live rows, so one
 batched eigvalsh serves all; a row dead in one member but live in another
 is a zero row inside its block, still an exact zero eigenvalue. This is
@@ -110,20 +112,25 @@ def _checked_symmetric(s):
 def sym_eigvals(s):
     """Eigenvalues only, descending along the last axis.
 
-    Only the live principal block is factored: the rows of the symmetrized
-    input that are not identically zero in some member of the stack. Each
+    When every nonzero of the symmetrized input lies on its diagonal, the
+    result is the sorted diagonal, with no eigensolve (an all-zero input
+    included). Otherwise only the live principal block is factored: the
+    rows that are not identically zero in some member of the stack. Each
     of the other n - k rows contributes an exact zero eigenvalue, so the
     result is the block's spectrum merged with n - k zeros. A fully live
-    input is one plain eigvalsh call; an all-zero input makes none.
+    input is one plain eigvalsh call.
     """
     s, row_max = _checked_symmetric(s)
-    live = row_max > 0
-    if live.all():
+    diag = np.diagonal(s, axis1=-2, axis2=-1)
+    if np.count_nonzero(s != 0) == np.count_nonzero(diag != 0):  # counts booleans faster
+        return np.sort(diag, axis=-1)[..., ::-1].copy()
+    live = np.flatnonzero(row_max > 0)
+    if live.size == s.shape[-1]:
         return np.linalg.eigvalsh(s)[..., ::-1].copy()
     w = np.zeros(s.shape[:-1])
-    k = int(np.count_nonzero(live))
-    if k:
-        w[..., :k] = np.linalg.eigvalsh(s[..., live, :][..., live])
+    block = s[..., live[:, None], live]
+    del s, diag  # one gather, and no full matrix held in the solve: lower peak memory
+    w[..., :live.size] = np.linalg.eigvalsh(block)
     return np.sort(w, axis=-1)[..., ::-1].copy()
 
 
@@ -161,15 +168,20 @@ def _project_l1_sorted(s, radius):
 def nuclear_projection(w, radius):
     """Euclidean projection of w onto the nuclear-norm ball of the given radius.
 
-    Singular values are projected onto the l1 ball and the factors reused.
+    Only the live block is factored: the rows and columns of w that are not
+    identically zero. Its singular values are those of w without exact
+    zeros, so projecting them onto the l1 ball and reusing the factors
+    gives the projection, exactly zero outside the block.
     """
     if radius < 0:
         raise DomainError("nuclear projection radius must be >= 0")
     w = np.atleast_2d(np.asarray(w, dtype=float))
     if radius == 0:
         return np.zeros_like(w)
-    u, s, vt = np.linalg.svd(w, full_matrices=False)
-    if float(np.sum(s)) <= radius:
-        return w.copy()
-    s_proj = _project_l1_sorted(s, radius)
-    return (u * s_proj) @ vt
+    block = np.ix_(np.flatnonzero(w.any(axis=1)), np.flatnonzero(w.any(axis=0)))
+    u, s, vt = np.linalg.svd(w[block], full_matrices=False)
+    out = w.copy()
+    if float(np.sum(s)) > radius:
+        u *= _project_l1_sorted(s, radius)
+        out[block] = u @ vt
+    return out

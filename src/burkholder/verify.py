@@ -192,9 +192,6 @@ class PredictableTree:
     def depth(self):
         return len(self.levels)
 
-    def node(self, t, prefix_index):
-        return self.levels[t - 1][prefix_index]
-
     @classmethod
     def constant(cls, values):
         """A fixed sequence: every node at level t holds values[t-1]."""

@@ -1,0 +1,19 @@
+"""Numeric equality of statistics, the tests' comparison of two statistics."""
+
+from dataclasses import fields
+
+import numpy as np
+
+from burkholder.statistics import ProductStat
+
+
+def stats_allclose(a, b, rtol=1e-12, atol=1e-12):
+    """Numeric equality between two statistics of the same tag."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, ProductStat):
+        return len(a.parts) == len(b.parts) and all(
+            stats_allclose(p, q, rtol, atol) for p, q in zip(a.parts, b.parts))
+    return all(
+        np.allclose(getattr(a, f.name), getattr(b, f.name), rtol=rtol, atol=atol)
+        for f in fields(a))

@@ -14,9 +14,10 @@ import pytest
 import burkholder
 from burkholder import cli, harness
 from burkholder.errors import ConfigError
-from burkholder.harness import random_vectors, save_sequence
+from burkholder.harness import random_vectors
 from burkholder.strategies import run_online
 from burkholder.symlin import Entry
+from sequence_csv import save_sequence
 
 
 def _cfg(tmp_path, text, name="cfg.txt"):

@@ -8,13 +8,13 @@ from burkholder.harness import (CSV_HEADER, adversarial_gradient,
                                 best_linear_comparator, build_report, comparator_grid,
                                 comparator_losses, least_squares_comparator,
                                 load_sequence,
-                                matrix_completion, random_vectors,
-                                save_sequence)
+                                matrix_completion, random_vectors)
 from burkholder.harness import _design
 from burkholder.losses import make_loss
 from burkholder.potentials import AdaGradPotential
 from burkholder.strategies import run_online
 from burkholder.symlin import Entry
+from sequence_csv import save_sequence
 
 
 def test_matrix_completion_plants_a_nuclear_ball_matrix():

@@ -134,6 +134,28 @@ def test_doubling_restarts_on_the_budget_schedule():
         doubling_run(2, 2, seq, loss, R=0.0)
 
 
+def test_doubling_records_values_as_the_play_loop_does():
+    """doubling_run takes U after a round at delta = +-L from the
+    prediction's residuals, with each epoch's own potential, as run_online
+    does; the value agrees with eval within 1e-12."""
+    loss = make_loss("absolute")
+    seq = matrix_completion(40, 3, 3, rank=1, rng=np.random.default_rng(9))
+    calls = []
+    traj, epochs = doubling_run(3, 3, seq, loss, R=0.5,
+                                on_round=lambda t, zeta_prev, rnd, zeta:
+                                calls.append((zeta_prev, rnd, zeta)))
+    assert len(epochs) >= 3
+    for zeta_prev, rnd, zeta in calls:
+        eta = [e[1] for e in epochs if e[0] <= rnd.t][-1]
+        pot = MatrixPotential(3, 3, eta=eta)
+        value = traj.potential_values[rnd.t]
+        if abs(rnd.delta) == loss.L:
+            assert value == rnd.y_hat * rnd.delta + pot.residual(zeta_prev, rnd.x, rnd.delta)
+        else:
+            assert value == pot.eval(zeta, t=rnd.t)
+        assert abs(pot.eval(zeta) - value) <= 1e-12 * max(1.0, abs(value))
+
+
 def test_full_run_certificate_and_regret():
     loss = make_loss("absolute")
     rng = np.random.default_rng(22)

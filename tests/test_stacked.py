@@ -11,11 +11,12 @@ import pytest
 from burkholder.potential import MappedPotential
 from burkholder.potentials import (AdaGradPotential, MatrixPotential, ParamFreePotential,
                                    combine_convex, combine_min, standard_families)
-from burkholder.statistics import map_slots, stats_allclose
+from burkholder.statistics import map_slots
 from burkholder.symlin import spectral_norm
 from burkholder.verify import (CHUNK, PredictableTree, check_matrix_khintchine,
                                check_mgf_bound, check_p2, check_p3, draw_p3, replay_p3,
                                sign_paths, tree_leaves)
+from stat_oracle import stats_allclose
 from tree_oracle import gather_tree, prefix_codes
 
 

@@ -17,12 +17,14 @@ from burkholder.harness import matrix_completion
 from burkholder.potentials import (AdaGradPotential, MatrixPotential,
                                    ParamFreePotential, VawPotential,
                                    combine_min, matrix_meta)
-from burkholder.statistics import ScalarVec, stats_allclose
+from burkholder.statistics import ScalarVec
+from burkholder.symlin import Entry
 from burkholder.strategies import (STRATEGIES, GridDistribution, predict_convex,
                                    predict_linearized, predict_randomized,
                                    realized_game_value, run_online,
                                    run_randomized_expected, sup_labels)
 from burkholder.verify import round_descent
+from stat_oracle import stats_allclose
 
 
 class _Holder:
@@ -588,8 +590,38 @@ def test_on_round_sees_every_statistic_in_order(randomized):
         assert after_prev is before
     for t, zeta_prev, rnd, zeta in calls:
         assert rnd is traj.rounds[t - 1]
-        assert P.eval(zeta) == traj.potential_values[t]
+        if randomized:
+            assert P.eval(zeta) == traj.potential_values[t]
+            continue
+        # the linearized loop records U from the prediction's residuals
+        assert stats_allclose(zeta, zeta_prev + P.stat_map(rnd.x, rnd.y_hat, rnd.delta),
+                              rtol=0, atol=0)
+        value = traj.potential_values[t]
+        assert value == rnd.y_hat * rnd.delta + P.residual(zeta_prev, rnd.x, rnd.delta)
+        assert abs(P.eval(zeta) - value) <= 1e-12 * max(1.0, abs(value))
     assert calls[-1][3] is traj.final_statistic
+
+
+@pytest.mark.parametrize("kind, L", [("absolute", 1.0), ("squared", 4.0)])
+def test_linearized_play_evaluates_rounds_whose_delta_is_not_L(kind, L):
+    """The prediction's residuals give U only at delta = +-L. Absolute loss
+    has delta = 0 where y_hat = y (round 1 here), and squared loss 2 (y_hat
+    - y); those rounds record P.eval of their statistic exactly."""
+    P = MatrixPotential(4, 3, eta=0.5, L=L)
+    ys = [0.0, 0.5, -1.0, 0.3, 1.0, -1.0, 0.8, 0.0] * 2
+    seq = [(Entry(t % 4, t % 3, (4, 3)), y) for t, y in enumerate(ys)]
+    calls = []
+    traj = run_online(P, "linearized", seq, make_loss(kind),
+                      on_round=lambda t, zeta_prev, rnd, zeta:
+                      calls.append((zeta_prev, rnd, zeta)))
+    assert calls[0][1].delta == 0.0
+    assert sum(abs(rnd.delta) != L for _, rnd, _ in calls) >= (1 if kind == "absolute" else 10)
+    for zeta_prev, rnd, zeta in calls:
+        value = traj.potential_values[rnd.t]
+        if abs(rnd.delta) == L:
+            assert value == rnd.y_hat * rnd.delta + P.residual(zeta_prev, rnd.x, rnd.delta)
+        else:
+            assert value == P.eval(zeta, t=rnd.t)
 
 
 def test_a_run_holds_one_statistic():

@@ -110,6 +110,31 @@ def test_live_block_edge_cases():
         sym_eigvals(np.array([[np.inf]]))
 
 
+def test_diagonal_spectrum_is_the_sorted_diagonal():
+    """A diagonal input is sorted, not factored, and equals eigvalsh bit for
+    bit: stacks, zeros, negatives and a 1 x 1."""
+    rng = np.random.default_rng(5)
+    d = rng.normal(size=(3, 7))
+    d[rng.random(d.shape) < 0.3] = 0.0
+    cases = [np.zeros((1, 1)), np.array([[-2.5]]), np.diag([0.0, -1.0, 3.0, -1.0]),
+             np.zeros((3, 3)), d[..., None] * np.eye(7), np.diag(rng.normal(size=40))]
+    for s in cases:
+        assert np.array_equal(sym_eigvals(s), np.linalg.eigvalsh(s)[..., ::-1])
+
+
+def test_one_off_diagonal_nonzero_takes_the_eigensolve(monkeypatch):
+    calls = []
+    solve = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or solve(a))
+    assert np.array_equal(sym_eigvals(np.diag([3.0, 1.0, 2.0])), [3.0, 2.0, 1.0])
+    assert calls == []
+    s = np.diag([3.0, 1.0, 2.0, 0.0])
+    s[0, 2] = 0.5  # the symmetric part holds 0.25 at (0, 2) and (2, 0)
+    w = sym_eigvals(s)
+    assert calls == [(3, 3)]  # the live block: rows 0, 1 and 2
+    assert np.allclose(w, np.linalg.eigvalsh(symmetrize(s))[::-1], atol=1e-14)
+
+
 def test_dilation_layout():
     x = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
     d = dilation(x)
@@ -207,6 +232,33 @@ def test_nuclear_projection_is_a_euclidean_projection():
         q = rng.normal(size=(3, 3))
         q = nuclear_projection(q, radius)
         assert np.linalg.norm(w - q) >= base - 1e-9
+
+
+def _full_svd_projection(w, radius):
+    # the projection through a full SVD of w, zero rows and columns included
+    u, s, vt = np.linalg.svd(w, full_matrices=False)
+    if s.sum() <= radius:
+        return w.copy()
+    css = np.cumsum(s) - radius
+    k = int(np.nonzero(s - css / np.arange(1, s.size + 1) > 0)[0][-1]) + 1
+    return (u * np.maximum(s - css[k - 1] / k, 0.0)) @ vt
+
+
+def test_nuclear_projection_factors_the_live_block_only():
+    rng = np.random.default_rng(47)
+    for trial in range(60):
+        d1, d2 = (int(v) for v in rng.integers(1, 9, size=2))
+        w = rng.normal(size=(d1, d2)) * rng.uniform(0.1, 3.0)
+        rows, cols = rng.random(d1) < 0.4, rng.random(d2) < 0.4
+        w[rows, :] = 0.0
+        w[:, cols] = 0.0
+        radius = float(rng.uniform(0.1, 2.0))
+        p = nuclear_projection(w, radius)
+        assert np.max(np.abs(p - _full_svd_projection(w, radius)), initial=0.0) <= 1e-12
+        assert not p[rows, :].any() and not p[:, cols].any()
+    zero = np.zeros((4, 3))
+    out = nuclear_projection(zero, 1.0)
+    assert np.array_equal(out, zero) and out is not zero
 
 
 def test_entry_dilations_are_bit_identical_to_the_dense_ones():

@@ -12,7 +12,7 @@ from burkholder.potential import MappedPotential, Potential
 from burkholder.potentials import (AdaGradPotential, MatrixPotential, MetaPotential,
                                    ParamFreePotential, standard_families)
 from burkholder.losses import make_loss
-from burkholder.statistics import ScalarVecScalar, map_slots, stats_allclose
+from burkholder.statistics import ScalarVecScalar, map_slots
 from burkholder.strategies import predict_linearized
 from burkholder.symlin import spectral_norm
 from burkholder.verify import (MAX_DEPTH, CheckReport, PredictableTree,
@@ -21,7 +21,8 @@ from burkholder.verify import (MAX_DEPTH, CheckReport, PredictableTree,
                                check_p2, check_p3, check_supermartingale,
                                draw_p3, replay_p3, round_descent, sign_paths,
                                tree_expectation, tree_leaves)
-from tree_oracle import gather_tree, khintchine_ratio, prefix_codes
+from stat_oracle import stats_allclose
+from tree_oracle import gather_tree, khintchine_ratio, node, prefix_codes
 
 
 class SmoothnessPair(Potential):
@@ -147,7 +148,7 @@ def test_tree_level_shapes_are_validated():
     tree = PredictableTree.constant([1.0, 2.0, 3.0])
     assert [lv.shape[0] for lv in tree.levels] == [1, 2, 4]
     assert tree.depth == 3
-    assert tree.node(3, 2) == 3.0
+    assert node(tree, 3, 2) == 3.0
 
 
 def test_depth_zero_trees_are_rejected():
@@ -168,9 +169,9 @@ def test_perturbed_changes_one_node_only():
     rng = np.random.default_rng(4)
     tree = PredictableTree.random(3, lambda r, k: r.normal(size=k), rng)
     bumped = tree.perturbed(2, 1, 9.0)
-    assert bumped.node(2, 1) == 9.0
-    assert tree.node(2, 1) != 9.0
-    assert bumped.node(2, 0) == tree.node(2, 0)
+    assert node(bumped, 2, 1) == 9.0
+    assert node(tree, 2, 1) != 9.0
+    assert node(bumped, 2, 0) == node(tree, 2, 0)
     assert np.array_equal(bumped.levels[2], tree.levels[2])
 
 

@@ -20,6 +20,11 @@ def prefix_codes(n):
     return p & masks
 
 
+def node(tree, t, prefix_index):
+    """The value at level t (1-based) for the sign prefix of that index."""
+    return tree.levels[t - 1][prefix_index]
+
+
 def gather_tree(tree, codes):
     """Per-path node values, shape (paths, depth, *value_shape)."""
     return np.stack([tree.levels[t][codes[:, t]] for t in range(tree.depth)], axis=1)
