@@ -9,11 +9,11 @@ one interface.
 
 from .errors import ConfigError, DomainError, NumericError, TagMismatchError
 from .losses import Loss, make_loss
-from .potential import MappedPotential, Potential, Round, Trajectory, accumulate
+from .potential import Potential, Round, Trajectory, accumulate
 from .potentials import (AdaGradPotential, CombinedPotential, MatrixPotential,
                          MetaPotential, ParamFreePotential, VawPotential,
                          combine_convex, combine_min, doubling_run,
-                         standard_families, usq)
+                         standard_families)
 from .statistics import ProductStat, ScalarSymPsd, ScalarVec, ScalarVecScalar, VecSym
 from .strategies import (STRATEGIES, predict_convex, predict_linearized,
                          predict_randomized, realized_game_value, run_online,
@@ -23,12 +23,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaGradPotential", "CombinedPotential", "ConfigError", "DomainError",
-    "Loss", "MappedPotential", "MatrixPotential", "MetaPotential",
+    "Loss", "MatrixPotential", "MetaPotential",
     "NumericError", "ParamFreePotential", "Potential", "ProductStat", "Round",
     "STRATEGIES", "ScalarSymPsd", "ScalarVec", "ScalarVecScalar",
     "TagMismatchError", "Trajectory", "VawPotential", "VecSym", "accumulate",
     "combine_convex", "combine_min", "doubling_run", "make_loss",
     "predict_convex", "predict_linearized", "predict_randomized",
     "realized_game_value", "run_online", "run_randomized_expected",
-    "standard_families", "usq",
+    "standard_families",
 ]

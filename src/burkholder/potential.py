@@ -200,54 +200,3 @@ class Trajectory:
     def final_statistic(self):
         return self.zetas[-1]
 
-
-class MappedPotential(Potential):
-    """Delegate that reindexes the instance space through a featurizer.
-
-    Used to run a vector-statistic family on matrix instances (and similar)
-    when combining potentials over one shared stream. sample_fn(rng, k), when
-    given, draws k instances of the outer space stacked.
-    """
-
-    def __init__(self, inner, feature_fn, sample_fn=None):
-        self.inner = inner
-        self.feature_fn = feature_fn
-        self.sample_fn = sample_fn
-        self.L = inner.L
-        self.B = inner.B
-        self.convex_in_delta = inner.convex_in_delta
-        self.convex_in_prediction = inner.convex_in_prediction
-        self.linearizable = inner.linearizable
-        self.horizon = inner.horizon
-
-    def zero(self):
-        return self.inner.zero()
-
-    def stat_map(self, x, y_hat, delta):
-        if not np.ndim(delta):
-            return self.inner.stat_map(self.feature_fn(x), y_hat, delta)
-        # the featurizer maps one instance, so a stack is mapped row by row;
-        # a zero instance gives an empty stack its feature shape
-        feats = [self.feature_fn(xi) for xi in x] or [self.feature_fn(np.zeros(np.shape(x)[1:]))]
-        return self.inner.stat_map(np.stack(feats)[:len(x)], y_hat, delta)
-
-    def eval(self, stat, t=None):
-        return self.inner.eval(stat, t=t)
-
-    def bound(self, stat):
-        return self.inner.bound(stat)
-
-    def round_values(self, zeta, x, y_hats, ys, loss, t=None):
-        # the inner family's table, closed form included, on the mapped instance
-        return self.inner.round_values(zeta, self.feature_fn(x), y_hats, ys, loss, t=t)
-
-    def sample_instances(self, rng, k):
-        if self.sample_fn is not None:
-            return self.sample_fn(rng, k)
-        return self.inner.sample_instances(rng, k)
-
-    def increment_bound(self):
-        return self.inner.increment_bound()
-
-    def regret_bound(self, stat, comparator=None):
-        return self.inner.regret_bound(stat, comparator)

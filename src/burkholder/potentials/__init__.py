@@ -1,17 +1,14 @@
 """Concrete potential families and their combinations."""
 
-import numpy as np
-
 from ..losses import make_loss
-from ..potential import MappedPotential
-from .adagrad import AdaGradPotential, usq
+from .adagrad import AdaGradPotential
 from .matrix import MatrixPotential, doubling_run
 from .meta import CombinedPotential, MetaPotential, combine_convex, combine_min
 from .param_free import ParamFreePotential, harmonic_prefix
 from .vaw import VawPotential
 
 __all__ = [
-    "AdaGradPotential", "usq", "MatrixPotential", "doubling_run",
+    "AdaGradPotential", "MatrixPotential", "doubling_run",
     "MetaPotential", "CombinedPotential", "combine_min", "combine_convex",
     "ParamFreePotential", "harmonic_prefix",
     "VawPotential", "matrix_meta", "standard_families",
@@ -19,12 +16,10 @@ __all__ = [
 
 
 def matrix_meta(matrix, eta=0.25):
-    """Softmax meta over a matrix family and an l2 AdaGrad on the flattened
-    instance, with the same L and B, each charged its increment bound."""
-    ada = MappedPotential(
-        AdaGradPotential(d=matrix.d1 * matrix.d2, variant="l2", L=matrix.L, B=matrix.B),
-        feature_fn=lambda x: np.asarray(x, dtype=float).reshape(-1),
-        sample_fn=matrix.sample_instances)
+    """Softmax meta over a matrix family and an l2 AdaGrad on the same
+    (d1, d2) instances, with the same L and B, each charged its increment
+    bound."""
+    ada = AdaGradPotential(d=(matrix.d1, matrix.d2), variant="l2", L=matrix.L, B=matrix.B)
     return MetaPotential([(matrix, matrix.increment_bound()),
                           (ada, ada.increment_bound())], eta=eta)
 

@@ -6,6 +6,8 @@ restricted concavity that turns the pair (sum delta*x, sum ||x||^2) into a
 supermartingale under the adaptive y-slot update.
 """
 
+import math
+
 import numpy as np
 
 from ..errors import ConfigError
@@ -15,27 +17,24 @@ from ..statistics import ScalarVecScalar
 VARIANTS = ("l2", "linf")
 
 
-def usq(x, y):
-    """-sqrt(2 y^2 - ||x||^2) where y >= ||x||, and ||x|| - 2 y elsewhere.
-
-    x may be a vector (l2 norm) or a scalar. Continuous across the seam
-    (both branches give -||x|| at y = ||x||).
-    """
-    return float(_usq(_l2(np.atleast_1d(np.asarray(x, dtype=float))), float(y)))
-
-
 def _l2(x):
     return np.sqrt(np.vecdot(x, x))
 
 
 def _usq(nx, y):
-    """usq elementwise, from the norms nx >= 0 of its first argument."""
+    """usq(x, y) = -sqrt(2 y^2 - ||x||^2) where y >= ||x||, and ||x|| - 2 y
+    elsewhere (both give -||x|| on the seam), elementwise from the norms
+    nx >= 0 of its first argument."""
     return np.where(y >= nx, -np.sqrt(np.maximum(2.0 * y * y - nx * nx, 0.0)),
                     nx - 2.0 * y)
 
 
 class AdaGradPotential(Potential):
     """Variants: "l2" (whole-norm accumulator) or "linf" (per-coordinate sums).
+
+    d is the instance dimension, or an instance shape such as (d1, d2):
+    shaped instances are flattened in row-major order, so the statistic and
+    every value are those of the flat family of dimension d1 * d2.
 
     The delta-convexity of the residual, which the closed-form prediction
     relies on, is verified numerically on sampled inputs at construction.
@@ -44,25 +43,26 @@ class AdaGradPotential(Potential):
     convex_in_delta = True
     linearizable = True
 
-    def __init__(self, d, variant="l2", L=1.0, B=1.0, check_convexity=True):
+    def __init__(self, d, variant="l2", L=1.0, B=1.0):
         if variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}")
-        if d < 1:
+        self.shape = tuple(int(k) for k in np.atleast_1d(d))
+        if min(self.shape, default=0) < 1:
             raise ConfigError("d >= 1")
         if L <= 0:
             raise ConfigError("L > 0")
-        self.d = int(d)
+        self.d = math.prod(self.shape)
         self.variant = variant
         self.L = float(L)
         self.B = float(B)
-        if check_convexity:
-            self._verify_delta_convexity()
+        self._verify_delta_convexity()
 
     def zero(self):
         return ScalarVecScalar.zero(self.d, coordinatewise=self.variant == "linf")
 
     def stat_map(self, x, y_hat, delta):
-        x, delta = batch_instances(x, delta, (self.d,))
+        x, delta = batch_instances(x, delta, self.shape)
+        x = x.reshape(delta.shape + (self.d,))
         s = np.vecdot(x, x) if self.variant == "l2" else x * x
         return ScalarVecScalar(delta * y_hat, delta[..., None] * x, s)
 
@@ -101,12 +101,18 @@ class AdaGradPotential(Potential):
 
     def sample_instances(self, rng, k):
         v = rng.normal(size=(k, self.d))
-        return v / np.maximum(_l2(v), 1.0)[:, None]
+        return (v / np.maximum(_l2(v), 1.0)[:, None]).reshape((k,) + self.shape)
 
     def increment_bound(self):
         # usq is 1-Lipschitz in x and 2-Lipschitz in its y slot; a round moves
-        # x by at most L and the y slot by at most L for unit-norm instances
-        step = self.L * self.B + 3.0 * self.L
+        # x by at most L R and the y slot by at most L R, where R bounds the
+        # instance's l2 norm: 1 on vectors, and on matrices of spectral norm
+        # <= 1 the Frobenius radius sqrt(min(d1, d2)). linf moves each
+        # coordinate by 3 L |x_i|, so it charges the l1 norm, <= sqrt(d) R
+        R = math.sqrt(min(self.shape)) if len(self.shape) == 2 else 1.0
+        if self.variant == "linf":
+            R *= math.sqrt(self.d)
+        step = self.L * self.B + 3.0 * self.L * R
         return step ** 2
 
     def _verify_delta_convexity(self, trials=200, tol=1e-9):

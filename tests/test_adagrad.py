@@ -5,12 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from burkholder.errors import ConfigError
+from burkholder.errors import ConfigError, DomainError
 from burkholder.harness import comparator_losses, random_vectors
 from burkholder.losses import make_loss
-from burkholder.potentials import AdaGradPotential, usq
+from burkholder.potentials import AdaGradPotential
+from burkholder.potentials.adagrad import _l2, _usq
 from burkholder.statistics import ScalarVecScalar
 from burkholder.strategies import predict_linearized, run_online
+from burkholder.symlin import Entry
+from stat_oracle import stats_allclose
+
+
+def usq(x, y):
+    """-sqrt(2 y^2 - ||x||^2) where y >= ||x||, and ||x|| - 2 y elsewhere,
+    for a vector or a scalar x, as a float."""
+    return float(_usq(_l2(np.atleast_1d(np.asarray(x, dtype=float))), float(y)))
 
 
 def test_usq_values():
@@ -92,19 +101,18 @@ def test_construction_rejects_a_non_convex_residual():
 
     with pytest.raises(ConfigError, match="convex"):
         Broken(d=2)
-    # the check can be waived explicitly
-    Broken(d=2, check_convexity=False)
 
 
 def test_increment_bound_dominates_sampled_moves():
-    P = AdaGradPotential(d=3)
     rng = np.random.default_rng(12)
-    cap = P.increment_bound()
-    for _ in range(300):
-        tau = P.sample_statistic(rng)
-        step = P.stat_map(P.sample_instance(rng),
-                          float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
-        assert (P.eval(tau + step) - P.eval(tau)) ** 2 <= cap + 1e-12
+    for P in (AdaGradPotential(d=3), AdaGradPotential(d=3, variant="linf"),
+              AdaGradPotential(d=(3, 2))):
+        cap = P.increment_bound()
+        for _ in range(300):
+            tau = P.sample_statistic(rng)
+            step = P.stat_map(P.sample_instance(rng),
+                              float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
+            assert (P.eval(tau + step) - P.eval(tau)) ** 2 <= cap + 1e-12
 
 
 def test_regret_bound_along_a_descent_run():
@@ -124,3 +132,56 @@ def test_regret_bound_along_a_descent_run():
         assert regret <= P.regret_bound(zeta, w) + 1e-9
     inside = P.regret_bound(zeta, np.full(4, 0.4))
     assert inside == pytest.approx(2.0 * math.sqrt(float(zeta.s)), rel=1e-12)
+
+
+def test_linf_increment_bound_charges_the_l1_norm():
+    """After 100 rounds of a x with x = (1, ..., 1) / sqrt(5), the round -x
+    moves every coordinate across its seam: the square of the move exceeds
+    the unit-l2 charge 16, and stays under (1 + 3 sqrt(5))^2."""
+    P = AdaGradPotential(d=5, variant="linf")
+    x = np.ones(5) / math.sqrt(5.0)
+    a, n = 0.05, 100
+    tau = P.zero() + ScalarVecScalar(0.0, n * a * x, np.full(5, n * a * a / 5.0))
+    move = float(P.eval(tau + P.stat_map(-x, -1.0, 1.0)) - P.eval(tau))
+    assert 16.0 < move ** 2 <= P.increment_bound()
+    assert P.increment_bound() == pytest.approx((1.0 + 3.0 * math.sqrt(5.0)) ** 2)
+
+
+@pytest.mark.parametrize("variant", ["l2", "linf"])
+def test_shaped_family_is_the_flat_family_on_the_flattened_instance(variant):
+    shaped = AdaGradPotential(d=(3, 2), variant=variant)
+    flat = AdaGradPotential(d=6, variant=variant)
+    assert shaped.d == 6 and shaped.increment_bound() >= flat.increment_bound()
+    rng = np.random.default_rng(31)
+    loss = make_loss("absolute")
+    y_hats, ys = np.linspace(-1.0, 1.0, 33), np.array([-1.0, 0.3, 1.0])
+    xs = rng.uniform(-0.4, 0.4, size=(7, 3, 2))
+    y_hat, delta = rng.uniform(-1, 1, 7), rng.uniform(-1, 1, 7)
+    stack = shaped.stat_map(xs, y_hat, delta)
+    assert stats_allclose(stack, flat.stat_map(xs.reshape(7, 6), y_hat, delta), 0.0, 0.0)
+    assert np.array_equal(shaped.eval(stack), flat.eval(stack))
+    zeta = shaped.zero() + shaped.stat_map(xs[0], 0.2, 1.0)
+    # a single dense matrix and an Entry, which densifies through np.asarray
+    for x in (xs[1], Entry(2, 1, (3, 2))):
+        dense = np.asarray(x, dtype=float).reshape(-1)
+        assert stats_allclose(shaped.stat_map(x, 0.3, -0.5),
+                              flat.stat_map(dense, 0.3, -0.5), 0.0, 0.0)
+        assert shaped.residual(zeta, x, 0.5, t=3) == flat.residual(zeta, dense, 0.5, t=3)
+        assert np.array_equal(shaped.round_values(zeta, x, y_hats, ys, loss, t=3),
+                              flat.round_values(zeta, dense, y_hats, ys, loss, t=3))
+    draws = shaped.sample_instances(np.random.default_rng(4), 5)
+    assert draws.shape == (5, 3, 2)
+    assert np.array_equal(draws.reshape(5, 6),
+                          flat.sample_instances(np.random.default_rng(4), 5))
+
+
+def test_shaped_family_rejects_other_instance_shapes():
+    P = AdaGradPotential(d=(3, 2))
+    for x in (np.zeros(6), np.zeros((2, 3)), Entry(0, 0, (2, 3))):
+        with pytest.raises(DomainError, match="instance shape"):
+            P.stat_map(x, 0.0, 1.0)
+    with pytest.raises(DomainError, match="instance shape"):
+        P.stat_map(np.zeros((4, 6)), np.zeros(4), np.ones(4))
+    for d in ((0, 2), (3, 0), ()):
+        with pytest.raises(ConfigError, match="d >= 1"):
+            AdaGradPotential(d=d)

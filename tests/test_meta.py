@@ -6,22 +6,41 @@ import numpy as np
 import pytest
 
 from burkholder.errors import ConfigError, DomainError
-from burkholder.potential import MappedPotential, Potential
+from burkholder.potential import Potential
 from burkholder.potentials import (AdaGradPotential, CombinedPotential,
                                    MatrixPotential, MetaPotential,
                                    ParamFreePotential, VawPotential,
-                                   combine_convex, combine_min)
+                                   combine_convex, combine_min, matrix_meta)
 from burkholder.statistics import ScalarVec
+from burkholder.symlin import spectral_norm
 
 
 def _meta_pair(eta=0.25):
     matrix = MatrixPotential(3, 2, eta=0.5)
-    ada = MappedPotential(
-        AdaGradPotential(d=6),
-        feature_fn=lambda x: np.asarray(x, dtype=float).reshape(-1),
-        sample_fn=matrix.sample_instances)
+    ada = AdaGradPotential(d=(3, 2))
     return MetaPotential([(matrix, matrix.increment_bound()),
                           (ada, ada.increment_bound())], eta=eta)
+
+
+def test_matrix_meta_charges_adagrad_for_matrix_instances():
+    """162 rounds of a X / sqrt(2) with X = [[1, 0], [0, 1], [0, 0]], then the
+    round x = -X, y_hat = -1, delta = 1: both instances have spectral norm
+    <= 1, and the AdaGrad member moves by -4.83, past the unit-l2 charge of
+    16 and within the charge C its meta family holds for it."""
+    meta = matrix_meta(MatrixPotential(3, 2, eta=0.5))
+    ada = meta.members[1]
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    n, a = 162, math.sqrt(0.05 / 162)
+    xs = np.broadcast_to(a * X / math.sqrt(2.0), (n, 3, 2))
+    assert spectral_norm(X) == 1.0 and np.all(spectral_norm(xs) <= 1.0)
+    tau = ada.zero()
+    for x in xs:
+        tau = tau + ada.stat_map(x, 0.0, 1.0)
+    assert float(tau.s) == pytest.approx(0.05)
+    move = float(ada.eval(tau + ada.stat_map(-X, -1.0, 1.0)) - ada.eval(tau))
+    assert move == pytest.approx(-4.83, abs=5e-3)
+    assert 16.0 < move ** 2 <= meta.C[1]
+    assert meta.C[1] == pytest.approx((1.0 + 3.0 * math.sqrt(2.0)) ** 2)
 
 
 def test_single_member_reduces_to_a_drift_corrected_copy():

@@ -8,7 +8,6 @@ import math
 import numpy as np
 import pytest
 
-from burkholder.potential import MappedPotential
 from burkholder.potentials import (AdaGradPotential, MatrixPotential, ParamFreePotential,
                                    combine_convex, combine_min, standard_families)
 from burkholder.statistics import map_slots
@@ -25,9 +24,8 @@ def _cases():
     m1, m2 = MatrixPotential(3, 2, eta=0.5), MatrixPotential(3, 2, eta=0.25)
     cases["combine_min"] = combine_min([m1, m2])
     cases["combine_convex"] = combine_convex([m1, m2], [0.3, 0.7])
-    cases["mapped_reshape"] = MappedPotential(
-        AdaGradPotential(d=6), lambda x: np.asarray(x, dtype=float).reshape(-1),
-        sample_fn=m1.sample_instances)
+    # AdaGrad on (3, 2) instances, mapped to their row-major flattening
+    cases["mapped_reshape"] = AdaGradPotential(d=(3, 2))
     return cases
 
 

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from burkholder.errors import DomainError, NumericError
 from burkholder.losses import make_loss
-from burkholder.potential import (MappedPotential, Potential, Trajectory,
-                                  accumulate)
+from burkholder.potential import Potential, Trajectory, accumulate
 from burkholder.harness import matrix_completion
 from burkholder.potentials import (AdaGradPotential, MatrixPotential,
                                    ParamFreePotential, VawPotential,
@@ -518,45 +517,6 @@ def test_prediction_lipschitz_routes():
                                           loss_sq)
     assert estimated
     assert k > 0.0
-
-
-def test_mapped_potential_reindexes_instances():
-    inner = AdaGradPotential(d=6)
-    flat = lambda x: np.asarray(x, dtype=float).reshape(-1)
-    mapped = MappedPotential(inner, flat)
-    X = np.arange(6, dtype=float).reshape(2, 3) / 10.0
-    s1 = mapped.stat_map(X, 0.3, -0.5)
-    s2 = inner.stat_map(flat(X), 0.3, -0.5)
-    assert np.array_equal(s1.x, s2.x)
-    assert mapped.eval(s1) == inner.eval(s2)
-    assert mapped.residual(mapped.zero(), X, 0.5) == inner.residual(
-        inner.zero(), flat(X), 0.5)
-    assert mapped.linearizable == inner.linearizable
-    sampled = MappedPotential(inner, flat, sample_fn=lambda r, k: r.normal(size=(k, 2, 3)))
-    assert sampled.sample_instance(np.random.default_rng(0)).shape == (2, 3)
-
-
-def test_mapped_potential_forwards_the_round_table():
-    """A mapped family builds the inner family's table: the VAW closed form
-    unchanged, and for AdaGrad the same entries as the generic table."""
-    rng = np.random.default_rng(23)
-    y_hats = np.linspace(-1.0, 1.0, 129)
-    ys = np.array([-1.0, 1.0])
-    loss_sq = make_loss("squared")
-    vaw = VawPotential(d=3, L=loss_sq.L)
-    mapped_vaw = MappedPotential(vaw, lambda x: x)
-    zeta = vaw.sample_statistic(rng)
-    x = vaw.sample_instance(rng)
-    assert np.array_equal(mapped_vaw.round_values(zeta, x, y_hats, ys, loss_sq),
-                          vaw.round_values(zeta, x, y_hats, ys, loss_sq))
-
-    flat = lambda x: np.asarray(x, dtype=float).reshape(-1)
-    ada = MappedPotential(AdaGradPotential(d=6), flat)
-    loss_abs = make_loss("absolute")
-    zeta = ada.zero() + ada.stat_map(rng.uniform(-0.4, 0.4, size=(2, 3)), 0.2, 1.0)
-    X = rng.uniform(-0.4, 0.4, size=(2, 3))
-    assert np.array_equal(ada.round_values(zeta, X, y_hats, ys, loss_abs, t=2),
-                          Potential.round_values(ada, zeta, X, y_hats, ys, loss_abs, t=2))
 
 
 def test_trajectory_defaults():

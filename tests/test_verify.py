@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burkholder.errors import DomainError
-from burkholder.potential import MappedPotential, Potential
+from burkholder.potential import Potential
 from burkholder.potentials import (AdaGradPotential, MatrixPotential, MetaPotential,
-                                   ParamFreePotential, standard_families)
+                                   ParamFreePotential, combine_min, standard_families)
 from burkholder.losses import make_loss
 from burkholder.statistics import ScalarVecScalar, map_slots
 from burkholder.strategies import predict_linearized
@@ -202,7 +202,7 @@ def test_gather_tree_reads_values_along_each_path():
 @settings(max_examples=40, deadline=None)
 @given(depth=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
 def test_tree_leaves_fold_the_statistic_map_along_each_sign_path(depth, seed):
-    P = AdaGradPotential(d=3, L=0.75, check_convexity=False)
+    P = AdaGradPotential(d=3, L=0.75)
     tree = PredictableTree.random(depth, P.sample_instances,
                                   np.random.default_rng(seed))
     leaves = tree_leaves(P, tree)
@@ -285,17 +285,15 @@ def test_supermartingale_handles_time_varying_potentials():
     assert report.checks == 15
 
 
-@pytest.mark.parametrize("wrapper", ["meta", "mapped"])
+@pytest.mark.parametrize("wrapper", ["meta", "min"])
 def test_p2_and_p3_read_the_horizon_through_wrappers(wrapper):
     """p2 evaluates U at the horizon and p3 draws its round from 1..n, for a
-    softmax meta and a reindexing wrapper over param_free members too."""
-    pf = ParamFreePotential(n=16, d=3)
+    softmax meta and a pointwise minimum over param_free members too."""
+    members = [ParamFreePotential(n=16, d=3), ParamFreePotential(n=16, d=3, p=4.0)]
     if wrapper == "meta":
-        P = MetaPotential([(pf, 1.0), (ParamFreePotential(n=16, d=3, p=4.0), 1.0)],
-                          eta=0.5)
+        P = MetaPotential([(m, 1.0) for m in members], eta=0.5)
     else:
-        P = MappedPotential(pf, lambda x: np.asarray(x, dtype=float).reshape(-1),
-                            sample_fn=lambda r, k: pf.sample_instances(r, k).reshape(k, 1, 3))
+        P = combine_min(members)
     assert P.horizon == 16
     assert check_p2(P, trials=50, rng=np.random.default_rng(1)).passed
     rounds, inner_eval = set(), P.eval
