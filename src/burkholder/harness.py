@@ -111,26 +111,34 @@ def adversarial_gradient(n, d, B=1.0, rng=None):
 # --- sequence CSV ------------------------------------------------------------
 
 def load_sequence(path, d1=None, d2=None):
+    """The sequence in a CSV file: an `i,j,y` header gives matrix indicators
+    (d1 and d2 required), an `x1,...,xd,y` header vectors. A malformed row
+    raises DomainError naming the file and the row (1 = the first after the
+    header)."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise DomainError(f"empty sequence file {path}")
     header, body = rows[0], rows[1:]
-    if header[:3] == ["i", "j", "y"]:
-        if d1 is None or d2 is None:
-            raise DomainError("matrix sequences need d1 and d2")
-        xs, ys, idx = [], [], []
-        for row in body:
-            i, j, y = int(row[0]), int(row[1]), float(row[2])
-            xs.append(symlin.Entry(i, j, (d1, d2)))
-            ys.append(y)
-            idx.append((i, j))
-        return Sequence("matrix_completion", xs, np.array(ys), {"indices": idx})
-    if header[-1] != "y" or not all(h.startswith("x") for h in header[:-1]):
+    matrix = header[:3] == ["i", "j", "y"]
+    if matrix and (d1 is None or d2 is None):
+        raise DomainError("matrix sequences need d1 and d2")
+    if not matrix and (header[-1] != "y" or not all(h.startswith("x") for h in header[:-1])):
         raise DomainError(f"unrecognized sequence header {header}")
-    xs = [np.array([float(v) for v in row[:-1]]) for row in body]
-    ys = np.array([float(row[-1]) for row in body])
-    return Sequence("random_vectors", xs, ys, {})
+    xs, ys = [], []
+    for r, row in enumerate(body, start=1):
+        try:
+            if len(row) != len(header):
+                raise DomainError(f"{len(row)} fields for the {len(header)} of the header")
+            xs.append(symlin.Entry(int(row[0]), int(row[1]), (d1, d2)) if matrix
+                      else np.array([float(v) for v in row[:-1]]))
+            ys.append(float(row[-1]))
+        except (ValueError, DomainError) as exc:
+            raise DomainError(f"{path}: row {r}: {exc}") from exc
+    if matrix:
+        return Sequence("matrix_completion", xs, np.array(ys),
+                        {"indices": [(x.i, x.j) for x in xs]})
+    return Sequence("random_vectors", xs, np.array(ys), {})
 
 
 # --- comparators -------------------------------------------------------------

@@ -9,12 +9,13 @@ comparator), increment_bound and a round_values fast path.
 A family that admits the linear decomposition
 U(zeta + T(x, y_hat, delta)) = y_hat * delta + U(zeta + T(x, 0, delta))
 declares `linearizable`. Its residual F(zeta, x, delta), the second term,
-is then derived here from eval and stat_map; that unlocks the closed-form
-prediction.
+is then derived here from eval and stat_map (a family may override it with
+a faster equal form); that unlocks the closed-form prediction.
 
 stat_map takes k rounds at once (delta of shape (k,), instances stacked
-along a leading axis) and returns a stack of k statistics; eval and bound
-of a stack return k values, at one scalar round index t.
+along a leading axis, or one instance that all k rounds share) and returns
+a stack of k statistics; eval and bound of a stack return k values, at one
+scalar round index t. The residual takes a stack of deltas the same way.
 """
 
 from dataclasses import dataclass, field
@@ -54,7 +55,8 @@ class Potential:
 
     def residual(self, zeta, x, delta, t=None):
         """F(zeta, x, delta) = U(zeta + T(x, 0, delta)) in round t; the value
-        after the round is y_hat * delta + F when the family is linearizable."""
+        after the round is y_hat * delta + F when the family is linearizable.
+        A stack of deltas against one instance gives one value per delta."""
         if not self.linearizable:
             raise DomainError(f"{type(self).__name__} lacks the linear residual decomposition")
         return self.eval(zeta + self.stat_map(x, 0.0, delta), t=t)
@@ -117,16 +119,10 @@ class Potential:
         if self.linearizable:
             uniq, inv = np.unique(deltas, return_inverse=True)
             return y_hats * deltas + self.residual(
-                zeta, _repeat(x, uniq.size), uniq, t=t)[inv.reshape(deltas.shape)]
+                zeta, x, uniq, t=t)[inv.reshape(deltas.shape)]
         y_hats, deltas = np.broadcast_arrays(y_hats, deltas)
-        steps = self.stat_map(_repeat(x, deltas.size), y_hats.ravel(), deltas.ravel())
+        steps = self.stat_map(x, y_hats.ravel(), deltas.ravel())
         return self.eval(zeta + steps, t=t).reshape(deltas.shape)
-
-
-def _repeat(x, k):
-    """k copies of the instance x stacked, as a read-only view."""
-    x = np.asarray(x, dtype=float)
-    return np.broadcast_to(x, (k,) + x.shape)
 
 
 def stack_rounds(P, counts, rounds):
@@ -147,8 +143,11 @@ def stack_rounds(P, counts, rounds):
 
 
 def batch_instances(x, delta, shape):
-    """(x, delta) as float arrays; x stacks instances along delta's axes."""
+    """(x, delta) as float arrays; x stacks instances along delta's axes, or
+    is one instance that every delta shares (returned as a broadcast view)."""
     x, delta = np.asarray(x, dtype=float), np.asarray(delta, dtype=float)
+    if x.shape == shape and delta.ndim:
+        x = np.broadcast_to(x, delta.shape + shape)
     if x.shape != delta.shape + shape:
         raise DomainError(f"instance shape {x.shape} != {delta.shape + shape}")
     return x, delta

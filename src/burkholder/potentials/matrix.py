@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .. import symlin
-from ..errors import ConfigError, DomainError, NumericError
+from ..errors import ConfigError, DomainError
 from ..potential import Potential, Round, Trajectory, accumulate
 from ..statistics import ScalarSymPsd
 from ..strategies import linearized_round, value_after
@@ -45,27 +45,55 @@ class MatrixPotential(Potential):
         return ScalarSymPsd.zero(self.dim)
 
     def stat_map(self, x, y_hat, delta):
+        """The round's statistic; one instance against a stack of deltas is
+        shared by every member, and its M slot is a broadcast view."""
         x, delta = symlin.as_matrix(x), np.asarray(delta, dtype=float)
-        if x.shape != delta.shape + (self.d1, self.d2):
+        if x.shape not in ((self.d1, self.d2), delta.shape + (self.d1, self.d2)):
             raise DomainError(f"instance shape {x.shape} != {delta.shape + (self.d1, self.d2)}")
+        M = symlin.dilation_square(x)
         return ScalarSymPsd(delta * y_hat,
                             delta[..., None, None] * symlin.dilation(x),
-                            symlin.dilation_square(x))
+                            np.broadcast_to(M, delta.shape + M.shape[-2:]))
 
     def _lte(self, H, M):
-        arg = self.eta * H - 0.5 * self.eta ** 2 * self.L ** 2 * M
-        if not np.all(np.isfinite(arg)):
-            raise NumericError("non-finite softmax argument",
-                               {"max_abs": float(np.nanmax(np.abs(arg)))})
-        return symlin.log_trace_exp(arg)
+        """log tr exp(eta H - (eta^2 L^2 / 2) M) from H and M on a common
+        principal block; both are new arrays, overwritten here."""
+        H *= self.eta
+        M *= 0.5 * self.eta ** 2 * self.L ** 2
+        H -= M
+        return symlin.log_trace_exp(H, self.dim)
+
+    def _blocks(self, stat, live=None):
+        """New arrays of H and M on their common live block, or on `live`."""
+        live = symlin.live_rows(stat.H, stat.M) if live is None else live
+        return symlin.principal_block(stat.H, live), symlin.principal_block(stat.M, live)
 
     def eval(self, stat, t=None):
-        return stat.a + (self.r / self.eta) * self._lte(stat.H, stat.M) - self.c / self.eta
+        return stat.a + (self.r / self.eta) * self._lte(*self._blocks(stat)) - self.c / self.eta
+
+    def residual(self, zeta, x, delta, t=None):
+        """F(zeta, x, delta) = U(zeta + T(x, 0, delta)), a stack of deltas in
+        one call: zeta's live block, widened by the instance's rows, is
+        gathered once and each delta's step added on the block."""
+        x, delta = symlin.as_matrix(x), np.asarray(delta, dtype=float)
+        if x.shape[-2:] != (self.d1, self.d2):
+            raise DomainError(f"instance shape {x.shape} != {delta.shape + (self.d1, self.d2)}")
+        live = symlin.live_rows(zeta.H, zeta.M, extra=symlin.dilation_rows(x))
+        H, M = self._blocks(zeta, live)
+        xb = symlin.instance_block(x, live)
+        D = symlin.dilation(xb)  # the step is built in place: one stacked block fewer at the peak
+        step = np.empty(np.broadcast_shapes(H.shape, D.shape, delta.shape + (1, 1)))
+        np.multiply(delta[..., None, None], D, out=step)
+        step += H
+        return zeta.a + (self.r / self.eta) * self._lte(
+            step, M + symlin.dilation_square(xb)) - self.c / self.eta
 
     def bound(self, stat):
         """V = a + r * lambda_1(H - (eta L^2 / 2) M) - c / eta."""
-        lam1 = symlin.sym_eigvals(stat.H - 0.5 * self.eta * self.L ** 2 * stat.M)[..., 0]
-        return stat.a + self.r * lam1 - self.c / self.eta
+        H, M = self._blocks(stat)
+        M *= 0.5 * self.eta * self.L ** 2
+        H -= M
+        return stat.a + self.r * symlin.sym_eigvals(H, self.dim)[..., 0] - self.c / self.eta
 
     def regret_bound(self, stat, comparator=None):
         """A = (eta L^2 r / 2) ||sum dilation_square|| + c / eta, plus (||W||_*

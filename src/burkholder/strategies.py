@@ -29,11 +29,11 @@ def predict_linearized(P, zeta, x, *, t=None):
 
 def linearized_round(P, zeta, x, *, t=None):
     """(predict_linearized, (F(-L), F(+L))): the prediction and the two
-    residuals it read, which value_after reuses."""
+    residuals it read, from one residual call on the stack [-L, +L], which
+    value_after reuses."""
     if not P.convex_in_delta:
         raise DomainError("the linearized prediction needs a family convex in delta")
-    f_plus = P.residual(zeta, x, +P.L, t=t)
-    f_minus = P.residual(zeta, x, -P.L, t=t)
+    f_minus, f_plus = P.residual(zeta, x, np.array([-P.L, P.L]), t=t)
     if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
         raise NumericError("non-finite residual evaluation",
                            {"f_plus": f_plus, "f_minus": f_minus})

@@ -8,8 +8,9 @@ to eigenvalues. Dense arguments may carry leading batch axes.
 Every spectrum of a statistic slot goes through `sym_eigvals`. A diagonal
 argument (the M slot of a completion run) is its own spectrum, so it is
 sorted, not factored. Otherwise only the live principal block of the
-argument (the rows that are not identically zero) is factored, and the
-spectrum is padded with exact zeros for the rest.
+argument (the rows and columns that are not identically zero, found by
+`live_rows`) is gathered once and factored, and the spectrum is padded
+with exact zeros for the rest; no full-size temporary is built.
 For a stack the live block is the union of the members' live rows, so one
 batched eigvalsh serves all; a row dead in one member but live in another
 is a zero row inside its block, still an exact zero eigenvalue. This is
@@ -17,7 +18,10 @@ exact in exact arithmetic. In floating point the padded zeros are exact where a
 dense solve leaves roundoff of order 1e-16 times the norm, so results agree
 with a dense eigvalsh to roundoff, not bit for bit. Completion statistics
 touch only the rows and columns seen so far, so their spectra cost the cube
-of the live size instead of (d1 + d2)^3.
+of the live size instead of (d1 + d2)^3. A caller holding several slots
+gathers them on their common live rows (`principal_block`, with
+`instance_block` for a round's instance), combines the blocks, and passes
+the full size to `sym_eigvals`.
 """
 
 import numpy as np
@@ -98,39 +102,90 @@ def dilation_square(x):
     return out
 
 
-def _checked_symmetric(s):
-    """The symmetric part of s and its largest |entry| per row over the
-    stack: a row is live when that is positive, non-finite with any entry."""
-    s = symmetrize(s)  # symmetric: rows = columns
-    row_max = np.abs(s).max(axis=tuple(range(s.ndim - 1)), initial=0.0)
-    if not np.isfinite(row_max).all():
-        raise NumericError("non-finite entries in symmetric eigensolve",
-                           {"max_abs": float(np.nanmax(np.abs(s)))})
-    return s, row_max
+def dilation_rows(x):
+    """Sorted indices of the rows of dilation(x) that are nonzero in some
+    member of a stack: x's nonzero rows, then d1 plus its nonzero columns."""
+    x = as_matrix(x)
+    if isinstance(x, Entry):
+        return np.array([x.i, x.shape[0] + x.j])
+    batch = tuple(range(x.ndim - 2))
+    return np.concatenate([np.flatnonzero(x.any(axis=batch + (x.ndim - 1,))),
+                           x.shape[-2] + np.flatnonzero(x.any(axis=batch + (x.ndim - 2,)))])
 
 
-def sym_eigvals(s):
-    """Eigenvalues only, descending along the last axis.
+def instance_block(x, live):
+    """x restricted to the principal block `live` of its dilation (an Entry
+    stays one); its dilation and dilation square are those of x on the block
+    when `live` holds dilation_rows(x)."""
+    x = as_matrix(x)
+    d1 = x.shape[-2]
+    k1 = int(np.searchsorted(live, d1))  # live[:k1] index rows of x, the rest columns
+    if isinstance(x, Entry):
+        i, j = np.searchsorted(live, (x.i, d1 + x.j))
+        return Entry(i, j - k1, (k1, live.size - k1))
+    return x[..., live[:k1, None], live[k1:] - d1]
 
-    When every nonzero of the symmetrized input lies on its diagonal, the
-    result is the sorted diagonal, with no eigensolve (an all-zero input
-    included). Otherwise only the live principal block is factored: the
-    rows that are not identically zero in some member of the stack. Each
-    of the other n - k rows contributes an exact zero eigenvalue, so the
-    result is the block's spectrum merged with n - k zeros. A fully live
-    input is one plain eigvalsh call.
+
+def live_rows(*mats, extra=()):
+    """Sorted indices of the rows of n x n arguments that are live: not
+    identically zero in row or column in some member of some argument,
+    plus the indices `extra`.
+
+    On one matrix, `any` reductions along both axes allocate only length-n
+    vectors; a stack is first folded to the n x n mask, one byte an entry,
+    of the entries nonzero in some member. A NaN or inf entry counts as
+    nonzero, so it makes its own row live and a finiteness check on the
+    live block still sees it.
     """
-    s, row_max = _checked_symmetric(s)
-    diag = np.diagonal(s, axis1=-2, axis2=-1)
-    if np.count_nonzero(s != 0) == np.count_nonzero(diag != 0):  # counts booleans faster
-        return np.sort(diag, axis=-1)[..., ::-1].copy()
-    live = np.flatnonzero(row_max > 0)
-    if live.size == s.shape[-1]:
-        return np.linalg.eigvalsh(s)[..., ::-1].copy()
-    w = np.zeros(s.shape[:-1])
-    block = s[..., live[:, None], live]
-    del s, diag  # one gather, and no full matrix held in the solve: lower peak memory
-    w[..., :live.size] = np.linalg.eigvalsh(block)
+    live = np.zeros(np.shape(mats[0])[-1], dtype=bool)
+    for s in mats:
+        if s.ndim > 2:
+            s = s.any(axis=tuple(range(s.ndim - 2)))
+        live |= s.any(axis=-1)
+        live |= s.any(axis=-2)
+    live[np.asarray(extra, dtype=np.intp)] = True
+    return np.nonzero(live)[0]
+
+
+def principal_block(s, live):
+    """s[..., live, live] as a new array, gathered by one flat take."""
+    n, k = s.shape[-1], live.size
+    if k == n:
+        return s.copy()
+    flat = (live[:, None] * n + live).ravel()
+    return s.reshape(s.shape[:-2] + (n * n,)).take(flat, axis=-1).reshape(
+        s.shape[:-2] + (k, k))
+
+
+def _is_diagonal(s):
+    """Whether every nonzero of s (a NaN included) lies on its diagonal."""
+    return np.count_nonzero(s) == np.count_nonzero(np.diagonal(s, axis1=-2, axis2=-1))
+
+
+def sym_eigvals(s, n=None):
+    """Eigenvalues of the symmetric part of s, descending along the last axis.
+
+    A diagonal argument is sorted, with no live search and no eigensolve
+    (an all-zero input included). Otherwise the live block of s is gathered
+    and factored, and each other row adds an exact zero eigenvalue. With n
+    given, s is already the symmetric live block of an n x n argument (as
+    `principal_block` gathers it from statistic slots), read as it is.
+    """
+    s = np.asarray(s, dtype=float)
+    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
+        raise DomainError(f"expected a square matrix, got shape {s.shape}")
+    diagonal = _is_diagonal(s)
+    if n is None:
+        n = s.shape[-1]
+        if not diagonal:
+            s = symmetrize(principal_block(s, live_rows(s)))
+            diagonal = _is_diagonal(s)  # an antisymmetric part cancels
+    part = np.diagonal(s, axis1=-2, axis2=-1) if diagonal else s
+    if not np.isfinite(part).all():
+        raise NumericError("non-finite entries in symmetric eigensolve",
+                           {"max_abs": float(np.nanmax(np.abs(part)))})
+    w = np.zeros(s.shape[:-2] + (n,))
+    w[..., :s.shape[-1]] = part if diagonal else np.linalg.eigvalsh(s)
     return np.sort(w, axis=-1)[..., ::-1].copy()
 
 
@@ -144,9 +199,10 @@ def logsumexp(vals):
     return m + np.log(np.exp(vals - m[..., None]).sum(axis=-1))
 
 
-def log_trace_exp(s):
-    """log tr exp(S) for symmetric S, evaluated on the spectrum with max shift."""
-    return logsumexp(sym_eigvals(s))
+def log_trace_exp(s, n=None):
+    """log tr exp(S) for symmetric S, on the spectrum with max shift; n as
+    in `sym_eigvals`."""
+    return logsumexp(sym_eigvals(s, n))
 
 
 def spectral_norm(x):

@@ -280,6 +280,24 @@ def test_run_rejects_data_labels_outside_the_label_range(tmp_path, capsys):
     assert "outside [-B, B]" in err and "-> pass" not in err
 
 
+@pytest.mark.parametrize("text, row", [
+    ("i,j,y\n0,1,0.5\n1,x,0.2\n", 2),  # a field that is not a number
+    ("i,j,y\n0,1,0.5\n1,0,0.1\n1\n", 3),  # a short row
+    ("x0,x1,y\n0.1,0.2,0.3\n0.5,0.5\n", 2),  # a vector row without its label
+])
+def test_run_rejects_malformed_data_rows(tmp_path, capsys, text, row):
+    """A row the loader cannot read is a bad input (exit 2) that names the
+    file and the row, not a crash with the failed-certificate code."""
+    data = tmp_path / "bad.csv"
+    data.write_text(text)
+    family = "family = matrix\nd1 = 2\nd2 = 2\neta = 0.5\n" if text[0] == "i" else \
+        "family = adagrad\nd = 2\n"
+    path = _cfg(tmp_path, f"{family}data_csv = {data}\n")
+    assert cli.main(["run", "--config", path]) == 2
+    _, err = capsys.readouterr()
+    assert f"{data}: row {row}:" in err and "Traceback" not in err
+
+
 def test_run_rejects_param_free_instances_outside_the_unit_ball(tmp_path, capsys):
     seq = random_vectors(30, 3, rng=np.random.default_rng(4))
     seq = harness.Sequence(seq.kind, [3.0 * x / np.linalg.norm(x) for x in seq.xs],

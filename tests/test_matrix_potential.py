@@ -9,7 +9,9 @@ from burkholder import symlin
 from burkholder.errors import ConfigError, DomainError
 from burkholder.harness import matrix_completion
 from burkholder.losses import make_loss
+from burkholder.potential import Potential
 from burkholder.potentials import MatrixPotential, doubling_run
+from burkholder.statistics import ScalarSymPsd
 from burkholder.strategies import predict_linearized, run_online
 
 
@@ -193,3 +195,38 @@ def test_entry_statistics_match_the_dense_spectral_reference():
             k * P.r * mnorm + P.c / P.eta, rel=1e-12, abs=1e-12)
     # rows 4, 5 and columns 3, 4 were never drawn: the block is 7 of 11 at most
     assert not np.any(zeta.M[[4, 5, 9, 10]])
+
+
+def test_block_residual_matches_the_derived_residual():
+    """The override answers a stack of deltas from zeta's live block widened
+    by the instance's rows; it must equal the derived U(zeta + T(x, 0,
+    delta)) within 1e-12 relative for an Entry and a dense instance, an
+    instance whose rows are not yet live, the zero statistic, and a
+    statistic whose H reaches rows where diag(M) is 0 (not reachable by
+    play, so the live rows must be read from the entries)."""
+    P = MatrixPotential(6, 5, eta=0.3, r=1.5, L=1.2)
+    rng = np.random.default_rng(31)
+    seen = P.stat_map(symlin.Entry(0, 1, (6, 5)), 0.4, 1.0) + P.stat_map(
+        symlin.Entry(2, 0, (6, 5)), -0.2, -0.7)
+    H = np.zeros((11, 11))
+    H[4, 9] = H[9, 4] = 0.8  # rows 4 and 9 have diag(M) = 0
+    odd = ScalarSymPsd(0.3, H, seen.M)
+    dense = P.sample_instance(rng)
+    dense[[1, 5], :] = 0.0
+    dense[:, 2] = 0.0
+    cases = [(P.zero(), symlin.Entry(3, 4, (6, 5))),
+             (P.zero(), dense),
+             (seen, symlin.Entry(0, 1, (6, 5))),  # rows already live
+             (seen, symlin.Entry(5, 3, (6, 5))),  # rows not yet live
+             (seen, dense),
+             (P.sample_statistic(rng), dense),
+             (odd, symlin.Entry(1, 1, (6, 5))),
+             (odd, dense)]
+    deltas = np.array([-1.2, 1.2, 0.0, 0.37])
+    for zeta, x in cases:
+        got = P.residual(zeta, x, deltas)
+        want = Potential.residual(P, zeta, x, deltas)
+        assert got.shape == (4,)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        for d, g in zip(deltas, got):
+            assert P.residual(zeta, x, d) == g  # one delta: the same block

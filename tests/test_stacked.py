@@ -10,8 +10,9 @@ import pytest
 
 from burkholder.potentials import (AdaGradPotential, MatrixPotential, ParamFreePotential,
                                    combine_convex, combine_min, standard_families)
+from burkholder.losses import make_loss
 from burkholder.statistics import map_slots
-from burkholder.symlin import spectral_norm
+from burkholder.symlin import Entry, spectral_norm
 from burkholder.verify import (CHUNK, PredictableTree, check_matrix_khintchine,
                                check_mgf_bound, check_p2, check_p3, draw_p3, replay_p3,
                                sign_paths, tree_leaves)
@@ -120,6 +121,43 @@ def test_stacked_stat_map_matches_single_calls(name):
         assert stats_allclose(map_slots(lambda s: s[i], stacked),
                               P.stat_map(xs[i], float(y_hats[i]), float(deltas[i])),
                               rtol=0.0, atol=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_one_instance_against_a_delta_stack_matches_single_calls(name):
+    """stat_map shares one instance across a stack of rounds, as round_values
+    and the linearized round's residual pair ask for it."""
+    P = CASES[name]
+    rng = np.random.default_rng(8)
+    x = P.sample_instance(rng)
+    y_hats, deltas = rng.uniform(-P.B, P.B, 4), rng.uniform(-P.L, P.L, 4)
+    shared = P.stat_map(x, y_hats, deltas)
+    for i in range(4):
+        assert stats_allclose(map_slots(lambda s: s[i], shared),
+                              P.stat_map(x, float(y_hats[i]), float(deltas[i])),
+                              rtol=0.0, atol=0.0)
+
+
+def test_matrix_round_values_keep_an_entry_sparse(monkeypatch):
+    """An Entry against a stack of deltas is never densified: not by the
+    residual's block, nor by stat_map's shared instance."""
+    P = MatrixPotential(4, 3, eta=0.5)
+    rng = np.random.default_rng(9)
+    zeta = P.sample_statistic(rng)
+    x = Entry(2, 1, (4, 3))
+    dense = np.asarray(x)
+    loss = make_loss("squared")
+    want = P.round_values(zeta, dense, np.linspace(-1, 1, 5), [-1.0, 1.0], loss)
+    step = P.stat_map(dense, 0.3, np.array([-0.5, 0.5]))
+
+    def densify(self, dtype=None, copy=None):
+        raise AssertionError("Entry densified")
+
+    monkeypatch.setattr(Entry, "__array__", densify)
+    got = P.round_values(zeta, x, np.linspace(-1, 1, 5), [-1.0, 1.0], loss)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert stats_allclose(P.stat_map(x, 0.3, np.array([-0.5, 0.5])), step,
+                          rtol=0.0, atol=0.0)
 
 
 def _domain_norms(P, xs):

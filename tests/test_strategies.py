@@ -27,7 +27,8 @@ from stat_oracle import stats_allclose
 
 
 class _Holder:
-    """A family reduced to L, B and a residual F(delta)."""
+    """A family reduced to L, B and a residual F(delta), answered for a
+    stack of deltas in one call as the linearized round asks for it."""
     L = 1.0
     B = 1.0
     convex_in_delta = True
@@ -36,7 +37,7 @@ class _Holder:
         self.F = F
 
     def residual(self, zeta, x, delta, t=None):
-        return self.F(delta)
+        return np.array([self.F(d) for d in delta])
 
 
 def test_linearized_prediction_arithmetic():

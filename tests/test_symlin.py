@@ -108,6 +108,19 @@ def test_live_block_edge_cases():
         sym_eigvals(np.diag([1.0, np.nan, 2.0]))
     with pytest.raises(NumericError):
         sym_eigvals(np.array([[np.inf]]))
+    # the live search reads columns as well as rows: the only nonzero lies
+    # above the diagonal, in row 0 and column 2
+    s = np.zeros((4, 4))
+    s[0, 2] = 1.0
+    assert np.allclose(sym_eigvals(s), np.linalg.eigvalsh(symmetrize(s))[::-1], rtol=0, atol=1e-15)
+    s = np.zeros((3, 3))
+    s[1, 1] = np.inf  # alone in an otherwise zero row and column
+    with pytest.raises(NumericError):
+        sym_eigvals(s)
+    s = np.zeros((3, 3))
+    s[2, 0] = -np.inf  # below the diagonal only
+    with pytest.raises(NumericError):
+        sym_eigvals(s)
 
 
 def test_diagonal_spectrum_is_the_sorted_diagonal():
