@@ -14,7 +14,7 @@ from .potentials import (AdaGradPotential, CombinedPotential, MatrixPotential,
                          MetaPotential, ParamFreePotential, VawPotential,
                          combine_convex, combine_min, doubling_run,
                          standard_families)
-from .statistics import ProductStat, ScalarSymPsd, ScalarVec, ScalarVecScalar, VecSym
+from .statistics import ProductStat, ScalarSym, ScalarVec, ScalarVecScalar, VecSym
 from .strategies import (STRATEGIES, predict_convex, predict_linearized,
                          predict_randomized, realized_game_value, run_online,
                          run_randomized_expected)
@@ -25,7 +25,7 @@ __all__ = [
     "AdaGradPotential", "CombinedPotential", "ConfigError", "DomainError",
     "Loss", "MatrixPotential", "MetaPotential",
     "NumericError", "ParamFreePotential", "Potential", "ProductStat", "Round",
-    "STRATEGIES", "ScalarSymPsd", "ScalarVec", "ScalarVecScalar",
+    "STRATEGIES", "ScalarSym", "ScalarVec", "ScalarVecScalar",
     "TagMismatchError", "Trajectory", "VawPotential", "VecSym", "accumulate",
     "combine_convex", "combine_min", "doubling_run", "make_loss",
     "predict_convex", "predict_linearized", "predict_randomized",

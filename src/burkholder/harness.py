@@ -249,7 +249,7 @@ def comparator_grid(xs, ys, loss, radii=None):
         radii = np.logspace(-2, 2, 41)
     g0 = adjoint(np.asarray(loss.subgradient(np.zeros(len(ys)), ys), dtype=float))
     ng = np.linalg.norm(g0)
-    u = -g0 / ng if ng > 0 else np.eye(math.prod(shape))[0]
+    u = -g0 / ng if ng > 0 else np.eye(1, math.prod(shape))[0]  # e_0
     out = []
     for rho in radii:
         w = rho * u

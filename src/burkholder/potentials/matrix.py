@@ -1,9 +1,11 @@
 """Matrix prediction with comparators in a nuclear-norm ball.
 
-The statistic stores (sum delta*y_hat, sum delta*dilation(X), sum
-dilation_square(X)); the potential is a softmax smoothing of the largest
-eigenvalue of the drift-corrected dilation sum, valid once the constant c
-covers the log-dimension term.
+The statistic stores (sum delta*y_hat, Z), Z the sum of the rounds'
+symlin.dilation_step(X, delta) = [[X X^T, delta X], [delta X^T, X^T X]]:
+the drift H = sum delta*D(X) of the self-adjoint dilations D(X) fills Z's
+off-diagonal blocks and M = sum D(X)^2 its diagonal ones. The potential is
+a softmax smoothing of the largest eigenvalue of eta H - (eta^2 L^2 / 2) M,
+valid once the constant c covers the log-dimension term.
 """
 
 import math
@@ -13,7 +15,7 @@ import numpy as np
 from .. import symlin
 from ..errors import ConfigError, DomainError
 from ..potential import Potential, Round, Trajectory, accumulate
-from ..statistics import ScalarSymPsd
+from ..statistics import ScalarSym
 from ..strategies import linearized_round, value_after
 
 
@@ -39,77 +41,83 @@ class MatrixPotential(Potential):
         self.c = float(c) if c is not None else self.r * math.log(self.dim)
         if strict and self.c < self.r * math.log(self.dim) * (1 - 1e-12):
             raise ConfigError("c >= r*log(d1+d2)")
-        self._comparator_norm = (None, 0.0)  # (comparator, its nuclear norm)
+        self._comparator = (None, 0.0)  # (a copy of the comparator, its nuclear norm)
 
     def zero(self):
-        return ScalarSymPsd.zero(self.dim)
+        return ScalarSym.zero(self.dim)
 
-    def stat_map(self, x, y_hat, delta):
-        """The round's statistic; one instance against a stack of deltas is
-        shared by every member, and its M slot is a broadcast view."""
+    def _instance(self, x, delta):
+        """(x, delta) as an instance and an array, x one instance or one per delta."""
         x, delta = symlin.as_matrix(x), np.asarray(delta, dtype=float)
         if x.shape not in ((self.d1, self.d2), delta.shape + (self.d1, self.d2)):
             raise DomainError(f"instance shape {x.shape} != {delta.shape + (self.d1, self.d2)}")
-        M = symlin.dilation_square(x)
-        return ScalarSymPsd(delta * y_hat,
-                            delta[..., None, None] * symlin.dilation(x),
-                            np.broadcast_to(M, delta.shape + M.shape[-2:]))
+        return x, delta
 
-    def _lte(self, H, M):
-        """log tr exp(eta H - (eta^2 L^2 / 2) M) from H and M on a common
-        principal block; both are new arrays, overwritten here."""
-        H *= self.eta
-        M *= 0.5 * self.eta ** 2 * self.L ** 2
-        H -= M
-        return symlin.log_trace_exp(H, self.dim)
+    def stat_map(self, x, y_hat, delta):
+        x, delta = self._instance(x, delta)
+        return ScalarSym(delta * y_hat, symlin.dilation_step(x, delta))
 
-    def _blocks(self, stat, live=None):
-        """New arrays of H and M on their common live block, or on `live`."""
-        live = symlin.live_rows(stat.H, stat.M) if live is None else live
-        return symlin.principal_block(stat.H, live), symlin.principal_block(stat.M, live)
+    def _block(self, stat, drift, variance, x=None, delta=None):
+        """drift H + variance M at stat, or at stat + T(x, 0, delta) for each
+        delta of a stack, on Z's live block widened by x's rows: the block is
+        gathered once, the steps added and its blocks scaled in place."""
+        live = symlin.live_rows(stat.Z, extra=() if x is None else symlin.dilation_rows(x))
+        z = symlin.principal_block(stat.Z, live)
+        if x is not None:
+            step = symlin.dilation_step(symlin.instance_block(x, live), delta)
+            z = np.add(step, z, out=step)
+        k1 = int(np.searchsorted(live, self.d1))  # block rows below k1 are rows of X
+        z[..., :k1, k1:] *= drift
+        z[..., k1:, :k1] *= drift
+        z[..., :k1, :k1] *= variance
+        z[..., k1:, k1:] *= variance
+        z += 0.0  # a zero stays +0.0, as in drift H + variance M
+        return z
+
+    def _softmax(self, stat, x=None, delta=None):
+        z = self._block(stat, self.eta, -0.5 * self.eta ** 2 * self.L ** 2, x, delta)
+        return stat.a + (self.r / self.eta) * symlin.log_trace_exp(z, self.dim) - self.c / self.eta
 
     def eval(self, stat, t=None):
-        return stat.a + (self.r / self.eta) * self._lte(*self._blocks(stat)) - self.c / self.eta
+        return self._softmax(stat)
 
     def residual(self, zeta, x, delta, t=None):
-        """F(zeta, x, delta) = U(zeta + T(x, 0, delta)), a stack of deltas in
-        one call: zeta's live block, widened by the instance's rows, is
-        gathered once and each delta's step added on the block."""
-        x, delta = symlin.as_matrix(x), np.asarray(delta, dtype=float)
-        if x.shape[-2:] != (self.d1, self.d2):
-            raise DomainError(f"instance shape {x.shape} != {delta.shape + (self.d1, self.d2)}")
-        live = symlin.live_rows(zeta.H, zeta.M, extra=symlin.dilation_rows(x))
-        H, M = self._blocks(zeta, live)
-        xb = symlin.instance_block(x, live)
-        D = symlin.dilation(xb)  # the step is built in place: one stacked block fewer at the peak
-        step = np.empty(np.broadcast_shapes(H.shape, D.shape, delta.shape + (1, 1)))
-        np.multiply(delta[..., None, None], D, out=step)
-        step += H
-        return zeta.a + (self.r / self.eta) * self._lte(
-            step, M + symlin.dilation_square(xb)) - self.c / self.eta
+        """F(zeta, x, delta) = U(zeta + T(x, 0, delta)) for one statistic and
+        a stack of deltas, from one gather of zeta's live block."""
+        return self._softmax(zeta, *self._instance(x, delta))
 
     def bound(self, stat):
         """V = a + r * lambda_1(H - (eta L^2 / 2) M) - c / eta."""
-        H, M = self._blocks(stat)
-        M *= 0.5 * self.eta * self.L ** 2
-        H -= M
-        return stat.a + self.r * symlin.sym_eigvals(H, self.dim)[..., 0] - self.c / self.eta
+        z = self._block(stat, 1.0, -0.5 * self.eta * self.L ** 2)
+        return stat.a + self.r * symlin.sym_eigvals(z, self.dim)[..., 0] - self.c / self.eta
+
+    def variance(self, stat):
+        """||M|| = max(||sum X X^T||, ||sum X^T X||), from Z's diagonal blocks
+        (a sort when diagonal, as on `Entry` runs); one per member of a stack."""
+        return np.maximum(symlin.sym_eigvals(stat.Z[..., :self.d1, :self.d1])[..., 0],
+                          symlin.sym_eigvals(stat.Z[..., self.d1:, self.d1:])[..., 0])
+
+    def drift_norm(self, stat):
+        """||sum delta X||_sigma = lambda_1(H), from Z's off-diagonal block;
+        one per member of a stack."""
+        return symlin.spectral_norm(stat.Z[..., :self.d1, self.d1:])
 
     def regret_bound(self, stat, comparator=None):
-        """A = (eta L^2 r / 2) ||sum dilation_square|| + c / eta, plus (||W||_*
-        - r) lambda_1(H) for a comparator W outside the radius-r ball: regret
-        <= a + ||W||_* ||sum delta X||_sigma by convexity, and V <= 0 covers
-        r lambda_1(H). ||W||_* is computed once per comparator object; up to
-        1e-12 r over r (a projected comparator's roundoff) counts as inside.
-        A stack of statistics gives one bound per member."""
-        mnorm = symlin.sym_eigvals(stat.M)[..., 0]
-        bound = 0.5 * self.eta * self.L ** 2 * self.r * np.maximum(mnorm, 0.0) + self.c / self.eta
-        if comparator is not None and self._comparator_norm[0] is not comparator:
-            w = np.reshape(np.asarray(comparator, dtype=float), (self.d1, self.d2))
-            self._comparator_norm = (comparator, float(np.linalg.svd(w, compute_uv=False).sum()))
-        excess = self._comparator_norm[1] - self.r if comparator is not None else 0.0
+        """A = (eta L^2 r / 2) ||M|| + c / eta, plus (||W||_* - r)
+        ||sum delta X||_sigma for a comparator W outside the radius-r ball:
+        regret <= a + ||W||_* ||sum delta X||_sigma by convexity, and V <= 0
+        covers r lambda_1(H). ||W||_* is recomputed when W's entries change;
+        up to 1e-12 r over r (a projected comparator's roundoff) counts as
+        inside. A stack of statistics gives one bound per member."""
+        bound = (0.5 * self.eta * self.L ** 2 * self.r * np.maximum(self.variance(stat), 0.0)
+                 + self.c / self.eta)
+        if comparator is not None and not np.array_equal(self._comparator[0], comparator):
+            w = np.array(comparator, dtype=float)
+            self._comparator = (w, float(np.linalg.svd(
+                w.reshape(self.d1, self.d2), compute_uv=False).sum()))
+        excess = self._comparator[1] - self.r if comparator is not None else 0.0
         if excess > 1e-12 * self.r:
-            bound = bound + excess * np.maximum(symlin.sym_eigvals(stat.H)[..., 0], 0.0)
+            bound = bound + excess * self.drift_norm(stat)
         return bound
 
     def sample_instances(self, rng, k):
@@ -161,8 +169,7 @@ def doubling_run(d1, d2, sequence, loss, *, r=1.0, c=None, R=1.0, on_round=None)
         if on_round is not None:
             on_round(t, zeta, rnd, last)
         zeta = last
-        m_norm = float(symlin.sym_eigvals(zeta.M)[0])
-        if m_norm >= budget * (1 - 1e-12):
+        if pot.variance(zeta) >= budget * (1 - 1e-12):
             k += 1
             pot, budget = fresh(k)
             zeta = pot.zero()

@@ -55,16 +55,15 @@ class ScalarVec(_Slots):
 
 
 @dataclass(frozen=True, eq=False)
-class ScalarSymPsd(_Slots):
-    """(a, H, M): scalar, symmetric matrix, and a psd accumulator matrix."""
+class ScalarSym(_Slots):
+    """(a, Z): scalar and symmetric matrix."""
     a: float
-    H: np.ndarray
-    M: np.ndarray
-    lead = ("H", 2)
+    Z: np.ndarray
+    lead = ("Z", 2)
 
     @classmethod
     def zero(cls, dim):
-        return cls(0.0, np.zeros((dim, dim)), np.zeros((dim, dim)))
+        return cls(0.0, np.zeros((dim, dim)))
 
 
 @dataclass(frozen=True, eq=False)

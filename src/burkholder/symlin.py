@@ -3,11 +3,12 @@
 Everything here operates on plain numpy arrays, except `Entry`, an indicator
 matrix e_i e_j^T carried as its index. The self-adjoint dilation embeds a
 rectangular matrix into a symmetric one so that spectral quantities reduce
-to eigenvalues. Dense arguments may carry leading batch axes.
+to eigenvalues; `dilation_step` gives a round's dilation and its square in
+one array. Dense arguments may carry leading batch axes.
 
 Every spectrum of a statistic slot goes through `sym_eigvals`. A diagonal
-argument (the M slot of a completion run) is its own spectrum, so it is
-sorted, not factored. Otherwise only the live principal block of the
+argument (the variance part of a completion run) is its own spectrum, so it
+is sorted, not factored. Otherwise only the live principal block of the
 argument (the rows and columns that are not identically zero, found by
 `live_rows`) is gathered once and factored, and the spectrum is padded
 with exact zeros for the rest; no full-size temporary is built.
@@ -18,10 +19,10 @@ exact in exact arithmetic. In floating point the padded zeros are exact where a
 dense solve leaves roundoff of order 1e-16 times the norm, so results agree
 with a dense eigvalsh to roundoff, not bit for bit. Completion statistics
 touch only the rows and columns seen so far, so their spectra cost the cube
-of the live size instead of (d1 + d2)^3. A caller holding several slots
-gathers them on their common live rows (`principal_block`, with
-`instance_block` for a round's instance), combines the blocks, and passes
-the full size to `sym_eigvals`.
+of the live size instead of (d1 + d2)^3. A caller that transforms a slot
+first gathers it on its live rows (`principal_block`, with `instance_block`
+for a round's instance), works on the block, and passes the full size to
+`sym_eigvals`.
 """
 
 import numpy as np
@@ -41,8 +42,8 @@ class Entry:
     """The d1 x d2 indicator matrix e_i e_j^T, stored as its index (i, j).
 
     np.asarray(entry) gives the dense matrix, so any consumer of dense
-    instances accepts an Entry; dilation, dilation_square and the comparator
-    search use the index directly, with results equal to the dense ones.
+    instances accepts an Entry; dilation_step and the comparator search use
+    the index directly, with results equal to the dense ones.
     """
     __slots__ = ("i", "j", "shape")
 
@@ -70,41 +71,34 @@ def as_matrix(x):
     return np.atleast_2d(np.asarray(x, dtype=float))
 
 
-def dilation(x):
-    """Self-adjoint dilation [[0, X], [X^T, 0]] of a d1 x d2 matrix.
+def dilation_step(x, delta):
+    """delta D + D^2 for the self-adjoint dilation D = [[0, X], [X^T, 0]] of
+    a d1 x d2 matrix: [[X X^T, delta X], [delta X^T, X^T X]].
 
-    Its largest eigenvalue equals the largest singular value of X, and its
-    eigenvalues come in +/- pairs padded with zeros.
+    D's eigenvalues are +/- the singular values of X padded with zeros, so
+    the off-diagonal blocks carry delta X and the diagonal blocks D^2. A
+    stack of deltas broadcasts against x's batch axes.
     """
-    x = as_matrix(x)
+    x, delta = as_matrix(x), np.asarray(delta, dtype=float)
     *batch, d1, d2 = x.shape
-    out = np.zeros((*batch, d1 + d2, d1 + d2))
-    if isinstance(x, Entry):
-        out[x.i, d1 + x.j] = out[d1 + x.j, x.i] = 1.0
-        return out
-    out[..., :d1, d1:] = x
-    out[..., d1:, :d1] = x.swapaxes(-1, -2)
-    return out
-
-
-def dilation_square(x):
-    """Block diagonal [[X X^T, 0], [0, X^T X]]; equals dilation(x) @ dilation(x)."""
-    x = as_matrix(x)
-    *batch, d1, d2 = x.shape
-    out = np.zeros((*batch, d1 + d2, d1 + d2))
+    out = np.zeros(np.broadcast_shapes(tuple(batch), delta.shape) + (d1 + d2, d1 + d2))
     if isinstance(x, Entry):
         # e_i e_j^T (e_i e_j^T)^T = e_i e_i^T and the transpose product is e_j e_j^T
-        out[x.i, x.i] = out[d1 + x.j, d1 + x.j] = 1.0
+        out[..., x.i, x.i] = out[..., d1 + x.j, d1 + x.j] = 1.0
+        out[..., x.i, d1 + x.j] = out[..., d1 + x.j, x.i] = delta
         return out
-    xt = x.swapaxes(-1, -2)
+    xt, delta = x.swapaxes(-1, -2), delta[..., None, None]
     out[..., :d1, :d1] = x @ xt
     out[..., d1:, d1:] = xt @ x
+    out[..., :d1, d1:] = delta * x
+    out[..., d1:, :d1] = delta * xt
     return out
 
 
 def dilation_rows(x):
-    """Sorted indices of the rows of dilation(x) that are nonzero in some
-    member of a stack: x's nonzero rows, then d1 plus its nonzero columns."""
+    """Sorted indices of the rows of x's dilation [[0, X], [X^T, 0]] that
+    are nonzero in some member of a stack: x's nonzero rows, then d1 plus
+    its nonzero columns."""
     x = as_matrix(x)
     if isinstance(x, Entry):
         return np.array([x.i, x.shape[0] + x.j])
@@ -115,8 +109,8 @@ def dilation_rows(x):
 
 def instance_block(x, live):
     """x restricted to the principal block `live` of its dilation (an Entry
-    stays one); its dilation and dilation square are those of x on the block
-    when `live` holds dilation_rows(x)."""
+    stays one); its dilation_step is that of x on the block when `live`
+    holds dilation_rows(x)."""
     x = as_matrix(x)
     d1 = x.shape[-2]
     k1 = int(np.searchsorted(live, d1))  # live[:k1] index rows of x, the rest columns
@@ -126,10 +120,10 @@ def instance_block(x, live):
     return x[..., live[:k1, None], live[k1:] - d1]
 
 
-def live_rows(*mats, extra=()):
-    """Sorted indices of the rows of n x n arguments that are live: not
-    identically zero in row or column in some member of some argument,
-    plus the indices `extra`.
+def live_rows(s, extra=()):
+    """Sorted indices of the rows of an n x n argument that are live: not
+    identically zero in row or column in some member of a stack, plus the
+    indices `extra`.
 
     On one matrix, `any` reductions along both axes allocate only length-n
     vectors; a stack is first folded to the n x n mask, one byte an entry,
@@ -137,12 +131,9 @@ def live_rows(*mats, extra=()):
     nonzero, so it makes its own row live and a finiteness check on the
     live block still sees it.
     """
-    live = np.zeros(np.shape(mats[0])[-1], dtype=bool)
-    for s in mats:
-        if s.ndim > 2:
-            s = s.any(axis=tuple(range(s.ndim - 2)))
-        live |= s.any(axis=-1)
-        live |= s.any(axis=-2)
+    if s.ndim > 2:
+        s = s.any(axis=tuple(range(s.ndim - 2)))
+    live = s.any(axis=-1) | s.any(axis=-2)
     live[np.asarray(extra, dtype=np.intp)] = True
     return np.nonzero(live)[0]
 

@@ -17,7 +17,7 @@ A predictable tree draws each level with one sampler(rng, k) call, the
 contract of sample_instances, and is walked a level at a time: one stack of
 statistics per level, one stat_map call to its children. Every tree check
 reads that fold: the sign-sum checks take their sums from a family's leaves
-(the matrix H and M slots, the param_free x slot), and check_necessity
+(the matrix drift_norm and variance, the param_free x slot), and check_necessity
 bounds its leaves with one stacked regret_bound call.
 """
 
@@ -292,9 +292,9 @@ def check_matrix_khintchine(n=10, d1=3, d2=2, n_trees=100, rng=None, trees=None,
 
     Exact over all 2^n sign paths for each tree; node spectral norms are
     held at <= 1 by the random generator. Reports the worst ratio. Each tree
-    folds into the leaves of the matrix family at unit L: the top eigenvalue
-    of the dilation sum H is ||sum eps_t X_t||_sigma, and that of the block
-    diagonal M is max(||sum XX^T||, ||sum X^T X||).
+    folds into the leaves of the matrix family at unit L, whose `drift_norm`
+    is ||sum eps_t X_t||_sigma and whose `variance` is max(||sum XX^T||,
+    ||sum X^T X||).
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     if trees is None:
@@ -303,10 +303,10 @@ def check_matrix_khintchine(n=10, d1=3, d2=2, n_trees=100, rng=None, trees=None,
     ratios = []
     for tree in trees:
         d1, d2 = tree.levels[0].shape[1:]
-        leaves = tree_leaves(MatrixPotential(d1, d2, eta=1.0), tree)
-        lhs = float(np.mean(symlin.sym_eigvals(leaves.H)[:, 0]))
-        rhs = math.sqrt(2.0 * float(np.mean(symlin.sym_eigvals(leaves.M)[:, 0]))
-                        * math.log(d1 + d2))
+        P = MatrixPotential(d1, d2, eta=1.0)
+        leaves = tree_leaves(P, tree)
+        lhs = float(np.mean(P.drift_norm(leaves)))
+        rhs = math.sqrt(2.0 * float(np.mean(P.variance(leaves))) * math.log(d1 + d2))
         ratios.append(lhs / rhs if rhs > 0 else 0.0)
     return _ratio_report("matrix_khintchine", ratios, tol)
 

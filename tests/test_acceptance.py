@@ -23,6 +23,7 @@ from burkholder.strategies import run_online
 from burkholder.verify import (PredictableTree, check_matrix_khintchine,
                                check_mgf_bound, check_p1, check_p2, check_p3,
                                check_supermartingale, round_descent)
+from dilation_oracle import split
 
 _cache = {}
 
@@ -53,7 +54,7 @@ def _matrix_runs():
         traj = run_online(P, "linearized", seq, loss, on_round=scan)
         comp = comparator_losses(seq.xs, seq.ys, loss,
                                  seq.meta["planted"].reshape(-1))
-        m_norm = float(np.linalg.eigvalsh(traj.final_statistic.M)[-1])
+        m_norm = float(np.linalg.eigvalsh(split(traj.final_statistic, 10)[1])[-1])
         bound = 0.5 * 0.2 * 1.0 * 1.0 * m_norm + math.log(20.0) / 0.2
         elapsed += time.perf_counter() - t0 - scan_s
         records.append({"regret": traj.cumulative_loss - float(comp.sum()),
@@ -245,9 +246,9 @@ def test_linear_algebra_identities():
     shapes = [(3, 2), (4, 4), (5, 3), (2, 6)]
     for k in range(1000):
         x = rng.normal(size=shapes[k % 4]) * rng.uniform(0.1, 2.0)
-        d = symlin.dilation(x)
+        d, d2 = split(symlin.dilation_step(x, 1.0), x.shape[0])
         assert abs(symlin.sym_eigvals(d)[0] - symlin.spectral_norm(x)) <= 1e-10
-        assert np.max(np.abs(symlin.dilation_square(x) - d @ d)) <= 1e-10
+        assert np.max(np.abs(d2 - d @ d)) <= 1e-10
     for _ in range(1000):
         a = rng.normal(size=(5, 5))
         a = (a + a.T) / 2

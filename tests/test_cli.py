@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import os
 import re
 import subprocess
@@ -352,6 +353,28 @@ def test_verify_all_matches_the_benchmark_reference(capsys):
     out, _ = capsys.readouterr()
     assert summary(out) == summary(ref.read_text())
     assert len(summary(out)) == 38
+
+
+def test_matrix_run_matches_the_benchmark_reference(capsys):
+    """run on the benchmark's 100x100 completion config at seed 0 prints the
+    stored reference CSV, every cell within 1e-9 relative or absolute (the
+    benchmark's own check), and passes its certificate."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+
+    def cells(text):
+        return [[float(v) for v in line.split(",")] for line in text.splitlines()[1:]]
+
+    assert cli.main(["run", "--config", str(bench / "configs" / "matrix_run.cfg"),
+                     "--seed", "0"]) == 0
+    out, err = capsys.readouterr()
+    ref = (bench / "reference" / "matrix_run.csv").read_text()
+    assert out.splitlines()[0] == ref.splitlines()[0]
+    got, want = cells(out), cells(ref)
+    assert len(got) == len(want) == 201
+    bad = [(row[0], j) for row, exp in zip(got, want) for j in range(7)
+           if not math.isclose(row[j], exp[j], rel_tol=1e-9, abs_tol=1e-9)]
+    assert not bad
+    assert "-> pass" in err
 
 
 @pytest.mark.parametrize("seed", [1, 11])

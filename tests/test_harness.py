@@ -1,5 +1,7 @@
 """Sequence generators, comparator search, and CSV reports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,25 @@ def test_comparator_grid_is_sorted_best_first():
     totals = [c.total_loss for c in grid]
     assert totals == sorted(totals)
     assert all("grid radius" in c.description for c in grid)
+
+
+def test_comparator_grid_on_zero_labels_takes_a_unit_vector():
+    """All-zero labels leave the absolute-loss subgradient at 0 zero, so the
+    grid runs along e_0; taking it costs a vector, not a (d1 d2)^2 identity
+    (103 MB at 60x60)."""
+    seq = matrix_completion(20, 60, 60, rank=2, nuclear_radius=0.0, noise=0.0,
+                            rng=np.random.default_rng(0))
+    assert not np.any(seq.ys)
+    loss = make_loss("absolute", B=1.0)
+    tracemalloc.start()
+    try:
+        grid = comparator_grid(seq.xs, seq.ys, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    best = grid[0].w
+    assert best.shape == (60, 60) and best[0, 0] > 0 and np.count_nonzero(best) == 1
 
 
 class TestRegretReport:

@@ -11,13 +11,15 @@ from burkholder.harness import matrix_completion
 from burkholder.losses import make_loss
 from burkholder.potential import Potential
 from burkholder.potentials import MatrixPotential, doubling_run
-from burkholder.statistics import ScalarSymPsd
+from burkholder.statistics import ScalarSym, map_slots
 from burkholder.strategies import predict_linearized, run_online
+from dilation_oracle import dilation, dilation_square, split
 
 
 def _eval_oracle(P, stat):
     # recompute U from scratch: eigenvalues, max-shifted log-sum-exp
-    arg = P.eta * stat.H - 0.5 * P.eta ** 2 * P.L ** 2 * stat.M
+    H, M = split(stat, P.d1)
+    arg = P.eta * H - 0.5 * P.eta ** 2 * P.L ** 2 * M
     lam = np.linalg.eigvalsh(arg)
     m = float(lam.max())
     lte = m + math.log(float(np.sum(np.exp(lam - m))))
@@ -43,9 +45,10 @@ def test_statistic_map_layout():
     x = np.array([[1.0, 0.0], [0.0, 0.0]])
     stat = P.stat_map(x, 0.25, -1.0)
     assert stat.a == -0.25
-    assert np.array_equal(stat.H, -symlin.dilation(x))
-    assert np.array_equal(stat.M, symlin.dilation_square(x))
-    assert np.linalg.eigvalsh(stat.M).min() >= 0
+    H, M = split(stat, 2)
+    assert np.array_equal(H, -dilation(x))
+    assert np.array_equal(M, dilation_square(x))
+    assert np.linalg.eigvalsh(M).min() >= 0
     with pytest.raises(DomainError):
         P.stat_map(np.zeros((3, 2)), 0.0, 0.0)
 
@@ -62,7 +65,8 @@ def test_bound_formula():
     P = MatrixPotential(2, 2, eta=0.5, r=2.0, c=4.0)
     rng = np.random.default_rng(15)
     stat = P.sample_statistic(rng)
-    lam1 = float(np.linalg.eigvalsh(stat.H - 0.25 * stat.M).max())
+    H, M = split(stat, 2)
+    lam1 = float(np.linalg.eigvalsh(H - 0.25 * M).max())
     assert P.bound(stat) == pytest.approx(stat.a + 2.0 * lam1 - 8.0, rel=1e-12)
 
 
@@ -83,11 +87,50 @@ def test_comparator_bound_reads_the_drift_slot():
     P = MatrixPotential(2, 2, eta=0.5, r=2.0, c=4.0)
     rng = np.random.default_rng(18)
     stat = P.sample_statistic(rng)
-    mnorm = float(np.linalg.eigvalsh(stat.M).max())
+    mnorm = float(np.linalg.eigvalsh(split(stat, 2)[1]).max())
     expected = 0.5 * 0.5 * 2.0 * mnorm + 8.0
     assert P.regret_bound(stat) == pytest.approx(expected, rel=1e-12)
     # uniform over the comparator ball: the comparator argument is ignored
     assert P.regret_bound(stat) == P.regret_bound(stat, np.ones((2, 2)))
+
+
+def test_comparator_norm_follows_the_comparator_entries():
+    """A comparator changed in place is a new comparator: its nuclear norm,
+    and with it the charge outside the radius-r ball, must follow."""
+    loss = make_loss("absolute")
+    P = MatrixPotential(4, 4, eta=0.5)
+    seq = matrix_completion(50, 4, 4, rank=1, rng=np.random.default_rng(5))
+    zeta = run_online(P, "linearized", seq, loss).final_statistic
+    w = 0.2 * np.eye(4)
+    small = P.regret_bound(zeta, w)
+    w *= 10.0
+    fresh = MatrixPotential(4, 4, eta=0.5).regret_bound(zeta, w.copy())
+    assert fresh > small
+    assert P.regret_bound(zeta, w) == fresh
+    assert P.regret_bound(zeta, w / 10.0) == small
+
+
+def test_variance_and_drift_norm_read_the_two_block_parts():
+    """variance is ||M|| and drift_norm ||sum delta X||_sigma = lambda_1(H)
+    for a statistic and a stack, built from Entry or dense instances."""
+    P = MatrixPotential(4, 3, eta=0.5)
+    rng = np.random.default_rng(40)
+    entries = [symlin.Entry(int(rng.integers(0, 4)), int(rng.integers(0, 3)), (4, 3))
+               for _ in range(6)]
+    stacks = [sum((P.stat_map(x, 0.0, rng.uniform(-1, 1, 5)) for x in entries),
+                  map_slots(lambda z: np.zeros((5,) + np.shape(z)), P.zero())),
+              P.stat_map(P.sample_instances(rng, 5), 0.0, rng.uniform(-1, 1, 5))
+              + P.stat_map(P.sample_instances(rng, 5), 0.0, rng.uniform(-1, 1, 5))]
+    for stack in stacks:
+        H, M = split(stack, 4)
+        assert np.allclose(P.variance(stack), np.linalg.eigvalsh(M)[:, -1],
+                           rtol=1e-12, atol=1e-12)
+        assert np.allclose(P.drift_norm(stack), np.linalg.eigvalsh(H)[:, -1],
+                           rtol=1e-12, atol=1e-12)
+        one = map_slots(lambda z: z[1], stack)
+        assert P.variance(one) == pytest.approx(np.linalg.eigvalsh(M[1])[-1], rel=1e-12)
+        assert P.drift_norm(one) == pytest.approx(np.linalg.eigvalsh(H[1])[-1], rel=1e-12)
+    assert P.variance(P.zero()) == 0.0 and P.drift_norm(P.zero()) == 0.0
 
 
 def test_increment_bound_dominates_sampled_moves():
@@ -187,14 +230,15 @@ def test_entry_statistics_match_the_dense_spectral_reference():
         zeta = zeta + P.stat_map(x, float(rng.uniform(-1.0, 1.0)), delta)
         assert P.eval(zeta) == pytest.approx(_eval_oracle(P, zeta), rel=1e-12, abs=1e-12)
         k = 0.5 * P.eta * P.L ** 2
-        lam1 = float(np.linalg.eigvalsh(zeta.H - k * zeta.M).max())
+        H, M = split(zeta, P.d1)
+        lam1 = float(np.linalg.eigvalsh(H - k * M).max())
         assert P.bound(zeta) == pytest.approx(
             zeta.a + P.r * lam1 - P.c / P.eta, rel=1e-12, abs=1e-12)
-        mnorm = float(np.linalg.eigvalsh(zeta.M).max())
+        mnorm = float(np.linalg.eigvalsh(M).max())
         assert P.regret_bound(zeta) == pytest.approx(
             k * P.r * mnorm + P.c / P.eta, rel=1e-12, abs=1e-12)
     # rows 4, 5 and columns 3, 4 were never drawn: the block is 7 of 11 at most
-    assert not np.any(zeta.M[[4, 5, 9, 10]])
+    assert not np.any(zeta.Z[[4, 5, 9, 10]])
 
 
 def test_block_residual_matches_the_derived_residual():
@@ -202,15 +246,15 @@ def test_block_residual_matches_the_derived_residual():
     by the instance's rows; it must equal the derived U(zeta + T(x, 0,
     delta)) within 1e-12 relative for an Entry and a dense instance, an
     instance whose rows are not yet live, the zero statistic, and a
-    statistic whose H reaches rows where diag(M) is 0 (not reachable by
-    play, so the live rows must be read from the entries)."""
+    statistic whose drift H reaches rows where diag(M) is 0 (not reachable
+    by play, so the live rows must be read from the entries)."""
     P = MatrixPotential(6, 5, eta=0.3, r=1.5, L=1.2)
     rng = np.random.default_rng(31)
     seen = P.stat_map(symlin.Entry(0, 1, (6, 5)), 0.4, 1.0) + P.stat_map(
         symlin.Entry(2, 0, (6, 5)), -0.2, -0.7)
     H = np.zeros((11, 11))
     H[4, 9] = H[9, 4] = 0.8  # rows 4 and 9 have diag(M) = 0
-    odd = ScalarSymPsd(0.3, H, seen.M)
+    odd = ScalarSym(0.3, H + split(seen, 6)[1])
     dense = P.sample_instance(rng)
     dense[[1, 5], :] = 0.0
     dense[:, 2] = 0.0

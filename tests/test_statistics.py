@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from burkholder.errors import TagMismatchError
-from burkholder.statistics import (ProductStat, ScalarSymPsd, ScalarVec,
+from burkholder.statistics import (ProductStat, ScalarSym, ScalarVec,
                                    ScalarVecScalar, VecSym)
 from stat_oracle import stats_allclose
 
@@ -32,8 +32,7 @@ def test_zero_elements_are_additive_identities():
         (VecSym(rng.normal(size=3), rng.normal(size=(3, 3))), VecSym.zero(3)),
         (ScalarVecScalar(rng.normal(), rng.normal(size=2), 1.5),
          ScalarVecScalar.zero(2)),
-        (ScalarSymPsd(rng.normal(), rng.normal(size=(3, 3)), np.eye(3)),
-         ScalarSymPsd.zero(3)),
+        (ScalarSym(rng.normal(), rng.normal(size=(3, 3))), ScalarSym.zero(3)),
     ]
     for stat, zero in cases:
         assert stats_allclose(stat + zero, stat)

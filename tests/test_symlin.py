@@ -1,4 +1,4 @@
-"""Symmetric linear algebra: eigensolves, dilations, projections.
+"""Symmetric linear algebra: eigensolves, dilation steps, projections.
 
 The eigensolve checks run against an independent power-iteration oracle so
 a wrong convention (ascending order, unsorted singular values) cannot pass
@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burkholder.errors import DomainError, NumericError
-from burkholder.symlin import (Entry, dilation, dilation_square, log_trace_exp,
-                               logsumexp, nuclear_projection,
-                               spectral_norm, sym_eigvals, symmetrize)
+from burkholder.symlin import (Entry, dilation_step, log_trace_exp, logsumexp,
+                               nuclear_projection, spectral_norm, sym_eigvals,
+                               symmetrize)
+from dilation_oracle import dilation, dilation_square, split
 
 
 def _power_top_eig(s, iters=2000, seed=0):
@@ -150,12 +151,17 @@ def test_one_off_diagonal_nonzero_takes_the_eigensolve(monkeypatch):
 
 def test_dilation_layout():
     x = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
-    d = dilation(x)
+    d = split(dilation_step(x, 1.0), 2)[0]
     assert d.shape == (5, 5)
     assert np.array_equal(d[:2, 2:], x)
     assert np.array_equal(d[2:, :2], x.T)
     assert np.array_equal(d[:2, :2], np.zeros((2, 2)))
     assert np.array_equal(d, d.T)
+    z = dilation_step(x, -2.0)
+    assert np.array_equal(z[:2, 2:], -2.0 * x)
+    assert np.array_equal(z[:2, :2], x @ x.T)
+    assert np.array_equal(z[2:, 2:], x.T @ x)
+    assert np.array_equal(z, z.T)
 
 
 def test_dilation_spectrum_is_plus_minus_singular_values():
@@ -163,7 +169,7 @@ def test_dilation_spectrum_is_plus_minus_singular_values():
     for _ in range(20):
         x = rng.normal(size=(3, 2))
         sv = np.linalg.svd(x, compute_uv=False)
-        w = sym_eigvals(dilation(x))
+        w = sym_eigvals(split(dilation_step(x, 1.0), 3)[0])
         assert np.allclose(w[:2], sv, atol=1e-10)
         assert np.allclose(w[-2:], -sv[::-1], atol=1e-10)
         assert abs(w[2]) < 1e-10
@@ -175,6 +181,25 @@ def test_dilation_square_identity():
         x = rng.normal(size=(int(rng.integers(1, 5)), int(rng.integers(1, 5))))
         d = dilation(x)
         assert np.allclose(dilation_square(x), d @ d, atol=1e-10)
+        assert np.allclose(split(dilation_step(x, 1.0), x.shape[0])[1], d @ d, atol=1e-10)
+
+
+def test_dilation_step_is_the_scaled_dilation_plus_its_square():
+    """dilation_step(x, delta) = delta D + D D on dense stacks: one instance
+    against a stack of deltas, a stack of instances with one delta each, and
+    a stack of instances against one delta."""
+    rng = np.random.default_rng(30)
+    for d1, d2 in [(1, 1), (3, 2), (2, 5), (4, 4)]:
+        xs = rng.normal(size=(6, d1, d2))
+        deltas = rng.uniform(-2, 2, 6)
+        d = dilation(xs)
+        cases = [(xs[0], deltas, deltas[:, None, None] * d[0] + d[0] @ d[0]),
+                 (xs, deltas, deltas[:, None, None] * d + d @ d),
+                 (xs, deltas[0], deltas[0] * d + d @ d)]
+        for x, delta, want in cases:
+            got = dilation_step(x, delta)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_spectral_norm_matches_svd():
@@ -279,8 +304,14 @@ def test_entry_dilations_are_bit_identical_to_the_dense_ones():
         x = Entry(i, j, shape)
         dense = np.asarray(x)
         assert dense.shape == shape and dense[i, j] == 1.0 and dense.sum() == 1.0
-        assert np.array_equal(dilation(x), dilation(dense))
-        assert np.array_equal(dilation_square(x), dilation_square(dense))
+        # values equal bit for bit, but for the sign of a zero: the dense
+        # step holds -0.0 where a negative delta meets a zero of x, which
+        # the statistic's sums turn into 0.0
+        for delta in (0.7, -1.5, np.array([-1.0, 0.0, 0.25])):
+            got, want = dilation_step(x, delta), dilation_step(dense, delta)
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(split(dilation_step(x, 1.0), shape[0])[0], dilation(dense))
+        assert np.array_equal(split(dilation_step(x, 1.0), shape[0])[1], dilation_square(dense))
     with pytest.raises(DomainError, match="outside"):
         Entry(3, 0, (3, 2))
     with pytest.raises(DomainError, match="outside"):

@@ -21,6 +21,7 @@ from burkholder.verify import (MAX_DEPTH, CheckReport, PredictableTree,
                                check_p2, check_p3, check_supermartingale,
                                draw_p3, replay_p3, round_descent, sign_paths,
                                tree_expectation, tree_leaves)
+from dilation_oracle import split
 from stat_oracle import stats_allclose
 from tree_oracle import gather_tree, khintchine_ratio, node, prefix_codes
 
@@ -422,7 +423,7 @@ class TestNecessity:
                 zeta = zeta + P.stat_map(x, y_hat, float(loss.subgradient(y_hat, y)))
                 eps_sum = eps_sum + y * x
                 cum += float(loss.value(y_hat, y))
-            m_norm = float(np.linalg.eigvalsh(zeta.M)[-1])
+            m_norm = float(np.linalg.eigvalsh(split(zeta, 2)[1])[-1])
             a_bound = 0.5 * P.eta * P.L ** 2 * P.r * max(m_norm, 0.0) + P.c / P.eta
             u_norm = float(np.linalg.svd(eps_sum, compute_uv=False)[0])
             lhs.append(cum - (depth - P.r * u_norm) - a_bound)
