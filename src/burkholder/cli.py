@@ -28,7 +28,7 @@ _STR_KEYS = {"family", "loss", "strategy", "sequence", "data_csv", "variant",
 _INT_KEYS = {"n", "d", "d1", "d2", "rank", "seed", "comparator_iters",
              "depth", "trees", "trials"}
 _FLOAT_KEYS = {"B", "eta", "r", "c", "p", "lam", "meta_eta", "nuclear_radius",
-               "noise", "skew", "radius", "eps1", "eps2", "tol", "comparator_radius"}
+               "noise", "skew", "radius", "eps1", "eps2", "comparator_radius"}
 _KNOWN_KEYS = _STR_KEYS | _INT_KEYS | _FLOAT_KEYS
 _MINIMUM = {"d": 1, "d1": 1, "d2": 1, "rank": 0, "noise": 0, "skew": 0, "radius": 0,
             "nuclear_radius": 0, "comparator_iters": 0, "eps2": 0}
@@ -217,9 +217,8 @@ def cmd_run(args):
                       on_round=lambda t, zeta_prev, rnd, zeta:
                       bounds.append(P.regret_bound(zeta, comp.w)))
     report = harness.build_report(traj, comp.per_round, bounds)
-    tol = cfg.get("tol", 1e-6)
     v_final = P.bound(traj.final_statistic)
-    cert_ok = v_final <= tol + slack
+    cert_ok = v_final <= verify.TOL + slack
 
     if args.out:
         report.save(args.out)
@@ -233,23 +232,16 @@ def cmd_run(args):
           file=info)
     verdict = "pass" if cert_ok else "FAIL"
     extra = f" randomized_slack={slack:.6g}" if slack else ""
-    print(f"certificate V={v_final:.6g} tol={tol:g}{extra} -> {verdict}", file=info)
+    print(f"certificate V={v_final:.6g} tol={verify.TOL:g}{extra} -> {verdict}", file=info)
     if estimated:
         print(f"randomized_slack uses an estimated Lipschitz constant K={k:.6g}", file=info)
     return 0 if cert_ok else 1
 
 
-def _family_tol(name, override=None):
-    if override is not None:
-        return override
-    heavy = ("matrix", "vaw", "meta")
-    return 1e-6 if any(k in name for k in heavy) else 1e-8
-
-
 def _verify_zoo(cfg, args):
     if args.negative_control:
-        broken = MatrixPotential(3, 2, eta=0.5, c=0.5 * math.log(5), B=1.0,
-                                 strict=False)
+        broken = MatrixPotential(3, 2, eta=0.5, B=1.0)
+        broken.c = 0.5 * math.log(5)  # half of the c >= r log(d1+d2) the constructor guards
         return {"matrix_undercharged": broken}
     if cfg and "family" in cfg:
         loss = build_loss(cfg)
@@ -270,7 +262,6 @@ def cmd_verify(args):
     cfg = parse_config(args.config) if args.config else {}
     seed = _seed(args, cfg)
     suite = args.suite
-    tol_override = cfg.get("tol")
     depth = cfg.get("depth", 8)
     if args.trials is not None and args.trials < 1:
         raise ConfigError(f"--trials {args.trials}, need --trials >= 1")
@@ -279,32 +270,29 @@ def cmd_verify(args):
         raise ConfigError(f"trees = {n_trees}, need trees >= 1")
     lines, reports = [], []
 
-    if args.negative_control and suite in ("khintchine", "mgf"):
-        raise ConfigError("negative control is defined for the potential suites "
-                          "(p1, p2, p3, supermartingale, necessity, all)")
+    if args.negative_control and suite not in ("p1", "necessity", "all"):
+        raise ConfigError("negative control is defined for the suites a mutant "
+                          "breaks (p1, necessity, all)")
 
-    property_suites = {"p1", "p2", "p3", "supermartingale", "all"}
-    if suite in property_suites or (args.negative_control and suite != "necessity"):
-        zoo = _verify_zoo(cfg, args)
-        run_all = args.negative_control or suite == "all"
-        for name, P in zoo.items():
-            tol = _family_tol(name, tol_override)
+    if suite in ("p1", "p2", "p3", "supermartingale", "all"):
+        run_all = suite == "all"
+        for name, P in _verify_zoo(cfg, args).items():
             rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
             if run_all or suite == "p1":
-                reports.append((name, verify.check_p1(P, tol=tol)))
+                reports.append((name, verify.check_p1(P)))
             if run_all or suite == "p2":
                 trials = args.trials or 1000
-                reports.append((name, verify.check_p2(P, trials=trials, tol=tol, rng=rng)))
+                reports.append((name, verify.check_p2(P, trials=trials, rng=rng)))
             if run_all or suite == "p3":
                 trials = args.trials or 2000
                 reports.append((name, verify.check_p3(P, mode="two_point",
-                                                      trials=trials, tol=tol, rng=rng)))
+                                                      trials=trials, rng=rng)))
                 if P.convex_in_delta:
                     reports.append((name, verify.check_p3(P, mode="rademacher",
-                                                          trials=trials, tol=tol, rng=rng)))
+                                                          trials=trials, rng=rng)))
             if run_all or suite == "supermartingale":
                 tree = verify.PredictableTree.random(depth, P.sample_instances, rng)
-                reports.append((name, verify.check_supermartingale(P, tree, tol=tol)))
+                reports.append((name, verify.check_supermartingale(P, tree)))
 
     if suite in ("khintchine", "all") and not args.negative_control:
         rng = np.random.default_rng([seed, 1])
@@ -324,8 +312,7 @@ def cmd_verify(args):
                             c=cfg.get("c"), B=cfg.get("B", 1.0))
         tree = verify.PredictableTree.random(depth, P.sample_instances, rng)
         reports.append(("matrix", verify.check_necessity(
-            P, tree, tol=_family_tol("matrix", tol_override),
-            clairvoyant=args.negative_control)))
+            P, tree, clairvoyant=args.negative_control)))
 
     failed = False
     for name, rep in reports:
@@ -357,7 +344,6 @@ def cmd_compare(args):
     loss = build_loss(cfg)
     eps1 = cfg.get("eps1", RANDOMIZED_EPS)
     eps2 = cfg.get("eps2", RANDOMIZED_EPS)
-    tol = cfg.get("tol", 1e-6)
 
     sums = {s: [] for s in strategies}
     certs = {s: [] for s in strategies}
@@ -392,7 +378,7 @@ def cmd_compare(args):
         slack, k, estimated = _randomized_slack(P, loss, n, eps1, eps2,
                                                 np.random.default_rng([seed, 99]))
         gap = float(np.mean(sums["randomized"]) - np.mean(sums[baseline]))
-        ok = gap <= slack + tol
+        ok = gap <= slack + verify.TOL
         tag = " (lipschitz estimated)" if estimated else ""
         lines.append(f"gap={gap:.6g} slack={slack:.6g}{tag} vs {baseline} "
                      f"-> {'pass' if ok else 'FAIL'}")

@@ -79,11 +79,6 @@ class Potential:
                         rng.uniform(-self.B, self.B, total),
                         rng.uniform(-self.L, self.L, total))
 
-    def sample_statistic(self, rng, max_rounds=8):
-        """A statistic reachable as a sum of statistic-map outputs."""
-        taus, _ = stack_rounds(self, *self.sample_rounds(rng, 1, max_rounds))
-        return map_slots(lambda a: a[0], taus)
-
     # --- constants for the randomized strategy and meta combination -------
     def prediction_lipschitz(self, zeta, x, loss, *, t=None, rng=None):
         """(K, estimated): Lipschitz constant of y_hat -> U(zeta + T) over y.

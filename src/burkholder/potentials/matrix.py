@@ -23,7 +23,7 @@ class MatrixPotential(Potential):
     convex_in_delta = True
     linearizable = True
 
-    def __init__(self, d1, d2, eta, r=1.0, L=1.0, c=None, B=1.0, strict=True):
+    def __init__(self, d1, d2, eta, r=1.0, L=1.0, c=None, B=1.0):
         if d1 < 1 or d2 < 1:
             raise ConfigError("d1 >= 1 and d2 >= 1")
         if eta <= 0:
@@ -39,7 +39,7 @@ class MatrixPotential(Potential):
         self.L = float(L)
         self.B = float(B)
         self.c = float(c) if c is not None else self.r * math.log(self.dim)
-        if strict and self.c < self.r * math.log(self.dim) * (1 - 1e-12):
+        if self.c < self.r * math.log(self.dim) * (1 - 1e-12):
             raise ConfigError("c >= r*log(d1+d2)")
         self._comparator = (None, 0.0)  # (a copy of the comparator, its nuclear norm)
 

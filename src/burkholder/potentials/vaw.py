@@ -25,7 +25,7 @@ class VawPotential(Potential):
     convex_in_delta = True
     convex_in_prediction = True
 
-    def __init__(self, d, rho=2.0, lam=1.0, c=None, L=4.0, B=1.0, strict=True):
+    def __init__(self, d, rho=2.0, lam=1.0, c=None, L=4.0, B=1.0):
         if d < 1:
             raise ConfigError("d >= 1")
         if rho <= 0:
@@ -41,7 +41,7 @@ class VawPotential(Potential):
         self.L = float(L)
         self.B = float(B)
         self.c = float(c) if c is not None else self.L ** 2 / self.rho
-        if strict and self.c < self.L ** 2 / self.rho * (1 - 1e-12):
+        if self.c < self.L ** 2 / self.rho * (1 - 1e-12):
             raise ConfigError("c >= L^2/rho")
 
     def zero(self):

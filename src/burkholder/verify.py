@@ -4,8 +4,9 @@ Deterministic properties are checked by exhaustive enumeration over sign
 paths of predictable trees (exact expectations, depth <= 14); distributional
 properties are sampled with seeded generators. Every check returns a
 CheckReport carrying the worst violation and a witness that replays to the
-same value. A sampled or searched check certifies violations only: a sup
-below tolerance does not prove none exists.
+same value. Every verdict holds its worst violation to the one tolerance
+TOL. A sampled or searched check certifies violations only: a sup below
+tolerance does not prove none exists.
 
 p2 and p3 draw their trials in blocks of CHUNK, one generator call per
 quantity (Potential.sample_rounds, draw_p3), and evaluate each block
@@ -35,6 +36,7 @@ from .statistics import map_slots
 
 MAX_DEPTH = 14
 CHUNK = 128  # trials per stacked evaluation in p2 and p3; bounds its memory
+TOL = 1e-9  # every verdict's allowance for roundoff
 
 
 @dataclass
@@ -61,11 +63,11 @@ def _trials_and_rng(trials, rng):
     return int(trials), rng if rng is not None else np.random.default_rng(0)
 
 
-def check_p1(P, tol=1e-8):
-    """U at the zero statistic must be <= 0 (up to tol)."""
+def check_p1(P):
+    """U at the zero statistic must be <= 0 (up to TOL)."""
     u0 = P.eval(P.zero(), t=0)
     return CheckReport(name="p1_start", checks=1, max_violation=float(u0),
-                       tol=tol, passed=u0 <= tol, witness={"value": float(u0)})
+                       tol=TOL, passed=u0 <= TOL, witness={"value": float(u0)})
 
 
 def _member(stack, i):
@@ -85,7 +87,7 @@ def _sweep(trials, block):
     return found
 
 
-def check_p2(P, trials=1000, tol=1e-8, rng=None, bound_fn=None):
+def check_p2(P, trials=1000, rng=None, bound_fn=None):
     """V <= U on statistics reachable by statistic-map sums. bound_fn
     (default P.bound) gets stacks of statistics, as P.bound does."""
     trials, rng = _trials_and_rng(trials, rng)
@@ -98,7 +100,7 @@ def check_p2(P, trials=1000, tol=1e-8, rng=None, bound_fn=None):
     i, stat = _sweep(trials, block)
     u, v = float(P.eval(stat, t=P.horizon)), float(bound_fn(stat))
     return CheckReport(name="p2_dominates_bound", checks=trials,
-                       max_violation=v - u, tol=tol, passed=v - u <= tol,
+                       max_violation=v - u, tol=TOL, passed=v - u <= TOL,
                        witness={"trial": i, "stat": stat, "U": u, "V": v})
 
 
@@ -122,7 +124,7 @@ def draw_p3(P, mode, rng, m):
             np.stack([b, a], axis=1) / (a + b)[:, None])
 
 
-def check_p3(P, mode="two_point", trials=10000, tol=1e-8, rng=None):
+def check_p3(P, mode="two_point", trials=10000, rng=None):
     """Restricted concavity: E U(tau + T(z, alpha)) <= U(tau) for mean-zero alpha.
 
     two_point sweeps the extreme mean-zero laws on [-L, L]; rademacher is the
@@ -150,8 +152,8 @@ def check_p3(P, mode="two_point", trials=10000, tol=1e-8, rng=None):
                **({"a": float(alphas[0]), "b": -float(alphas[1])} if mode == "two_point" else {})}
     worst = float(replay_p3(P, witness))
     return CheckReport(name=f"p3_supermartingale_{mode}", checks=trials,
-                       max_violation=worst, tol=tol,
-                       passed=worst <= tol, witness=witness)
+                       max_violation=worst, tol=TOL,
+                       passed=worst <= TOL, witness=witness)
 
 
 def replay_p3(P, witness):
@@ -286,8 +288,7 @@ def brute_force_sup_ev(P, n, rng=None, bound_fn=None, search="random",
 
 # --- exhaustive martingale inequalities --------------------------------------
 
-def check_matrix_khintchine(n=10, d1=3, d2=2, n_trees=100, rng=None, trees=None,
-                            tol=1e-9):
+def check_matrix_khintchine(n=10, d1=3, d2=2, n_trees=100, rng=None, trees=None):
     """E ||sum eps_t X_t||_sigma <= sqrt(2 E max(||sum XX^T||, ||sum X^T X||) log(d1+d2)).
 
     Exact over all 2^n sign paths for each tree; node spectral norms are
@@ -308,10 +309,10 @@ def check_matrix_khintchine(n=10, d1=3, d2=2, n_trees=100, rng=None, trees=None,
         lhs = float(np.mean(P.drift_norm(leaves)))
         rhs = math.sqrt(2.0 * float(np.mean(P.variance(leaves))) * math.log(d1 + d2))
         ratios.append(lhs / rhs if rhs > 0 else 0.0)
-    return _ratio_report("matrix_khintchine", ratios, tol)
+    return _ratio_report("matrix_khintchine", ratios)
 
 
-def _ratio_report(name, ratios, tol, **extras):
+def _ratio_report(name, ratios, **extras):
     """Report on the worst ratio lhs / rhs <= 1 of a sign-sum inequality;
     extras["asserted"] = False reports it without a verdict."""
     if not ratios:
@@ -319,12 +320,12 @@ def _ratio_report(name, ratios, tol, **extras):
     i = int(np.argmax(ratios))
     viol = ratios[i] - 1.0
     return CheckReport(name=name, checks=len(ratios), max_violation=float(viol),
-                       tol=tol, passed=viol <= tol or not extras.get("asserted", True),
+                       tol=TOL, passed=viol <= TOL or not extras.get("asserted", True),
                        witness={"tree_index": i, "ratio": ratios[i]},
                        extras={**extras, "ratios": ratios})
 
 
-def check_mgf_bound(n, d=4, n_trees=50, rng=None, tol=1e-9):
+def check_mgf_bound(n, d=4, n_trees=50, rng=None):
     """E exp(||sum eps_t x_t||^2 / (2n)) <= sqrt(n), exact per tree.
 
     The increments are l2 vectors in the unit ball, so the smoothness
@@ -345,10 +346,10 @@ def check_mgf_bound(n, d=4, n_trees=50, rng=None, tol=1e-9):
         tree = PredictableTree.random(n, sampler, rng)
         s = tree_leaves(ParamFreePotential(n, d), tree).x
         ratios.append(float(np.mean(np.exp(np.sum(s * s, axis=1) / (2.0 * n)))) / math.sqrt(n))
-    return _ratio_report(f"mgf_bound_n{n}", ratios, tol, asserted=n >= 4)
+    return _ratio_report(f"mgf_bound_n{n}", ratios, asserted=n >= 4)
 
 
-def check_supermartingale(P, tree, tol=1e-8):
+def check_supermartingale(P, tree):
     """At every internal node: the exact mean of U over the two children is
     at most U at the node. Walks the full tree a level at a time (exact, no
     sampling); a level's children are the next level's nodes, so U is
@@ -365,8 +366,8 @@ def check_supermartingale(P, tree, tol=1e-8):
             worst = float(viol[i])
             witness = {"t": t, "prefix_index": i, "violation": worst}
     return CheckReport(name="supermartingale_tree", checks=2 ** tree.depth - 1,
-                       max_violation=worst, tol=tol,
-                       passed=worst <= tol, witness=witness)
+                       max_violation=worst, tol=TOL,
+                       passed=worst <= TOL, witness=witness)
 
 
 # --- per-round descent and randomized value dominance ------------------------
@@ -381,7 +382,7 @@ def round_descent(P, zeta_prev, x, y_hat, loss, *, t=1):
 
 # --- lower-bound construction -------------------------------------------------
 
-def check_necessity(P, tree, learner=None, tol=1e-8, clairvoyant=False):
+def check_necessity(P, tree, learner=None, clairvoyant=False):
     """Exact lower-bound comparison for the matrix family on a sign adversary.
 
     The adversary draws y_t = eps_t and reveals x_t from the tree; over all
@@ -424,7 +425,7 @@ def check_necessity(P, tree, learner=None, tol=1e-8, clairvoyant=False):
     viol = max(e_rhs - e_lhs, e_rhs)
     return CheckReport(name="necessity_lower_bound", checks=len(lhs),
                        max_violation=float(viol),
-                       tol=tol, passed=viol <= tol,
+                       tol=TOL, passed=viol <= TOL,
                        witness={"E_gap": gap, "E_lhs": e_lhs, "E_rhs": e_rhs},
                        extras={"max_path_excess": float(lhs.max()),
                                "E_regret_gap": gap})

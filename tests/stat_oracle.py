@@ -1,10 +1,18 @@
-"""Numeric equality of statistics, the tests' comparison of two statistics."""
+"""Numeric equality of statistics, the tests' comparison of two statistics,
+and a sampler of reachable statistics."""
 
 from dataclasses import fields
 
 import numpy as np
 
-from burkholder.statistics import ProductStat
+from burkholder.potential import stack_rounds
+from burkholder.statistics import ProductStat, map_slots
+
+
+def sample_statistic(P, rng, max_rounds=8):
+    """A statistic of P reachable as a sum of statistic-map outputs."""
+    taus, _ = stack_rounds(P, *P.sample_rounds(rng, 1, max_rounds))
+    return map_slots(lambda a: a[0], taus)
 
 
 def stats_allclose(a, b, rtol=1e-12, atol=1e-12):

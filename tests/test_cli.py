@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import burkholder
-from burkholder import cli, harness
+from burkholder import cli, harness, verify
 from burkholder.errors import ConfigError
 from burkholder.harness import random_vectors
 from burkholder.strategies import run_online
@@ -48,7 +48,7 @@ def test_parse_config_rejects_malformed_lines(tmp_path):
         cli.parse_config(str(tmp_path / "missing.txt"))
 
 
-@pytest.mark.parametrize("line", ["B = nan", "B = inf", "eps1 = nan", "tol = nan"])
+@pytest.mark.parametrize("line", ["B = nan", "B = inf", "eps1 = nan", "lam = nan"])
 def test_parse_config_rejects_non_finite_floats(tmp_path, capsys, line):
     key = line.split()[0]
     path = _cfg(tmp_path, "family = adagrad\nd = 3\nn = 5\n"
@@ -86,7 +86,7 @@ def test_known_config_keys_match_the_readme():
     assert set(re.findall(r"`(\w+)`", bullets)) == cli._KNOWN_KEYS
 
 
-@pytest.mark.parametrize("key", ["L", "rank_scale", "rho", "beta", "gamma"])
+@pytest.mark.parametrize("key", ["L", "rank_scale", "rho", "beta", "gamma", "tol"])
 def test_keys_nothing_reads_are_unknown(tmp_path, capsys, key):
     path = _cfg(tmp_path, f"family = adagrad\nd = 3\nn = 5\n{key} = 50\n")
     assert cli.main(["run", "--config", path]) == 2
@@ -384,6 +384,8 @@ def test_verify_all_passes_at_other_seeds(seed, capsys):
     out, _ = capsys.readouterr()
     assert "FAIL" not in out
     assert len([l for l in out.splitlines() if l.startswith("pass ")]) == 38
+    # one tolerance for every verdict, whatever the family
+    assert {float(l.rsplit(" tol=", 1)[1]) for l in out.splitlines()} == {verify.TOL}
 
 
 def test_verify_catalog_rejects_a_nonpositive_range(tmp_path, capsys):
@@ -413,10 +415,11 @@ def test_verify_negative_control_fails_loudly(capsys):
 
 
 def test_verify_negative_control_rejects_sign_sum_suites(capsys):
-    assert cli.main(["verify", "--negative-control", "--suite",
-                     "khintchine"]) == 2
-    _, err = capsys.readouterr()
-    assert "negative control" in err
+    """No mutant breaks these suites, so their negative control is a usage error."""
+    for suite in ("khintchine", "mgf", "p2", "p3", "supermartingale"):
+        assert cli.main(["verify", "--negative-control", "--suite", suite]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "negative control" in err
 
 
 def test_verify_necessity_and_its_negative_control(capsys):

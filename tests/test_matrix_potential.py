@@ -14,6 +14,7 @@ from burkholder.potentials import MatrixPotential, doubling_run
 from burkholder.statistics import ScalarSym, map_slots
 from burkholder.strategies import predict_linearized, run_online
 from dilation_oracle import dilation, dilation_square, split
+from stat_oracle import sample_statistic
 
 
 def _eval_oracle(P, stat):
@@ -30,7 +31,7 @@ def test_eval_matches_an_independent_recomputation():
     P = MatrixPotential(3, 2, eta=0.4, r=1.5, c=3.0)
     rng = np.random.default_rng(12)
     for _ in range(50):
-        stat = P.sample_statistic(rng)
+        stat = sample_statistic(P, rng)
         assert P.eval(stat) == pytest.approx(_eval_oracle(P, stat), rel=1e-12)
 
 
@@ -57,14 +58,14 @@ def test_bound_never_exceeds_the_potential():
     P = MatrixPotential(3, 2, eta=0.5)
     rng = np.random.default_rng(14)
     for _ in range(200):
-        stat = P.sample_statistic(rng)
+        stat = sample_statistic(P, rng)
         assert P.bound(stat) <= P.eval(stat) + 1e-10
 
 
 def test_bound_formula():
     P = MatrixPotential(2, 2, eta=0.5, r=2.0, c=4.0)
     rng = np.random.default_rng(15)
-    stat = P.sample_statistic(rng)
+    stat = sample_statistic(P, rng)
     H, M = split(stat, 2)
     lam1 = float(np.linalg.eigvalsh(H - 0.25 * M).max())
     assert P.bound(stat) == pytest.approx(stat.a + 2.0 * lam1 - 8.0, rel=1e-12)
@@ -86,7 +87,7 @@ def test_prediction_is_zero_at_the_start_and_tracks_observations():
 def test_comparator_bound_reads_the_drift_slot():
     P = MatrixPotential(2, 2, eta=0.5, r=2.0, c=4.0)
     rng = np.random.default_rng(18)
-    stat = P.sample_statistic(rng)
+    stat = sample_statistic(P, rng)
     mnorm = float(np.linalg.eigvalsh(split(stat, 2)[1]).max())
     expected = 0.5 * 0.5 * 2.0 * mnorm + 8.0
     assert P.regret_bound(stat) == pytest.approx(expected, rel=1e-12)
@@ -138,7 +139,7 @@ def test_increment_bound_dominates_sampled_moves():
     rng = np.random.default_rng(20)
     cap = P.increment_bound()
     for _ in range(300):
-        tau = P.sample_statistic(rng)
+        tau = sample_statistic(P, rng)
         step = P.stat_map(P.sample_instance(rng),
                           float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
         assert (P.eval(tau + step) - P.eval(tau)) ** 2 <= cap + 1e-12
@@ -155,7 +156,8 @@ def test_configuration_guards():
         MatrixPotential(2, 2, eta=0.5, L=0.0)
     with pytest.raises(ConfigError, match=r"c >= r\*log"):
         MatrixPotential(2, 2, eta=0.5, c=0.5 * math.log(4.0))
-    loose = MatrixPotential(2, 2, eta=0.5, c=0.5 * math.log(4.0), strict=False)
+    loose = MatrixPotential(2, 2, eta=0.5)
+    loose.c = 0.5 * math.log(4.0)  # below the c >= r log(d1+d2) just rejected
     assert loose.eval(loose.zero()) > 0.0
 
 
@@ -263,7 +265,7 @@ def test_block_residual_matches_the_derived_residual():
              (seen, symlin.Entry(0, 1, (6, 5))),  # rows already live
              (seen, symlin.Entry(5, 3, (6, 5))),  # rows not yet live
              (seen, dense),
-             (P.sample_statistic(rng), dense),
+             (sample_statistic(P, rng), dense),
              (odd, symlin.Entry(1, 1, (6, 5))),
              (odd, dense)]
     deltas = np.array([-1.2, 1.2, 0.0, 0.37])

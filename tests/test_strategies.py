@@ -23,7 +23,7 @@ from burkholder.strategies import (STRATEGIES, GridDistribution, predict_convex,
                                    realized_game_value, run_online,
                                    run_randomized_expected, sup_labels)
 from burkholder.verify import round_descent
-from stat_oracle import stats_allclose
+from stat_oracle import sample_statistic, stats_allclose
 
 
 class _Holder:
@@ -209,7 +209,7 @@ def test_exact_two_label_game_needs_no_eps2_slack():
     P = VawPotential(d=3, L=loss.L)
     rng = np.random.default_rng(17)
     states = [(P.zero(), P.sample_instance(rng))]
-    states += [(P.sample_statistic(rng, max_rounds=5), P.sample_instance(rng))
+    states += [(sample_statistic(P, rng, max_rounds=5), P.sample_instance(rng))
                for _ in range(8)]
     for zeta, x in states:
         k, _ = P.prediction_lipschitz(zeta, x, loss)
@@ -230,7 +230,7 @@ def test_a_fine_two_label_grid_takes_linear_memory():
     loss = make_loss("squared")
     P = VawPotential(d=2, L=loss.L)
     rng = np.random.default_rng(5)
-    zeta, x = P.sample_statistic(rng, max_rounds=4), P.sample_instance(rng)
+    zeta, x = sample_statistic(P, rng, max_rounds=4), P.sample_instance(rng)
     tracemalloc.start()
     try:
         dist, _ = predict_randomized(P, zeta, x, eps1=1e-5, rng=rng, loss=loss)
@@ -306,7 +306,7 @@ def test_randomized_value_stays_within_the_declared_slack():
     rng = np.random.default_rng(9)
     eps = 0.1
     for _ in range(25):
-        zeta = P.sample_statistic(rng, max_rounds=5)
+        zeta = sample_statistic(P, rng, max_rounds=5)
         x = P.sample_instance(rng)
         dist, _ = predict_randomized(P, zeta, x, eps1=eps, rng=rng, loss=loss)
         realized = realized_game_value(P, zeta, x, dist, loss)
@@ -325,7 +325,7 @@ def test_realized_game_value_is_exact_on_a_fine_grid():
     rng = np.random.default_rng(21)
     points = np.minimum(-1.0 + 0.004 * np.arange(501), 1.0)
     for _ in range(10):
-        zeta = P.sample_statistic(rng, max_rounds=6)
+        zeta = sample_statistic(P, rng, max_rounds=6)
         x = P.sample_instance(rng)
         dist = GridDistribution(points, rng.dirichlet(np.ones(points.size)))
         z = np.unique(dist.points)
@@ -373,7 +373,7 @@ def test_critical_labels_dominate_a_dense_label_grid(case):
     name, loss, points, probs, seed = case
     P = _sup_family(name, loss)
     rng = np.random.default_rng(seed)
-    zeta = P.sample_statistic(rng, max_rounds=5)
+    zeta = sample_statistic(P, rng, max_rounds=5)
     x = P.sample_instance(rng)
     t = int(rng.integers(1, 13))  # only param_free reads it
     B = loss.B
@@ -412,7 +412,7 @@ def test_linearizable_rounds_are_solved_exactly(name, kind):
     for eps1 in (0.5, 0.13, 0.05):
         pts = np.minimum(-1.0 + eps1 * np.arange(math.ceil(2.0 / eps1) + 1), 1.0)
         for _ in range(4):
-            zeta, x = P.sample_statistic(rng, max_rounds=6), P.sample_instance(rng)
+            zeta, x = sample_statistic(P, rng, max_rounds=6), P.sample_instance(rng)
             t = int(rng.integers(1, 13))  # only param_free reads it
             dist, sample = predict_randomized(P, zeta, x, eps1, rng, loss, t=t)
             assert len(dist.points) <= 2 and sample in dist.points

@@ -15,7 +15,7 @@ from burkholder.losses import make_loss
 from burkholder.statistics import ScalarVecScalar, map_slots
 from burkholder.strategies import predict_linearized
 from burkholder.symlin import spectral_norm
-from burkholder.verify import (MAX_DEPTH, CheckReport, PredictableTree,
+from burkholder.verify import (MAX_DEPTH, TOL, CheckReport, PredictableTree,
                                brute_force_sup_ev, check_matrix_khintchine,
                                check_mgf_bound, check_necessity, check_p1,
                                check_p2, check_p3, check_supermartingale,
@@ -84,11 +84,22 @@ def test_report_line_format():
 def test_p1_flags_an_undercharged_potential():
     good = MatrixPotential(3, 2, eta=0.5)
     assert check_p1(good).passed
-    bad = MatrixPotential(3, 2, eta=0.5, c=0.5 * math.log(5), strict=False)
+    bad = MatrixPotential(3, 2, eta=0.5)
+    bad.c = 0.5 * math.log(5)  # half of the c >= r log(d1+d2) the constructor guards
     report = check_p1(bad)
     assert not report.passed
     # halving c leaves exactly c/eta = log(5) of start value uncovered
     assert report.witness["value"] == pytest.approx(math.log(5), rel=1e-12)
+
+
+def test_p1_flags_a_start_value_a_loose_tolerance_would_forgive():
+    """c short of log(5) by 4e-7 starts U at +8e-7: below 1e-6, above TOL."""
+    P = MatrixPotential(3, 2, eta=0.5)
+    P.c = math.log(5) - 4e-7  # just below the c >= r log(d1+d2) the constructor guards
+    report = check_p1(P)
+    assert report.tol == TOL and not report.passed, report.line()
+    assert report.witness["value"] == float(P.eval(P.zero(), t=0))
+    assert 7e-7 < report.witness["value"] < 1e-6
 
 
 def test_p2_passes_and_a_shifted_bound_fails():
@@ -433,8 +444,7 @@ class TestNecessity:
         assert abs(report.witness["E_rhs"] - float(np.mean(rhs))) <= 1e-12
 
     def test_oversized_class_radius_is_rejected(self):
-        P = MatrixPotential(2, 2, eta=0.5, r=2.0, strict=False,
-                            c=2.0 * math.log(4))
+        P = MatrixPotential(2, 2, eta=0.5, r=2.0)
         tree = PredictableTree.constant([np.eye(2)] * 3)
         with pytest.raises(DomainError, match="needs r"):
             check_necessity(P, tree)
