@@ -270,6 +270,8 @@ def cmd_verify(args):
         raise ConfigError(f"trees = {n_trees}, need trees >= 1")
     lines, reports = [], []
 
+    if args.negative_control and "family" in cfg:
+        raise ConfigError(f"--negative-control checks its own mutant, not family {cfg['family']!r}")
     if args.negative_control and suite not in ("p1", "necessity", "all"):
         raise ConfigError("negative control is defined for the suites a mutant "
                           "breaks (p1, necessity, all)")

@@ -9,6 +9,7 @@ arrays and broadcast.
 import numpy as np
 
 from .errors import DomainError
+from .potential import distinct
 
 KINDS = ("absolute", "squared", "hinge")
 
@@ -64,7 +65,7 @@ class Loss:
             return np.array([-B, B])
         if self.kind == "hinge":
             return np.array([-B, 0.0, B])
-        knots = np.unique(np.clip(np.asarray(points, dtype=float), -B, B))
+        knots = distinct(np.clip(np.asarray(points, dtype=float), -B, B))[0]
         return np.concatenate([[-B, B], 0.5 * (knots[:-1] + knots[1:])])
 
 

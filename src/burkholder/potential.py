@@ -112,12 +112,24 @@ class Potential:
         deltas = np.asarray(loss.subgradient(y_hats, np.asarray(ys, dtype=float)[None, :]),
                             dtype=float)
         if self.linearizable:
-            uniq, inv = np.unique(deltas, return_inverse=True)
-            return y_hats * deltas + self.residual(
-                zeta, x, uniq, t=t)[inv.reshape(deltas.shape)]
+            uniq, inv = distinct(deltas)
+            return y_hats * deltas + self.residual(zeta, x, uniq, t=t)[inv]
         y_hats, deltas = np.broadcast_arrays(y_hats, deltas)
         steps = self.stat_map(x, y_hats.ravel(), deltas.ravel())
         return self.eval(zeta + steps, t=t).reshape(deltas.shape)
+
+
+def distinct(values):
+    """(sorted distinct values, inverse) of a float array, with values ==
+    distinct[inverse] and inverse in values' shape, as np.unique gives them
+    with return_inverse, from one sort and a binary search (np.unique on
+    floats can import numpy.ma)."""
+    values = np.asarray(values, dtype=float)
+    ordered = np.sort(values, axis=None)
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    uniq = ordered[first]
+    return uniq, np.searchsorted(uniq, values)
 
 
 def stack_rounds(P, counts, rounds):

@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from .. import symlin
-from ..errors import ConfigError, DomainError
-from ..potential import Potential, Round, Trajectory, accumulate
+from ..errors import ConfigError, DomainError, NumericError
+from ..potential import Potential, Round, Trajectory, accumulate, distinct
 from ..statistics import ScalarSym
 from ..strategies import linearized_round, value_after
 
@@ -83,8 +83,26 @@ class MatrixPotential(Potential):
 
     def residual(self, zeta, x, delta, t=None):
         """F(zeta, x, delta) = U(zeta + T(x, 0, delta)) for one statistic and
-        a stack of deltas, from one gather of zeta's live block."""
-        return self._softmax(zeta, *self._instance(x, delta))
+        a stack of deltas, from one gather of zeta's live block.
+
+        F is even in delta when no path along the nonzero entries of Z joins
+        a nonzero row of x to a nonzero column of x (for a stack of
+        instances, any member's row to any member's column): the diagonal
+        sign matrix J that is -1 on the indices such paths reach from x's
+        columns and +1 elsewhere leaves Z fixed and maps the step at delta
+        to the step at -delta. Then every delta is evaluated at |delta|, one
+        spectrum per distinct |delta| of one instance, and F(+L) - F(-L),
+        the linearized prediction, is exactly 0.
+        """
+        x, delta = self._instance(x, delta)
+        rows = symlin.dilation_rows(x)
+        k1 = int(np.searchsorted(rows, self.d1))  # rows[:k1] are x's rows, the rest its columns
+        if not symlin.connects(zeta.Z, rows[:k1], rows[k1:]):
+            delta = np.abs(delta)
+            if x.shape == (self.d1, self.d2):
+                mags, inverse = distinct(delta)
+                return self._softmax(zeta, x, mags)[inverse]
+        return self._softmax(zeta, x, delta)
 
     def bound(self, stat):
         """V = a + r * lambda_1(H - (eta L^2 / 2) M) - c / eta."""
@@ -92,10 +110,21 @@ class MatrixPotential(Potential):
         return stat.a + self.r * symlin.sym_eigvals(z, self.dim)[..., 0] - self.c / self.eta
 
     def variance(self, stat):
-        """||M|| = max(||sum X X^T||, ||sum X^T X||), from Z's diagonal blocks
-        (a sort when diagonal, as on `Entry` runs); one per member of a stack."""
-        return np.maximum(symlin.sym_eigvals(stat.Z[..., :self.d1, :self.d1])[..., 0],
-                          symlin.sym_eigvals(stat.Z[..., self.d1:, self.d1:])[..., 0])
+        """||M|| = max(||sum X X^T||, ||sum X^T X||), from Z's diagonal blocks;
+        one per member of a stack. One scan of Z finds whether both blocks
+        are diagonal (as on `Entry` runs); then ||M|| is the largest diagonal
+        entry, with no sort, else the larger top eigenvalue of the two."""
+        z, d1 = stat.Z, self.d1
+        nonzero = z != 0  # a NaN counts, as in sym_eigvals
+        diag = np.diagonal(z, axis1=-2, axis2=-1)
+        if (np.count_nonzero(nonzero[..., :d1, :d1]) + np.count_nonzero(nonzero[..., d1:, d1:])
+                > np.count_nonzero(diag)):
+            return np.maximum(symlin.sym_eigvals(z[..., :d1, :d1])[..., 0],
+                              symlin.sym_eigvals(z[..., d1:, d1:])[..., 0])
+        top = diag.max(axis=-1)
+        if not np.isfinite(top).all():
+            raise NumericError("non-finite variance diagonal", {"max": top})
+        return top
 
     def drift_norm(self, stat):
         """||sum delta X||_sigma = lambda_1(H), from Z's off-diagonal block;

@@ -138,6 +138,25 @@ def live_rows(s, extra=()):
     return np.nonzero(live)[0]
 
 
+def connects(s, sources, targets):
+    """Whether a path along the nonzero entries of the symmetric n x n
+    matrix s leads from an index in `sources` to one in `targets` (a shared
+    index counts): a frontier search that stops at the first target it
+    reaches."""
+    target = np.zeros(s.shape[-1], dtype=bool)
+    target[targets] = True
+    frontier = np.asarray(sources, dtype=np.intp)
+    if not s[target].any():  # no path ends at a target: only a shared index counts
+        return bool(target[frontier].any())
+    reached = np.zeros_like(target)
+    while frontier.size:
+        if target[frontier].any():
+            return True
+        reached[frontier] = True
+        frontier = np.flatnonzero(s[frontier].any(axis=0) & ~reached)
+    return False
+
+
 def principal_block(s, live):
     """s[..., live, live] as a new array, gathered by one flat take."""
     n, k = s.shape[-1], live.size
@@ -215,10 +234,19 @@ def _project_l1_sorted(s, radius):
 def nuclear_projection(w, radius):
     """Euclidean projection of w onto the nuclear-norm ball of the given radius.
 
-    Only the live block is factored: the rows and columns of w that are not
-    identically zero. Its singular values are those of w without exact
-    zeros, so projecting them onto the l1 ball and reusing the factors
-    gives the projection, exactly zero outside the block.
+    Only the live block b is factored: the rows and columns of w that are
+    not identically zero. Its singular values are those of w without exact
+    zeros, so soft-thresholding them at theta (the l1 projection) gives the
+    projection, exactly zero outside the block. The singular triplets above
+    theta come from eigh of the smaller Gram matrix, b^T b (a wide b is
+    handled as b^T), and the block becomes b V_k diag(1 - theta / s_i) V_k^T.
+    A Gram eigenvalue carries an absolute error of about eps s_1^2, so each
+    kept s_i = sqrt(lambda_i), and the projected block, are off by about
+    eps s_1^2 / theta: within about 1e-12 s_1 when theta >= 1e-4 s_1. An s_i
+    near zero is off by up to sqrt(eps) s_1, so the Gram sum of the k
+    singular values resolves the radius only to k sqrt(k eps) s_1. When
+    theta is smaller, or the sum lies within that resolution of the radius,
+    the block takes a full SVD instead.
     """
     if radius < 0:
         raise DomainError("nuclear projection radius must be >= 0")
@@ -226,7 +254,26 @@ def nuclear_projection(w, radius):
     if radius == 0:
         return np.zeros_like(w)
     block = np.ix_(np.flatnonzero(w.any(axis=1)), np.flatnonzero(w.any(axis=0)))
-    u, s, vt = np.linalg.svd(w[block], full_matrices=False)
+    b = w[block]
+    c = b if b.shape[0] >= b.shape[1] else b.T  # the tall orientation
+    lam, v = np.linalg.eigh(c.T @ c)  # ascending
+    s = np.sqrt(np.maximum(lam[::-1], 0.0))
+    s1, k = s.max(initial=0.0), s.size
+    resolution = k * np.sqrt(k * np.finfo(float).eps) * s1
+    if s.sum() <= radius - resolution:
+        return w.copy()
+    if s.sum() > radius + resolution:
+        shrunk = _project_l1_sorted(s, radius)
+        theta = s[0] - shrunk[0]
+        if theta >= 1e-4 * s1:
+            kept = np.count_nonzero(shrunk)
+            v = v[:, k - kept:]  # the kept s_i, ascending like lam
+            cv = c @ v
+            cv *= 1.0 - theta / s[kept - 1::-1]
+            out = w.copy()
+            out[block] = cv @ v.T if c is b else (cv @ v.T).T
+            return out
+    u, s, vt = np.linalg.svd(b, full_matrices=False)
     out = w.copy()
     if float(np.sum(s)) > radius:
         u *= _project_l1_sorted(s, radius)

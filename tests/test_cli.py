@@ -414,6 +414,18 @@ def test_verify_negative_control_fails_loudly(capsys):
     assert "witness:" in out
 
 
+@pytest.mark.parametrize("suite", ["p1", "necessity", "all"])
+def test_verify_negative_control_rejects_a_configured_family(tmp_path, capsys, suite):
+    """The control checks its own mutant, so a config naming a family is a
+    usage error, not a silent switch to the matrix mutant."""
+    path = _cfg(tmp_path, "family = adagrad\nd = 4\n")
+    assert cli.main(["verify", "--config", path, "--negative-control",
+                     "--suite", suite]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--negative-control" in err and "'adagrad'" in err
+
+
 def test_verify_negative_control_rejects_sign_sum_suites(capsys):
     """No mutant breaks these suites, so their negative control is a usage error."""
     for suite in ("khintchine", "mgf", "p2", "p3", "supermartingale"):
@@ -576,3 +588,19 @@ def test_module_entry_point_runs_in_a_subprocess():
                           env=env)
     assert proc.returncode == 0
     assert "pass" in proc.stdout
+
+
+def test_an_adagrad_convex_run_does_not_import_numpy_ma(tmp_path):
+    """Distinct values come from a sort: np.unique on floats imports
+    numpy.ma, about 1.2 MB of resident memory."""
+    path = _cfg(tmp_path, "family = adagrad\nd = 3\nn = 20\nstrategy = convex\n")
+    package_root = os.path.dirname(os.path.dirname(burkholder.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    code = ("import sys\nfrom burkholder import cli\n"
+            f"code = cli.main(['run', '--config', {path!r}])\n"
+            "print('numpy.ma' in sys.modules, code)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False 0"

@@ -276,3 +276,91 @@ def test_block_residual_matches_the_derived_residual():
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
         for d, g in zip(deltas, got):
             assert P.residual(zeta, x, d) == g  # one delta: the same block
+
+
+def _entries_statistic(P, cells, rng):
+    """The statistic of rounds on the given cells, with random y_hat and delta."""
+    zeta = P.zero()
+    for i, j in cells:
+        zeta = zeta + P.stat_map(symlin.Entry(i, j, (P.d1, P.d2)),
+                                 float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
+    return zeta
+
+
+def _assert_matches_evals(P, zeta, x, deltas, got):
+    for d, g in zip(deltas, got):
+        want = P.eval(zeta + P.stat_map(x, 0.0, d))
+        assert abs(g - want) <= 1e-12 * max(1.0, abs(want))
+        assert abs(g - _eval_oracle(P, zeta + P.stat_map(x, 0.0, d))) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_residual_is_even_when_no_path_joins_the_cell():
+    """Row 3 is live through column 0 and row 2, but no path of Z's nonzeros
+    reaches column 4: F(zeta, x, delta) = F(zeta, x, -delta) bit for bit,
+    each within 1e-12 of an independent eval, and the prediction is 0."""
+    P = MatrixPotential(6, 5, eta=0.3, r=1.5, L=1.2)
+    rng = np.random.default_rng(51)
+    zeta = _entries_statistic(P, [(0, 1), (2, 0), (3, 0), (5, 2), (5, 3)], rng)
+    x = symlin.Entry(3, 4, (6, 5))
+    assert not symlin.connects(zeta.Z, [3], [6 + 4])
+    deltas = np.array([-1.2, 1.2, -0.4, 0.4, 0.0])
+    got = P.residual(zeta, x, deltas)
+    assert got[0] == got[1] and got[2] == got[3]
+    for d in deltas:
+        assert P.residual(zeta, x, d) == P.residual(zeta, x, -d)
+        assert P.residual(zeta, x, d) == P.residual(zeta, np.asarray(x), -d)
+    _assert_matches_evals(P, zeta, x, deltas, got)
+    assert predict_linearized(P, zeta, x) == 0.0
+
+
+@pytest.mark.parametrize("cells", [[(0, 1), (2, 3)],  # the cell itself was observed
+                                   [(0, 3), (2, 3), (2, 1)]])  # row 0 - col 3 - row 2 - col 1
+def test_residual_keeps_the_sign_when_a_path_joins_the_cell(cells):
+    P = MatrixPotential(6, 5, eta=0.3, r=1.5, L=1.2)
+    zeta = _entries_statistic(P, cells, np.random.default_rng(52))
+    x = symlin.Entry(0, 1, (6, 5))
+    assert symlin.connects(zeta.Z, [0], [6 + 1])
+    deltas = np.array([-1.2, 1.2])
+    got = P.residual(zeta, x, deltas)
+    assert abs(got[0] - got[1]) > 1e-6
+    _assert_matches_evals(P, zeta, x, deltas, got)
+
+
+def test_residual_of_a_dense_instance_across_separate_components():
+    """A dense x with rows {0, 1} and columns {2, 3}: Z links rows 0, 1 to
+    column 0 and columns 2, 3 to row 4, so no path joins x's rows to its
+    columns and F is even in delta; one more cell joining them makes the
+    sign count again."""
+    P = MatrixPotential(6, 5, eta=0.3, r=1.5, L=1.2)
+    rng = np.random.default_rng(53)
+    x = np.zeros((6, 5))
+    x[np.ix_([0, 1], [2, 3])] = rng.normal(size=(2, 2))
+    x /= symlin.spectral_norm(x)
+    deltas = np.array([-1.2, 1.2, 0.7])
+    apart = _entries_statistic(P, [(0, 0), (1, 0), (4, 2), (4, 3)], rng)
+    got = P.residual(apart, x, deltas)
+    assert got[0] == got[1]
+    _assert_matches_evals(P, apart, x, deltas, got)
+    joined = apart + P.stat_map(symlin.Entry(4, 0, (6, 5)), 0.2, 0.9)
+    got = P.residual(joined, x, deltas)
+    assert abs(got[0] - got[1]) > 1e-6
+    _assert_matches_evals(P, joined, x, deltas, got)
+
+
+def test_residual_of_a_stack_of_instances_reads_the_union_of_their_cells():
+    """One instance per delta: with no path joining the union of the
+    members' rows to that of their columns, F is even in each delta; once
+    a member's cell is joined, the signs count. Both match the derived
+    residual."""
+    P = MatrixPotential(6, 5, eta=0.3, r=1.5, L=1.2)
+    zeta = _entries_statistic(P, [(0, 1), (2, 0), (2, 3)], np.random.default_rng(54))
+    xs = np.zeros((3, 6, 5))
+    xs[0, 0, 4] = xs[1, 5, 0] = xs[2, 3, 3] = 1.0  # no member's cell is joined
+    deltas = np.array([0.8, -0.5, 1.1])
+    got = P.residual(zeta, xs, deltas)
+    assert np.array_equal(got, P.residual(zeta, xs, -deltas))
+    assert np.allclose(got, Potential.residual(P, zeta, xs, deltas), rtol=1e-12, atol=0.0)
+    xs[1, 2, 3] = 0.5  # Z joins row 2 to column 3: this member's sign counts
+    got = P.residual(zeta, xs, deltas)
+    assert not np.array_equal(got, P.residual(zeta, xs, -deltas))
+    assert np.allclose(got, Potential.residual(P, zeta, xs, deltas), rtol=1e-12, atol=0.0)

@@ -5,13 +5,15 @@ a wrong convention (ascending order, unsorted singular values) cannot pass
 by construction.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burkholder.errors import DomainError, NumericError
-from burkholder.symlin import (Entry, dilation_step, log_trace_exp, logsumexp,
+from burkholder.symlin import (Entry, connects, dilation_step, log_trace_exp, logsumexp,
                                nuclear_projection, spectral_norm, sym_eigvals,
                                symmetrize)
 from dilation_oracle import dilation, dilation_square, split
@@ -297,6 +299,60 @@ def test_nuclear_projection_factors_the_live_block_only():
     zero = np.zeros((4, 3))
     out = nuclear_projection(zero, 1.0)
     assert np.array_equal(out, zero) and out is not zero
+
+
+def _projection_cases(rng):
+    """(w, radius) pairs: random, rank-deficient, tall and wide, each with
+    the soft threshold drawn from 1e-4 to 0.5 of the top singular value,
+    and points 1e-10 relative inside and outside the ball."""
+    for trial in range(200):
+        d1, d2 = [(30, 8), (8, 30), (20, 20), (12, 17)][trial % 4]
+        rank = min(d1, d2) if trial % 8 < 4 else int(rng.integers(1, min(d1, d2)))
+        w = rng.normal(size=(d1, rank)) @ rng.normal(size=(rank, d2)) * 10 ** rng.uniform(-2, 2)
+        s = np.linalg.svd(w, compute_uv=False)
+        theta = s[0] * 10 ** rng.uniform(-4, math.log10(0.5))
+        yield w, float(np.maximum(s - theta, 0.0).sum())
+        yield w, float(s.sum() * (1 + 1e-10))
+        yield w, float(s.sum() * (1 - 1e-10))
+
+
+def test_nuclear_projection_matches_a_full_svd_within_its_bound():
+    """The Gram route, and the SVD it falls back to where the Gram spectrum
+    cannot resolve the threshold or the radius, agree with a full-SVD
+    projection within 1e-12 ||w||_2."""
+    rng = np.random.default_rng(59)
+    for w, radius in _projection_cases(rng):
+        got = nuclear_projection(w, radius)
+        scale = np.linalg.svd(w, compute_uv=False)[0]
+        assert np.max(np.abs(got - _full_svd_projection(w, radius))) <= 1e-12 * scale
+
+
+def test_nuclear_projection_takes_the_svd_only_where_the_gram_route_is_loose(monkeypatch):
+    """A soft threshold of 1e-3 s_1 is resolved by the Gram spectrum; one of
+    1e-6 s_1, or a point 1e-10 relative inside or outside the ball, takes
+    the SVD."""
+    svd = np.linalg.svd
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    w = np.diag([3.0, 2.0, 1.0]) @ np.array([[0.6, 0.8, 0.0], [-0.8, 0.6, 0.0], [0.0, 0.0, 1.0]])
+    for radius, factored in [(6.0 - 3 * 3e-3, False), (6.0 - 3 * 3e-6, True),
+                             (6.0 * (1 - 1e-10), True), (6.0 * (1 + 1e-10), True)]:
+        calls.clear()
+        got = nuclear_projection(w, radius)
+        assert bool(calls) == factored
+        assert np.max(np.abs(got - _full_svd_projection(w, radius))) <= 1e-12 * 3.0
+
+
+def test_connects_follows_nonzero_paths():
+    s = np.zeros((6, 6))
+    for a, b in [(0, 3), (3, 1), (1, 4)]:
+        s[a, b] = s[b, a] = 1.0
+    assert connects(s, [0], [4])  # 0 - 3 - 1 - 4
+    assert connects(s, [2, 3], [3])  # a shared index
+    assert not connects(s, [0], [2, 5])
+    assert not connects(s, [2], [0, 1, 3, 4])
+    s[2, 5] = s[5, 2] = np.nan  # a NaN entry is a nonzero
+    assert connects(s, [2], [5])
 
 
 def test_entry_dilations_are_bit_identical_to_the_dense_ones():
