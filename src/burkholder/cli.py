@@ -27,7 +27,7 @@ _STR_KEYS = {"family", "loss", "strategy", "sequence", "data_csv", "variant",
              "comparator", "comparator_ball"}
 _INT_KEYS = {"n", "d", "d1", "d2", "rank", "seed", "comparator_iters",
              "depth", "trees", "trials"}
-_FLOAT_KEYS = {"B", "eta", "r", "c", "p", "lam", "meta_eta", "nuclear_radius",
+_FLOAT_KEYS = {"B", "eta", "r", "c", "p", "lam", "nuclear_radius",
                "noise", "skew", "radius", "eps1", "eps2", "comparator_radius"}
 _KNOWN_KEYS = _STR_KEYS | _INT_KEYS | _FLOAT_KEYS
 _MINIMUM = {"d": 1, "d1": 1, "d2": 1, "rank": 0, "noise": 0, "skew": 0, "radius": 0,
@@ -35,8 +35,9 @@ _MINIMUM = {"d": 1, "d1": 1, "d2": 1, "rank": 0, "noise": 0, "skew": 0, "radius"
 
 
 def parse_config(path):
-    """Flat key = value file; # starts a comment, blank lines are skipped."""
-    cfg = {}
+    """Flat key = value file; # starts a comment, blank lines are skipped,
+    and a key may appear once."""
+    cfg, seen = {}, {}
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -51,6 +52,9 @@ def parse_config(path):
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: {key} already set on line {seen[key]}")
+        seen[key] = lineno
         try:
             if key in _INT_KEYS:
                 cfg[key] = int(val)
@@ -63,7 +67,8 @@ def parse_config(path):
         if key in _FLOAT_KEYS and not math.isfinite(cfg[key]):
             raise ConfigError(f"{path}:{lineno}: {key} = {val!r} is not finite")
         if key in _MINIMUM and cfg[key] < _MINIMUM[key]:
-            raise ConfigError(f"{key} = {cfg[key]}, need {key} >= {_MINIMUM[key]}")
+            raise ConfigError(f"{path}:{lineno}: {key} = {cfg[key]}, "
+                              f"need {key} >= {_MINIMUM[key]}")
     return cfg
 
 
@@ -96,7 +101,7 @@ def build_potential(cfg, loss, n):
                             _require(cfg, "d2", f"family {fam}"),
                             eta=_require(cfg, "eta", f"family {fam}"),
                             r=cfg.get("r", 1.0), L=loss.L, c=cfg.get("c"), B=loss.B)
-        return P if fam == "matrix" else matrix_meta(P, eta=cfg.get("meta_eta", 0.25))
+        return P if fam == "matrix" else matrix_meta(P)
     if fam == "adagrad":
         return AdaGradPotential(_require(cfg, "d", "family adagrad"),
                                 variant=cfg.get("variant", "l2"), L=loss.L, B=loss.B)

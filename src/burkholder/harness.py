@@ -111,16 +111,16 @@ def adversarial_gradient(n, d, B=1.0, rng=None):
 # --- sequence CSV ------------------------------------------------------------
 
 def load_sequence(path, d1=None, d2=None):
-    """The sequence in a CSV file: an `i,j,y` header gives matrix indicators
-    (d1 and d2 required), an `x1,...,xd,y` header vectors. A malformed row
-    raises DomainError naming the file and the row (1 = the first after the
-    header)."""
+    """The sequence in a CSV file: the header `i,j,y` gives matrix indicators
+    (d1 and d2 required), an `x1,...,xd,y` header vectors, and any other
+    header raises DomainError. A malformed row raises DomainError naming the
+    file and the row (1 = the first after the header)."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise DomainError(f"empty sequence file {path}")
     header, body = rows[0], rows[1:]
-    matrix = header[:3] == ["i", "j", "y"]
+    matrix = header == ["i", "j", "y"]
     if matrix and (d1 is None or d2 is None):
         raise DomainError("matrix sequences need d1 and d2")
     if not matrix and (header[-1] != "y" or not all(h.startswith("x") for h in header[:-1])):

@@ -15,13 +15,13 @@ __all__ = [
 ]
 
 
-def matrix_meta(matrix, eta=0.25):
+def matrix_meta(matrix):
     """Softmax meta over a matrix family and an l2 AdaGrad on the same
     (d1, d2) instances, with the same L and B, each charged its increment
-    bound."""
+    bound, at meta rate 0.25."""
     ada = AdaGradPotential(d=(matrix.d1, matrix.d2), variant="l2", L=matrix.L, B=matrix.B)
     return MetaPotential([(matrix, matrix.increment_bound()),
-                          (ada, ada.increment_bound())], eta=eta)
+                          (ada, ada.increment_bound())], eta=0.25)
 
 
 def standard_families(B=1.0):

@@ -76,7 +76,8 @@ class MatrixPotential(Potential):
 
     def _softmax(self, stat, x=None, delta=None):
         z = self._block(stat, self.eta, -0.5 * self.eta ** 2 * self.L ** 2, x, delta)
-        return stat.a + (self.r / self.eta) * symlin.log_trace_exp(z, self.dim) - self.c / self.eta
+        return (stat.a + (self.r / self.eta) * symlin.logsumexp(symlin.sym_eigvals(z, self.dim))
+                - self.c / self.eta)
 
     def eval(self, stat, t=None):
         return self._softmax(stat)
@@ -110,17 +111,16 @@ class MatrixPotential(Potential):
         return stat.a + self.r * symlin.sym_eigvals(z, self.dim)[..., 0] - self.c / self.eta
 
     def variance(self, stat):
-        """||M|| = max(||sum X X^T||, ||sum X^T X||), from Z's diagonal blocks;
+        """||M|| = lambda_1(M) for the block-diagonal M in Z's diagonal blocks;
         one per member of a stack. One scan of Z finds whether both blocks
         are diagonal (as on `Entry` runs); then ||M|| is the largest diagonal
-        entry, with no sort, else the larger top eigenvalue of the two."""
+        entry, with no sort, else the top eigenvalue of M's live block."""
         z, d1 = stat.Z, self.d1
         nonzero = z != 0  # a NaN counts, as in sym_eigvals
         diag = np.diagonal(z, axis1=-2, axis2=-1)
         if (np.count_nonzero(nonzero[..., :d1, :d1]) + np.count_nonzero(nonzero[..., d1:, d1:])
                 > np.count_nonzero(diag)):
-            return np.maximum(symlin.sym_eigvals(z[..., :d1, :d1])[..., 0],
-                              symlin.sym_eigvals(z[..., d1:, d1:])[..., 0])
+            return symlin.sym_eigvals(self._block(stat, 0.0, 1.0), self.dim)[..., 0]
         top = diag.max(axis=-1)
         if not np.isfinite(top).all():
             raise NumericError("non-finite variance diagonal", {"max": top})

@@ -6,36 +6,28 @@ rectangular matrix into a symmetric one so that spectral quantities reduce
 to eigenvalues; `dilation_step` gives a round's dilation and its square in
 one array. Dense arguments may carry leading batch axes.
 
-Every spectrum of a statistic slot goes through `sym_eigvals`. A diagonal
-argument (the variance part of a completion run) is its own spectrum, so it
-is sorted, not factored. Otherwise only the live principal block of the
-argument (the rows and columns that are not identically zero, found by
-`live_rows`) is gathered once and factored, and the spectrum is padded
-with exact zeros for the rest; no full-size temporary is built.
-For a stack the live block is the union of the members' live rows, so one
-batched eigvalsh serves all; a row dead in one member but live in another
-is a zero row inside its block, still an exact zero eigenvalue. This is
-exact in exact arithmetic. In floating point the padded zeros are exact where a
-dense solve leaves roundoff of order 1e-16 times the norm, so results agree
-with a dense eigvalsh to roundoff, not bit for bit. Completion statistics
+Spectra follow one rule: the caller gathers the block, and `sym_eigvals`
+sorts or factors it and pads it. A statistic slot touches only its live
+rows and columns (those not identically zero, found by `live_rows`), so the
+caller gathers its live principal block once (`principal_block`, with
+`instance_block` for a round's instance) and works on the block.
+`sym_eigvals` takes that symmetric block as given: a diagonal block is its
+own spectrum, so it is sorted, not factored; any other block is one
+eigvalsh. Each row outside the block adds an exact zero eigenvalue, padded
+up to the full size; no full-size temporary is built. For a stack the live
+block is the union of the members' live rows, so one batched eigvalsh
+serves all; a row dead in one member but live in another is a zero row
+inside its block, still an exact zero eigenvalue. This is exact in exact
+arithmetic. In floating point the padded zeros are exact where a dense
+solve leaves roundoff of order 1e-16 times the norm, so results agree with
+a dense eigvalsh to roundoff, not bit for bit. Completion statistics
 touch only the rows and columns seen so far, so their spectra cost the cube
-of the live size instead of (d1 + d2)^3. A caller that transforms a slot
-first gathers it on its live rows (`principal_block`, with `instance_block`
-for a round's instance), works on the block, and passes the full size to
-`sym_eigvals`.
+of the live size instead of (d1 + d2)^3.
 """
 
 import numpy as np
 
 from .errors import DomainError, NumericError
-
-
-def symmetrize(s):
-    """Return the symmetric part (s + s^T) / 2 as a new array."""
-    s = np.asarray(s, dtype=float)
-    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
-        raise DomainError(f"expected a square matrix, got shape {s.shape}")
-    return 0.5 * (s + s.swapaxes(-1, -2))
 
 
 class Entry:
@@ -99,7 +91,6 @@ def dilation_rows(x):
     """Sorted indices of the rows of x's dilation [[0, X], [X^T, 0]] that
     are nonzero in some member of a stack: x's nonzero rows, then d1 plus
     its nonzero columns."""
-    x = as_matrix(x)
     if isinstance(x, Entry):
         return np.array([x.i, x.shape[0] + x.j])
     batch = tuple(range(x.ndim - 2))
@@ -111,7 +102,6 @@ def instance_block(x, live):
     """x restricted to the principal block `live` of its dilation (an Entry
     stays one); its dilation_step is that of x on the block when `live`
     holds dilation_rows(x)."""
-    x = as_matrix(x)
     d1 = x.shape[-2]
     k1 = int(np.searchsorted(live, d1))  # live[:k1] index rows of x, the rest columns
     if isinstance(x, Entry):
@@ -167,34 +157,24 @@ def principal_block(s, live):
         s.shape[:-2] + (k, k))
 
 
-def _is_diagonal(s):
-    """Whether every nonzero of s (a NaN included) lies on its diagonal."""
-    return np.count_nonzero(s) == np.count_nonzero(np.diagonal(s, axis1=-2, axis2=-1))
-
-
 def sym_eigvals(s, n=None):
-    """Eigenvalues of the symmetric part of s, descending along the last axis.
+    """Eigenvalues of a symmetric block s of an n x n argument (n defaults
+    to s's own size), descending along the last axis.
 
-    A diagonal argument is sorted, with no live search and no eigensolve
-    (an all-zero input included). Otherwise the live block of s is gathered
-    and factored, and each other row adds an exact zero eigenvalue. With n
-    given, s is already the symmetric live block of an n x n argument (as
-    `principal_block` gathers it from statistic slots), read as it is.
+    A diagonal s (an all-zero one included) is sorted, with no eigensolve;
+    any other s is one eigvalsh. The rows of the argument outside the block
+    add exact zero eigenvalues.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
         raise DomainError(f"expected a square matrix, got shape {s.shape}")
-    diagonal = _is_diagonal(s)
-    if n is None:
-        n = s.shape[-1]
-        if not diagonal:
-            s = symmetrize(principal_block(s, live_rows(s)))
-            diagonal = _is_diagonal(s)  # an antisymmetric part cancels
-    part = np.diagonal(s, axis1=-2, axis2=-1) if diagonal else s
+    diag = np.diagonal(s, axis1=-2, axis2=-1)
+    diagonal = np.count_nonzero(s) == np.count_nonzero(diag)  # a NaN counts as nonzero
+    part = diag if diagonal else s
     if not np.isfinite(part).all():
         raise NumericError("non-finite entries in symmetric eigensolve",
                            {"max_abs": float(np.nanmax(np.abs(part)))})
-    w = np.zeros(s.shape[:-2] + (n,))
+    w = np.zeros(s.shape[:-2] + (s.shape[-1] if n is None else n,))
     w[..., :s.shape[-1]] = part if diagonal else np.linalg.eigvalsh(s)
     return np.sort(w, axis=-1)[..., ::-1].copy()
 
@@ -207,12 +187,6 @@ def logsumexp(vals):
     if not np.isfinite(m).all():
         raise NumericError("non-finite value in logsumexp", {"values": vals})
     return m + np.log(np.exp(vals - m[..., None]).sum(axis=-1))
-
-
-def log_trace_exp(s, n=None):
-    """log tr exp(S) for symmetric S, on the spectrum with max shift; n as
-    in `sym_eigvals`."""
-    return logsumexp(sym_eigvals(s, n))
 
 
 def spectral_norm(x):

@@ -44,6 +44,8 @@ def test_parse_config_rejects_malformed_lines(tmp_path):
         cli.parse_config(_cfg(tmp_path, "wibble = 3\n"))
     with pytest.raises(ConfigError, match="bad value for n"):
         cli.parse_config(_cfg(tmp_path, "n = abc\n"))
+    with pytest.raises(ConfigError, match=r"cfg\.txt:4: d already set on line 2$"):
+        cli.parse_config(_cfg(tmp_path, "family = adagrad\nd = 3\nn = 5\nd = 4\n"))
     with pytest.raises(ConfigError, match="cannot read config"):
         cli.parse_config(str(tmp_path / "missing.txt"))
 
@@ -70,11 +72,13 @@ def test_parse_config_rejects_non_finite_floats(tmp_path, capsys, line):
 def test_run_rejects_generated_dimensions_below_their_minimum(tmp_path, capsys,
                                                               text, key):
     path = _cfg(tmp_path, text + "n = 5\n")
-    with pytest.raises(ConfigError, match=f"^{key} = -?\\d+, need {key} >= "):
-        cli.build_sequence(cli.parse_config(path), np.random.default_rng(0))
+    lineno = [l.split()[0] for l in text.splitlines()].index(key) + 1
+    where = f"{path}:{lineno}: {key} = "
+    with pytest.raises(ConfigError, match=f"^{re.escape(where)}-?\\d+, need {key} >= "):
+        cli.parse_config(path)
     assert cli.main(["run", "--config", path]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and f"need {key} >= " in err
+    assert out == "" and where in err and f"need {key} >= " in err
 
 
 def test_known_config_keys_match_the_readme():
@@ -86,7 +90,8 @@ def test_known_config_keys_match_the_readme():
     assert set(re.findall(r"`(\w+)`", bullets)) == cli._KNOWN_KEYS
 
 
-@pytest.mark.parametrize("key", ["L", "rank_scale", "rho", "beta", "gamma", "tol"])
+@pytest.mark.parametrize("key", ["L", "rank_scale", "rho", "beta", "gamma", "tol",
+                                 "meta_eta"])
 def test_keys_nothing_reads_are_unknown(tmp_path, capsys, key):
     path = _cfg(tmp_path, f"family = adagrad\nd = 3\nn = 5\n{key} = 50\n")
     assert cli.main(["run", "--config", path]) == 2
@@ -508,6 +513,27 @@ def test_compare_randomized_against_linearized(tmp_path, capsys):
     assert "strategy=randomized mean_expected_loss=" in out
     assert "gap=" in out and "slack=" in out
     assert "vs linearized -> pass" in out
+
+
+def test_vaw_compare_matches_the_benchmark_reference(capsys):
+    """compare on the benchmark's VAW config at seed 0 prints the stored
+    reference's convex line, each number within 1e-9 relative or absolute
+    (the benchmark's own check); randomized draws may move."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+
+    def convex(text):
+        line = next(l for l in text.splitlines() if l.startswith("strategy=convex "))
+        return dict(field.split("=") for field in line.split())
+
+    assert cli.main(["compare", "--config", str(bench / "configs" / "vaw_compare.cfg"),
+                     "--strategies", "convex,randomized", "--seed", "0"]) == 0
+    out, _ = capsys.readouterr()
+    got, want = convex(out), convex((bench / "reference" / "vaw_compare.txt").read_text())
+    assert got.keys() == want.keys() == {"strategy", "mean_loss", "mean_certificate", "reps"}
+    assert got["reps"] == want["reps"]
+    for key in ("mean_loss", "mean_certificate"):
+        assert math.isclose(float(got[key]), float(want[key]), rel_tol=1e-9, abs_tol=1e-9)
+    assert out.splitlines()[-1].endswith("-> pass")
 
 
 def test_compare_falls_back_to_a_convex_baseline(tmp_path, capsys):

@@ -98,6 +98,11 @@ def test_sequence_loading_guards(tmp_path):
     bad_header.write_text("a,b\n1,2\n")
     with pytest.raises(DomainError, match="unrecognized"):
         load_sequence(bad_header)
+    for header in ("i,j,y,w\n1,0,0.25,9\n", "i,j\n1,0\n"):  # only i,j,y is a matrix header
+        extra = tmp_path / "extra.csv"
+        extra.write_text(header)
+        with pytest.raises(DomainError, match="unrecognized"):
+            load_sequence(extra, d1=3, d2=3)
     out_of_range = tmp_path / "oor.csv"
     out_of_range.write_text("i,j,y\n5,0,0.25\n")
     with pytest.raises(DomainError, match="outside"):

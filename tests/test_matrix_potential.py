@@ -134,6 +134,26 @@ def test_variance_and_drift_norm_read_the_two_block_parts():
     assert P.variance(P.zero()) == 0.0 and P.drift_norm(P.zero()) == 0.0
 
 
+def test_dense_variance_of_a_stack_is_one_eigensolve_of_the_live_block(monkeypatch):
+    """Dense instances that leave row 3 and column 2 of X empty: ||M|| of a
+    stack is one batched eigvalsh of M's 5 x 5 live block, within 1e-12
+    relative of the larger top eigenvalue of M's two diagonal blocks."""
+    P = MatrixPotential(4, 3, eta=0.5)
+    rng = np.random.default_rng(41)
+    x = P.sample_instances(rng, 5)
+    x[:, 3, :] = x[:, :, 2] = 0.0
+    stack = P.stat_map(x, 0.0, rng.uniform(-1, 1, 5)) + P.stat_map(
+        x[::-1], 0.0, rng.uniform(-1, 1, 5))
+    solve = np.linalg.eigvalsh
+    want = np.maximum(solve(stack.Z[:, :4, :4])[:, -1], solve(stack.Z[:, 4:, 4:])[:, -1])
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or solve(a))
+    got = P.variance(stack)
+    assert calls == [(5, 5, 5)]
+    assert got.shape == (5,)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
 def test_increment_bound_dominates_sampled_moves():
     P = MatrixPotential(3, 2, eta=0.5)
     rng = np.random.default_rng(20)

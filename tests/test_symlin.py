@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burkholder.errors import DomainError, NumericError
-from burkholder.symlin import (Entry, connects, dilation_step, log_trace_exp, logsumexp,
-                               nuclear_projection, spectral_norm, sym_eigvals,
-                               symmetrize)
+from burkholder.symlin import (Entry, connects, dilation_step, live_rows, logsumexp,
+                               nuclear_projection, principal_block, spectral_norm,
+                               sym_eigvals)
 from dilation_oracle import dilation, dilation_square, split
 
 
@@ -37,15 +37,10 @@ def _random_sym(rng, d):
     return 0.5 * (a + a.T)
 
 
-def test_symmetrize_and_asymmetry():
-    a = np.array([[1.0, 2.0], [0.0, 3.0]])
-    s = symmetrize(a)
-    assert np.array_equal(s, [[1.0, 1.0], [1.0, 3.0]])
-
-
-def test_symmetrize_rejects_rectangles():
-    with pytest.raises(DomainError):
-        symmetrize(np.zeros((2, 3)))
+def _live_eigvals(s):
+    """The spectrum of s the way MatrixPotential._block takes it: its live
+    block gathered once, then sorted or factored and padded to s's size."""
+    return sym_eigvals(principal_block(s, live_rows(s)), s.shape[-1])
 
 
 class TestEigensolve:
@@ -82,7 +77,7 @@ def _symmetric_with_dead_rows(draw):
 def test_live_block_spectrum_matches_the_dense_solve(case):
     s, k = case
     n = s.shape[0]
-    w = sym_eigvals(s)
+    w = _live_eigvals(s)
     dense = np.linalg.eigvalsh(s)[::-1]
     assert w.shape == (n,)
     assert np.all(np.diff(w) <= 0.0)
@@ -91,39 +86,40 @@ def test_live_block_spectrum_matches_the_dense_solve(case):
     # the dead rows give exactly n - k zeros beyond the live block's spectrum
     live = np.any(s != 0, axis=1)
     assert int(live.sum()) == k
+    assert np.array_equal(live_rows(s), np.flatnonzero(live))
     block = np.linalg.eigvalsh(s[np.ix_(live, live)])
     assert int(np.sum(w == 0.0)) == n - k + int(np.sum(block == 0.0))
 
 
 def test_live_block_edge_cases():
-    assert np.array_equal(sym_eigvals(np.zeros((4, 4))), np.zeros(4))
-    assert sym_eigvals(np.zeros((0, 0))).shape == (0,)
-    assert np.array_equal(sym_eigvals(np.array([[-2.0]])), [-2.0])
+    assert np.array_equal(_live_eigvals(np.zeros((4, 4))), np.zeros(4))
+    assert _live_eigvals(np.zeros((0, 0))).shape == (0,)
+    assert np.array_equal(_live_eigvals(np.array([[-2.0]])), [-2.0])
     s = np.zeros((5, 5))
     s[1, 3] = s[3, 1] = 2.0  # live rows 1 and 3: spectrum +-2 and three zeros
-    assert np.array_equal(sym_eigvals(s), [2.0, 0.0, 0.0, 0.0, -2.0])
-    # an asymmetric input whose symmetric part is zero is all dead
-    assert np.array_equal(sym_eigvals(np.array([[0.0, 1.0], [-1.0, 0.0]])),
-                          np.zeros(2))
+    assert np.array_equal(_live_eigvals(s), [2.0, 0.0, 0.0, 0.0, -2.0])
     with pytest.raises(NumericError):
-        sym_eigvals(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+        _live_eigvals(np.array([[0.0, np.nan], [np.nan, 0.0]]))
     with pytest.raises(NumericError):  # a row the live-block gather would drop
-        sym_eigvals(np.diag([1.0, np.nan, 2.0]))
+        _live_eigvals(np.diag([1.0, np.nan, 2.0]))
     with pytest.raises(NumericError):
-        sym_eigvals(np.array([[np.inf]]))
+        _live_eigvals(np.array([[np.inf]]))
+    with pytest.raises(DomainError):
+        sym_eigvals(np.zeros((2, 3)))
     # the live search reads columns as well as rows: the only nonzero lies
-    # above the diagonal, in row 0 and column 2
+    # above the diagonal, in row 0 and column 2, and row 2 is live
     s = np.zeros((4, 4))
     s[0, 2] = 1.0
-    assert np.allclose(sym_eigvals(s), np.linalg.eigvalsh(symmetrize(s))[::-1], rtol=0, atol=1e-15)
+    assert np.array_equal(live_rows(s), [0, 2])
+    assert np.array_equal(principal_block(s, live_rows(s)), [[0.0, 1.0], [0.0, 0.0]])
     s = np.zeros((3, 3))
     s[1, 1] = np.inf  # alone in an otherwise zero row and column
     with pytest.raises(NumericError):
-        sym_eigvals(s)
+        _live_eigvals(s)
     s = np.zeros((3, 3))
     s[2, 0] = -np.inf  # below the diagonal only
     with pytest.raises(NumericError):
-        sym_eigvals(s)
+        _live_eigvals(s)
 
 
 def test_diagonal_spectrum_is_the_sorted_diagonal():
@@ -142,13 +138,13 @@ def test_one_off_diagonal_nonzero_takes_the_eigensolve(monkeypatch):
     calls = []
     solve = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or solve(a))
-    assert np.array_equal(sym_eigvals(np.diag([3.0, 1.0, 2.0])), [3.0, 2.0, 1.0])
+    assert np.array_equal(_live_eigvals(np.diag([3.0, 1.0, 2.0])), [3.0, 2.0, 1.0])
     assert calls == []
     s = np.diag([3.0, 1.0, 2.0, 0.0])
-    s[0, 2] = 0.5  # the symmetric part holds 0.25 at (0, 2) and (2, 0)
-    w = sym_eigvals(s)
+    s[0, 2] = s[2, 0] = 0.25
+    w = _live_eigvals(s)
     assert calls == [(3, 3)]  # the live block: rows 0, 1 and 2
-    assert np.allclose(w, np.linalg.eigvalsh(symmetrize(s))[::-1], atol=1e-14)
+    assert np.allclose(w, solve(s)[::-1], atol=1e-14)
 
 
 def test_dilation_layout():
@@ -223,7 +219,7 @@ def test_logsumexp_matches_naive_and_survives_large_inputs():
 def test_log_trace_exp_on_a_known_spectrum():
     s = np.diag([1.0, 0.0, -1.0])
     expected = np.log(np.exp(1.0) + 1.0 + np.exp(-1.0))
-    assert log_trace_exp(s) == pytest.approx(expected, abs=1e-12)
+    assert logsumexp(sym_eigvals(s)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_log_trace_exp_is_monotone_under_psd_bumps():
@@ -232,7 +228,7 @@ def test_log_trace_exp_is_monotone_under_psd_bumps():
         a = _random_sym(rng, 4)
         v = rng.normal(size=4)
         b = a + np.outer(v, v)
-        assert log_trace_exp(b) >= log_trace_exp(a) - 1e-12
+        assert logsumexp(sym_eigvals(b)) >= logsumexp(sym_eigvals(a)) - 1e-12
 
 
 def test_nuclear_projection_soft_thresholds():
