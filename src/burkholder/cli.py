@@ -30,8 +30,8 @@ _INT_KEYS = {"n", "d", "d1", "d2", "rank", "seed", "comparator_iters",
 _FLOAT_KEYS = {"B", "eta", "r", "c", "p", "lam", "nuclear_radius",
                "noise", "skew", "radius", "eps1", "eps2", "comparator_radius"}
 _KNOWN_KEYS = _STR_KEYS | _INT_KEYS | _FLOAT_KEYS
-_MINIMUM = {"d": 1, "d1": 1, "d2": 1, "rank": 0, "noise": 0, "skew": 0, "radius": 0,
-            "nuclear_radius": 0, "comparator_iters": 0, "eps2": 0}
+_MINIMUM = {"n": 1, "d": 1, "d1": 1, "d2": 1, "rank": 0, "seed": 0, "noise": 0, "skew": 0,
+            "radius": 0, "nuclear_radius": 0, "comparator_iters": 0, "eps2": 0}
 
 
 def parse_config(path):
@@ -130,6 +130,9 @@ def build_sequence(cfg, rng):
             raise ConfigError(f"{cfg['data_csv']}: n = {n}, need n >= 1")
         if n > len(seq):
             raise ConfigError(f"n = {n} exceeds the {len(seq)} rows in data_csv")
+        if seq.kind == "random_vectors" and "d" in cfg and seq.xs[0].size != cfg["d"]:
+            raise ConfigError(f"{cfg['data_csv']} has {seq.xs[0].size} features, "
+                              f"need d = {cfg['d']}")
         seq = harness.Sequence(seq.kind, seq.xs[:n], seq.ys[:n], seq.meta)
         for row, y in enumerate(seq.ys, start=1):
             if not abs(y) <= B:
@@ -137,8 +140,6 @@ def build_sequence(cfg, rng):
                                   f"y = {float(y)!r} outside [-B, B], B = {B:g}")
     else:
         n = _require(cfg, "n", "sequence generation")
-        if n < 1:
-            raise ConfigError("n >= 1")
         kind = cfg.get("sequence",
                        "matrix_completion" if _matrix_family(fam) else "random_vectors")
         if kind == "matrix_completion":

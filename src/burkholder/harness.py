@@ -113,8 +113,8 @@ def adversarial_gradient(n, d, B=1.0, rng=None):
 def load_sequence(path, d1=None, d2=None):
     """The sequence in a CSV file: the header `i,j,y` gives matrix indicators
     (d1 and d2 required), an `x1,...,xd,y` header vectors, and any other
-    header raises DomainError. A malformed row raises DomainError naming the
-    file and the row (1 = the first after the header)."""
+    header raises DomainError. A malformed row or a non-finite field raises
+    DomainError naming the file and the row (1 = the first after the header)."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -130,9 +130,12 @@ def load_sequence(path, d1=None, d2=None):
         try:
             if len(row) != len(header):
                 raise DomainError(f"{len(row)} fields for the {len(header)} of the header")
+            fields = [float(v) for v in row]
+            if not all(map(math.isfinite, fields)):
+                raise DomainError(f"non-finite field in {row}")
             xs.append(symlin.Entry(int(row[0]), int(row[1]), (d1, d2)) if matrix
-                      else np.array([float(v) for v in row[:-1]]))
-            ys.append(float(row[-1]))
+                      else np.array(fields[:-1]))
+            ys.append(fields[-1])
         except (ValueError, DomainError) as exc:
             raise DomainError(f"{path}: row {r}: {exc}") from exc
     if matrix:

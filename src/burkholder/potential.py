@@ -184,7 +184,7 @@ class Trajectory:
 
     potential_values[0] = U(0) and entry t is U after round t. Only the
     statistic after the last round is kept, as the one element of zetas;
-    the play loops pass every statistic to their on_round hook instead.
+    the play loop passes every statistic to its on_round hook instead.
     """
     rounds: list = field(default_factory=list)
     zetas: list = field(default_factory=list)

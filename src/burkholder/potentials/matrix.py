@@ -14,9 +14,9 @@ import numpy as np
 
 from .. import symlin
 from ..errors import ConfigError, DomainError, NumericError
-from ..potential import Potential, Round, Trajectory, accumulate, distinct
+from ..potential import Potential, distinct
 from ..statistics import ScalarSym
-from ..strategies import linearized_round, value_after
+from ..strategies import _play, linearized_round
 
 
 class MatrixPotential(Potential):
@@ -164,44 +164,25 @@ def doubling_run(d1, d2, sequence, loss, *, r=1.0, c=None, R=1.0, on_round=None)
 
     Starts epoch k with eta_k = sqrt(2 c / (L^2 B_k)) and a fresh statistic;
     the epoch ends after the round in which its accumulated squared-dilation
-    spectral norm reaches the budget. Returns (trajectory, epochs) where each
-    epoch record is (start_round, eta, budget). on_round(t, zeta_prev, rnd,
-    zeta) sees each round's statistics before any epoch reset; the
-    trajectory keeps only the last round's statistic. L and the range B are
-    the loss's.
+    spectral norm reaches the budget. It plays the linearized strategy
+    through strategies._play, whose restart hook opens each new epoch.
+    Returns (trajectory, epochs) where each epoch record is (start_round,
+    eta, budget). on_round(t, zeta_prev, rnd, zeta) sees each round's
+    statistics before any epoch reset; the trajectory keeps only the last
+    round's statistic. L and the range B are the loss's.
     """
     if R <= 0:
         raise DomainError("R > 0")
     c_val = float(c) if c is not None else r * math.log(d1 + d2)
-    traj = Trajectory()
     epochs = []
-    k = 0
 
-    def fresh(k):
-        budget = R ** 2 * 2 ** k
+    def epoch(start):
+        budget = R ** 2 * 2 ** len(epochs)
         eta = math.sqrt(2.0 * c_val / (loss.L ** 2 * budget))
-        pot = MatrixPotential(d1, d2, eta=eta, r=r, L=loss.L, c=c_val, B=loss.B)
-        return pot, budget
+        epochs.append((start, eta, budget))
+        return MatrixPotential(d1, d2, eta=eta, r=r, L=loss.L, c=c_val, B=loss.B)
 
-    pot, budget = fresh(k)
-    zeta = last = pot.zero()
-    traj.potential_values.append(pot.eval(zeta, t=0))
-    epochs.append((1, pot.eta, budget))
-    for t, (x, y) in enumerate(sequence, start=1):
-        y_hat, residuals = linearized_round(pot, zeta, x, t=t)
-        delta = float(loss.subgradient(y_hat, y))
-        last = accumulate(zeta, x, y_hat, delta, pot)
-        rnd = Round(t=t, x=x, y_hat=float(y_hat), y=float(y),
-                    delta=delta, loss=float(loss.value(y_hat, y)))
-        traj.rounds.append(rnd)
-        traj.potential_values.append(value_after(pot, last, rnd, residuals))
-        if on_round is not None:
-            on_round(t, zeta, rnd, last)
-        zeta = last
-        if pot.variance(zeta) >= budget * (1 - 1e-12):
-            k += 1
-            pot, budget = fresh(k)
-            zeta = pot.zero()
-            epochs.append((t + 1, pot.eta, budget))
-    traj.zetas.append(last)
-    return traj, epochs
+    def restart(pot, zeta, t):
+        return epoch(t + 1) if pot.variance(zeta) >= epochs[-1][2] * (1 - 1e-12) else None
+
+    return _play(epoch(1), linearized_round, sequence, loss, on_round, restart), epochs

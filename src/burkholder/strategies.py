@@ -24,13 +24,13 @@ def predict_linearized(P, zeta, x, *, t=None):
 
     F is the potential's residual, which must be convex in delta.
     """
-    return linearized_round(P, zeta, x, t=t)[0]
+    return linearized_round(P, zeta, x, t)[0]
 
 
-def linearized_round(P, zeta, x, *, t=None):
+def linearized_round(P, zeta, x, t=None):
     """(predict_linearized, (F(-L), F(+L))): the prediction and the two
     residuals it read, from one residual call on the stack [-L, +L], which
-    value_after reuses."""
+    value_after reuses. It is _play's choose for the linearized strategy."""
     if not P.convex_in_delta:
         raise DomainError("the linearized prediction needs a family convex in delta")
     f_minus, f_plus = P.residual(zeta, x, np.array([-P.L, P.L]), t=t)
@@ -195,19 +195,22 @@ def realized_game_value(P, zeta, x, dist, loss, *, t=None):
 STRATEGIES = ("linearized", "convex", "randomized")
 
 
-def _play(P, choose, sequence, loss, on_round):
-    """The online protocol: choose(zeta, x, t) predicts, the statistic advances.
+def _play(P, choose, sequence, loss, on_round, restart=None):
+    """The online protocol: choose(P, zeta, x, t) predicts, the statistic advances.
 
     choose returns (y_hat, residuals), where residuals is linearized_round's
     pair or None; value_after records U from it. Only the running statistic
     is held; on_round(t, zeta_prev, rnd, zeta), when given, sees each
-    round's record and the statistics around it.
+    round's record and the statistics around it. restart(P, zeta, t), when
+    given, runs after on_round and returns None or the potential that plays
+    from round t + 1, starting from its zero statistic; the trajectory keeps
+    the last round's statistic from before any restart.
     """
     traj = Trajectory()
-    zeta = P.zero()
+    zeta = nxt = P.zero()
     traj.potential_values.append(P.eval(zeta, t=0))
     for t, (x, y) in enumerate(sequence, start=1):
-        y_hat, residuals = choose(zeta, x, t)
+        y_hat, residuals = choose(P, zeta, x, t)
         delta = float(loss.subgradient(y_hat, y))
         nxt = accumulate(zeta, x, y_hat, delta, P)
         rnd = Round(t=t, x=x, y_hat=float(y_hat), y=float(y),
@@ -217,7 +220,9 @@ def _play(P, choose, sequence, loss, on_round):
         if on_round is not None:
             on_round(t, zeta, rnd, nxt)
         zeta = nxt
-    traj.zetas.append(zeta)
+        if restart is not None and (fresh := restart(P, zeta, t)) is not None:
+            P, zeta = fresh, fresh.zero()
+    traj.zetas.append(nxt)
     return traj
 
 
@@ -234,15 +239,14 @@ def run_online(P, strategy, sequence, loss, *, rng=None, eps1=RANDOMIZED_EPS,
     if strategy not in STRATEGIES:
         raise DomainError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if strategy == "linearized":
-        def choose(zeta, x, t):
-            return linearized_round(P, zeta, x, t=t)
+        choose = linearized_round
     elif strategy == "convex":
-        def choose(zeta, x, t):
+        def choose(P, zeta, x, t):
             return predict_convex(P, zeta, x, loss, t=t), None
     else:
         rng = rng if rng is not None else np.random.default_rng(0)
 
-        def choose(zeta, x, t):
+        def choose(P, zeta, x, t):
             return predict_randomized(P, zeta, x, eps1, rng, loss, t=t)[1], None
     return _play(P, choose, sequence, loss, on_round)
 
@@ -257,7 +261,7 @@ def run_randomized_expected(P, sequence, loss, eps1, rng, *, on_round=None):
     expected = []
     dist = None
 
-    def choose(zeta, x, t):
+    def choose(P, zeta, x, t):
         nonlocal dist
         dist, y_hat = predict_randomized(P, zeta, x, eps1, rng, loss, t=t)
         return y_hat, None

@@ -107,9 +107,11 @@ def test_run_rejects_negative_sequence_and_seed_values(tmp_path, capsys, line):
     family = ("family = matrix\nd1 = 2\nd2 = 2\neta = 0.5\n" if key == "nuclear_radius"
               else "family = adagrad\nd = 3\n")
     path = _cfg(tmp_path, f"{family}n = 5\n{line}\n")
+    lineno = family.count("\n") + 2  # the line after the family's and n's
     assert cli.main(["run", "--config", path]) == 2
     out, err = capsys.readouterr()
     assert out == "" and f"{key} = -" in err and f"need {key} >= 0" in err
+    assert f"{path}:{lineno}: " in err
 
 
 @pytest.mark.parametrize("command", ["run", "verify", "compare"])
@@ -264,11 +266,24 @@ def test_run_rejects_a_nonpositive_n_with_a_data_csv(tmp_path, capsys, n):
     path = _cfg(tmp_path, f"family = matrix\nd1 = 2\nd2 = 2\neta = 0.5\n"
                           f"n = {n}\ndata_csv = {data}\n")
     with pytest.raises(ConfigError) as info:
-        cli.build_sequence(cli.parse_config(path), np.random.default_rng(0))
-    assert str(data) in str(info.value) and f"n = {n}" in str(info.value)
+        cli.parse_config(path)
+    assert str(info.value) == f"{path}:5: n = {n}, need n >= 1"
     assert cli.main(["run", "--config", path]) == 2
     _, err = capsys.readouterr()
-    assert "n >= 1" in err and "-> pass" not in err
+    assert f"{path}:5: " in err and "-> pass" not in err
+
+
+def test_run_rejects_a_header_only_data_csv(tmp_path, capsys):
+    data = tmp_path / "entries.csv"
+    data.write_text("i,j,y\n")
+    path = _cfg(tmp_path, f"family = matrix\nd1 = 2\nd2 = 2\neta = 0.5\n"
+                          f"data_csv = {data}\n")
+    with pytest.raises(ConfigError) as info:
+        cli.build_sequence(cli.parse_config(path), np.random.default_rng(0))
+    assert str(info.value) == f"{data}: n = 0, need n >= 1"
+    assert cli.main(["run", "--config", path]) == 2
+    _, err = capsys.readouterr()
+    assert str(data) in err and "-> pass" not in err
 
 
 def test_run_rejects_data_labels_outside_the_label_range(tmp_path, capsys):
@@ -290,6 +305,7 @@ def test_run_rejects_data_labels_outside_the_label_range(tmp_path, capsys):
     ("i,j,y\n0,1,0.5\n1,x,0.2\n", 2),  # a field that is not a number
     ("i,j,y\n0,1,0.5\n1,0,0.1\n1\n", 3),  # a short row
     ("x0,x1,y\n0.1,0.2,0.3\n0.5,0.5\n", 2),  # a vector row without its label
+    ("x0,x1,y\n0.1,0.2,0.3\n0.4,nan,0.5\n", 2),  # a non-finite feature
 ])
 def test_run_rejects_malformed_data_rows(tmp_path, capsys, text, row):
     """A row the loader cannot read is a bad input (exit 2) that names the
@@ -302,6 +318,33 @@ def test_run_rejects_malformed_data_rows(tmp_path, capsys, text, row):
     assert cli.main(["run", "--config", path]) == 2
     _, err = capsys.readouterr()
     assert f"{data}: row {row}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("family", ["family = vaw\nloss = squared\nstrategy = convex\n",
+                                    "family = param_free\n"], ids=["vaw", "param_free"])
+def test_run_rejects_non_finite_data_fields(tmp_path, capsys, family):
+    """A non-finite feature or label is a bad input (exit 2) that names the
+    file and the row, before any comparator or play reads it."""
+    data = tmp_path / "bad.csv"
+    path = _cfg(tmp_path, f"{family}d = 2\ndata_csv = {data}\n")
+    for text, row in (("x1,x2,y\n0.1,nan,0.5\n0.2,0.1,-0.3\n", 1),
+                      ("x1,x2,y\n0.1,0.2,0.3\n0.2,0.1,-inf\n", 2)):
+        data.write_text(text)
+        assert cli.main(["run", "--config", path]) == 2
+        _, err = capsys.readouterr()
+        assert f"{data}: row {row}: non-finite field" in err and "Traceback" not in err
+
+
+def test_run_rejects_a_data_csv_whose_features_are_not_d(tmp_path, capsys):
+    data = tmp_path / "two.csv"
+    data.write_text("x1,x2,y\n0.1,0.2,0.3\n0.2,0.1,-0.3\n")
+    path = _cfg(tmp_path, f"family = adagrad\nd = 3\ndata_csv = {data}\n")
+    with pytest.raises(ConfigError) as info:
+        cli.build_sequence(cli.parse_config(path), np.random.default_rng(0))
+    assert str(info.value) == f"{data} has 2 features, need d = 3"
+    assert cli.main(["run", "--config", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"{data} has 2 features, need d = 3" in err
 
 
 def test_run_rejects_param_free_instances_outside_the_unit_ball(tmp_path, capsys):
@@ -630,3 +673,13 @@ def test_an_adagrad_convex_run_does_not_import_numpy_ma(tmp_path):
                           env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False 0"
+
+
+def test_perfbench_trace_hooks_find_every_target(monkeypatch):
+    """perfbench's --trace 1 wraps the play entry points by name in
+    strategies and cli; a refactor that moves one must not break it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import child
+    with child.patched(child.layer_targets(child.Recorder())) as state:
+        pass
+    assert state["restored"] and state["patched"] > 0

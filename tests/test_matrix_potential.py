@@ -212,6 +212,12 @@ def test_doubling_records_values_as_the_play_loop_does():
                                 on_round=lambda t, zeta_prev, rnd, zeta:
                                 calls.append((zeta_prev, rnd, zeta)))
     assert len(epochs) >= 3
+    for (_, _, budget), (end, _, _) in zip(epochs, epochs[1:]):
+        # the round that fills a budget reports its statistic before the
+        # reset, and the next round plays from the zero statistic
+        zeta = calls[end - 2][2]
+        assert MatrixPotential(3, 3, eta=1.0).variance(zeta) >= budget * (1 - 1e-12)
+        assert not calls[end - 1][0].Z.any()
     for zeta_prev, rnd, zeta in calls:
         eta = [e[1] for e in epochs if e[0] <= rnd.t][-1]
         pot = MatrixPotential(3, 3, eta=eta)
@@ -221,6 +227,32 @@ def test_doubling_records_values_as_the_play_loop_does():
         else:
             assert value == pot.eval(zeta, t=rnd.t)
         assert abs(pot.eval(zeta) - value) <= 1e-12 * max(1.0, abs(value))
+
+
+def test_doubling_without_a_restart_is_run_online():
+    """While no budget fills, doubling_run is the linearized run_online of
+    its first epoch's potential, bit for bit."""
+    loss = make_loss("absolute")
+    seq = matrix_completion(30, 3, 4, rank=1, rng=np.random.default_rng(2))
+    R, c = 10.0, math.log(7.0)
+    traj, epochs = doubling_run(3, 4, seq, loss, c=c, R=R)
+    eta = math.sqrt(2.0 * c / (loss.L ** 2 * R ** 2))
+    assert epochs == [(1, eta, R ** 2)]
+    ref = run_online(MatrixPotential(3, 4, eta=eta, c=c), "linearized", seq, loss)
+    assert traj.potential_values == ref.potential_values
+    assert traj.rounds == ref.rounds
+    assert traj.final_statistic.a == ref.final_statistic.a
+    assert np.array_equal(traj.final_statistic.Z, ref.final_statistic.Z)
+
+
+def test_doubling_on_an_empty_sequence_keeps_the_zero_statistic():
+    loss = make_loss("absolute")
+    traj, epochs = doubling_run(2, 3, [], loss)
+    assert traj.n == 0 and len(epochs) == 1 and epochs[0][0] == 1
+    zero = MatrixPotential(2, 3, eta=1.0).zero()
+    assert traj.final_statistic.a == zero.a
+    assert np.array_equal(traj.final_statistic.Z, zero.Z)
+    assert traj.potential_values == [MatrixPotential(2, 3, eta=epochs[0][1]).eval(zero)]
 
 
 def test_full_run_certificate_and_regret():
