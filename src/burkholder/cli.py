@@ -30,8 +30,9 @@ _INT_KEYS = {"n", "d", "d1", "d2", "rank", "seed", "comparator_iters",
 _FLOAT_KEYS = {"B", "eta", "r", "c", "p", "lam", "nuclear_radius",
                "noise", "skew", "radius", "eps1", "eps2", "comparator_radius"}
 _KNOWN_KEYS = _STR_KEYS | _INT_KEYS | _FLOAT_KEYS
-_MINIMUM = {"n": 1, "d": 1, "d1": 1, "d2": 1, "rank": 0, "seed": 0, "noise": 0, "skew": 0,
-            "radius": 0, "nuclear_radius": 0, "comparator_iters": 0, "eps2": 0}
+_MINIMUM = {"n": 1, "d": 1, "d1": 1, "d2": 1, "trials": 1, "trees": 1, "depth": 1, "rank": 0,
+            "seed": 0, "noise": 0, "skew": 0, "radius": 0, "nuclear_radius": 0,
+            "comparator_iters": 0, "eps2": 0}
 
 
 def parse_config(path):
@@ -69,6 +70,11 @@ def parse_config(path):
         if key in _MINIMUM and cfg[key] < _MINIMUM[key]:
             raise ConfigError(f"{path}:{lineno}: {key} = {cfg[key]}, "
                               f"need {key} >= {_MINIMUM[key]}")
+        if key == "eps1" and cfg[key] <= 0:
+            raise ConfigError(f"{path}:{lineno}: eps1 = {cfg[key]}, need eps1 > 0")
+    if "c" in cfg and cfg.get("family") != "param_free":
+        raise ConfigError(f"{path}:{seen['c']}: c needs family = param_free; "
+                          "the other families derive it")
     return cfg
 
 
@@ -100,7 +106,7 @@ def build_potential(cfg, loss, n):
         P = MatrixPotential(_require(cfg, "d1", f"family {fam}"),
                             _require(cfg, "d2", f"family {fam}"),
                             eta=_require(cfg, "eta", f"family {fam}"),
-                            r=cfg.get("r", 1.0), L=loss.L, c=cfg.get("c"), B=loss.B)
+                            r=cfg.get("r", 1.0), L=loss.L, B=loss.B)
         return P if fam == "matrix" else matrix_meta(P)
     if fam == "adagrad":
         return AdaGradPotential(_require(cfg, "d", "family adagrad"),
@@ -108,9 +114,8 @@ def build_potential(cfg, loss, n):
     if fam == "vaw":
         if loss.kind != "squared":
             raise ConfigError("vaw needs loss = squared")
-        return VawPotential(_require(cfg, "d", "family vaw"),
-                            rho=loss.rho, lam=cfg.get("lam", 1.0),
-                            c=cfg.get("c"), L=loss.L, B=loss.B)
+        return VawPotential(_require(cfg, "d", "family vaw"), rho=loss.rho,
+                            lam=cfg.get("lam", 1.0), L=loss.L, B=loss.B)
     raise ConfigError(f"unknown family {fam!r}")
 
 
@@ -247,7 +252,7 @@ def cmd_run(args):
 def _verify_zoo(cfg, args):
     if args.negative_control:
         broken = MatrixPotential(3, 2, eta=0.5, B=1.0)
-        broken.c = 0.5 * math.log(5)  # half of the c >= r log(d1+d2) the constructor guards
+        broken.c = 0.5 * math.log(5)  # half of the derived c = r log(d1+d2)
         return {"matrix_undercharged": broken}
     if cfg and "family" in cfg:
         loss = build_loss(cfg)
@@ -272,8 +277,6 @@ def cmd_verify(args):
     if args.trials is not None and args.trials < 1:
         raise ConfigError(f"--trials {args.trials}, need --trials >= 1")
     n_trees = cfg.get("trees", args.trials or 20)
-    if suite in ("khintchine", "mgf", "all") and n_trees < 1:
-        raise ConfigError(f"trees = {n_trees}, need trees >= 1")
     lines, reports = [], []
 
     if args.negative_control and "family" in cfg:
@@ -315,9 +318,8 @@ def cmd_verify(args):
 
     if suite in ("necessity", "all"):
         rng = np.random.default_rng([seed, 3])
-        P = MatrixPotential(cfg.get("d1", 2), cfg.get("d2", 2),
-                            eta=cfg.get("eta", 0.5), r=cfg.get("r", 1.0),
-                            c=cfg.get("c"), B=cfg.get("B", 1.0))
+        P = MatrixPotential(cfg.get("d1", 2), cfg.get("d2", 2), eta=cfg.get("eta", 0.5),
+                            r=cfg.get("r", 1.0), B=cfg.get("B", 1.0))
         tree = verify.PredictableTree.random(depth, P.sample_instances, rng)
         reports.append(("matrix", verify.check_necessity(
             P, tree, clairvoyant=args.negative_control)))

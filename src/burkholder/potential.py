@@ -80,19 +80,19 @@ class Potential:
                         rng.uniform(-self.L, self.L, total))
 
     # --- constants for the randomized strategy and meta combination -------
-    def prediction_lipschitz(self, zeta, x, loss, *, t=None, rng=None):
+    def prediction_lipschitz(self, zeta, x, loss, *, t=None):
         """(K, estimated): Lipschitz constant of y_hat -> U(zeta + T) over y.
 
-        Linearizable families override this with the exact constant L. The
-        fallback samples finite differences on a dense grid, in one value
-        table over 8 sampled labels, and inflates 2x; estimated=True flags
-        that path.
+        A linearizable family gets the exact constant L. Any other samples
+        finite differences on a dense grid, in one value table over 8 labels
+        drawn from a fixed seed, and inflates 2x; estimated=True flags that
+        path.
         """
         if self.linearizable:
             return self.L, False
-        rng = rng or np.random.default_rng(0)
+        ys = np.random.default_rng(0).uniform(-self.B, self.B, size=8)
         grid = np.linspace(-self.B, self.B, 201)
-        vals = self.round_values(zeta, x, grid, rng.uniform(-self.B, self.B, size=8), loss, t=t)
+        vals = self.round_values(zeta, x, grid, ys, loss, t=t)
         return 2.0 * (float(np.max(np.abs(np.diff(vals, axis=0)))) / (grid[1] - grid[0])), True
 
     def increment_bound(self):

@@ -5,7 +5,7 @@ symlin.dilation_step(X, delta) = [[X X^T, delta X], [delta X^T, X^T X]]:
 the drift H = sum delta*D(X) of the self-adjoint dilations D(X) fills Z's
 off-diagonal blocks and M = sum D(X)^2 its diagonal ones. The potential is
 a softmax smoothing of the largest eigenvalue of eta H - (eta^2 L^2 / 2) M,
-valid once the constant c covers the log-dimension term.
+less c / eta for the constant c = r log(d1 + d2).
 """
 
 import math
@@ -23,7 +23,7 @@ class MatrixPotential(Potential):
     convex_in_delta = True
     linearizable = True
 
-    def __init__(self, d1, d2, eta, r=1.0, L=1.0, c=None, B=1.0):
+    def __init__(self, d1, d2, eta, r=1.0, L=1.0, B=1.0):
         if d1 < 1 or d2 < 1:
             raise ConfigError("d1 >= 1 and d2 >= 1")
         if eta <= 0:
@@ -38,9 +38,7 @@ class MatrixPotential(Potential):
         self.r = float(r)
         self.L = float(L)
         self.B = float(B)
-        self.c = float(c) if c is not None else self.r * math.log(self.dim)
-        if self.c < self.r * math.log(self.dim) * (1 - 1e-12):
-            raise ConfigError("c >= r*log(d1+d2)")
+        self.c = self.r * math.log(self.dim)  # the least c with U(0) <= 0
         self._comparator = (None, 0.0)  # (a copy of the comparator, its nuclear norm)
 
     def zero(self):
@@ -159,28 +157,28 @@ class MatrixPotential(Potential):
         return step ** 2
 
 
-def doubling_run(d1, d2, sequence, loss, *, r=1.0, c=None, R=1.0, on_round=None):
+def doubling_run(d1, d2, sequence, loss, *, r=1.0, R=1.0, on_round=None):
     """Doubling trick over spectral budgets B_k = R^2 2^k.
 
-    Starts epoch k with eta_k = sqrt(2 c / (L^2 B_k)) and a fresh statistic;
-    the epoch ends after the round in which its accumulated squared-dilation
-    spectral norm reaches the budget. It plays the linearized strategy
-    through strategies._play, whose restart hook opens each new epoch.
-    Returns (trajectory, epochs) where each epoch record is (start_round,
-    eta, budget). on_round(t, zeta_prev, rnd, zeta) sees each round's
-    statistics before any epoch reset; the trajectory keeps only the last
-    round's statistic. L and the range B are the loss's.
+    Starts epoch k with eta_k = sqrt(2 c / (L^2 B_k)), c = r log(d1 + d2),
+    and a fresh statistic; the epoch ends after the round in which its
+    accumulated squared-dilation spectral norm reaches the budget. It plays
+    the linearized strategy through strategies._play, whose restart hook
+    opens each new epoch. Returns (trajectory, epochs) where each epoch
+    record is (start_round, eta, budget). on_round(t, zeta_prev, rnd, zeta)
+    sees each round's statistics before any epoch reset; the trajectory
+    keeps only the last round's statistic. L and the range B are the loss's.
     """
     if R <= 0:
         raise DomainError("R > 0")
-    c_val = float(c) if c is not None else r * math.log(d1 + d2)
+    c = r * math.log(d1 + d2)
     epochs = []
 
     def epoch(start):
         budget = R ** 2 * 2 ** len(epochs)
-        eta = math.sqrt(2.0 * c_val / (loss.L ** 2 * budget))
+        eta = math.sqrt(2.0 * c / (loss.L ** 2 * budget))
         epochs.append((start, eta, budget))
-        return MatrixPotential(d1, d2, eta=eta, r=r, L=loss.L, c=c_val, B=loss.B)
+        return MatrixPotential(d1, d2, eta=eta, r=r, L=loss.L, B=loss.B)
 
     def restart(pot, zeta, t):
         return epoch(t + 1) if pot.variance(zeta) >= epochs[-1][2] * (1 - 1e-12) else None

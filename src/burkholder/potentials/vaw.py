@@ -2,8 +2,8 @@
 
 The statistic tracks (sum delta*z, sum z z^T) over augmented instances
 z = (x, -y_hat). The potential is the regularized quadratic dual minus a
-log-determinant debt and coincides with its own bound evaluator whenever
-c >= L^2 / rho.
+log-determinant debt at rate c = L^2 / rho, and coincides with its own
+bound evaluator.
 """
 
 import math
@@ -25,7 +25,7 @@ class VawPotential(Potential):
     convex_in_delta = True
     convex_in_prediction = True
 
-    def __init__(self, d, rho=2.0, lam=1.0, c=None, L=4.0, B=1.0):
+    def __init__(self, d, rho=2.0, lam=1.0, L=4.0, B=1.0):
         if d < 1:
             raise ConfigError("d >= 1")
         if rho <= 0:
@@ -40,9 +40,7 @@ class VawPotential(Potential):
         self.lam = float(lam)
         self.L = float(L)
         self.B = float(B)
-        self.c = float(c) if c is not None else self.L ** 2 / self.rho
-        if self.c < self.L ** 2 / self.rho * (1 - 1e-12):
-            raise ConfigError("c >= L^2/rho")
+        self.c = self.L ** 2 / self.rho  # the least c that keeps U a supermartingale
 
     def zero(self):
         return VecSym.zero(self.dim)

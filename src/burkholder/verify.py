@@ -87,18 +87,16 @@ def _sweep(trials, block):
     return found
 
 
-def check_p2(P, trials=1000, rng=None, bound_fn=None):
-    """V <= U on statistics reachable by statistic-map sums. bound_fn
-    (default P.bound) gets stacks of statistics, as P.bound does."""
+def check_p2(P, trials=1000, rng=None):
+    """V <= U on statistics reachable by statistic-map sums."""
     trials, rng = _trials_and_rng(trials, rng)
-    bound_fn = bound_fn if bound_fn is not None else P.bound
 
     def block(m):
         stats, _ = stack_rounds(P, *P.sample_rounds(rng, m))
-        return bound_fn(stats) - P.eval(stats, t=P.horizon), lambda j: _member(stats, j)
+        return P.bound(stats) - P.eval(stats, t=P.horizon), lambda j: _member(stats, j)
 
     i, stat = _sweep(trials, block)
-    u, v = float(P.eval(stat, t=P.horizon)), float(bound_fn(stat))
+    u, v = float(P.eval(stat, t=P.horizon)), float(P.bound(stat))
     return CheckReport(name="p2_dominates_bound", checks=trials,
                        max_violation=v - u, tol=TOL, passed=v - u <= TOL,
                        witness={"trial": i, "stat": stat, "U": u, "V": v})
@@ -255,8 +253,7 @@ def tree_expectation(P, tree, value_fn):
     return float(np.mean(value_fn(tree_leaves(P, tree))))
 
 
-def brute_force_sup_ev(P, n, rng=None, bound_fn=None, search="random",
-                       k=20, ascent_steps=200):
+def brute_force_sup_ev(P, n, rng=None, search="random", k=20, ascent_steps=200):
     """Search trees for large E[V(sum T)]; approximates the game start value
     from below. Returns (best value, best tree, values per candidate).
 
@@ -264,12 +261,11 @@ def brute_force_sup_ev(P, n, rng=None, bound_fn=None, search="random",
     hill-climbs single-node perturbations from the best random start.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    bound_fn = bound_fn if bound_fn is not None else P.bound
     vals = []
     best_tree, best = None, -math.inf
     for _ in range(int(k)):
         tree = PredictableTree.random(n, P.sample_instances, rng)
-        v = tree_expectation(P, tree, bound_fn)
+        v = tree_expectation(P, tree, P.bound)
         vals.append(v)
         if v > best:
             best, best_tree = v, tree
@@ -278,7 +274,7 @@ def brute_force_sup_ev(P, n, rng=None, bound_fn=None, search="random",
             level = int(rng.integers(1, n + 1))
             idx = int(rng.integers(0, 2 ** (level - 1)))
             cand = best_tree.perturbed(level, idx, P.sample_instance(rng))
-            v = tree_expectation(P, cand, bound_fn)
+            v = tree_expectation(P, cand, P.bound)
             if v > best:
                 best, best_tree = v, cand
     elif search != "random":

@@ -35,7 +35,7 @@ def _matrix_runs():
     if "matrix" in _cache:
         return _cache["matrix"]
     loss = make_loss("absolute", B=1.0)
-    P = MatrixPotential(10, 10, eta=0.2, r=1.0, L=1.0, c=math.log(20.0), B=1.0)
+    P = MatrixPotential(10, 10, eta=0.2, r=1.0, L=1.0, B=1.0)
     records, elapsed = [], 0.0
     for i in range(100):
         rng = np.random.default_rng([3, i])
@@ -148,7 +148,7 @@ def test_property_suites_across_the_catalog():
         r3 = check_p3(P, mode="two_point", trials=10000, rng=rng)
         assert r3.passed, r3.line()
     bad = MatrixPotential(3, 2, eta=0.5)
-    bad.c = 0.5 * math.log(5)  # half of the c >= r log(d1+d2) the constructor guards
+    bad.c = 0.5 * math.log(5)  # half of the derived c = r log(d1+d2)
     rep = check_p1(bad)
     assert not rep.passed
     assert rep.witness["value"] > 0.1

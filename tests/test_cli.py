@@ -16,6 +16,7 @@ import burkholder
 from burkholder import cli, harness, verify
 from burkholder.errors import ConfigError
 from burkholder.harness import random_vectors
+from burkholder.potentials import MatrixPotential, VawPotential
 from burkholder.strategies import run_online
 from burkholder.symlin import Entry
 from sequence_csv import save_sequence
@@ -88,6 +89,62 @@ def test_known_config_keys_match_the_readme():
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     bullets = re.search(r"\n\n((?:- .*\n(?:  .*\n)*)+)", section).group(1)
     assert set(re.findall(r"`(\w+)`", bullets)) == cli._KNOWN_KEYS
+
+
+def test_config_bounds_match_the_readme():
+    """README's bounds sentence in the command line section lists exactly
+    the minimums parse_config enforces, with their values, plus eps1 > 0."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    sentence = re.search(r"The bounds: (.*?)\. ", " ".join(section.split())).group(1)
+    bounds = {"at least": {}, "above": {}}
+    for clause in sentence.split("; "):
+        keys, kind, value = re.fullmatch(r"(.*) (at least|above) (\d+)", clause).groups()
+        for key in re.findall(r"`(\w+)`", keys):
+            bounds[kind][key] = int(value)
+    assert bounds == {"at least": cli._MINIMUM, "above": {"eps1": 0}}
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("value", ["0", "-0.5"])
+def test_a_nonpositive_eps1_names_the_line(tmp_path, capsys, command, value):
+    path = _cfg(tmp_path, f"family = adagrad\nd = 3\nn = 5\nstrategy = randomized\n"
+                          f"eps1 = {value}\n")
+    where = f"{path}:5: eps1 = {float(value)}, need eps1 > 0"
+    with pytest.raises(ConfigError, match=f"^{re.escape(where)}$"):
+        cli.parse_config(path)
+    assert cli.main([command, "--config", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and where in err
+
+
+@pytest.mark.parametrize("family", ["matrix", "meta", "vaw", "adagrad", None])
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_only_param_free_takes_c(tmp_path, capsys, family, command):
+    """Every family but param_free derives c; a config that sets it anyway,
+    before or without a family, names the line rather than be ignored."""
+    lines = {"matrix": "d1 = 3\nd2 = 2\neta = 0.5\n", "meta": "d1 = 3\nd2 = 2\neta = 0.5\n",
+             "vaw": "loss = squared\nd = 3\n", "adagrad": "d = 3\n", None: ""}[family]
+    if family is not None:
+        lines = f"family = {family}\n{lines}"
+    path = _cfg(tmp_path, f"c = 2.0\n{lines}n = 5\n")
+    where = f"{path}:1: c needs family = param_free"
+    with pytest.raises(ConfigError, match=f"^{re.escape(where)}"):
+        cli.parse_config(path)
+    suite = ["--suite", "necessity"] if command == "verify" else []
+    assert cli.main([command, "--config", path] + suite) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and where in err
+
+
+def test_param_free_reads_c_and_matrix_and_vaw_derive_it(tmp_path, capsys):
+    path = _cfg(tmp_path, "c = 2.0\nfamily = param_free\nd = 3\nn = 5\n")
+    cfg = cli.parse_config(path)
+    assert cli.build_potential(cfg, cli.build_loss(cfg), 5).c == 2.0
+    assert cli.main(["run", "--config", path]) == 0
+    capsys.readouterr()
+    assert MatrixPotential(3, 2, eta=0.5, r=2.0).c == 2.0 * math.log(5.0)
+    assert VawPotential(3, L=4.0).c == 8.0
 
 
 @pytest.mark.parametrize("key", ["L", "rank_scale", "rho", "beta", "gamma", "tol",
@@ -241,6 +298,32 @@ def test_run_configuration_errors_exit_2(tmp_path, capsys):
                     "e.txt")
     assert cli.main(["run", "--config", mismatch]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", [
+    "family = adagrad\nvariant = linf\ncomparator_ball = box\nd = 3\n",
+    "family = param_free\nsequence = adversarial_gradient\ncomparator = zero\nd = 3\n",
+    "family = matrix\ncomparator = least_squares\nd1 = 3\nd2 = 2\neta = 0.5\n",
+    "family = matrix\ncomparator = grid\nd1 = 3\nd2 = 2\neta = 0.5\n",
+    "family = meta\nstrategy = randomized\nd1 = 3\nd2 = 2\neta = 0.5\n",
+    "family = vaw\nloss = squared\nstrategy = randomized\nd = 3\n",
+], ids=["adagrad-box", "param_free-adversarial", "matrix-least_squares", "matrix-grid",
+        "meta-randomized", "vaw-randomized"])
+def test_run_certifies_each_comparator_sequence_and_strategy_path(tmp_path, capsys, text):
+    """The linf box comparator, an adversarial gradient sequence against the
+    zero comparator, least-squares and grid comparators on matrices, and
+    randomized meta and vaw play: each run certifies, its bound covers the
+    regret on every row, and a deterministic run's potential never rises."""
+    path = _cfg(tmp_path, text + "n = 30\n")
+    assert cli.main(["run", "--config", path]) == 0
+    out, err = capsys.readouterr()
+    assert next(l for l in err.splitlines() if l.startswith("certificate ")).endswith("-> pass")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 31
+    assert all(float(r["regret"]) <= float(r["bound"]) for r in rows)
+    if "randomized" not in text:
+        potential = [float(r["potential"]) for r in rows]
+        assert all(b <= a + verify.TOL for a, b in zip(potential, potential[1:]))
 
 
 def test_run_from_a_data_csv(tmp_path, capsys):
@@ -508,7 +591,7 @@ def test_verify_rejects_a_zero_depth(tmp_path, capsys, suite):
     assert cli.main(["verify", "--config", path, "--suite", suite]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "depth >= 1" in err
+    assert f"{path}:1: depth = 0, need depth >= 1" in err
 
 
 @pytest.mark.parametrize("suite", ["khintchine", "mgf"])
@@ -517,7 +600,7 @@ def test_verify_rejects_fewer_than_one_tree(tmp_path, capsys, suite):
     assert cli.main(["verify", "--config", path, "--suite", suite]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "trees >= 1" in err
+    assert f"{path}:1: trees = 0, need trees >= 1" in err
 
 
 def test_verify_rejects_a_zero_dimensional_param_free_family(tmp_path, capsys):
@@ -602,7 +685,10 @@ def test_compare_rejects_zero_repetitions_before_any_play(tmp_path, capsys,
     assert cli.main(argv + ["--config", path]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "at least one repetition" in err
+    if where == "flag":
+        assert "at least one repetition" in err
+    else:
+        assert f"{path}:4: trials = 0, need trials >= 1" in err
 
 
 def test_compare_rejects_linearized_on_a_nonlinearizable_family_before_any_play(

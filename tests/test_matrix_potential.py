@@ -28,7 +28,7 @@ def _eval_oracle(P, stat):
 
 
 def test_eval_matches_an_independent_recomputation():
-    P = MatrixPotential(3, 2, eta=0.4, r=1.5, c=3.0)
+    P = MatrixPotential(3, 2, eta=0.4, r=1.5)
     rng = np.random.default_rng(12)
     for _ in range(50):
         stat = sample_statistic(P, rng)
@@ -63,12 +63,13 @@ def test_bound_never_exceeds_the_potential():
 
 
 def test_bound_formula():
-    P = MatrixPotential(2, 2, eta=0.5, r=2.0, c=4.0)
+    P = MatrixPotential(2, 2, eta=0.5, r=2.0)
     rng = np.random.default_rng(15)
     stat = sample_statistic(P, rng)
     H, M = split(stat, 2)
     lam1 = float(np.linalg.eigvalsh(H - 0.25 * M).max())
-    assert P.bound(stat) == pytest.approx(stat.a + 2.0 * lam1 - 8.0, rel=1e-12)
+    assert P.bound(stat) == pytest.approx(stat.a + 2.0 * lam1 - 2.0 * math.log(4.0) / 0.5,
+                                          rel=1e-12)
 
 
 def test_prediction_is_zero_at_the_start_and_tracks_observations():
@@ -85,11 +86,11 @@ def test_prediction_is_zero_at_the_start_and_tracks_observations():
 
 
 def test_comparator_bound_reads_the_drift_slot():
-    P = MatrixPotential(2, 2, eta=0.5, r=2.0, c=4.0)
+    P = MatrixPotential(2, 2, eta=0.5, r=2.0)
     rng = np.random.default_rng(18)
     stat = sample_statistic(P, rng)
     mnorm = float(np.linalg.eigvalsh(split(stat, 2)[1]).max())
-    expected = 0.5 * 0.5 * 2.0 * mnorm + 8.0
+    expected = 0.5 * 0.5 * 2.0 * mnorm + 2.0 * math.log(4.0) / 0.5
     assert P.regret_bound(stat) == pytest.approx(expected, rel=1e-12)
     # uniform over the comparator ball: the comparator argument is ignored
     assert P.regret_bound(stat) == P.regret_bound(stat, np.ones((2, 2)))
@@ -174,10 +175,8 @@ def test_configuration_guards():
         MatrixPotential(2, 2, eta=0.5, r=-1.0)
     with pytest.raises(ConfigError):
         MatrixPotential(2, 2, eta=0.5, L=0.0)
-    with pytest.raises(ConfigError, match=r"c >= r\*log"):
-        MatrixPotential(2, 2, eta=0.5, c=0.5 * math.log(4.0))
     loose = MatrixPotential(2, 2, eta=0.5)
-    loose.c = 0.5 * math.log(4.0)  # below the c >= r log(d1+d2) just rejected
+    loose.c = 0.5 * math.log(4.0)  # half of the derived c = r log(d1+d2)
     assert loose.eval(loose.zero()) > 0.0
 
 
@@ -235,10 +234,10 @@ def test_doubling_without_a_restart_is_run_online():
     loss = make_loss("absolute")
     seq = matrix_completion(30, 3, 4, rank=1, rng=np.random.default_rng(2))
     R, c = 10.0, math.log(7.0)
-    traj, epochs = doubling_run(3, 4, seq, loss, c=c, R=R)
+    traj, epochs = doubling_run(3, 4, seq, loss, R=R)
     eta = math.sqrt(2.0 * c / (loss.L ** 2 * R ** 2))
     assert epochs == [(1, eta, R ** 2)]
-    ref = run_online(MatrixPotential(3, 4, eta=eta, c=c), "linearized", seq, loss)
+    ref = run_online(MatrixPotential(3, 4, eta=eta), "linearized", seq, loss)
     assert traj.potential_values == ref.potential_values
     assert traj.rounds == ref.rounds
     assert traj.final_statistic.a == ref.final_statistic.a

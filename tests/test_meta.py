@@ -109,7 +109,7 @@ def test_linearizability_survives_aggregation():
 
 
 def test_non_linearizable_members_disable_the_residual():
-    vaw = VawPotential(d=6, L=1.0, c=1.0)
+    vaw = VawPotential(d=6, L=1.0)
     meta = MetaPotential([(vaw, 1.0)], eta=0.5)
     assert not meta.linearizable
     with pytest.raises(DomainError):
@@ -128,7 +128,7 @@ def test_regret_bound_adds_entry_fee_and_stability_charge():
 
 
 def test_regret_bound_requires_some_member_to_answer():
-    vaw = VawPotential(d=2, L=1.0, c=1.0)
+    vaw = VawPotential(d=2, L=1.0)
     meta = MetaPotential([(vaw, 1.0)], eta=0.5)
     with pytest.raises(DomainError):
         meta.regret_bound(meta.zero())  # vaw needs a comparator

@@ -19,7 +19,7 @@ from stat_oracle import sample_statistic
 
 def test_scalar_closed_form():
     # one active coordinate: U = u^2 / (2 (rho s + lam)) - c log((rho s + lam)/lam)
-    P = VawPotential(d=1, rho=2.0, lam=1.0, c=8.0)
+    P = VawPotential(d=1, rho=2.0, lam=1.0)
     stat = VecSym(np.array([3.0, 0.0]), np.diag([2.0, 0.0]))
     expected = 0.5 * 9.0 / 5.0 - 8.0 * math.log(5.0)
     assert P.eval(stat) == pytest.approx(expected, rel=1e-12)
@@ -32,13 +32,13 @@ def test_starts_at_exactly_zero():
 
 
 def test_eval_matches_an_inverse_based_recomputation():
-    P = VawPotential(d=3, rho=2.0, lam=0.7, c=9.0)
+    P = VawPotential(d=3, rho=2.0, lam=0.7)
     rng = np.random.default_rng(5)
     for _ in range(50):
         stat = sample_statistic(P, rng)
         G = 2.0 * stat.A + 0.7 * np.eye(4)
         quad = 0.5 * float(stat.x @ np.linalg.inv(G) @ stat.x)
-        debt = 9.0 * (math.log(np.linalg.det(G)) - 4.0 * math.log(0.7))
+        debt = 8.0 * (math.log(np.linalg.det(G)) - 4.0 * math.log(0.7))
         assert P.eval(stat) == pytest.approx(quad - debt, rel=1e-10)
 
 
@@ -149,7 +149,7 @@ def test_grid_minimax_prediction_matches_a_dense_brute_force():
 
 
 def test_comparator_bound_formula_and_interface():
-    P = VawPotential(d=2, rho=2.0, lam=1.5, c=8.0)
+    P = VawPotential(d=2, rho=2.0, lam=1.5)
     rng = np.random.default_rng(10)
     stat = sample_statistic(P, rng)
     w = np.array([0.4, -1.0])
@@ -170,8 +170,6 @@ def test_configuration_guards():
         VawPotential(d=2, lam=-1.0)
     with pytest.raises(ConfigError):
         VawPotential(d=2, L=0.0)
-    with pytest.raises(ConfigError, match="c >= L"):
-        VawPotential(d=2, L=4.0, rho=2.0, c=7.0)
 
 
 def test_descent_and_certificate_on_a_short_run():

@@ -85,7 +85,7 @@ def test_p1_flags_an_undercharged_potential():
     good = MatrixPotential(3, 2, eta=0.5)
     assert check_p1(good).passed
     bad = MatrixPotential(3, 2, eta=0.5)
-    bad.c = 0.5 * math.log(5)  # half of the c >= r log(d1+d2) the constructor guards
+    bad.c = 0.5 * math.log(5)  # half of the derived c = r log(d1+d2)
     report = check_p1(bad)
     assert not report.passed
     # halving c leaves exactly c/eta = log(5) of start value uncovered
@@ -95,7 +95,7 @@ def test_p1_flags_an_undercharged_potential():
 def test_p1_flags_a_start_value_a_loose_tolerance_would_forgive():
     """c short of log(5) by 4e-7 starts U at +8e-7: below 1e-6, above TOL."""
     P = MatrixPotential(3, 2, eta=0.5)
-    P.c = math.log(5) - 4e-7  # just below the c >= r log(d1+d2) the constructor guards
+    P.c = math.log(5) - 4e-7  # just below the derived c = r log(d1+d2)
     report = check_p1(P)
     assert report.tol == TOL and not report.passed, report.line()
     assert report.witness["value"] == float(P.eval(P.zero(), t=0))
@@ -106,8 +106,8 @@ def test_p2_passes_and_a_shifted_bound_fails():
     P = AdaGradPotential(d=3)
     rng = np.random.default_rng(1)
     assert check_p2(P, trials=300, rng=rng).passed
-    shifted = check_p2(P, trials=100, rng=np.random.default_rng(1),
-                       bound_fn=lambda s: P.eval(s) + 1.0)
+    P.bound = lambda s: P.eval(s) + 1.0
+    shifted = check_p2(P, trials=100, rng=np.random.default_rng(1))
     assert not shifted.passed
     assert shifted.max_violation == pytest.approx(1.0, abs=1e-12)
     assert {"trial", "stat", "U", "V"} <= set(shifted.witness)
@@ -371,7 +371,7 @@ def test_mgf_bound_asserts_only_past_the_crossover():
 
 
 def test_round_descent_separates_good_and_bad_predictions():
-    P = MatrixPotential(5, 5, eta=0.2, c=math.log(20))
+    P = MatrixPotential(5, 5, eta=0.2)
     loss = make_loss("absolute", B=1.0)
     x = np.zeros((5, 5))
     x[1, 2] = 1.0
