@@ -16,8 +16,7 @@ from .potentials import (AdaGradPotential, CombinedPotential, MatrixPotential,
                          standard_families)
 from .statistics import ProductStat, ScalarSym, ScalarVec, ScalarVecScalar, VecSym
 from .strategies import (STRATEGIES, predict_convex, predict_linearized,
-                         predict_randomized, realized_game_value, run_online,
-                         run_randomized_expected)
+                         predict_randomized, run_online, run_randomized_expected)
 
 __version__ = "0.1.0"
 
@@ -29,6 +28,5 @@ __all__ = [
     "TagMismatchError", "Trajectory", "VawPotential", "VecSym", "accumulate",
     "combine_convex", "combine_min", "doubling_run", "make_loss",
     "predict_convex", "predict_linearized", "predict_randomized",
-    "realized_game_value", "run_online", "run_randomized_expected",
-    "standard_families",
+    "run_online", "run_randomized_expected", "standard_families",
 ]

@@ -26,11 +26,11 @@ SUITES = ("p1", "p2", "p3", "khintchine", "mgf", "supermartingale",
 _STR_KEYS = {"family", "loss", "strategy", "sequence", "data_csv", "variant",
              "comparator", "comparator_ball"}
 _INT_KEYS = {"n", "d", "d1", "d2", "rank", "seed", "comparator_iters",
-             "depth", "trees", "trials"}
+             "depth", "trials"}
 _FLOAT_KEYS = {"B", "eta", "r", "c", "p", "lam", "nuclear_radius",
                "noise", "skew", "radius", "eps1", "eps2", "comparator_radius"}
 _KNOWN_KEYS = _STR_KEYS | _INT_KEYS | _FLOAT_KEYS
-_MINIMUM = {"n": 1, "d": 1, "d1": 1, "d2": 1, "trials": 1, "trees": 1, "depth": 1, "rank": 0,
+_MINIMUM = {"n": 1, "d": 1, "d1": 1, "d2": 1, "trials": 1, "depth": 1, "rank": 0,
             "seed": 0, "noise": 0, "skew": 0, "radius": 0, "nuclear_radius": 0,
             "comparator_iters": 0, "eps2": 0}
 
@@ -232,7 +232,8 @@ def cmd_run(args):
     cert_ok = v_final <= verify.TOL + slack
 
     if args.out:
-        report.save(args.out)
+        with open(args.out, "w", newline="") as fh:
+            fh.write(report.to_csv())
         info = sys.stdout
     else:
         sys.stdout.write(report.to_csv())
@@ -276,7 +277,7 @@ def cmd_verify(args):
     depth = cfg.get("depth", 8)
     if args.trials is not None and args.trials < 1:
         raise ConfigError(f"--trials {args.trials}, need --trials >= 1")
-    n_trees = cfg.get("trees", args.trials or 20)
+    trials = args.trials if args.trials is not None else cfg.get("trials")
     lines, reports = [], []
 
     if args.negative_control and "family" in cfg:
@@ -292,15 +293,13 @@ def cmd_verify(args):
             if run_all or suite == "p1":
                 reports.append((name, verify.check_p1(P)))
             if run_all or suite == "p2":
-                trials = args.trials or 1000
-                reports.append((name, verify.check_p2(P, trials=trials, rng=rng)))
+                reports.append((name, verify.check_p2(P, trials=trials or 1000, rng=rng)))
             if run_all or suite == "p3":
-                trials = args.trials or 2000
                 reports.append((name, verify.check_p3(P, mode="two_point",
-                                                      trials=trials, rng=rng)))
+                                                      trials=trials or 2000, rng=rng)))
                 if P.convex_in_delta:
                     reports.append((name, verify.check_p3(P, mode="rademacher",
-                                                          trials=trials, rng=rng)))
+                                                          trials=trials or 2000, rng=rng)))
             if run_all or suite == "supermartingale":
                 tree = verify.PredictableTree.random(depth, P.sample_instances, rng)
                 reports.append((name, verify.check_supermartingale(P, tree)))
@@ -309,12 +308,12 @@ def cmd_verify(args):
         rng = np.random.default_rng([seed, 1])
         reports.append(("sign_sums", verify.check_matrix_khintchine(
             n=depth, d1=cfg.get("d1", 3), d2=cfg.get("d2", 2),
-            n_trees=n_trees, rng=rng)))
+            n_trees=trials or 20, rng=rng)))
 
     if suite in ("mgf", "all") and not args.negative_control:
         rng = np.random.default_rng([seed, 2])
         reports.append(("sign_sums", verify.check_mgf_bound(
-            n=depth, d=cfg.get("d", 4), n_trees=n_trees, rng=rng)))
+            n=depth, d=cfg.get("d", 4), n_trees=trials or 20, rng=rng)))
 
     if suite in ("necessity", "all"):
         rng = np.random.default_rng([seed, 3])

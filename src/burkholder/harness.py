@@ -6,7 +6,6 @@ comparator, and emit a deterministic CSV report.
 """
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -175,13 +174,6 @@ def _design(xs):
     return (lambda w: mat @ w), (lambda g: mat.T @ g), shape
 
 
-def comparator_losses(xs, ys, loss, w):
-    """Per-round losses of the fixed linear predictor t -> <w, x_t>."""
-    forward, _, _ = _design(xs)
-    preds = forward(np.asarray(w, dtype=float).reshape(-1))
-    return np.asarray(loss.value(preds, np.asarray(ys, dtype=float)), dtype=float)
-
-
 def _project(w, shape, ball, radius):
     if ball == "l2":
         nw = np.linalg.norm(w)
@@ -205,7 +197,7 @@ def best_linear_comparator(xs, ys, loss, ball="l2", radius=1.0, iters=2000):
     for it in range(1, int(iters) + 1):
         preds = forward(w)
         g = adjoint(np.asarray(loss.subgradient(preds, ys), dtype=float))
-        step = 0.5 * radius / math.sqrt(it) if radius > 0 else 0.5 / math.sqrt(it)
+        step = 0.5 * radius / math.sqrt(it)
         w = _project(w - step * g, shape, ball, radius)
         val = float(np.sum(loss.value(forward(w), ys)))
         if val < best_val:
@@ -285,20 +277,14 @@ class RegretReport:
     def final_bound(self):
         return self.rows[-1][5]
 
-    def to_csv(self, fh=None):
-        """Writes round,loss,cum_loss,comp_loss,regret,bound,potential rows
+    def to_csv(self):
+        """The round,loss,cum_loss,comp_loss,regret,bound,potential rows
         (n + 1 of them, round 0 included) with 12-significant-digit floats,
         so repeated runs are byte-identical."""
-        own = fh is None
-        buf = io.StringIO() if own else fh
-        buf.write(",".join(CSV_HEADER) + "\n")
-        for row in self.rows:
-            buf.write(str(int(row[0])) + "," + ",".join(_fmt(v) for v in row[1:]) + "\n")
-        return buf.getvalue() if own else None
-
-    def save(self, path):
-        with open(path, "w", newline="") as fh:
-            self.to_csv(fh)
+        lines = [",".join(CSV_HEADER)]
+        lines += [str(int(row[0])) + "," + ",".join(_fmt(v) for v in row[1:])
+                  for row in self.rows]
+        return "\n".join(lines) + "\n"
 
 
 def build_report(trajectory, comp_per_round, bounds):

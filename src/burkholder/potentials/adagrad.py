@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigError
-from ..potential import Potential, batch_instances, stack_rounds
+from ..potential import Potential, batch_instances
 from ..statistics import ScalarVecScalar
 
 VARIANTS = ("l2", "linf")
@@ -36,8 +36,12 @@ class AdaGradPotential(Potential):
     shaped instances are flattened in row-major order, so the statistic and
     every value are those of the flat family of dimension d1 * d2.
 
-    The delta-convexity of the residual, which the closed-form prediction
-    relies on, is verified numerically on sampled inputs at construction.
+    The closed-form prediction relies on the residual being convex in delta,
+    which holds by construction. usq(., y) is convex and nondecreasing in its
+    first argument: its slope nx / sqrt(2 y^2 - nx^2) rises from 0 to 1 at
+    the seam nx = y and is 1 beyond it. ||x + delta z|| is convex in delta,
+    and y does not depend on delta. So every residual term (one for l2, one
+    per coordinate for linf) is convex in delta.
     """
 
     convex_in_delta = True
@@ -55,7 +59,6 @@ class AdaGradPotential(Potential):
         self.variant = variant
         self.L = float(L)
         self.B = float(B)
-        self._verify_delta_convexity()
 
     def zero(self):
         return ScalarVecScalar.zero(self.d, coordinatewise=self.variant == "linf")
@@ -114,13 +117,3 @@ class AdaGradPotential(Potential):
             R *= math.sqrt(self.d)
         step = self.L * self.B + 3.0 * self.L * R
         return step ** 2
-
-    def _verify_delta_convexity(self, trials=200, tol=1e-9):
-        rng = np.random.default_rng(20240901)
-        zetas, _ = stack_rounds(self, *self.sample_rounds(rng, trials, 4))
-        xs = self.sample_instances(rng, trials)
-        d0, d1 = np.sort(rng.uniform(-self.L, self.L, size=(trials, 2)), axis=1).T
-        gap = np.max(self.residual(zetas, xs, 0.5 * (d0 + d1))
-                     - 0.5 * (self.residual(zetas, xs, d0) + self.residual(zetas, xs, d1)))
-        if gap > tol:
-            raise ConfigError(f"residual is not convex in delta (gap {gap:.3e})")

@@ -185,13 +185,6 @@ def _solve_two_labels(pts, table, half_range):
     return GridDistribution(pts[mu > 0], mu[mu > 0])
 
 
-def realized_game_value(P, zeta, x, dist, loss, *, t=None):
-    """sup_y sum_i mu_i U(zeta + T(x, z_i, dloss(z_i, y))) for a grid strategy."""
-    ys = sup_labels(P, loss, points=dist.points)
-    table = P.round_values(zeta, x, dist.points, ys, loss, t=t)
-    return float(np.max(dist.probs @ table))
-
-
 STRATEGIES = ("linearized", "convex", "randomized")
 
 

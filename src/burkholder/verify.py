@@ -205,12 +205,6 @@ class PredictableTree:
         sample_instances: its nodes' instances stacked in prefix order."""
         return cls([sampler(rng, 2 ** t) for t in range(_exhaustive(depth))])
 
-    def perturbed(self, level, index, value):
-        levels = [lv.copy() for lv in self.levels]
-        levels[level - 1][index] = value
-        return PredictableTree(levels)
-
-
 def sign_paths(n):
     """(2^n, n) array of sign paths; bit s-1 of the row index gives eps_s."""
     p = np.arange(2 ** _exhaustive(n))[:, None]
@@ -245,41 +239,6 @@ def tree_leaves(P, tree):
     for x in tree.levels:
         taus = _children(P, taus, x)
     return taus
-
-
-def tree_expectation(P, tree, value_fn):
-    """Exact E over sign paths of value_fn(sum_t T(x_t(eps), 0, eps_t L));
-    value_fn takes the stack of leaves, as P.bound does."""
-    return float(np.mean(value_fn(tree_leaves(P, tree))))
-
-
-def brute_force_sup_ev(P, n, rng=None, search="random", k=20, ascent_steps=200):
-    """Search trees for large E[V(sum T)]; approximates the game start value
-    from below. Returns (best value, best tree, values per candidate).
-
-    search: "random" tries k independent trees; "coordinate_ascent" additionally
-    hill-climbs single-node perturbations from the best random start.
-    """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    vals = []
-    best_tree, best = None, -math.inf
-    for _ in range(int(k)):
-        tree = PredictableTree.random(n, P.sample_instances, rng)
-        v = tree_expectation(P, tree, P.bound)
-        vals.append(v)
-        if v > best:
-            best, best_tree = v, tree
-    if search == "coordinate_ascent":
-        for _ in range(int(ascent_steps)):
-            level = int(rng.integers(1, n + 1))
-            idx = int(rng.integers(0, 2 ** (level - 1)))
-            cand = best_tree.perturbed(level, idx, P.sample_instance(rng))
-            v = tree_expectation(P, cand, P.bound)
-            if v > best:
-                best, best_tree = v, cand
-    elif search != "random":
-        raise DomainError(f"unknown search {search!r}")
-    return best, best_tree, vals
 
 
 # --- exhaustive martingale inequalities --------------------------------------
@@ -364,16 +323,6 @@ def check_supermartingale(P, tree):
     return CheckReport(name="supermartingale_tree", checks=2 ** tree.depth - 1,
                        max_violation=worst, tol=TOL,
                        passed=worst <= TOL, witness=witness)
-
-
-# --- per-round descent and randomized value dominance ------------------------
-
-def round_descent(P, zeta_prev, x, y_hat, loss, *, t=1):
-    """sup over y in [-B, B] of U(zeta + T(x, y_hat, dloss)) - U(zeta) in round
-    t, taken exactly on the loss's critical labels."""
-    ys = strategies.sup_labels(P, loss)
-    table = P.round_values(zeta_prev, x, np.array([y_hat]), ys, loss, t=t)
-    return float(np.max(table)) - P.eval(zeta_prev, t=t - 1)
 
 
 # --- lower-bound construction -------------------------------------------------

@@ -13,8 +13,7 @@ import time
 import numpy as np
 
 from burkholder import cli, symlin
-from burkholder.harness import (comparator_grid, comparator_losses,
-                                matrix_completion, random_vectors)
+from burkholder.harness import comparator_grid, matrix_completion, random_vectors
 from burkholder.losses import make_loss
 from burkholder.potentials import (MatrixPotential, ParamFreePotential,
                                    VawPotential, combine_convex, combine_min,
@@ -22,8 +21,9 @@ from burkholder.potentials import (MatrixPotential, ParamFreePotential,
 from burkholder.strategies import run_online
 from burkholder.verify import (PredictableTree, check_matrix_khintchine,
                                check_mgf_bound, check_p1, check_p2, check_p3,
-                               check_supermartingale, round_descent)
+                               check_supermartingale)
 from dilation_oracle import split
+from game_oracle import comparator_losses, round_descent
 
 _cache = {}
 

@@ -190,6 +190,16 @@ def test_unrepresentable_randomized_eps_exits_2(tmp_path, capsys, command, key):
     assert out == "" and f"{key} = 1e-300 with B = 1 asks for" in err
 
 
+def test_run_out_file_holds_the_csv_run_prints(tmp_path, capsys):
+    path = _cfg(tmp_path, "family = adagrad\nd = 3\nn = 30\n")
+    assert cli.main(["run", "--config", path, "--seed", "1"]) == 0
+    printed, _ = capsys.readouterr()
+    dest = tmp_path / "run.csv"
+    assert cli.main(["run", "--config", path, "--seed", "1", "--out", str(dest)]) == 0
+    capsys.readouterr()
+    assert dest.read_bytes() == printed.encode()
+
+
 def test_run_bound_column_charges_the_comparator(tmp_path, capsys):
     """An adagrad comparator outside the unit ball adds its excess-norm charge
     to every row's bound, as regret_bound(zeta, w) prescribes."""
@@ -596,11 +606,31 @@ def test_verify_rejects_a_zero_depth(tmp_path, capsys, suite):
 
 @pytest.mark.parametrize("suite", ["khintchine", "mgf"])
 def test_verify_rejects_fewer_than_one_tree(tmp_path, capsys, suite):
-    path = _cfg(tmp_path, "trees = 0\n")
+    path = _cfg(tmp_path, "trials = 0\n")
     assert cli.main(["verify", "--config", path, "--suite", suite]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert f"{path}:1: trees = 0, need trees >= 1" in err
+    assert f"{path}:1: trials = 0, need trials >= 1" in err
+
+
+def test_verify_takes_trials_from_the_config_and_the_flag(tmp_path, capsys):
+    """The config key trials sets every suite's count, as --trials does; the
+    flag overrides the key."""
+    path = _cfg(tmp_path, "family = adagrad\nd = 3\ntrials = 5\n")
+    for suite in ("p2", "p3", "khintchine", "mgf"):
+        for argv, want in (([], 5), (["--trials", "7"], 7)):
+            assert cli.main(["verify", "--config", path, "--suite", suite, *argv]) == 0
+            out, _ = capsys.readouterr()
+            counts = re.findall(r"checks=(\d+) ", out)
+            assert counts and set(counts) == {str(want)}, (suite, argv, out)
+
+
+def test_verify_rejects_the_retired_trees_key(tmp_path, capsys):
+    path = _cfg(tmp_path, "trees = 3\n")
+    assert cli.main(["verify", "--config", path, "--suite", "mgf"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{path}:1: unknown config key 'trees'" in err
 
 
 def test_verify_rejects_a_zero_dimensional_param_free_family(tmp_path, capsys):
@@ -769,3 +799,18 @@ def test_perfbench_trace_hooks_find_every_target(monkeypatch):
     with child.patched(child.layer_targets(child.Recorder())) as state:
         pass
     assert state["restored"] and state["patched"] > 0
+
+
+def test_perfbench_builds_every_workload(monkeypatch):
+    """perfbench's set-up step calls cli.parse_config, build_loss,
+    build_sequence, build_potential and standard_families by name; a rename
+    must fail here, not in the benchmark's child process."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+    for name, workload in workloads.WORKLOADS.items():
+        inputs = workload.build_inputs(0)
+        if workload.config is None:
+            assert inputs, name
+        else:
+            cfg, loss, seq, P = inputs
+            assert len(seq) == cfg["n"] and P.zero() is not None, name

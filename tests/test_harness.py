@@ -8,14 +8,14 @@ import pytest
 from burkholder.errors import DomainError
 from burkholder.harness import (CSV_HEADER, adversarial_gradient,
                                 best_linear_comparator, build_report, comparator_grid,
-                                comparator_losses, least_squares_comparator,
-                                load_sequence,
+                                least_squares_comparator, load_sequence,
                                 matrix_completion, random_vectors)
 from burkholder.harness import _design
 from burkholder.losses import make_loss
 from burkholder.potentials import AdaGradPotential
 from burkholder.strategies import run_online
 from burkholder.symlin import Entry
+from game_oracle import comparator_losses
 from sequence_csv import save_sequence
 
 
@@ -139,6 +139,20 @@ def test_projected_descent_beats_the_zero_predictor():
         best_linear_comparator(seq.xs, seq.ys, loss, ball="l7", iters=2)
 
 
+def test_zero_radius_gives_the_zero_comparator():
+    """A radius-0 ball holds only w = 0, so every ball returns the zero
+    predictor and its per-round losses."""
+    loss = make_loss("absolute", B=1.0)
+    vectors = random_vectors(30, 4, noise=0.1, rng=np.random.default_rng(8))
+    matrices = matrix_completion(30, 3, 2, rng=np.random.default_rng(9))
+    for ball, seq in (("l2", vectors), ("box", vectors), ("nuclear", matrices)):
+        comp = best_linear_comparator(seq.xs, seq.ys, loss, ball=ball,
+                                      radius=0.0, iters=20)
+        assert not comp.w.any()
+        np.testing.assert_array_equal(
+            comp.per_round, loss.value(np.zeros(len(seq.ys)), seq.ys))
+
+
 def test_nuclear_ball_comparator_respects_the_radius():
     seq = matrix_completion(40, 3, 3, rng=np.random.default_rng(7))
     loss = make_loss("absolute", B=1.0)
@@ -205,16 +219,13 @@ class TestRegretReport:
         assert report.final_regret == report.rows[-1][4]
         assert report.final_bound == float(bounds[-1])
 
-    def test_csv_bytes_are_deterministic(self, tmp_path):
+    def test_csv_bytes_are_deterministic(self):
         traj, comp, bounds = self._run()
         report = build_report(traj, comp, bounds)
         text = report.to_csv()
         assert text.splitlines()[0] == ",".join(CSV_HEADER)
         assert len(text.splitlines()) == traj.n + 2
         assert text == build_report(traj, comp, bounds).to_csv()
-        path = tmp_path / "report.csv"
-        report.save(path)
-        assert path.read_text() == text
 
     def test_length_mismatches_are_rejected(self):
         traj, comp, bounds = self._run()

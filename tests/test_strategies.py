@@ -20,9 +20,9 @@ from burkholder.statistics import ScalarVec
 from burkholder.symlin import Entry
 from burkholder.strategies import (STRATEGIES, GridDistribution, predict_convex,
                                    predict_linearized, predict_randomized,
-                                   realized_game_value, run_online,
-                                   run_randomized_expected, sup_labels)
-from burkholder.verify import round_descent
+                                   run_online, run_randomized_expected,
+                                   sup_labels)
+from game_oracle import realized_game_value, round_descent
 from stat_oracle import sample_statistic, stats_allclose
 
 

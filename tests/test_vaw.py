@@ -13,7 +13,7 @@ from burkholder.potential import Potential
 from burkholder.potentials import VawPotential
 from burkholder.statistics import VecSym
 from burkholder.strategies import predict_convex, run_online
-from burkholder.verify import round_descent
+from game_oracle import round_descent
 from stat_oracle import sample_statistic
 
 

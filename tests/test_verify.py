@@ -16,14 +16,15 @@ from burkholder.statistics import ScalarVecScalar, map_slots
 from burkholder.strategies import predict_linearized
 from burkholder.symlin import spectral_norm
 from burkholder.verify import (MAX_DEPTH, TOL, CheckReport, PredictableTree,
-                               brute_force_sup_ev, check_matrix_khintchine,
-                               check_mgf_bound, check_necessity, check_p1,
-                               check_p2, check_p3, check_supermartingale,
-                               draw_p3, replay_p3, round_descent, sign_paths,
-                               tree_expectation, tree_leaves)
+                               check_matrix_khintchine, check_mgf_bound,
+                               check_necessity, check_p1, check_p2, check_p3,
+                               check_supermartingale, draw_p3, replay_p3,
+                               sign_paths, tree_leaves)
 from dilation_oracle import split
+from game_oracle import round_descent
 from stat_oracle import stats_allclose
 from tree_oracle import gather_tree, khintchine_ratio, node, prefix_codes
+from tree_search import brute_force_sup_ev, perturbed, tree_expectation
 
 
 class SmoothnessPair(Potential):
@@ -180,7 +181,7 @@ def test_depth_zero_trees_are_rejected():
 def test_perturbed_changes_one_node_only():
     rng = np.random.default_rng(4)
     tree = PredictableTree.random(3, lambda r, k: r.normal(size=k), rng)
-    bumped = tree.perturbed(2, 1, 9.0)
+    bumped = perturbed(tree, 2, 1, 9.0)
     assert node(bumped, 2, 1) == 9.0
     assert node(tree, 2, 1) != 9.0
     assert node(bumped, 2, 0) == node(tree, 2, 0)
