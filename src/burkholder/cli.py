@@ -175,9 +175,7 @@ def build_sequence(cfg, rng):
 def build_comparator(cfg, fam, seq, loss):
     mode = cfg.get("comparator", "auto")
     if mode == "zero":
-        per = np.asarray(loss.value(np.zeros(len(seq)), seq.ys), dtype=float)
-        w = np.zeros_like(np.asarray(seq.xs[0], dtype=float))
-        return harness.Comparator(w, float(per.sum()), per, "zero predictor")
+        return harness.best_linear_comparator(seq.xs, seq.ys, loss, radius=0.0, iters=0)
     if mode == "grid" or (mode == "auto" and fam == "param_free"):
         return harness.comparator_grid(seq.xs, seq.ys, loss)[0]
     if mode == "least_squares" or (mode == "auto" and fam == "vaw"):
@@ -210,8 +208,6 @@ def cmd_run(args):
     P = build_potential(cfg, loss, n)
     fam = cfg["family"]
     strategy = cfg.get("strategy", "linearized")
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if strategy == "linearized" and not P.linearizable:
         raise ConfigError(f"strategy linearized needs a linearizable family; "
                           f"{fam} is not, use convex or randomized")

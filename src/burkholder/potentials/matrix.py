@@ -16,7 +16,7 @@ from .. import symlin
 from ..errors import ConfigError, DomainError, NumericError
 from ..potential import Potential, distinct
 from ..statistics import ScalarSym
-from ..strategies import _play, linearized_round
+from ..strategies import _play, predict_linearized
 
 
 class MatrixPotential(Potential):
@@ -114,7 +114,7 @@ class MatrixPotential(Potential):
         are diagonal (as on `Entry` runs); then ||M|| is the largest diagonal
         entry, with no sort, else the top eigenvalue of M's live block."""
         z, d1 = stat.Z, self.d1
-        nonzero = z != 0  # a NaN counts, as in sym_eigvals
+        nonzero = z != 0  # a NaN counts, so sym_eigvals rejects it
         diag = np.diagonal(z, axis1=-2, axis2=-1)
         if (np.count_nonzero(nonzero[..., :d1, :d1]) + np.count_nonzero(nonzero[..., d1:, d1:])
                 > np.count_nonzero(diag)):
@@ -183,4 +183,4 @@ def doubling_run(d1, d2, sequence, loss, *, r=1.0, R=1.0, on_round=None):
     def restart(pot, zeta, t):
         return epoch(t + 1) if pot.variance(zeta) >= epochs[-1][2] * (1 - 1e-12) else None
 
-    return _play(epoch(1), linearized_round, sequence, loss, on_round, restart), epochs
+    return _play(epoch(1), predict_linearized, sequence, loss, on_round, restart), epochs

@@ -19,18 +19,14 @@ from .potential import Potential, Round, Trajectory, accumulate
 GridDistribution = namedtuple("GridDistribution", ["points", "probs"])
 
 
-def predict_linearized(P, zeta, x, *, t=None):
-    """Closed-form prediction clamp(-(F(+L) - F(-L)) / (2L), [-B, B]).
+def predict_linearized(P, zeta, x, t=None):
+    """(y_hat, (F(-L), F(+L))): the closed-form prediction
+    clamp(-(F(+L) - F(-L)) / (2L), [-B, B]) and the two residuals it read,
+    from one residual call on the stack [-L, +L].
 
-    F is the potential's residual, which must be convex in delta.
+    F is the potential's residual, which must be convex in delta. It is
+    _play's choose for the linearized strategy.
     """
-    return linearized_round(P, zeta, x, t)[0]
-
-
-def linearized_round(P, zeta, x, t=None):
-    """(predict_linearized, (F(-L), F(+L))): the prediction and the two
-    residuals it read, from one residual call on the stack [-L, +L], which
-    value_after reuses. It is _play's choose for the linearized strategy."""
     if not P.convex_in_delta:
         raise DomainError("the linearized prediction needs a family convex in delta")
     f_minus, f_plus = P.residual(zeta, x, np.array([-P.L, P.L]), t=t)
@@ -38,15 +34,6 @@ def linearized_round(P, zeta, x, t=None):
         raise NumericError("non-finite residual evaluation",
                            {"f_plus": f_plus, "f_minus": f_minus})
     return min(P.B, max(-P.B, -(f_plus - f_minus) / (2.0 * P.L))), (f_minus, f_plus)
-
-
-def value_after(P, nxt, rnd, residuals):
-    """U(nxt) after round rnd: y_hat delta + F(delta) when delta = +-L and
-    residuals holds (F(-L), F(+L)) from linearized_round, else P.eval(nxt).
-    The two agree in exact arithmetic for a linearizable family."""
-    if residuals is not None and abs(rnd.delta) == P.L:
-        return rnd.y_hat * rnd.delta + residuals[rnd.delta > 0]
-    return P.eval(nxt, t=rnd.t)
 
 
 def sup_labels(P, loss, *, points=()):
@@ -191,13 +178,13 @@ STRATEGIES = ("linearized", "convex", "randomized")
 def _play(P, choose, sequence, loss, on_round, restart=None):
     """The online protocol: choose(P, zeta, x, t) predicts, the statistic advances.
 
-    choose returns (y_hat, residuals), where residuals is linearized_round's
-    pair or None; value_after records U from it. Only the running statistic
-    is held; on_round(t, zeta_prev, rnd, zeta), when given, sees each
-    round's record and the statistics around it. restart(P, zeta, t), when
-    given, runs after on_round and returns None or the potential that plays
-    from round t + 1, starting from its zero statistic; the trajectory keeps
-    the last round's statistic from before any restart.
+    choose returns (y_hat, residuals), where residuals is predict_linearized's
+    pair or None. Only the running statistic is held; on_round(t, zeta_prev,
+    rnd, zeta), when given, sees each round's record and the statistics
+    around it. restart(P, zeta, t), when given, runs after on_round and
+    returns None or the potential that plays from round t + 1, starting from
+    its zero statistic; the trajectory keeps the last round's statistic from
+    before any restart.
     """
     traj = Trajectory()
     zeta = nxt = P.zero()
@@ -209,7 +196,11 @@ def _play(P, choose, sequence, loss, on_round, restart=None):
         rnd = Round(t=t, x=x, y_hat=float(y_hat), y=float(y),
                     delta=delta, loss=float(loss.value(y_hat, y)))
         traj.rounds.append(rnd)
-        traj.potential_values.append(value_after(P, nxt, rnd, residuals))
+        # a linearizable family has U(zeta + T(x, y_hat, delta)) = y_hat delta +
+        # F(delta), so at delta = +-L the residual choose read gives U(nxt)
+        traj.potential_values.append(
+            rnd.y_hat * delta + residuals[delta > 0]
+            if residuals is not None and abs(delta) == P.L else P.eval(nxt, t=t))
         if on_round is not None:
             on_round(t, zeta, rnd, nxt)
         zeta = nxt
@@ -217,6 +208,15 @@ def _play(P, choose, sequence, loss, on_round, restart=None):
             P, zeta = fresh, fresh.zero()
     traj.zetas.append(nxt)
     return traj
+
+
+def _randomized_choose(loss, eps1, rng, dists):
+    """The randomized strategy's choose; it appends each round's distribution to dists."""
+    def choose(P, zeta, x, t):
+        dist, y_hat = predict_randomized(P, zeta, x, eps1, rng, loss, t=t)
+        dists.append(dist)
+        return y_hat, None
+    return choose
 
 
 def run_online(P, strategy, sequence, loss, *, rng=None, eps1=RANDOMIZED_EPS,
@@ -232,15 +232,13 @@ def run_online(P, strategy, sequence, loss, *, rng=None, eps1=RANDOMIZED_EPS,
     if strategy not in STRATEGIES:
         raise DomainError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if strategy == "linearized":
-        choose = linearized_round
+        choose = predict_linearized
     elif strategy == "convex":
         def choose(P, zeta, x, t):
             return predict_convex(P, zeta, x, loss, t=t), None
     else:
         rng = rng if rng is not None else np.random.default_rng(0)
-
-        def choose(P, zeta, x, t):
-            return predict_randomized(P, zeta, x, eps1, rng, loss, t=t)[1], None
+        choose = _randomized_choose(loss, eps1, rng, [])
     return _play(P, choose, sequence, loss, on_round)
 
 
@@ -251,19 +249,8 @@ def run_randomized_expected(P, sequence, loss, eps1, rng, *, on_round=None):
     The statistic still advances with the sampled prediction; the expected
     losses are what the approximation guarantee controls.
     """
-    expected = []
-    dist = None
-
-    def choose(P, zeta, x, t):
-        nonlocal dist
-        dist, y_hat = predict_randomized(P, zeta, x, eps1, rng, loss, t=t)
-        return y_hat, None
-
-    def record(t, zeta_prev, rnd, zeta):
-        expected.append(float(dist.probs @ np.asarray(
-            loss.value(dist.points, rnd.y), dtype=float)))
-        if on_round is not None:
-            on_round(t, zeta_prev, rnd, zeta)
-
-    traj = _play(P, choose, sequence, loss, record)
-    return traj, np.array(expected)
+    dists = []
+    traj = _play(P, _randomized_choose(loss, eps1, rng, dists), sequence, loss, on_round)
+    expected = [dist.probs @ np.asarray(loss.value(dist.points, rnd.y), dtype=float)
+                for dist, rnd in zip(dists, traj.rounds)]
+    return traj, np.array(expected, dtype=float)

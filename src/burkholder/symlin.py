@@ -7,12 +7,11 @@ to eigenvalues; `dilation_step` gives a round's dilation and its square in
 one array. Dense arguments may carry leading batch axes.
 
 Spectra follow one rule: the caller gathers the block, and `sym_eigvals`
-sorts or factors it and pads it. A statistic slot touches only its live
-rows and columns (those not identically zero, found by `live_rows`), so the
-caller gathers its live principal block once (`principal_block`, with
+factors it and pads it. A statistic slot touches only its live rows and
+columns (those not identically zero, found by `live_rows`), so the caller
+gathers its live principal block once (`principal_block`, with
 `instance_block` for a round's instance) and works on the block.
-`sym_eigvals` takes that symmetric block as given: a diagonal block is its
-own spectrum, so it is sorted, not factored; any other block is one
+`sym_eigvals` takes that symmetric block as given: a nonempty block is one
 eigvalsh. Each row outside the block adds an exact zero eigenvalue, padded
 up to the full size; no full-size temporary is built. For a stack the live
 block is the union of the members' live rows, so one batched eigvalsh
@@ -161,21 +160,18 @@ def sym_eigvals(s, n=None):
     """Eigenvalues of a symmetric block s of an n x n argument (n defaults
     to s's own size), descending along the last axis.
 
-    A diagonal s (an all-zero one included) is sorted, with no eigensolve;
-    any other s is one eigvalsh. The rows of the argument outside the block
-    add exact zero eigenvalues.
+    A nonempty s is one eigvalsh. The rows of the argument outside the
+    block add exact zero eigenvalues.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
         raise DomainError(f"expected a square matrix, got shape {s.shape}")
-    diag = np.diagonal(s, axis1=-2, axis2=-1)
-    diagonal = np.count_nonzero(s) == np.count_nonzero(diag)  # a NaN counts as nonzero
-    part = diag if diagonal else s
-    if not np.isfinite(part).all():
+    if not np.isfinite(s).all():
         raise NumericError("non-finite entries in symmetric eigensolve",
-                           {"max_abs": float(np.nanmax(np.abs(part)))})
+                           {"max_abs": float(np.nanmax(np.abs(s)))})
     w = np.zeros(s.shape[:-2] + (s.shape[-1] if n is None else n,))
-    w[..., :s.shape[-1]] = part if diagonal else np.linalg.eigvalsh(s)
+    if s.shape[-1]:
+        w[..., :s.shape[-1]] = np.linalg.eigvalsh(s)
     return np.sort(w, axis=-1)[..., ::-1].copy()
 
 

@@ -335,8 +335,9 @@ def check_necessity(P, tree, learner=None, clairvoyant=False):
     where V_lin(a, u, s) = a + r ||u||_sigma - A(s) is the linear-class bound
     function and A is P.regret_bound. Requires r * max ||X||_sigma <= 1 so the absolute loss of any
     comparator is exactly linear in its prediction. Also certifies
-    E[V_lin] <= 0, the achievability side. learner(P, zeta, x, t=t) predicts
-    each round on a single statistic, once per node; the default is
+    E[V_lin] <= 0, the achievability side. learner(P, zeta, x, t) follows
+    play's choose contract, returning (y_hat, residuals), and predicts each
+    round on a single statistic, once per node; the default is
     predict_linearized. A is evaluated on the stack of leaves in one call.
 
     clairvoyant=True replaces the learner's prediction with the label itself,
@@ -355,7 +356,7 @@ def check_necessity(P, tree, learner=None, clairvoyant=False):
     for t, x in enumerate(tree.levels, start=1):
         eps, xs = np.repeat([-1.0, 1.0], len(x)), _twice(x)
         y_hat = eps if clairvoyant else _twice(np.array(
-            [float(learner(P, _member(zetas, i), x[i], t=t)) for i in range(len(x))]))
+            [float(learner(P, _member(zetas, i), x[i], t)[0]) for i in range(len(x))]))
         zetas = _twice(zetas) + P.stat_map(xs, y_hat, loss.subgradient(y_hat, eps))
         eps_sum = _twice(eps_sum) + eps[:, None, None] * xs
         cum_loss = _twice(cum_loss) + loss.value(y_hat, eps)

@@ -49,7 +49,7 @@ def test_usq_dominates_the_linear_certificate():
 def test_prediction_closed_form_in_one_dimension():
     P = AdaGradPotential(d=1)
     zeta = ScalarVecScalar(0.0, np.array([2.0]), 4.0)
-    pred = predict_linearized(P, zeta, np.array([1.0]))
+    pred = predict_linearized(P, zeta, np.array([1.0]))[0]
     # residuals are usq(2 + delta, sqrt(5)): 3 - 2*sqrt(5) and -3
     assert pred == pytest.approx(math.sqrt(5.0) - 3.0, abs=1e-12)
 

@@ -16,6 +16,7 @@ import burkholder
 from burkholder import cli, harness, verify
 from burkholder.errors import ConfigError
 from burkholder.harness import random_vectors
+from burkholder.losses import make_loss
 from burkholder.potentials import MatrixPotential, VawPotential
 from burkholder.strategies import run_online
 from burkholder.symlin import Entry
@@ -308,6 +309,21 @@ def test_run_configuration_errors_exit_2(tmp_path, capsys):
                     "e.txt")
     assert cli.main(["run", "--config", mismatch]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("family = vaw\nloss = absolute\nd = 3\n", "vaw needs loss = squared"),
+    ("family = sorcery\nd = 3\n", "unknown family 'sorcery'"),
+    ("family = adagrad\nsequence = sorcery\nd = 3\n", "unknown sequence kind 'sorcery'"),
+    ("family = adagrad\ncomparator = sorcery\nd = 3\n", "unknown comparator mode 'sorcery'"),
+    ("family = adagrad\nstrategy = sorcery\nd = 3\n",
+     "unknown strategy 'sorcery'; expected one of ('linearized', 'convex', 'randomized')"),
+], ids=["vaw-absolute", "family", "sequence", "comparator", "strategy"])
+def test_run_names_an_unknown_choice_and_exits_2(tmp_path, capsys, text, message):
+    path = _cfg(tmp_path, text + "n = 5\n")
+    assert cli.main(["run", "--config", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("text", [
@@ -701,6 +717,25 @@ def test_compare_falls_back_to_a_convex_baseline(tmp_path, capsys):
     assert "vs convex" in out
 
 
+def test_compare_out_file_holds_what_compare_prints(tmp_path, capsys):
+    path = _cfg(tmp_path, "family = adagrad\nd = 2\nn = 8\n")
+    argv = ["compare", "--config", path, "--trials", "2", "--strategies",
+            "linearized,convex,randomized"]
+    assert cli.main(argv) == 0
+    printed, _ = capsys.readouterr()
+    dest = tmp_path / "compare.txt"
+    assert cli.main(argv + ["--out", str(dest)]) == 0
+    again, _ = capsys.readouterr()
+    assert again == printed and dest.read_bytes() == printed.encode()
+
+
+def test_compare_needs_a_strategy(tmp_path, capsys):
+    path = _cfg(tmp_path, "family = adagrad\nd = 2\nn = 5\n")
+    assert cli.main(["compare", "--config", path, "--strategies", ","]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: compare needs at least one strategy\n"
+
+
 @pytest.mark.parametrize("where", ["flag", "config"])
 def test_compare_rejects_zero_repetitions_before_any_play(tmp_path, capsys,
                                                           monkeypatch, where):
@@ -799,6 +834,20 @@ def test_perfbench_trace_hooks_find_every_target(monkeypatch):
     with child.patched(child.layer_targets(child.Recorder())) as state:
         pass
     assert state["restored"] and state["patched"] > 0
+
+
+def test_perfbench_trace_times_every_linearized_round(monkeypatch):
+    """Play calls predict_linearized by the name perfbench wraps, so the
+    benchmark's per-round metrics see matrix play."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import child
+    seq = harness.matrix_completion(5, 3, 2, rng=np.random.default_rng(0))
+    P = MatrixPotential(3, 2, eta=0.5)
+    rec = child.Recorder()
+    with child.patched(child.layer_targets(rec)):
+        run_online(P, "linearized", seq, make_loss("absolute"))
+    predict = rec.names.index("strategies.predict_linearized")
+    assert list(rec.name).count(predict) == 5
 
 
 def test_perfbench_builds_every_workload(monkeypatch):

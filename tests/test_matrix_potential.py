@@ -76,13 +76,13 @@ def test_prediction_is_zero_at_the_start_and_tracks_observations():
     P = MatrixPotential(2, 2, eta=0.5)
     x = np.zeros((2, 2))
     x[0, 0] = 1.0
-    assert abs(predict_linearized(P, P.zero(), x)) < 1e-12
+    assert abs(predict_linearized(P, P.zero(), x)[0]) < 1e-12
     # after seeing y = +1 at this cell the next prediction moves up
     zeta = P.stat_map(x, 0.0, -1.0)  # subgradient of |0 - 1|
-    assert predict_linearized(P, zeta, x) > 0.0
+    assert predict_linearized(P, zeta, x)[0] > 0.0
     other = np.zeros((2, 2))
     other[1, 1] = 1.0
-    assert abs(predict_linearized(P, zeta, other)) < 1e-12
+    assert abs(predict_linearized(P, zeta, other)[0]) < 1e-12
 
 
 def test_comparator_bound_reads_the_drift_slot():
@@ -361,7 +361,7 @@ def test_residual_is_even_when_no_path_joins_the_cell():
         assert P.residual(zeta, x, d) == P.residual(zeta, x, -d)
         assert P.residual(zeta, x, d) == P.residual(zeta, np.asarray(x), -d)
     _assert_matches_evals(P, zeta, x, deltas, got)
-    assert predict_linearized(P, zeta, x) == 0.0
+    assert predict_linearized(P, zeta, x)[0] == 0.0
 
 
 @pytest.mark.parametrize("cells", [[(0, 1), (2, 3)],  # the cell itself was observed

@@ -44,9 +44,9 @@ def test_linearized_prediction_arithmetic():
     # F(+1) = 5, F(-1) = 1 gives raw = -(5 - 1)/2 = -2, clamped by B
     P = _Holder(lambda d: 5.0 if d > 0 else 1.0)
     P.B = 3.0
-    assert predict_linearized(P, None, None) == -2.0
+    assert predict_linearized(P, None, None)[0] == -2.0
     P.B = 1.0
-    assert predict_linearized(P, None, None) == -1.0
+    assert predict_linearized(P, None, None)[0] == -1.0
 
 
 def test_linearized_rejects_nonfinite_residuals():

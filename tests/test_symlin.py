@@ -123,23 +123,23 @@ def test_live_block_edge_cases():
 
 
 def test_diagonal_spectrum_is_the_sorted_diagonal():
-    """A diagonal input is sorted, not factored, and equals eigvalsh bit for
-    bit: stacks, zeros, negatives and a 1 x 1."""
+    """The eigensolve of a diagonal input returns its diagonal, sorted
+    descending, bit for bit: stacks, zeros, negatives and a 1 x 1."""
     rng = np.random.default_rng(5)
     d = rng.normal(size=(3, 7))
     d[rng.random(d.shape) < 0.3] = 0.0
     cases = [np.zeros((1, 1)), np.array([[-2.5]]), np.diag([0.0, -1.0, 3.0, -1.0]),
              np.zeros((3, 3)), d[..., None] * np.eye(7), np.diag(rng.normal(size=40))]
     for s in cases:
-        assert np.array_equal(sym_eigvals(s), np.linalg.eigvalsh(s)[..., ::-1])
+        w = sym_eigvals(s)
+        assert np.array_equal(w, np.linalg.eigvalsh(s)[..., ::-1])
+        assert np.array_equal(w, np.sort(np.diagonal(s, axis1=-2, axis2=-1))[..., ::-1])
 
 
 def test_one_off_diagonal_nonzero_takes_the_eigensolve(monkeypatch):
     calls = []
     solve = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or solve(a))
-    assert np.array_equal(_live_eigvals(np.diag([3.0, 1.0, 2.0])), [3.0, 2.0, 1.0])
-    assert calls == []
     s = np.diag([3.0, 1.0, 2.0, 0.0])
     s[0, 2] = s[2, 0] = 0.25
     w = _live_eigvals(s)

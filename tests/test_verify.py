@@ -377,7 +377,7 @@ def test_round_descent_separates_good_and_bad_predictions():
     x = np.zeros((5, 5))
     x[1, 2] = 1.0
     zeta = P.zero()
-    good = round_descent(P, zeta, x, predict_linearized(P, zeta, x), loss)
+    good = round_descent(P, zeta, x, predict_linearized(P, zeta, x)[0], loss)
     assert good <= 1e-10
     bad = round_descent(P, zeta, x, 1.0, loss)
     assert bad > 0.1
@@ -405,7 +405,7 @@ class TestNecessity:
     def test_wild_learner_keeps_achievability_but_grows_the_gap(self):
         P = MatrixPotential(2, 2, eta=0.5)
         tree = self._tree(5, np.random.default_rng(14))
-        report = check_necessity(P, tree, learner=lambda pot, z, x, t: 2.0)
+        report = check_necessity(P, tree, learner=lambda pot, z, x, t: (2.0, None))
         assert report.passed
         assert report.extras["E_regret_gap"] == pytest.approx(5.0, abs=1e-10)
 
@@ -431,7 +431,7 @@ class TestNecessity:
             for t in range(depth):
                 x, y = g[p, t], eps[p, t]
                 y_hat = y if clairvoyant else predict_linearized(
-                    P, zeta, x, t=t + 1)
+                    P, zeta, x, t + 1)[0]
                 zeta = zeta + P.stat_map(x, y_hat, float(loss.subgradient(y_hat, y)))
                 eps_sum = eps_sum + y * x
                 cum += float(loss.value(y_hat, y))
