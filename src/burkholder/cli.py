@@ -72,6 +72,9 @@ def parse_config(path):
                               f"need {key} >= {_MINIMUM[key]}")
         if key == "eps1" and cfg[key] <= 0:
             raise ConfigError(f"{path}:{lineno}: eps1 = {cfg[key]}, need eps1 > 0")
+        if key == "strategy" and val not in STRATEGIES:
+            raise ConfigError(f"{path}:{lineno}: unknown strategy {val!r}; "
+                              f"expected one of {STRATEGIES}")
     if "c" in cfg and cfg.get("family") != "param_free":
         raise ConfigError(f"{path}:{seen['c']}: c needs family = param_free; "
                           "the other families derive it")

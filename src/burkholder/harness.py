@@ -180,9 +180,7 @@ def _project(w, shape, ball, radius):
         return w if nw <= radius else w * (radius / nw)
     if ball == "box":
         return np.clip(w, -radius, radius)
-    if ball == "nuclear":
-        return symlin.nuclear_projection(w.reshape(shape), radius).reshape(-1)
-    raise DomainError(f"unknown ball {ball!r}")
+    return symlin.nuclear_projection(w.reshape(shape), radius).reshape(-1)
 
 
 def best_linear_comparator(xs, ys, loss, ball="l2", radius=1.0, iters=2000):
@@ -190,6 +188,8 @@ def best_linear_comparator(xs, ys, loss, ball="l2", radius=1.0, iters=2000):
     norm ball, tracking the best iterate. Deterministic given the inputs."""
     if radius < 0:
         raise DomainError("radius >= 0")
+    if ball not in ("l2", "box", "nuclear"):
+        raise DomainError(f"unknown ball {ball!r}")
     forward, adjoint, shape = _design(xs)
     ys = np.asarray(ys, dtype=float)
     w = np.zeros(math.prod(shape))

@@ -30,7 +30,6 @@ class Potential:
     L = 1.0
     B = 1.0
     convex_in_delta = False
-    convex_in_prediction = False
     linearizable = False
     horizon = None  # the round count n when U depends on the round index
 
@@ -94,10 +93,6 @@ class Potential:
         grid = np.linspace(-self.B, self.B, 201)
         vals = self.round_values(zeta, x, grid, ys, loss, t=t)
         return 2.0 * (float(np.max(np.abs(np.diff(vals, axis=0)))) / (grid[1] - grid[0])), True
-
-    def increment_bound(self):
-        """Analytic bound on sup (U(tau + T) - U(tau))^2, or None if unknown."""
-        return None
 
     def regret_bound(self, stat, comparator=None):
         """Closed-form regret bound at a statistic, when the family has one."""

@@ -23,7 +23,6 @@ class VawPotential(Potential):
     """
 
     convex_in_delta = True
-    convex_in_prediction = True
 
     def __init__(self, d, rho=2.0, lam=1.0, L=4.0, B=1.0):
         if d < 1:

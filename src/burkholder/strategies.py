@@ -1,11 +1,11 @@
 """Generic prediction strategies driven by a potential.
 
 Three routes to a prediction whose worst-case one-round value does not
-increase the potential: a closed form for linearizable families, a grid
-minimax for families convex in the prediction, and a randomized grid
-strategy whose slack is controlled by the grid spacing eps1. Each of its
-rounds is solved exactly: by the two-label game solver, or by a pure
-saddle point; any other table is refused.
+increase the potential: a closed form for linearizable families, a refined
+grid minimax over the prediction for families convex in delta, and a
+randomized grid strategy whose slack is controlled by the grid spacing
+eps1. Each of its rounds is solved exactly: by the two-label game solver,
+or by a pure saddle point; any other table is refused.
 """
 
 import math
@@ -50,9 +50,10 @@ _PRED_GRID, _MAX_STAGES, _TOL = 129, 60, 1e-4
 def predict_convex(P, zeta, x, loss, *, t=None):
     """Grid minimax: leftmost minimizer over y_hat of the sup over y.
 
-    The outer search runs on a uniform y_hat grid; when the potential
-    declares convexity in the prediction the bracket around the leftmost
-    grid minimizer is refined until its spacing is at most _TOL.
+    A uniform y_hat grid on [-B, B] is refined around its leftmost minimizer
+    until the spacing is at most _TOL. Each stage's grid holds the previous
+    best point, so refining never does worse than the first grid; where the
+    sup is convex in y_hat it converges to the minimax.
     """
     ys = sup_labels(P, loss)
     lo, hi = -P.B, P.B
@@ -63,8 +64,6 @@ def predict_convex(P, zeta, x, loss, *, t=None):
         sup = table.max(axis=1)
         i = int(np.argmin(sup))  # argmin takes the leftmost among ties
         best = float(pts[i])
-        if not P.convex_in_prediction:
-            return best
         spacing = pts[1] - pts[0]
         if spacing <= _TOL:
             return best

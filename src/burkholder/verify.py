@@ -193,29 +193,16 @@ class PredictableTree:
         return len(self.levels)
 
     @classmethod
-    def constant(cls, values):
-        """A fixed sequence: every node at level t holds values[t-1]."""
-        return cls([np.broadcast_to(np.asarray(v, dtype=float),
-                                    (2 ** t,) + np.shape(v)).copy()
-                    for t, v in enumerate(values)])
-
-    @classmethod
     def random(cls, depth, sampler, rng):
         """Level t is one call sampler(rng, 2^(t-1)), the family contract of
         sample_instances: its nodes' instances stacked in prefix order."""
         return cls([sampler(rng, 2 ** t) for t in range(_exhaustive(depth))])
 
-def sign_paths(n):
-    """(2^n, n) array of sign paths; bit s-1 of the row index gives eps_s."""
-    p = np.arange(2 ** _exhaustive(n))[:, None]
-    bits = (p >> np.arange(n)[None, :]) & 1
-    return 2.0 * bits - 1.0
-
 
 def _twice(a):
     """A level's stack of k (an array or a statistic) repeated for its 2k
     children: the eps = -1 child of prefix code idx is row idx, the eps = +1
-    child row idx + k, so the leaves come out in sign_paths row order."""
+    child row idx + k, so bit s-1 of a leaf's row index is (eps_s + 1) / 2."""
     if isinstance(a, np.ndarray):
         return np.concatenate([a, a])
     return map_slots(_twice, a)
@@ -233,8 +220,8 @@ def _root(P):
 
 
 def tree_leaves(P, tree):
-    """The stack of sum_t T(x_t(eps), 0, eps_t L) over sign paths, in
-    sign_paths row order."""
+    """The stack of sum_t T(x_t(eps), 0, eps_t L) over sign paths; bit s-1
+    of a path's row index is (eps_s + 1) / 2."""
     taus = _root(P)
     for x in tree.levels:
         taus = _children(P, taus, x)

@@ -24,6 +24,7 @@ from burkholder.verify import (PredictableTree, check_matrix_khintchine,
                                check_supermartingale)
 from dilation_oracle import split
 from game_oracle import comparator_losses, round_descent
+from tree_oracle import constant_tree
 
 _cache = {}
 
@@ -170,7 +171,7 @@ def test_matrix_khintchine_exhaustive():
         for _ in range(10):
             x = rng.normal(size=(3, 2))
             mats.append(x / max(np.linalg.svd(x, compute_uv=False)[0], 1.0))
-        fixed.append(PredictableTree.constant(mats))
+        fixed.append(constant_tree(mats))
     rep_fixed = check_matrix_khintchine(trees=fixed)
     assert rep_fixed.passed, rep_fixed.line()
     assert rep_fixed.checks == 100

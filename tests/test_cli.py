@@ -18,7 +18,7 @@ from burkholder.errors import ConfigError
 from burkholder.harness import random_vectors
 from burkholder.losses import make_loss
 from burkholder.potentials import MatrixPotential, VawPotential
-from burkholder.strategies import run_online
+from burkholder.strategies import STRATEGIES, run_online
 from burkholder.symlin import Entry
 from sequence_csv import save_sequence
 
@@ -317,29 +317,66 @@ def test_run_configuration_errors_exit_2(tmp_path, capsys):
     ("family = adagrad\nsequence = sorcery\nd = 3\n", "unknown sequence kind 'sorcery'"),
     ("family = adagrad\ncomparator = sorcery\nd = 3\n", "unknown comparator mode 'sorcery'"),
     ("family = adagrad\nstrategy = sorcery\nd = 3\n",
-     "unknown strategy 'sorcery'; expected one of ('linearized', 'convex', 'randomized')"),
+     "{path}:2: unknown strategy 'sorcery'; expected one of "
+     "('linearized', 'convex', 'randomized')"),
 ], ids=["vaw-absolute", "family", "sequence", "comparator", "strategy"])
 def test_run_names_an_unknown_choice_and_exits_2(tmp_path, capsys, text, message):
     path = _cfg(tmp_path, text + "n = 5\n")
     assert cli.main(["run", "--config", path]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == f"error: {message}\n"
+    assert out == "" and err == f"error: {message.format(path=path)}\n"
 
 
-@pytest.mark.parametrize("text", [
-    "family = adagrad\nvariant = linf\ncomparator_ball = box\nd = 3\n",
-    "family = param_free\nsequence = adversarial_gradient\ncomparator = zero\nd = 3\n",
-    "family = matrix\ncomparator = least_squares\nd1 = 3\nd2 = 2\neta = 0.5\n",
-    "family = matrix\ncomparator = grid\nd1 = 3\nd2 = 2\neta = 0.5\n",
-    "family = meta\nstrategy = randomized\nd1 = 3\nd2 = 2\neta = 0.5\n",
-    "family = vaw\nloss = squared\nstrategy = randomized\nd = 3\n",
-], ids=["adagrad-box", "param_free-adversarial", "matrix-least_squares", "matrix-grid",
-        "meta-randomized", "vaw-randomized"])
+def test_compare_names_an_unknown_config_strategy_and_exits_2(tmp_path, capsys):
+    """compare reads the same config as run, so a bad strategy key fails
+    there too, with its line, rather than be ignored."""
+    path = _cfg(tmp_path, "family = adagrad\nstrategy = sorcery\nd = 3\nn = 5\n")
+    assert cli.main(["compare", "--config", path, "--trials", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {path}:2: unknown strategy 'sorcery'")
+
+
+@pytest.mark.parametrize("iters", [0, 5])
+def test_run_names_an_unknown_comparator_ball_and_exits_2(tmp_path, capsys, iters):
+    """The ball is checked before descent, so a run with no iteration to
+    project still rejects it."""
+    path = _cfg(tmp_path, "family = adagrad\ncomparator = ball\ncomparator_ball = sorcery\n"
+                          f"comparator_iters = {iters}\nd = 3\nn = 5\n")
+    assert cli.main(["run", "--config", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: unknown ball 'sorcery'\n"
+
+
+_CLI_FAMILIES = {
+    "param_free": "family = param_free\nd = 3\n",
+    "adagrad": "family = adagrad\nd = 3\n",
+    "matrix": "family = matrix\nd1 = 3\nd2 = 2\neta = 0.5\n",
+    "meta": "family = meta\nd1 = 3\nd2 = 2\neta = 0.5\n",
+    "vaw": "family = vaw\nloss = squared\nd = 3\n",
+}
+_RUN_PATHS = {
+    "adagrad-box": "family = adagrad\nvariant = linf\ncomparator_ball = box\nd = 3\n",
+    "param_free-adversarial":
+        "family = param_free\nsequence = adversarial_gradient\ncomparator = zero\nd = 3\n",
+    "matrix-least_squares":
+        "family = matrix\ncomparator = least_squares\nd1 = 3\nd2 = 2\neta = 0.5\n",
+    "matrix-grid": "family = matrix\ncomparator = grid\nd1 = 3\nd2 = 2\neta = 0.5\n",
+    # convex play here keeps U from rising only with the refined search
+    "matrix-eta0.3-convex": "family = matrix\nd1 = 3\nd2 = 2\neta = 0.3\nstrategy = convex\n",
+    "param_free-seed2-convex": "family = param_free\nd = 3\nseed = 2\nstrategy = convex\n",
+    **{f"{fam}-{strategy}": f"{text}strategy = {strategy}\n"
+       for fam, text in _CLI_FAMILIES.items() for strategy in STRATEGIES
+       if (fam, strategy) != ("vaw", "linearized")},
+}
+
+
+@pytest.mark.parametrize("text", _RUN_PATHS.values(), ids=_RUN_PATHS.keys())
 def test_run_certifies_each_comparator_sequence_and_strategy_path(tmp_path, capsys, text):
     """The linf box comparator, an adversarial gradient sequence against the
     zero comparator, least-squares and grid comparators on matrices, and
-    randomized meta and vaw play: each run certifies, its bound covers the
-    regret on every row, and a deterministic run's potential never rises."""
+    every strategy on every family that takes it: each run certifies, its
+    bound covers the regret on every row, and a deterministic run's
+    potential never rises."""
     path = _cfg(tmp_path, text + "n = 30\n")
     assert cli.main(["run", "--config", path]) == 0
     out, err = capsys.readouterr()

@@ -15,9 +15,9 @@ from burkholder.statistics import map_slots
 from burkholder.symlin import Entry, spectral_norm
 from burkholder.verify import (CHUNK, PredictableTree, check_matrix_khintchine,
                                check_mgf_bound, check_p2, check_p3, draw_p3, replay_p3,
-                               sign_paths, tree_leaves)
+                               tree_leaves)
 from stat_oracle import sample_statistic, stats_allclose
-from tree_oracle import gather_tree, prefix_codes
+from tree_oracle import gather_tree, prefix_codes, sign_paths
 
 
 def _cases():

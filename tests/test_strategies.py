@@ -59,9 +59,8 @@ class _QuadValue(Potential):
 
     convex_in_delta = True  # the table does not depend on y
 
-    def __init__(self, target, convex=True):
+    def __init__(self, target):
         self.target = target
-        self.convex_in_prediction = convex
 
     def round_values(self, zeta, x, y_hats, ys, loss, t=None):
         y_hats = np.asarray(y_hats, dtype=float)
@@ -75,18 +74,11 @@ def test_convex_search_refines_to_the_minimizer():
     assert abs(pred - 0.3) <= 1e-4
 
 
-def test_grid_search_without_convexity_stays_on_the_first_grid():
-    loss = make_loss("absolute")
-    pred = predict_convex(_QuadValue(0.3, convex=False), None, None, loss)
-    # nearest point of linspace(-1, 1, 129) to 0.3
-    assert pred == pytest.approx(0.296875, abs=1e-12)
-
-
 def test_tied_grid_minima_resolve_leftmost():
     loss = make_loss("absolute")
-    pred = predict_convex(_QuadValue(0.0, convex=False), None, None, loss)
+    pred = predict_convex(_QuadValue(0.0), None, None, loss)
     assert pred == 0.0
-    flat = _QuadValue(0.0, convex=False)
+    flat = _QuadValue(0.0)
     flat.round_values = lambda *a, **k: np.zeros((129, 129))
     assert predict_convex(flat, None, None, loss) == -1.0
 

@@ -129,12 +129,11 @@ def test_rank_one_denominator_fails_loudly():
 
 
 def test_grid_minimax_prediction_matches_a_dense_brute_force():
-    """The bracket refinement behind convex_in_prediction must land on the
-    same minimax value as a 2049-point sweep; this is what licenses the
-    flag, since the round value is not globally convex in the prediction."""
+    """The convex strategy's bracket refinement must land on the same
+    minimax value as a 2049-point sweep, although the round value is not
+    globally convex in the prediction."""
     loss = make_loss("squared")
     P = VawPotential(d=2, L=loss.L)
-    assert P.convex_in_prediction
     rng = np.random.default_rng(9)
     ys = np.unique(np.concatenate([np.linspace(-1, 1, 129), [-1, 1]]))
     for _ in range(40):

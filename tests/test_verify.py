@@ -18,12 +18,12 @@ from burkholder.symlin import spectral_norm
 from burkholder.verify import (MAX_DEPTH, TOL, CheckReport, PredictableTree,
                                check_matrix_khintchine, check_mgf_bound,
                                check_necessity, check_p1, check_p2, check_p3,
-                               check_supermartingale, draw_p3, replay_p3,
-                               sign_paths, tree_leaves)
+                               check_supermartingale, draw_p3, replay_p3, tree_leaves)
 from dilation_oracle import split
 from game_oracle import round_descent
 from stat_oracle import stats_allclose
-from tree_oracle import gather_tree, khintchine_ratio, node, prefix_codes
+from tree_oracle import (constant_tree, gather_tree, khintchine_ratio, node, prefix_codes,
+                         sign_paths)
 from tree_search import brute_force_sup_ev, perturbed, tree_expectation
 
 
@@ -158,7 +158,7 @@ def test_tree_level_shapes_are_validated():
     with pytest.raises(DomainError, match="exhaustive limit"):
         PredictableTree.random(MAX_DEPTH + 1, lambda r, k: np.zeros(k),
                                np.random.default_rng(0))
-    tree = PredictableTree.constant([1.0, 2.0, 3.0])
+    tree = constant_tree([1.0, 2.0, 3.0])
     assert [lv.shape[0] for lv in tree.levels] == [1, 2, 4]
     assert tree.depth == 3
     assert node(tree, 3, 2) == 3.0
@@ -168,7 +168,7 @@ def test_depth_zero_trees_are_rejected():
     with pytest.raises(DomainError, match="depth >= 1"):
         PredictableTree([])
     with pytest.raises(DomainError, match="depth >= 1"):
-        PredictableTree.constant([])
+        constant_tree([])
     with pytest.raises(DomainError, match="depth >= 1"):
         PredictableTree.random(0, lambda r, k: np.zeros(k), np.random.default_rng(0))
     # the sign-sum checks build their trees through the same constructor
@@ -231,12 +231,12 @@ def test_tree_leaves_fold_the_statistic_map_along_each_sign_path(depth, seed):
 
 def test_tree_construction_enforces_the_exhaustive_limit():
     with pytest.raises(DomainError, match="exhaustive limit"):
-        PredictableTree.constant([0.0] * (MAX_DEPTH + 1))
+        constant_tree([0.0] * (MAX_DEPTH + 1))
 
 
 def test_tree_expectation_matches_hand_computed_orthogonality():
     P = SmoothnessPair(d=1, C=0.0)
-    tree = PredictableTree.constant([np.array([0.3]), np.array([0.7])])
+    tree = constant_tree([np.array([0.3]), np.array([0.7])])
     # E ||eps_1 x_1 + eps_2 x_2||^2 = 0.09 + 0.49 by cancellation of the cross term
     assert tree_expectation(P, tree, P.bound) == pytest.approx(0.58, abs=1e-14)
     balanced = SmoothnessPair(d=1, C=1.0)
@@ -330,7 +330,7 @@ def test_khintchine_on_random_and_fixed_sequences():
     fixed = [np.array([[1.0, 0.0], [0.0, 0.5], [0.0, 0.0]]),
              np.array([[0.0, 1.0], [0.3, 0.0], [0.0, 0.2]]),
              np.array([[0.5, 0.5], [0.0, 0.0], [0.5, -0.5]])]
-    const = check_matrix_khintchine(trees=[PredictableTree.constant(fixed)])
+    const = check_matrix_khintchine(trees=[constant_tree(fixed)])
     assert const.passed and const.checks == 1
 
 
@@ -343,8 +343,8 @@ def test_khintchine_ratios_match_the_einsum_oracle(seed):
     depth = int(rng.integers(1, 8))
     P = MatrixPotential(d1, d2, eta=1.0)
     trees = [PredictableTree.random(depth, P.sample_instances, rng) for _ in range(3)]
-    trees.append(PredictableTree.constant(list(P.sample_instances(rng, depth))))
-    trees.append(PredictableTree.constant([np.zeros((d1, d2))] * depth))
+    trees.append(constant_tree(list(P.sample_instances(rng, depth))))
+    trees.append(constant_tree([np.zeros((d1, d2))] * depth))
     got = check_matrix_khintchine(trees=trees).extras["ratios"]
     want = [khintchine_ratio(tree) for tree in trees]
     assert got[-1] == want[-1] == 0.0  # a zero tree has no denominator
@@ -446,10 +446,10 @@ class TestNecessity:
 
     def test_oversized_class_radius_is_rejected(self):
         P = MatrixPotential(2, 2, eta=0.5, r=2.0)
-        tree = PredictableTree.constant([np.eye(2)] * 3)
+        tree = constant_tree([np.eye(2)] * 3)
         with pytest.raises(DomainError, match="needs r"):
             check_necessity(P, tree)
 
     def test_depth_guard(self):
         with pytest.raises(DomainError, match="exhaustive limit"):
-            PredictableTree.constant([np.eye(2) * 0.5] * (MAX_DEPTH + 1))
+            constant_tree([np.eye(2) * 0.5] * (MAX_DEPTH + 1))

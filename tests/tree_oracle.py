@@ -10,7 +10,24 @@ import math
 
 import numpy as np
 
-from burkholder.verify import sign_paths
+from burkholder.errors import DomainError
+from burkholder.verify import MAX_DEPTH, PredictableTree
+
+
+def sign_paths(n):
+    """(2^n, n) array of sign paths; bit s-1 of the row index gives eps_s."""
+    if n > MAX_DEPTH:
+        raise DomainError(f"depth {n} exceeds the exhaustive limit {MAX_DEPTH}")
+    p = np.arange(2 ** n)[:, None]
+    bits = (p >> np.arange(n)[None, :]) & 1
+    return 2.0 * bits - 1.0
+
+
+def constant_tree(values):
+    """A fixed sequence: every node at level t holds values[t-1]."""
+    return PredictableTree([np.broadcast_to(np.asarray(v, dtype=float),
+                                            (2 ** t,) + np.shape(v)).copy()
+                            for t, v in enumerate(values)])
 
 
 def prefix_codes(n):
