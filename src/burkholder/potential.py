@@ -99,16 +99,24 @@ class Potential:
         raise NotImplementedError("this family does not expose a closed regret bound")
 
     # --- shared helpers ----------------------------------------------------
-    def round_values(self, zeta, x, y_hats, ys, loss, t=None):
+    def round_values(self, zeta, x, y_hats, ys, loss, t=None, known=None):
         """Table of U(zeta + T(x, y_hat, dloss(y_hat, y))) over a grid pair, in
         one stacked evaluation: of the residual at each distinct delta when
-        the family is linearizable, else of every entry."""
+        the family is linearizable, else of every entry.
+
+        known, a dict from delta to the residual F(zeta, x, delta) that a
+        caller keeps through one round, spares the deltas it holds and
+        receives the others."""
         y_hats = np.asarray(y_hats, dtype=float)[:, None]
         deltas = np.asarray(loss.subgradient(y_hats, np.asarray(ys, dtype=float)[None, :]),
                             dtype=float)
         if self.linearizable:
             uniq, inv = distinct(deltas)
-            return y_hats * deltas + self.residual(zeta, x, uniq, t=t)[inv]
+            known = {} if known is None else known
+            new = [d for d in uniq.tolist() if d not in known]
+            if new:
+                known.update(zip(new, self.residual(zeta, x, np.array(new), t=t).tolist()))
+            return y_hats * deltas + np.array([known[d] for d in uniq.tolist()])[inv]
         y_hats, deltas = np.broadcast_arrays(y_hats, deltas)
         steps = self.stat_map(x, y_hats.ravel(), deltas.ravel())
         return self.eval(zeta + steps, t=t).reshape(deltas.shape)

@@ -5,7 +5,9 @@ symlin.dilation_step(X, delta) = [[X X^T, delta X], [delta X^T, X^T X]]:
 the drift H = sum delta*D(X) of the self-adjoint dilations D(X) fills Z's
 off-diagonal blocks and M = sum D(X)^2 its diagonal ones. The potential is
 a softmax smoothing of the largest eigenvalue of eta H - (eta^2 L^2 / 2) M,
-less c / eta for the constant c = r log(d1 + d2).
+less c / eta for the constant c = r log(d1 + d2). A round on an Entry maps
+to a BlockSym, which keeps Z as one block per connected component, and
+the potential then works block by block; any other round to a ScalarSym.
 """
 
 import math
@@ -13,9 +15,9 @@ import math
 import numpy as np
 
 from .. import symlin
-from ..errors import ConfigError, DomainError, NumericError
+from ..errors import ConfigError, DomainError
 from ..potential import Potential, distinct
-from ..statistics import ScalarSym
+from ..statistics import BlockSym, ScalarSym, positions
 from ..strategies import _play, predict_linearized
 
 
@@ -40,25 +42,33 @@ class MatrixPotential(Potential):
         self.B = float(B)
         self.c = self.r * math.log(self.dim)  # the least c with U(0) <= 0
         self._comparator = (None, 0.0)  # (a copy of the comparator, its nuclear norm)
+        # id(z) -> (z, log-sum-exp) for the blocks of the last BlockSym read
+        self._lses = {}
 
     def zero(self):
         return ScalarSym.zero(self.dim)
 
     def _instance(self, x, delta):
-        """(x, delta) as an instance and an array, x one instance or one per delta."""
-        x, delta = symlin.as_matrix(x), np.asarray(delta, dtype=float)
+        """(x, delta) as an Entry or a float array and an array, x one
+        instance or one per delta."""
+        if not isinstance(x, symlin.Entry):
+            x = np.atleast_2d(np.asarray(x, dtype=float))
+        delta = np.asarray(delta, dtype=float)
         if x.shape not in ((self.d1, self.d2), delta.shape + (self.d1, self.d2)):
             raise DomainError(f"instance shape {x.shape} != {delta.shape + (self.d1, self.d2)}")
         return x, delta
 
     def stat_map(self, x, y_hat, delta):
         x, delta = self._instance(x, delta)
+        if isinstance(x, symlin.Entry) and delta.ndim == 0:
+            return BlockSym.entry(x, float(delta), float(delta * y_hat))
         return ScalarSym(delta * y_hat, symlin.dilation_step(x, delta))
 
     def _block(self, stat, drift, variance, x=None, delta=None):
-        """drift H + variance M at stat, or at stat + T(x, 0, delta) for each
-        delta of a stack, on Z's live block widened by x's rows: the block is
-        gathered once, the steps added and its blocks scaled in place."""
+        """drift H + variance M at a ScalarSym stat, or at stat + T(x, 0,
+        delta) for each delta of a stack, on Z's live block widened by x's
+        rows: the block is gathered once, the steps added and its blocks
+        scaled in place."""
         live = symlin.live_rows(stat.Z, extra=() if x is None else symlin.dilation_rows(x))
         z = symlin.principal_block(stat.Z, live)
         if x is not None:
@@ -72,17 +82,55 @@ class MatrixPotential(Potential):
         z += 0.0  # a zero stays +0.0, as in drift H + variance M
         return z
 
+    def _weights(self):
+        """(drift, variance) weights of the softmax argument eta H - (eta^2
+        L^2 / 2) M; they fix every spectrum the potential takes of it."""
+        return self.eta, -0.5 * self.eta ** 2 * self.L ** 2
+
     def _softmax(self, stat, x=None, delta=None):
-        z = self._block(stat, self.eta, -0.5 * self.eta ** 2 * self.L ** 2, x, delta)
-        return (stat.a + (self.r / self.eta) * symlin.logsumexp(symlin.sym_eigvals(z, self.dim))
-                - self.c / self.eta)
+        z = self._block(stat, *self._weights(), x, delta)
+        return self._value(stat.a, symlin.logsumexp(symlin.sym_eigvals(z, self.dim)))
+
+    def _value(self, a, lse):
+        """U from the statistic's a and the log-sum-exp of its softmax argument's spectrum."""
+        return a + (self.r / self.eta) * lse - self.c / self.eta
+
+    @staticmethod
+    def _weigh_block(z, drift, variance):
+        """drift H + variance M in place on a block of a BlockSym (or a stack
+        of them), whose M is its diagonal."""
+        d = np.arange(z.shape[-1])
+        diagonal = variance * z[..., d, d]
+        z *= drift
+        z[..., d, d] = diagonal
+        return z
+
+    def _rest(self, stat, roots=(), revived=0):
+        """The block log-sum-exps of stat outside the blocks `roots`, and log
+        n for its n dead indices less `revived`: their log-sum-exp is that of
+        every eigenvalue outside those blocks, a dead index adding a zero.
+        Each block's value is kept while the statistics read next share
+        the block, as + shares every block a step leaves alone."""
+        kept, self._lses, key = self._lses, {}, self._weights()
+        for r, (_, z) in stat.blocks.items():
+            if r in roots:
+                continue
+            if id(z) not in kept:
+                w = self._weigh_block(z.copy(), *key)
+                kept[id(z)] = (z, float(symlin.logsumexp(symlin.sym_eigvals(w))))
+            self._lses[id(z)] = kept[id(z)]
+        lses = [lse for _, lse in self._lses.values()]
+        dead = int(np.count_nonzero(stat.root < 0)) - revived
+        return np.array(lses + [math.log(dead)] if dead else lses)
 
     def eval(self, stat, t=None):
+        if isinstance(stat, BlockSym):
+            return self._value(stat.a, symlin.logsumexp(self._rest(stat)))
         return self._softmax(stat)
 
     def residual(self, zeta, x, delta, t=None):
         """F(zeta, x, delta) = U(zeta + T(x, 0, delta)) for one statistic and
-        a stack of deltas, from one gather of zeta's live block.
+        a stack of deltas.
 
         F is even in delta when no path along the nonzero entries of Z joins
         a nonzero row of x to a nonzero column of x (for a stack of
@@ -92,8 +140,19 @@ class MatrixPotential(Potential):
         to the step at -delta. Then every delta is evaluated at |delta|, one
         spectrum per distinct |delta| of one instance, and F(+L) - F(-L),
         the linearized prediction, is exactly 0.
+
+        An Entry on a BlockSym factors only the block that the step forms
+        (see _entry_residual). Any other pair is dense: an Entry on a
+        ScalarSym is read as its dense matrix, a dense x on a BlockSym reads
+        its dense Z, and the answer comes from one gather of Z's live block,
+        with symlin.connects deciding the sign rule.
         """
         x, delta = self._instance(x, delta)
+        if isinstance(zeta, BlockSym):
+            if isinstance(x, symlin.Entry):
+                return self._entry_residual(zeta, x, delta)
+            zeta = ScalarSym(zeta.a, zeta.Z)
+        x = np.asarray(x)
         rows = symlin.dilation_rows(x)
         k1 = int(np.searchsorted(rows, self.d1))  # rows[:k1] are x's rows, the rest its columns
         if not symlin.connects(zeta.Z, rows[:k1], rows[k1:]):
@@ -103,30 +162,56 @@ class MatrixPotential(Potential):
                 return self._softmax(zeta, x, mags)[inverse]
         return self._softmax(zeta, x, delta)
 
+    def _entry_residual(self, zeta, x, delta):
+        """The residual of the Entry x = e_i e_j^T on a BlockSym: the step
+        touches the blocks that hold i and d1 + j, so only their union with
+        the step, one block, is factored; every other block enters through
+        the log-sum-exp kept for it (see _rest). No path joins i to d1 + j
+        exactly when they lie in different blocks (or one is untouched):
+        then the sign rule holds and each distinct |delta| takes one
+        spectrum, else each distinct delta."""
+        i, j = x.i, self.d1 + x.j
+        ri, rj = zeta.root[i], zeta.root[j]
+        even = ri < 0 or ri != rj
+        mags, inverse = distinct(np.abs(delta) if even else delta)
+        roots, rows, z = zeta.gather(np.array([i, j]))
+        pi, pj = positions(rows, [i, j])
+        z = np.repeat(z[None], mags.size, axis=0)
+        z[:, pi, pi] += 1.0
+        z[:, pj, pj] += 1.0
+        z[:, pi, pj] += mags
+        z[:, pj, pi] += mags
+        lse = symlin.logsumexp(symlin.sym_eigvals(self._weigh_block(z, *self._weights())))
+        rest = self._rest(zeta, roots, int(ri < 0) + int(rj < 0))
+        both = np.concatenate([lse[:, None], np.broadcast_to(rest, (mags.size, rest.size))], axis=1)
+        return self._value(zeta.a, symlin.logsumexp(both))[inverse]
+
     def bound(self, stat):
-        """V = a + r * lambda_1(H - (eta L^2 / 2) M) - c / eta."""
-        z = self._block(stat, 1.0, -0.5 * self.eta * self.L ** 2)
-        return stat.a + self.r * symlin.sym_eigvals(z, self.dim)[..., 0] - self.c / self.eta
+        """V = a + r * lambda_1(H - (eta L^2 / 2) M) - c / eta; on a BlockSym
+        the largest top eigenvalue of its blocks, with 0 for a dead index."""
+        weights = (1.0, -0.5 * self.eta * self.L ** 2)
+        if isinstance(stat, BlockSym):
+            tops = [symlin.sym_eigvals(self._weigh_block(z.copy(), *weights))[0]
+                    for _, z in stat.blocks.values()]
+            top = max(tops + [0.0] if (stat.root < 0).any() else tops)
+        else:
+            top = symlin.sym_eigvals(self._block(stat, *weights), self.dim)[..., 0]
+        return stat.a + self.r * top - self.c / self.eta
 
     def variance(self, stat):
         """||M|| = lambda_1(M) for the block-diagonal M in Z's diagonal blocks;
-        one per member of a stack. One scan of Z finds whether both blocks
-        are diagonal (as on `Entry` runs); then ||M|| is the largest diagonal
-        entry, with no sort, else the top eigenvalue of M's live block."""
-        z, d1 = stat.Z, self.d1
-        nonzero = z != 0  # a NaN counts, so sym_eigvals rejects it
-        diag = np.diagonal(z, axis1=-2, axis2=-1)
-        if (np.count_nonzero(nonzero[..., :d1, :d1]) + np.count_nonzero(nonzero[..., d1:, d1:])
-                > np.count_nonzero(diag)):
-            return symlin.sym_eigvals(self._block(stat, 0.0, 1.0), self.dim)[..., 0]
-        top = diag.max(axis=-1)
-        if not np.isfinite(top).all():
-            raise NumericError("non-finite variance diagonal", {"max": top})
-        return top
+        one per member of a stack: the top eigenvalue of M's live block, or
+        the top diagonal entry of a BlockSym, whose M is diagonal."""
+        if isinstance(stat, BlockSym):
+            return stat.top
+        return symlin.sym_eigvals(self._block(stat, 0.0, 1.0), self.dim)[..., 0]
 
     def drift_norm(self, stat):
-        """||sum delta X||_sigma = lambda_1(H), from Z's off-diagonal block;
-        one per member of a stack."""
+        """||sum delta X||_sigma = lambda_1(H), from Z's off-diagonal block
+        (block by block on a BlockSym); one per member of a stack."""
+        if isinstance(stat, BlockSym):  # a block's indices below d1 are rows of X
+            return max([float(symlin.spectral_norm(z[np.ix_(rows < self.d1, rows >= self.d1)]))
+                        for rows, z in stat.blocks.values()], default=0.0)
         return symlin.spectral_norm(stat.Z[..., :self.d1, self.d1:])
 
     def regret_bound(self, stat, comparator=None):

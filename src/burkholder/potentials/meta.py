@@ -54,8 +54,21 @@ class MetaPotential(Potential):
 
     def eval(self, stat, t=None):
         taus, gamma = self._split(stat)
-        vals = np.stack([m.eval(tau, t=t) for m, tau in zip(self.members, taus)], axis=-1)
-        ex = self.eta * vals - self.eta ** 2 * gamma
+        return self._value([m.eval(tau, t=t) for m, tau in zip(self.members, taus)], gamma)
+
+    def residual(self, zeta, x, delta, t=None):
+        """F from the members' residuals: zeta + T(x, 0, delta) adds each
+        member's step to its statistic, where the member's value is its
+        residual, and C to the drift."""
+        if not self.linearizable:
+            return super().residual(zeta, x, delta, t=t)  # raises DomainError
+        taus, gamma = self._split(zeta)
+        return self._value([m.residual(tau, x, delta, t=t) for m, tau in zip(self.members, taus)],
+                           gamma + self.C)
+
+    def _value(self, vals, gamma):
+        """U from the members' values and the drift vector gamma."""
+        ex = self.eta * np.stack(vals, axis=-1) - self.eta ** 2 * gamma
         return logsumexp(ex) / self.eta - math.log(self.arity) / self.eta
 
     def bound(self, stat):

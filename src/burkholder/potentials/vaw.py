@@ -78,7 +78,8 @@ class VawPotential(Potential):
         """U and V coincide for this family."""
         return self.eval(stat)
 
-    def round_values(self, zeta, x, y_hats, ys, loss, t=None):
+    def round_values(self, zeta, x, y_hats, ys, loss, t=None, known=None):
+        # known is for linearizable families; this table has no residual
         # The round adds rho z z^T to G0 = rho A + lam I, with z = a - y_hat e,
         # a = (x, 0) and e = (0, ..., 0, 1). One solve of G0 against
         # [zeta.x, a, e] gives every inner product the table needs. With

@@ -53,14 +53,16 @@ def predict_convex(P, zeta, x, loss, *, t=None):
     A uniform y_hat grid on [-B, B] is refined around its leftmost minimizer
     until the spacing is at most _TOL. Each stage's grid holds the previous
     best point, so refining never does worse than the first grid; where the
-    sup is convex in y_hat it converges to the minimax.
+    sup is convex in y_hat it converges to the minimax. A linearizable
+    family reads its residual once per distinct delta in the round, however
+    many stages read it.
     """
     ys = sup_labels(P, loss)
     lo, hi = -P.B, P.B
-    best = None
+    best, known = None, {}  # known: the residual at each delta read this round
     for _ in range(_MAX_STAGES):
         pts = np.linspace(lo, hi, _PRED_GRID)
-        table = P.round_values(zeta, x, pts, ys, loss, t=t)
+        table = P.round_values(zeta, x, pts, ys, loss, t=t, known=known)
         sup = table.max(axis=1)
         i = int(np.argmin(sup))  # argmin takes the leftmost among ties
         best = float(pts[i])

@@ -7,9 +7,9 @@ to eigenvalues; `dilation_step` gives a round's dilation and its square in
 one array. Dense arguments may carry leading batch axes.
 
 Spectra follow one rule: the caller gathers the block, and `sym_eigvals`
-factors it and pads it. A statistic slot touches only its live rows and
-columns (those not identically zero, found by `live_rows`), so the caller
-gathers its live principal block once (`principal_block`, with
+factors it and pads it. A dense statistic slot touches only its live rows
+and columns (those not identically zero, found by `live_rows`), so the
+caller gathers its live principal block once (`principal_block`, with
 `instance_block` for a round's instance) and works on the block.
 `sym_eigvals` takes that symmetric block as given: a nonempty block is one
 eigvalsh. Each row outside the block adds an exact zero eigenvalue, padded
@@ -19,9 +19,12 @@ serves all; a row dead in one member but live in another is a zero row
 inside its block, still an exact zero eigenvalue. This is exact in exact
 arithmetic. In floating point the padded zeros are exact where a dense
 solve leaves roundoff of order 1e-16 times the norm, so results agree with
-a dense eigvalsh to roundoff, not bit for bit. Completion statistics
-touch only the rows and columns seen so far, so their spectra cost the cube
-of the live size instead of (d1 + d2)^3.
+a dense eigvalsh to roundoff, not bit for bit. A completion statistic
+(statistics.BlockSym) goes further: it holds Z as one block per connected
+component of Z's nonzeros, and Z's spectrum is the union of the blocks'
+spectra with a zero for each untouched row. Its caller factors a block
+unpadded, only the block a round forms, so a round costs the cube of one
+component's size instead of that of the live size or of (d1 + d2).
 """
 
 import numpy as np
@@ -33,8 +36,9 @@ class Entry:
     """The d1 x d2 indicator matrix e_i e_j^T, stored as its index (i, j).
 
     np.asarray(entry) gives the dense matrix, so any consumer of dense
-    instances accepts an Entry; dilation_step and the comparator search use
-    the index directly, with results equal to the dense ones.
+    instances accepts an Entry; dilation_step, the matrix family's block
+    statistic (statistics.BlockSym) and the comparator search use the index
+    directly.
     """
     __slots__ = ("i", "j", "shape")
 
@@ -55,13 +59,6 @@ class Entry:
         return out
 
 
-def as_matrix(x):
-    """x itself when it is an Entry, else x as a float array of at least 2-D."""
-    if isinstance(x, Entry):
-        return x
-    return np.atleast_2d(np.asarray(x, dtype=float))
-
-
 def dilation_step(x, delta):
     """delta D + D^2 for the self-adjoint dilation D = [[0, X], [X^T, 0]] of
     a d1 x d2 matrix: [[X X^T, delta X], [delta X^T, X^T X]].
@@ -70,7 +67,9 @@ def dilation_step(x, delta):
     the off-diagonal blocks carry delta X and the diagonal blocks D^2. A
     stack of deltas broadcasts against x's batch axes.
     """
-    x, delta = as_matrix(x), np.asarray(delta, dtype=float)
+    if not isinstance(x, Entry):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+    delta = np.asarray(delta, dtype=float)
     *batch, d1, d2 = x.shape
     out = np.zeros(np.broadcast_shapes(tuple(batch), delta.shape) + (d1 + d2, d1 + d2))
     if isinstance(x, Entry):
@@ -90,22 +89,17 @@ def dilation_rows(x):
     """Sorted indices of the rows of x's dilation [[0, X], [X^T, 0]] that
     are nonzero in some member of a stack: x's nonzero rows, then d1 plus
     its nonzero columns."""
-    if isinstance(x, Entry):
-        return np.array([x.i, x.shape[0] + x.j])
     batch = tuple(range(x.ndim - 2))
     return np.concatenate([np.flatnonzero(x.any(axis=batch + (x.ndim - 1,))),
                            x.shape[-2] + np.flatnonzero(x.any(axis=batch + (x.ndim - 2,)))])
 
 
 def instance_block(x, live):
-    """x restricted to the principal block `live` of its dilation (an Entry
-    stays one); its dilation_step is that of x on the block when `live`
-    holds dilation_rows(x)."""
+    """x restricted to the principal block `live` of its dilation; its
+    dilation_step is that of x on the block when `live` holds
+    dilation_rows(x)."""
     d1 = x.shape[-2]
     k1 = int(np.searchsorted(live, d1))  # live[:k1] index rows of x, the rest columns
-    if isinstance(x, Entry):
-        i, j = np.searchsorted(live, (x.i, d1 + x.j))
-        return Entry(i, j - k1, (k1, live.size - k1))
     return x[..., live[:k1, None], live[k1:] - d1]
 
 

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 
 from burkholder.potential import stack_rounds
-from burkholder.statistics import ProductStat, map_slots
+from burkholder.statistics import BlockSym, ProductStat, map_slots
 
 
 def sample_statistic(P, rng, max_rounds=8):
@@ -22,6 +22,8 @@ def stats_allclose(a, b, rtol=1e-12, atol=1e-12):
     if isinstance(a, ProductStat):
         return len(a.parts) == len(b.parts) and all(
             stats_allclose(p, q, rtol, atol) for p, q in zip(a.parts, b.parts))
+    if isinstance(a, BlockSym):  # compared as (a, Z)
+        return all(np.allclose(x, y, rtol=rtol, atol=atol) for x, y in ((a.a, b.a), (a.Z, b.Z)))
     return all(
         np.allclose(getattr(a, f.name), getattr(b, f.name), rtol=rtol, atol=atol)
         for f in fields(a))

@@ -506,11 +506,17 @@ def test_run_rejects_param_free_instances_outside_the_unit_ball(tmp_path, capsys
     assert "certificate" not in out + err
 
 
-def test_run_csv_is_byte_identical_with_dense_instances(tmp_path, monkeypatch):
+def test_run_csv_matches_dense_instances(tmp_path, monkeypatch, capsys):
+    """run on Entry instances, whose statistic keeps Z as blocks, and on
+    their dense matrices, whose statistic is one array: every CSV cell
+    agrees within 1e-12 of max(1, |value|), and the summary lines agree
+    byte for byte. The two factor different matrices (a component's block
+    against Z's live block), so the last digits may differ."""
     path = _cfg(tmp_path, "family = matrix\nd1 = 6\nd2 = 5\nn = 40\neta = 0.3\n"
                           "rank = 2\nnoise = 0.05\ncomparator_iters = 60\n")
     sparse, dense = tmp_path / "sparse.csv", tmp_path / "dense.csv"
     assert cli.main(["run", "--config", path, "--out", str(sparse)]) == 0
+    summary = capsys.readouterr().out
     generate = harness.matrix_completion
 
     def densified(*args, **kwargs):
@@ -521,7 +527,53 @@ def test_run_csv_is_byte_identical_with_dense_instances(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "matrix_completion", densified)
     assert cli.main(["run", "--config", path, "--out", str(dense)]) == 0
-    assert dense.read_bytes() == sparse.read_bytes()
+    assert capsys.readouterr().out == summary
+    got, want = (np.loadtxt(f, delimiter=",", skiprows=1) for f in (sparse, dense))
+    assert got.shape == want.shape == (41, 7)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    assert sparse.read_text().splitlines()[0] == dense.read_text().splitlines()[0]
+
+
+def test_convex_matrix_round_reads_each_residual_once(tmp_path, monkeypatch, capsys):
+    """Convex play refines its y_hat grid in stages, and every stage of an
+    absolute-loss round asks for the residual at the same deltas. On a 4 x 3
+    matrix run of 60 rounds the residual is read once a round (60 calls,
+    each at every distinct delta), where reading it per stage took 180,
+    and the CSV is byte-identical to the per-stage reading."""
+    path = _cfg(tmp_path, "family = matrix\nloss = absolute\nstrategy = convex\n"
+                          "d1 = 4\nd2 = 3\neta = 0.3\nn = 60\n")
+    residual, round_values = MatrixPotential.residual, MatrixPotential.round_values
+    calls = []
+    monkeypatch.setattr(MatrixPotential, "residual",
+                        lambda self, *a, **k: calls.append(1) or residual(self, *a, **k))
+    once, per_stage = tmp_path / "once.csv", tmp_path / "per_stage.csv"
+    assert cli.main(["run", "--config", path, "--seed", "0", "--out", str(once)]) == 0
+    assert len(calls) == 60
+    calls.clear()
+    monkeypatch.setattr(MatrixPotential, "round_values",
+                        lambda self, *a, known=None, **k: round_values(self, *a, **k))
+    assert cli.main(["run", "--config", path, "--seed", "0", "--out", str(per_stage)]) == 0
+    assert len(calls) == 180
+    assert once.read_bytes() == per_stage.read_bytes()
+
+
+def test_matrix_run_passes_the_benchmark_check(monkeypatch):
+    """burkholder run on the benchmark's matrix_run config at seed 0, in a
+    fresh process as the benchmark starts it, passes perfbench/checks.py's
+    check_run: the certificate passes, U never rises, regret stays under
+    the bound column, and the CSV matches the stored reference within
+    1e-9."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    env = dict(os.environ, PYTHONPATH=str(Path(burkholder.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "burkholder.cli", "run", "--config",
+                           str(bench / "configs" / "matrix_run.cfg"), "--seed", "0"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.syspath_prepend(str(bench))
+    import checks
+    assert checks.REFERENCE_SEED == 0
+    assert checks.check_run(0, proc.stdout, proc.stderr) == []
 
 
 def test_verify_p1_covers_the_catalog(capsys):

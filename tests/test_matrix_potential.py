@@ -11,7 +11,7 @@ from burkholder.harness import matrix_completion
 from burkholder.losses import make_loss
 from burkholder.potential import Potential
 from burkholder.potentials import MatrixPotential, doubling_run
-from burkholder.statistics import ScalarSym, map_slots
+from burkholder.statistics import BlockSym, ScalarSym, map_slots
 from burkholder.strategies import predict_linearized, run_online
 from dilation_oracle import dilation, dilation_square, split
 from stat_oracle import sample_statistic
@@ -348,7 +348,8 @@ def _assert_matches_evals(P, zeta, x, deltas, got):
 def test_residual_is_even_when_no_path_joins_the_cell():
     """Row 3 is live through column 0 and row 2, but no path of Z's nonzeros
     reaches column 4: F(zeta, x, delta) = F(zeta, x, -delta) bit for bit,
-    each within 1e-12 of an independent eval, and the prediction is 0."""
+    each within 1e-12 of an independent eval and of the dense instance's
+    residual, which is even bit for bit too, and the prediction is 0."""
     P = MatrixPotential(6, 5, eta=0.3, r=1.5, L=1.2)
     rng = np.random.default_rng(51)
     zeta = _entries_statistic(P, [(0, 1), (2, 0), (3, 0), (5, 2), (5, 3)], rng)
@@ -357,9 +358,11 @@ def test_residual_is_even_when_no_path_joins_the_cell():
     deltas = np.array([-1.2, 1.2, -0.4, 0.4, 0.0])
     got = P.residual(zeta, x, deltas)
     assert got[0] == got[1] and got[2] == got[3]
+    dense = np.asarray(x)
     for d in deltas:
         assert P.residual(zeta, x, d) == P.residual(zeta, x, -d)
-        assert P.residual(zeta, x, d) == P.residual(zeta, np.asarray(x), -d)
+        assert P.residual(zeta, dense, d) == P.residual(zeta, dense, -d)
+        assert abs(P.residual(zeta, x, d) - P.residual(zeta, dense, d)) <= 1e-12
     _assert_matches_evals(P, zeta, x, deltas, got)
     assert predict_linearized(P, zeta, x)[0] == 0.0
 
@@ -415,3 +418,100 @@ def test_residual_of_a_stack_of_instances_reads_the_union_of_their_cells():
     got = P.residual(zeta, xs, deltas)
     assert not np.array_equal(got, P.residual(zeta, xs, -deltas))
     assert np.allclose(got, Potential.residual(P, zeta, xs, deltas), rtol=1e-12, atol=0.0)
+
+
+def _entry_and_dense_play(P_of, seq, loss, doubling=False):
+    """(Entry trajectory, dense trajectory, Entry run's (zeta_prev, x) per
+    round): the same rounds played on Entry instances, whose statistic is a
+    BlockSym, and on their dense matrices, whose statistic is a ScalarSym."""
+    seen = []
+    dense = [(np.asarray(x), y) for x, y in seq]
+    if doubling:
+        d1, d2 = seq[0][0].shape
+        kw = dict(R=0.5, on_round=lambda t, zp, rnd, z: seen.append((zp, rnd.x)))
+        return (doubling_run(d1, d2, seq, loss, **kw)[0],
+                doubling_run(d1, d2, dense, loss, R=0.5)[0], seen)
+    block = run_online(P_of(), "linearized", seq, loss,
+                       on_round=lambda t, zp, rnd, z: seen.append((zp, rnd.x)))
+    return block, run_online(P_of(), "linearized", dense, loss), seen
+
+
+def _opposite_signs_sequence():
+    """Absolute-loss rounds on a 4 x 3 grid where cell (0, 0) comes back
+    with the opposite label: its off-diagonal entry cancels to 0."""
+    cells = [(0, 0, 1.0), (0, 0, -1.0), (0, 1, 0.5), (1, 1, -0.3), (1, 0, 0.8),
+             (0, 0, 1.0), (2, 2, -0.6), (0, 0, -1.0), (2, 1, 0.4), (1, 0, -0.9)]
+    return [(symlin.Entry(i, j, (4, 3)), y) for i, j, y in cells]
+
+
+@pytest.mark.parametrize("case", ["absolute", "hinge", "squared", "doubling", "opposite"])
+def test_entry_play_on_blocks_equals_dense_play(case, monkeypatch):
+    """Entry play keeps Z as blocks, one per connected component, and
+    factors only the block a round forms; dense play factors Z's live
+    block. Predictions and potential values agree within 1e-12 of
+    max(1, |value|), for absolute loss (delta = +-L), hinge (its delta = 0
+    rounds add diagonal entries but no edge), squared (delta off +-L, so
+    eval), the doubling trick, and a cell whose entry cancels to 0, and so
+    do U, V, ||M|| and ||sum delta X||_sigma at the last statistic. The
+    sign rule (one spectrum, F(-L) = F(+L) bit for bit) fires exactly on
+    the rounds where no path of Z joins the cell's row and column."""
+    loss = make_loss("absolute" if case in ("doubling", "opposite") else case)
+    if case == "opposite":
+        seq, d1 = _opposite_signs_sequence(), 4
+    else:
+        seq, d1 = list(matrix_completion(80, 6, 5, rank=2, noise=0.05,
+                                         rng=np.random.default_rng(61))), 6
+    P_of = lambda: MatrixPotential(d1, seq[0][0].shape[1], eta=0.4, L=loss.L, B=loss.B)
+    block, dense, seen = _entry_and_dense_play(P_of, seq, loss, doubling=case == "doubling")
+    for got, want in [([r.y_hat for r in block.rounds], [r.y_hat for r in dense.rounds]),
+                      ([r.delta for r in block.rounds], [r.delta for r in dense.rounds]),
+                      (block.potential_values, dense.potential_values)]:
+        got, want = np.array(got), np.array(want)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    assert np.allclose(block.final_statistic.Z, dense.final_statistic.Z, rtol=0, atol=1e-12)
+    P = P_of()
+    final = block.final_statistic
+    assert isinstance(final, BlockSym)
+    for value in (P.eval, P.bound, P.variance, P.drift_norm, P.regret_bound):
+        want = value(ScalarSym(final.a, final.Z))
+        assert abs(value(final) - want) <= 1e-12 * max(1.0, abs(want))
+    fired, apart, shapes = [], [], []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    for zeta, x in seen:
+        P.eval(zeta)  # every block's spectrum is cached now
+        shapes.clear()
+        f = P.residual(zeta, x, np.array([-1.0, 1.0]))
+        (shape,) = shapes  # one spectrum under the rule, else a stacked pair
+        fired.append(shape[0] == 1)
+        assert f[0] == f[1] or not fired[-1]
+        apart.append(not symlin.connects(zeta.Z, [x.i], [d1 + x.j]))
+    assert fired == apart
+    if case == "hinge":  # y_hat = 0 meets every label with delta = 0: no edge, ever
+        assert all(r.delta == 0 for r in block.rounds) and all(fired)
+    else:
+        assert any(fired) and not all(fired)
+    if case == "opposite":
+        # round 2 cancels cell (0, 0): row 0 and column 0 part again
+        after = seen[2][0]
+        assert isinstance(after, BlockSym) and after.root[0] != after.root[4]
+        assert after.Z[0, 4] == 0.0 and after.Z[0, 0] == 2.0
+
+
+def test_entry_play_factors_only_new_blocks(monkeypatch):
+    """On an absolute-loss entry run a round takes one spectrum for the
+    block its step forms and, when it does not touch it, one for the block
+    the previous round formed: a block no round has changed since the
+    potential last read it keeps its log-sum-exp. Round 1 reads the dense
+    zero statistic."""
+    loss = make_loss("absolute")
+    seq = list(matrix_completion(80, 6, 5, rank=2, noise=0.05, rng=np.random.default_rng(61)))
+    P = MatrixPotential(6, 5, eta=0.4, L=loss.L, B=loss.B)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    per_round = []
+    traj = run_online(P, "linearized", seq, loss,
+                      on_round=lambda t, zeta, rnd, nxt: per_round.append(len(calls)))
+    assert {r.delta for r in traj.rounds} == {-1.0, 1.0}
+    assert set(np.diff(per_round).tolist()) == {1, 2}

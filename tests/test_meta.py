@@ -11,8 +11,8 @@ from burkholder.potentials import (AdaGradPotential, CombinedPotential,
                                    MatrixPotential, MetaPotential,
                                    ParamFreePotential, VawPotential,
                                    combine_convex, combine_min, matrix_meta)
-from burkholder.statistics import ScalarVec
-from burkholder.symlin import spectral_norm
+from burkholder.statistics import BlockSym, ScalarVec
+from burkholder.symlin import Entry, spectral_norm
 from stat_oracle import sample_statistic
 
 
@@ -106,6 +106,24 @@ def test_linearizability_survives_aggregation():
         lhs = meta.eval(zeta + meta.stat_map(x, y_hat, delta))
         rhs = y_hat * delta + meta.residual(zeta, x, delta)
         assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+def test_residual_on_entry_rounds_reads_the_members_residuals():
+    """On an entry run the matrix member keeps a block statistic, and the
+    meta residual, built from the members' residuals, is U of the stacked
+    sum for a stack of deltas: on a cell whose row and column lie in
+    different blocks, on one inside a block and on a repeated cell."""
+    meta = _meta_pair()
+    rng = np.random.default_rng(5)
+    zeta = meta.zero()
+    for i, j in [(0, 1), (2, 0), (1, 1)]:
+        zeta = zeta + meta.stat_map(Entry(i, j, (3, 2)), rng.uniform(-1, 1), rng.uniform(-1, 1))
+    assert isinstance(zeta.parts[0], BlockSym)
+    deltas = np.array([-1.0, -0.3, 0.0, 0.3, 1.0])
+    for i, j in [(0, 0), (0, 1), (2, 0)]:
+        x = Entry(i, j, (3, 2))
+        want = meta.eval(zeta + meta.stat_map(x, 0.0, deltas))
+        assert np.allclose(meta.residual(zeta, x, deltas), want, rtol=1e-12, atol=1e-12)
 
 
 def test_non_linearizable_members_disable_the_residual():

@@ -11,7 +11,7 @@ import pytest
 from burkholder.potentials import (AdaGradPotential, MatrixPotential, ParamFreePotential,
                                    combine_convex, combine_min, standard_families)
 from burkholder.losses import make_loss
-from burkholder.statistics import map_slots
+from burkholder.statistics import BlockSym, ScalarSym, map_slots
 from burkholder.symlin import Entry, spectral_norm
 from burkholder.verify import (CHUNK, PredictableTree, check_matrix_khintchine,
                                check_mgf_bound, check_p2, check_p3, draw_p3, replay_p3,
@@ -139,16 +139,21 @@ def test_one_instance_against_a_delta_stack_matches_single_calls(name):
 
 
 def test_matrix_round_values_keep_an_entry_sparse(monkeypatch):
-    """An Entry against a stack of deltas is never densified: not by the
-    residual's block, nor by stat_map's shared instance."""
+    """An Entry against a stack of deltas on an entry run's statistic is
+    never densified: the residual factors the block the step forms, a
+    one-round stat_map is a block statistic, and stat_map of a delta stack
+    keeps the shared instance an Entry."""
     P = MatrixPotential(4, 3, eta=0.5)
     rng = np.random.default_rng(9)
-    zeta = sample_statistic(P, rng)
+    zeta = P.zero()
+    for i, j in [(0, 1), (2, 0), (2, 2), (3, 1)]:
+        zeta = zeta + P.stat_map(Entry(i, j, (4, 3)), rng.uniform(-1, 1), rng.uniform(-1, 1))
+    dense_zeta = ScalarSym(zeta.a, zeta.Z)
     x = Entry(2, 1, (4, 3))
-    dense = np.asarray(x)
     loss = make_loss("squared")
-    want = P.round_values(zeta, dense, np.linspace(-1, 1, 5), [-1.0, 1.0], loss)
-    step = P.stat_map(dense, 0.3, np.array([-0.5, 0.5]))
+    want = P.round_values(dense_zeta, np.asarray(x), np.linspace(-1, 1, 5), [-1.0, 1.0], loss)
+    step = P.stat_map(np.asarray(x), 0.3, -0.5)
+    steps = P.stat_map(np.asarray(x), 0.3, np.array([-0.5, 0.5]))
 
     def densify(self, dtype=None, copy=None):
         raise AssertionError("Entry densified")
@@ -156,7 +161,10 @@ def test_matrix_round_values_keep_an_entry_sparse(monkeypatch):
     monkeypatch.setattr(Entry, "__array__", densify)
     got = P.round_values(zeta, x, np.linspace(-1, 1, 5), [-1.0, 1.0], loss)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
-    assert stats_allclose(P.stat_map(x, 0.3, np.array([-0.5, 0.5])), step,
+    sparse = P.stat_map(x, 0.3, -0.5)
+    assert isinstance(sparse, BlockSym)
+    assert sparse.a == step.a and np.array_equal(sparse.Z, step.Z)
+    assert stats_allclose(P.stat_map(x, 0.3, np.array([-0.5, 0.5])), steps,
                           rtol=0.0, atol=0.0)
 
 

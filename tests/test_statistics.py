@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from burkholder.errors import TagMismatchError
-from burkholder.statistics import (ProductStat, ScalarSym, ScalarVec,
+from burkholder.statistics import (BlockSym, ProductStat, ScalarSym, ScalarVec,
                                    ScalarVecScalar, VecSym)
+from burkholder.symlin import Entry, connects
+from dilation_oracle import dilation, dilation_square
 from stat_oracle import stats_allclose
 
 
@@ -82,3 +84,45 @@ def test_stats_allclose_discriminates():
     q = ProductStat((a, VecSym(np.zeros(2), np.eye(2))))
     assert not stats_allclose(p, q)
     assert stats_allclose(p, ProductStat((a, VecSym.zero(2))))
+
+
+def _entry_step(i, j, shape, delta, y_hat=0.5):
+    """One entry round as a BlockSym and as the dense ScalarSym of its matrix."""
+    x = np.asarray(Entry(i, j, shape))
+    dense = ScalarSym(delta * y_hat, delta * dilation(x) + dilation_square(x))
+    return BlockSym.entry(Entry(i, j, shape), delta, delta * y_hat), dense
+
+
+def test_block_statistic_sums_as_its_dense_form():
+    """Entry rounds summed as a BlockSym give the dense sum's a and Z bit
+    for bit, in blocks that are exactly the connected components of Z's
+    nonzeros (a delta = 0 round joins nothing; cell (1, 2) is seen with
+    opposite deltas, so its entry cancels and its block splits), and the
+    largest diagonal entry as top. The zero ScalarSym plus a BlockSym is
+    that BlockSym, and any other mix is dense."""
+    shape, rng = (5, 4), np.random.default_rng(7)
+    cells = [(0, 1, 0.5), (1, 2, -0.7), (3, 3, 0.0), (1, 1, 0.2), (1, 2, 0.7),
+             (4, 0, -1.0), (4, 1, 0.3), (2, 3, 0.9), (0, 1, -0.25)]
+    block, dense = ScalarSym.zero(9), ScalarSym.zero(9)
+    for i, j, delta in cells:
+        b, d = _entry_step(i, j, shape, delta, rng.uniform(-1, 1))
+        block, dense = block + b, dense + d
+        assert isinstance(block, BlockSym)
+        assert block.a == dense.a and np.array_equal(block.Z, dense.Z)
+        assert block.top == dense.Z.diagonal().max()
+        rows = [r for r, _ in block.blocks.values()]
+        assert sorted(np.concatenate(rows).tolist()) == np.flatnonzero(block.root >= 0).tolist()
+        for r in rows:
+            assert (block.root[r] == r[0]).all()
+            assert all(connects(dense.Z, [r[0]], [k]) for k in r)
+            others = np.setdiff1d(np.arange(9), r)
+            assert not connects(dense.Z, r, others)
+    assert block.root[1] != block.root[5 + 2]  # the cancelled cell parted
+    assert block.root[3] != block.root[5 + 3]  # the delta = 0 round joined nothing
+    other = ScalarSym(0.1, np.eye(9))
+    for mixed, want in [(other + block, other.Z + dense.Z), (block + other, dense.Z + other.Z)]:
+        assert isinstance(mixed, ScalarSym) and np.array_equal(mixed.Z, want)
+    with pytest.raises(TagMismatchError):
+        block + BlockSym.entry(Entry(0, 0, (4, 5)), 1.0, 0.0)
+    with pytest.raises(TagMismatchError):
+        ScalarSym.zero(8) + block

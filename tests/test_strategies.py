@@ -62,7 +62,7 @@ class _QuadValue(Potential):
     def __init__(self, target):
         self.target = target
 
-    def round_values(self, zeta, x, y_hats, ys, loss, t=None):
+    def round_values(self, zeta, x, y_hats, ys, loss, t=None, known=None):
         y_hats = np.asarray(y_hats, dtype=float)
         col = (y_hats - self.target) ** 2
         return np.repeat(col[:, None], np.asarray(ys).size, axis=1)
@@ -86,7 +86,7 @@ def test_tied_grid_minima_resolve_leftmost():
 class _RecordingGrid(_QuadValue):
     """_QuadValue that keeps the prediction grid it was asked to tabulate."""
 
-    def round_values(self, zeta, x, y_hats, ys, loss, t=None):
+    def round_values(self, zeta, x, y_hats, ys, loss, t=None, known=None):
         self.grid = np.asarray(y_hats)
         return super().round_values(zeta, x, y_hats, ys, loss, t=t)
 
