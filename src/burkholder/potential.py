@@ -14,8 +14,9 @@ a faster equal form); that unlocks the closed-form prediction.
 
 stat_map takes k rounds at once (delta of shape (k,), instances stacked
 along a leading axis, or one instance that all k rounds share) and returns
-a stack of k statistics; eval and bound of a stack return k values, at one
-scalar round index t. The residual takes a stack of deltas the same way.
+a stack of k statistics; eval and bound of a stack return k values (eval
+at one round index t or one per member). The residual takes a stack of
+deltas the same way.
 """
 
 from dataclasses import dataclass, field
@@ -55,7 +56,8 @@ class Potential:
     def residual(self, zeta, x, delta, t=None):
         """F(zeta, x, delta) = U(zeta + T(x, 0, delta)) in round t; the value
         after the round is y_hat * delta + F when the family is linearizable.
-        A stack of deltas against one instance gives one value per delta."""
+        Deltas stacked against one instance, or with statistics and instances
+        stacked in line, give one value per delta."""
         if not self.linearizable:
             raise DomainError(f"{type(self).__name__} lacks the linear residual decomposition")
         return self.eval(zeta + self.stat_map(x, 0.0, delta), t=t)
@@ -138,7 +140,9 @@ def distinct(values):
 def stack_rounds(P, counts, rounds):
     """(taus, rest) from one stat_map call over the stacked rounds (x, y_hat,
     delta): taus[i] folds the next counts[i] rounds onto zero in round order;
-    rest stacks the maps of the rounds after them (None without rounds)."""
+    rest stacks the maps of the rounds after them (None without rounds).
+    Round r adds in place to every trial's slots: the order and rounding of
+    adding the rounds' statistics one by one."""
     counts, zero, rows = np.asarray(counts), P.zero(), len(rounds[2])
     taus = map_slots(lambda z: np.zeros(counts.shape + np.shape(z)), zero)
     if not rows:
@@ -148,7 +152,8 @@ def stack_rounds(P, counts, rounds):
                        P.stat_map(*rounds), zero)
     start = np.cumsum(counts) - counts
     for r in range(int(counts.max(initial=0))):
-        taus = taus + map_slots(lambda a: a[np.where(r < counts, start + r, rows)], padded)
+        pick = np.where(r < counts, start + r, rows)
+        map_slots(lambda out, a: np.add(out, a[pick], out=out), taus, padded)
     return taus, map_slots(lambda a: a[int(counts.sum()):rows], padded)
 
 

@@ -129,8 +129,8 @@ class MatrixPotential(Potential):
         return self._softmax(stat)
 
     def residual(self, zeta, x, delta, t=None):
-        """F(zeta, x, delta) = U(zeta + T(x, 0, delta)) for one statistic and
-        a stack of deltas.
+        """F(zeta, x, delta) = U(zeta + T(x, 0, delta)) for one statistic and a
+        stack of deltas, or member by member for a dense stack in line with them.
 
         F is even in delta when no path along the nonzero entries of Z joins
         a nonzero row of x to a nonzero column of x (for a stack of
@@ -153,6 +153,8 @@ class MatrixPotential(Potential):
                 return self._entry_residual(zeta, x, delta)
             zeta = ScalarSym(zeta.a, zeta.Z)
         x = np.asarray(x)
+        if zeta.batch_ndim:  # one statistic and instance per delta: the rule per member
+            return self._softmax(zeta, x, np.where(self._joined(zeta.Z, x), delta, np.abs(delta)))
         rows = symlin.dilation_rows(x)
         k1 = int(np.searchsorted(rows, self.d1))  # rows[:k1] are x's rows, the rest its columns
         if not symlin.connects(zeta.Z, rows[:k1], rows[k1:]):
@@ -161,6 +163,17 @@ class MatrixPotential(Potential):
                 mags, inverse = distinct(delta)
                 return self._softmax(zeta, x, mags)[inverse]
         return self._softmax(zeta, x, delta)
+
+    def _joined(self, z, x):
+        """symlin.connects for each member of a stack z of Z, one instance
+        each: the reach of x's nonzero rows along z's nonzeros grows until it stops."""
+        link, (reach, target) = z != 0, np.zeros((2,) + z.shape[:-1], dtype=bool)
+        reach[:, :self.d1], target[:, self.d1:] = x.any(axis=-1), x.any(axis=-2)
+        while True:
+            grown = reach | (reach[..., None] & link).any(axis=-2)
+            if np.array_equal(grown, reach):
+                return (reach & target).any(axis=-1)
+            reach = grown
 
     def _entry_residual(self, zeta, x, delta):
         """The residual of the Entry x = e_i e_j^T on a BlockSym: the step

@@ -90,14 +90,18 @@ class ParamFreePotential(Potential):
         return self.gamma * np.exp(exponent)
 
     def eval(self, stat, t=None):
+        """U after round t, one index or an integer array that reads member i
+        of a stack at t[i]; a t = 0 member takes no exponential, so cannot overflow."""
         if t is None:
             raise DomainError("time-varying potential needs the round index t")
-        t = int(t)
-        if not 0 <= t <= self.horizon:
-            raise DomainError(f"t = {t} outside 0..{self.horizon}")
-        if t == 0:
-            return stat.b + self.gamma * math.exp(self.tail(0)) - self.c
-        return stat.b + self._exp_term(self.norm(stat.x) ** 2, t) - self.c
+        t = np.asarray(t, dtype=int)
+        bad = t[(t < 0) | (t > self.horizon)]
+        if bad.size:
+            raise DomainError(f"t = {bad[0]} outside 0..{self.horizon}")
+        t = np.broadcast_to(t, np.shape(stat.b))
+        u, live = np.full(t.shape, self.gamma * math.exp(self.tail(0))), t > 0
+        u[live] = self._exp_term(self.norm(stat.x)[live] ** 2, t[live])
+        return stat.b + u - self.c
 
     def bound(self, stat):
         """V(b, x) = b + gamma * exp(||x||^2 / (2 beta n)) - c; equals U at t = n."""

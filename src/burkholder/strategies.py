@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .potential import Potential, Round, Trajectory, accumulate
+from .statistics import map_slots
 
 GridDistribution = namedtuple("GridDistribution", ["points", "probs"])
 
@@ -25,10 +26,17 @@ def predict_linearized(P, zeta, x, t=None):
     from one residual call on the stack [-L, +L].
 
     F is the potential's residual, which must be convex in delta. It is
-    _play's choose for the linearized strategy.
+    _play's choose for the linearized strategy. A stack of k statistics and
+    k instances gives k predictions and the (k, 2) residuals of one call.
     """
     if not P.convex_in_delta:
         raise DomainError("the linearized prediction needs a family convex in delta")
+    if getattr(zeta, "batch_ndim", 0):  # member i's pair at rows 2i and 2i + 1
+        f = P.residual(map_slots(lambda a: np.repeat(a, 2, axis=0), zeta), np.repeat(x, 2, axis=0),
+                       np.tile([-P.L, P.L], len(x)), t=t).reshape(-1, 2)
+        if not np.isfinite(f).all():
+            raise NumericError("non-finite residual evaluation", {"residuals": f})
+        return np.minimum(P.B, np.maximum(-P.B, -(f[:, 1] - f[:, 0]) / (2.0 * P.L))), f
     f_minus, f_plus = P.residual(zeta, x, np.array([-P.L, P.L]), t=t)
     if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
         raise NumericError("non-finite residual evaluation",

@@ -601,6 +601,16 @@ def test_verify_all_matches_the_benchmark_reference(capsys):
     assert len(summary(out)) == 38
 
 
+def test_verify_all_prints_the_golden_report(capsys):
+    """verify --suite all at seed 0 prints tests/verify_all_seed0.txt byte
+    for byte: every max_violation too, so a change in any printed digit of
+    a check shows here."""
+    golden = Path(__file__).resolve().parent / "verify_all_seed0.txt"
+    assert cli.main(["verify", "--suite", "all", "--seed", "0"]) == 0
+    out, _ = capsys.readouterr()
+    assert out == golden.read_text()
+
+
 def test_matrix_run_matches_the_benchmark_reference(capsys):
     """run on the benchmark's 100x100 completion config at seed 0 prints the
     stored reference CSV, every cell within 1e-9 relative or absolute (the

@@ -380,6 +380,37 @@ def test_residual_keeps_the_sign_when_a_path_joins_the_cell(cells):
     _assert_matches_evals(P, zeta, x, deltas, got)
 
 
+def test_stacked_prediction_keeps_the_sign_rule_member_by_member():
+    """predict_linearized on a dense stack of statistics, one one-cell
+    instance each: a member that symlin.connects finds no path for predicts
+    exactly 0 from two equal residuals, and every member is within 1e-12 of
+    its own call (the stack's live block is the members' union, so the bits
+    can differ)."""
+    P = MatrixPotential(4, 3, eta=0.4)
+    rng = np.random.default_rng(53)
+    zetas, xs = [], np.zeros((40, 4, 3))
+    for x in xs:
+        zeta = P.zero()
+        for _ in range(rng.integers(0, 7)):
+            cell = np.zeros((4, 3))
+            cell[rng.integers(4), rng.integers(3)] = rng.uniform(-1, 1)
+            zeta = zeta + P.stat_map(cell, rng.uniform(-1, 1), rng.uniform(-1, 1))
+        zetas.append(zeta)
+        x[rng.integers(4), rng.integers(3)] = rng.uniform(0.1, 1)
+    y_hat, f = predict_linearized(P, map_slots(lambda *s: np.stack(s), *zetas), xs)
+    apart = [not symlin.connects(z.Z, np.flatnonzero(x.any(1)), 4 + np.flatnonzero(x.any(0)))
+             for z, x in zip(zetas, xs)]
+    assert 0 < sum(apart) < len(xs)
+    for i, (zeta, x) in enumerate(zip(zetas, xs)):
+        y_i, pair = predict_linearized(P, zeta, x)
+        if apart[i]:
+            assert y_hat[i] == y_i == 0.0 and f[i, 0] == f[i, 1]
+        else:
+            assert y_hat[i] != 0.0
+        assert abs(y_hat[i] - y_i) <= 1e-12
+        assert np.allclose(f[i], pair, rtol=1e-12, atol=1e-12)
+
+
 def test_residual_of_a_dense_instance_across_separate_components():
     """A dense x with rows {0, 1} and columns {2, 3}: Z links rows 0, 1 to
     column 0 and columns 2, 3 to row 4, so no path joins x's rows to its

@@ -9,6 +9,7 @@ from burkholder.errors import ConfigError, DomainError, NumericError
 from burkholder.harness import comparator_grid, random_vectors
 from burkholder.losses import make_loss
 from burkholder.potentials import ParamFreePotential, harmonic_prefix
+from burkholder.statistics import ScalarVec
 from burkholder.strategies import run_online
 from stat_oracle import sample_statistic
 
@@ -63,6 +64,29 @@ def test_time_index_is_required_and_validated():
         P.eval(z, t=-1)
     with pytest.raises(DomainError):
         P.residual(z, np.zeros(2), 0.5)
+
+
+@pytest.mark.parametrize("p", [None, 4.0])
+def test_eval_at_an_array_of_round_indices_matches_scalar_calls(p):
+    """An integer t aligned with a stack reads member i at t[i], bit for bit
+    as a call per member. A t = 0 member takes no exponential, so one whose
+    exponent would overflow at t = 1 still evaluates; an index outside
+    0..n is named."""
+    P = ParamFreePotential(n=16, d=5, p=p)
+    rng = np.random.default_rng(4)
+    k = 12
+    stack = P.stat_map(P.sample_instances(rng, k), rng.uniform(-1, 1, k), rng.uniform(-1, 1, k))
+    stack.x[0] = 100.0  # ||x|| >= 66 in l2 and l4: t = 1 would overflow
+    t = np.array([0, 0, 1, 2, 16, 0, 3, 7, 16, 5, 1, 9])
+    got = P.eval(stack, t=t)
+    for i in range(k):
+        want = P.eval(ScalarVec(stack.b[i], stack.x[i]), t=int(t[i]))
+        assert got[i] == want and np.signbit(got[i]) == np.signbit(want)
+    with pytest.raises(NumericError):
+        P.eval(ScalarVec(stack.b[0], stack.x[0]), t=1)
+    for bad in (17, -1):
+        with pytest.raises(DomainError, match=f"t = {bad} outside"):
+            P.eval(stack, t=np.where(np.arange(k) == 4, bad, t))
 
 
 def test_rejects_instances_outside_the_unit_ball():

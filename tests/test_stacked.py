@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from burkholder.potential import stack_rounds
 from burkholder.potentials import (AdaGradPotential, MatrixPotential, ParamFreePotential,
                                    combine_convex, combine_min, standard_families)
 from burkholder.losses import make_loss
@@ -83,6 +84,39 @@ def test_stacked_checks_agree_with_a_plain_loop(name, seed):
         assert abs(rep.max_violation - worst) <= 1e-12, mode
         assert rep.witness["trial"] == trial, mode
         assert replay_p3(P, rep.witness) == rep.max_violation
+
+
+def _same_bits(a, b):
+    """Whether two statistics agree in every slot bit for bit, the sign of
+    zero included."""
+    same = []
+    map_slots(lambda u, v: same.append(np.array_equal(u, v)
+                                       and np.array_equal(np.signbit(u), np.signbit(v))), a, b)
+    return all(same)
+
+
+@pytest.mark.parametrize("name", sorted(standard_families()))
+def test_stack_rounds_folds_like_adding_one_round_at_a_time(name):
+    """stack_rounds' in-place fold gives each trial the bits of P.zero() plus
+    its rounds' statistics added one at a time, and rest the rounds' own
+    maps. Counts take 0 and the largest count; some deltas are 0, so that
+    y_hat * delta can be -0.0."""
+    P = standard_families(B=1.0)[name]
+    rng = np.random.default_rng(23)
+    for counts, extra in ((np.array([0, 8, 3, 0, 8, 1, 5]), 3), (np.zeros(4, dtype=int), 2)):
+        rows = int(counts.sum()) + extra
+        x, y_hat = P.sample_instances(rng, rows), rng.uniform(-P.B, P.B, rows)
+        delta = np.where(rng.uniform(size=rows) < 0.2, 0.0, rng.uniform(-P.L, P.L, rows))
+        taus, rest = stack_rounds(P, counts, (x, y_hat, delta))
+        one = [P.stat_map(x[r], float(y_hat[r]), float(delta[r])) for r in range(rows)]
+        start = np.cumsum(counts) - counts
+        for i, c in enumerate(counts):
+            zeta = P.zero()
+            for r in range(start[i], start[i] + c):
+                zeta = zeta + one[r]
+            assert _same_bits(map_slots(lambda a: a[i], taus), zeta)
+        for j in range(extra):
+            assert _same_bits(map_slots(lambda a: a[j], rest), one[rows - extra + j])
 
 
 def _stack(stats):

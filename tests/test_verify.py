@@ -312,7 +312,7 @@ def test_p2_and_p3_read_the_horizon_through_wrappers(wrapper):
     rounds, inner_eval = set(), P.eval
 
     def recording_eval(stat, t=None):
-        rounds.add(t)
+        rounds.update(np.atleast_1d(t).tolist())
         return inner_eval(stat, t=t)
 
     P.eval = recording_eval
@@ -408,6 +408,28 @@ class TestNecessity:
         report = check_necessity(P, tree, learner=lambda pot, z, x, t: (2.0, None))
         assert report.passed
         assert report.extras["E_regret_gap"] == pytest.approx(5.0, abs=1e-10)
+
+    def test_stacked_learner_matches_per_node_calls(self):
+        """Each level's one predict_linearized call on the level's stack
+        gives, bit for bit, the prediction and both residuals of a call per
+        node; the root, a zero statistic, predicts exactly 0."""
+        P = MatrixPotential(2, 2, eta=0.5)
+        tree = self._tree(6, np.random.default_rng(17))
+        loss = make_loss("absolute", B=2.0)
+        zetas = map_slots(lambda z: np.zeros((1,) + np.shape(z)), P.zero())
+        for t, x in enumerate(tree.levels, start=1):
+            y_hat, f = predict_linearized(P, zetas, x, t)
+            assert y_hat.shape == (len(x),) and f.shape == (len(x), 2)
+            for i in range(len(x)):
+                y_i, (f_minus, f_plus) = predict_linearized(
+                    P, map_slots(lambda a: a[i], zetas), x[i], t)
+                assert y_hat[i] == y_i and np.signbit(y_hat[i]) == np.signbit(y_i)
+                assert f[i, 0] == f_minus and f[i, 1] == f_plus
+            if t == 1:
+                assert y_hat[0] == 0.0
+            eps, twice = np.repeat([-1.0, 1.0], len(x)), np.concatenate([y_hat, y_hat])
+            zetas = (map_slots(lambda a: np.concatenate([a, a]), zetas)
+                     + P.stat_map(np.concatenate([x, x]), twice, loss.subgradient(twice, eps)))
 
     def test_clairvoyant_learner_is_the_negative_control(self):
         P = MatrixPotential(2, 2, eta=0.5)
