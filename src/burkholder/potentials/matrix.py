@@ -153,27 +153,18 @@ class MatrixPotential(Potential):
                 return self._entry_residual(zeta, x, delta)
             zeta = ScalarSym(zeta.a, zeta.Z)
         x = np.asarray(x)
+        batch = tuple(range(x.ndim - 2 - zeta.batch_ndim))  # instances that share a statistic
+        live = np.concatenate([x.any(axis=batch + (-1,)), x.any(axis=batch + (-2,))], axis=-1)
+        side = np.arange(self.dim) < self.d1  # x's rows, then its columns
+        joined = symlin.connects(zeta.Z, live & side, live & ~side)
         if zeta.batch_ndim:  # one statistic and instance per delta: the rule per member
-            return self._softmax(zeta, x, np.where(self._joined(zeta.Z, x), delta, np.abs(delta)))
-        rows = symlin.dilation_rows(x)
-        k1 = int(np.searchsorted(rows, self.d1))  # rows[:k1] are x's rows, the rest its columns
-        if not symlin.connects(zeta.Z, rows[:k1], rows[k1:]):
+            return self._softmax(zeta, x, np.where(joined, delta, np.abs(delta)))
+        if not joined:
             delta = np.abs(delta)
             if x.shape == (self.d1, self.d2):
                 mags, inverse = distinct(delta)
                 return self._softmax(zeta, x, mags)[inverse]
         return self._softmax(zeta, x, delta)
-
-    def _joined(self, z, x):
-        """symlin.connects for each member of a stack z of Z, one instance
-        each: the reach of x's nonzero rows along z's nonzeros grows until it stops."""
-        link, (reach, target) = z != 0, np.zeros((2,) + z.shape[:-1], dtype=bool)
-        reach[:, :self.d1], target[:, self.d1:] = x.any(axis=-1), x.any(axis=-2)
-        while True:
-            grown = reach | (reach[..., None] & link).any(axis=-2)
-            if np.array_equal(grown, reach):
-                return (reach & target).any(axis=-1)
-            reach = grown
 
     def _entry_residual(self, zeta, x, delta):
         """The residual of the Entry x = e_i e_j^T on a BlockSym: the step

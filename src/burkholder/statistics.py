@@ -212,10 +212,6 @@ class ProductStat:
     """Tuple of member statistics; addition is componentwise."""
     parts: tuple
 
-    @property
-    def batch_ndim(self):
-        return self.parts[0].batch_ndim
-
     def __add__(self, other):
         _require_same_tag(self, other)
         if len(self.parts) != len(other.parts):
