@@ -196,9 +196,10 @@ def build_comparator(cfg, fam, seq, loss):
     raise ConfigError(f"unknown comparator mode {mode!r}")
 
 
-def _randomized_slack(P, loss, n, eps1, eps2, rng):
-    """The a-priori slack n (K eps1 + eps2), K, and whether K is estimated."""
-    k, estimated = P.prediction_lipschitz(P.zero(), P.sample_instance(rng), loss, t=1)
+def _randomized_slack(P, loss, n, eps1, eps2, rng, like):
+    """The a-priori slack n (K eps1 + eps2), K, and whether K is estimated,
+    at the zero statistic of a run on instances like `like`."""
+    k, estimated = P.prediction_lipschitz(P.zero(like=like), P.sample_instance(rng), loss, t=1)
     return n * (k * eps1 + eps2), k, estimated
 
 
@@ -218,11 +219,12 @@ def cmd_run(args):
     eps2 = cfg.get("eps2", RANDOMIZED_EPS)
     slack, k, estimated = 0.0, None, False
     if strategy == "randomized":
-        slack, k, estimated = _randomized_slack(P, loss, n, eps1, eps2, np.random.default_rng(0))
+        slack, k, estimated = _randomized_slack(P, loss, n, eps1, eps2,
+                                                np.random.default_rng(0), seq.xs[0])
     # the comparator is deterministic and draws nothing from rng, so building
     # it first lets the bound column fill while the run goes
     comp = build_comparator(cfg, fam, seq, loss)
-    bounds = [P.regret_bound(P.zero(), comp.w)]
+    bounds = [P.regret_bound(P.zero(like=seq.xs[0]), comp.w)]
     traj = run_online(P, strategy, seq, loss, rng=rng, eps1=eps1,
                       on_round=lambda t, zeta_prev, rnd, zeta:
                       bounds.append(P.regret_bound(zeta, comp.w)))
@@ -384,7 +386,7 @@ def cmd_compare(args):
     baseline = next((s for s in ("linearized", "convex") if s in strategies), None)
     if "randomized" in strategies and baseline is not None:
         slack, k, estimated = _randomized_slack(P, loss, n, eps1, eps2,
-                                                np.random.default_rng([seed, 99]))
+                                                np.random.default_rng([seed, 99]), seq.xs[0])
         gap = float(np.mean(sums["randomized"]) - np.mean(sums[baseline]))
         ok = gap <= slack + verify.TOL
         tag = " (lipschitz estimated)" if estimated else ""

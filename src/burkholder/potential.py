@@ -35,7 +35,9 @@ class Potential:
     horizon = None  # the round count n when U depends on the round index
 
     # --- contract surface -------------------------------------------------
-    def zero(self):
+    def zero(self, like=None):
+        """The zero statistic, in the form that rounds on instances like
+        `like` (a run's first instance) sum to; None gives the dense form."""
         raise NotImplementedError
 
     def stat_map(self, x, y_hat, delta):

@@ -60,7 +60,7 @@ class AdaGradPotential(Potential):
         self.L = float(L)
         self.B = float(B)
 
-    def zero(self):
+    def zero(self, like=None):
         return ScalarVecScalar.zero(self.d, coordinatewise=self.variant == "linf")
 
     def stat_map(self, x, y_hat, delta):

@@ -5,9 +5,10 @@ symlin.dilation_step(X, delta) = [[X X^T, delta X], [delta X^T, X^T X]]:
 the drift H = sum delta*D(X) of the self-adjoint dilations D(X) fills Z's
 off-diagonal blocks and M = sum D(X)^2 its diagonal ones. The potential is
 a softmax smoothing of the largest eigenvalue of eta H - (eta^2 L^2 / 2) M,
-less c / eta for the constant c = r log(d1 + d2). A round on an Entry maps
-to a BlockSym, which keeps Z as one block per connected component, and
-the potential then works block by block; any other round to a ScalarSym.
+less c / eta for the constant c = r log(d1 + d2). A run on Entry instances
+starts from the zero BlockSym and each round maps to a BlockSym, which
+keeps Z as one block per connected component, so the potential works
+block by block; a run on dense instances holds a ScalarSym throughout.
 """
 
 import math
@@ -15,7 +16,7 @@ import math
 import numpy as np
 
 from .. import symlin
-from ..errors import ConfigError, DomainError
+from ..errors import ConfigError, DomainError, TagMismatchError
 from ..potential import Potential, distinct
 from ..statistics import BlockSym, ScalarSym, positions
 from ..strategies import _play, predict_linearized
@@ -45,7 +46,9 @@ class MatrixPotential(Potential):
         # id(z) -> (z, log-sum-exp) for the blocks of the last BlockSym read
         self._lses = {}
 
-    def zero(self):
+    def zero(self, like=None):
+        if isinstance(like, symlin.Entry):
+            return BlockSym.zero(self.d1, self.d2)
         return ScalarSym.zero(self.dim)
 
     def _instance(self, x, delta):
@@ -137,34 +140,27 @@ class MatrixPotential(Potential):
         instances, any member's row to any member's column): the diagonal
         sign matrix J that is -1 on the indices such paths reach from x's
         columns and +1 elsewhere leaves Z fixed and maps the step at delta
-        to the step at -delta. Then every delta is evaluated at |delta|, one
-        spectrum per distinct |delta| of one instance, and F(+L) - F(-L),
-        the linearized prediction, is exactly 0.
+        to the step at -delta. Then every delta is evaluated at |delta|, so
+        F(+L) - F(-L), the linearized prediction, is exactly 0.
 
         An Entry on a BlockSym factors only the block that the step forms
-        (see _entry_residual). Any other pair is dense: an Entry on a
-        ScalarSym is read as its dense matrix, a dense x on a BlockSym reads
-        its dense Z, and the answer comes from one gather of Z's live block,
-        with symlin.connects deciding the sign rule.
+        (see _entry_residual); a dense x on a BlockSym raises
+        TagMismatchError, as their sum would. On a ScalarSym an Entry is
+        read as its dense matrix, and the answer comes from one gather of
+        Z's live block, with symlin.connects deciding the sign rule member
+        by member.
         """
         x, delta = self._instance(x, delta)
         if isinstance(zeta, BlockSym):
-            if isinstance(x, symlin.Entry):
-                return self._entry_residual(zeta, x, delta)
-            zeta = ScalarSym(zeta.a, zeta.Z)
+            if not isinstance(x, symlin.Entry):
+                raise TagMismatchError("cannot combine BlockSym with a dense instance's ScalarSym")
+            return self._entry_residual(zeta, x, delta)
         x = np.asarray(x)
         batch = tuple(range(x.ndim - 2 - zeta.batch_ndim))  # instances that share a statistic
         live = np.concatenate([x.any(axis=batch + (-1,)), x.any(axis=batch + (-2,))], axis=-1)
         side = np.arange(self.dim) < self.d1  # x's rows, then its columns
         joined = symlin.connects(zeta.Z, live & side, live & ~side)
-        if zeta.batch_ndim:  # one statistic and instance per delta: the rule per member
-            return self._softmax(zeta, x, np.where(joined, delta, np.abs(delta)))
-        if not joined:
-            delta = np.abs(delta)
-            if x.shape == (self.d1, self.d2):
-                mags, inverse = distinct(delta)
-                return self._softmax(zeta, x, mags)[inverse]
-        return self._softmax(zeta, x, delta)
+        return self._softmax(zeta, x, np.where(joined, delta, np.abs(delta)))
 
     def _entry_residual(self, zeta, x, delta):
         """The residual of the Entry x = e_i e_j^T on a BlockSym: the step

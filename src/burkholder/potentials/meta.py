@@ -40,8 +40,9 @@ class MetaPotential(Potential):
     def arity(self):
         return len(self.members)
 
-    def zero(self):
-        return ProductStat(tuple(m.zero() for m in self.members) + (ScalarVec.zero(self.arity),))
+    def zero(self, like=None):
+        return ProductStat(tuple(m.zero(like) for m in self.members)
+                           + (ScalarVec.zero(self.arity),))
 
     def stat_map(self, x, y_hat, delta):
         parts = tuple(m.stat_map(x, y_hat, delta) for m in self.members)
@@ -144,8 +145,8 @@ class CombinedPotential(Potential):
             return np.min(vals, axis=-1)
         return np.vecdot(vals, self.weights)
 
-    def zero(self):
-        return self.potentials[0].zero()
+    def zero(self, like=None):
+        return self.potentials[0].zero(like)
 
     def stat_map(self, x, y_hat, delta):
         return self.potentials[0].stat_map(x, y_hat, delta)

@@ -71,7 +71,7 @@ class ParamFreePotential(Potential):
         # (1/2) * sum_{s=t+1}^{n} 1/s
         return 0.5 * (self._H[self.horizon] - self._H[t])
 
-    def zero(self):
+    def zero(self, like=None):
         return ScalarVec.zero(self.d)
 
     def stat_map(self, x, y_hat, delta):

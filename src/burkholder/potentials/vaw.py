@@ -41,7 +41,7 @@ class VawPotential(Potential):
         self.B = float(B)
         self.c = self.L ** 2 / self.rho  # the least c that keeps U a supermartingale
 
-    def zero(self):
+    def zero(self, like=None):
         return VecSym.zero(self.dim)
 
     def augment(self, x, y_hat):

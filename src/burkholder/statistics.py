@@ -7,8 +7,9 @@ are treated as immutable values. A stack of k statistics carries a leading
 axis of length k in every slot (the batch axes are those of the `lead`
 slot beyond its own ndim), and addition broadcasts over batch axes.
 BlockSym is the matrix family's (a, Z) for entry rounds, held as blocks,
-with no batch axis. Its sum with a ScalarSym is a ScalarSym, but for the
-zero ScalarSym, whose sum with a BlockSym is that BlockSym.
+with no batch axis. It and ScalarSym are two forms of one state, and an
+entry run holds only the block form from its zero on: their sum raises
+TagMismatchError like any other mix of tags.
 """
 
 from dataclasses import dataclass, fields
@@ -68,13 +69,6 @@ class ScalarSym(_Slots):
     def zero(cls, dim):
         return cls(0.0, np.zeros((dim, dim)))
 
-    def __add__(self, other):
-        if isinstance(other, BlockSym):  # the zero statistic takes the block form
-            if self.Z.shape == (other.root.size,) * 2 and self.a == 0 and not self.Z.any():
-                return other
-            other = ScalarSym(other.a, other.Z)
-        return super().__add__(other)
-
 
 class BlockSym:
     """(a, Z) of entry rounds, with Z held as disjoint principal blocks.
@@ -95,6 +89,11 @@ class BlockSym:
 
     def __init__(self, a, d1, root, blocks, top):
         self.a, self.d1, self.root, self.blocks, self.top = a, d1, root, blocks, top
+
+    @classmethod
+    def zero(cls, d1, d2):
+        """The zero statistic of d1 x d2 entries: no block, every index untouched."""
+        return cls(0.0, d1, np.full(d1 + d2, -1, dtype=np.intp), {}, 0.0)
 
     @classmethod
     def entry(cls, entry, delta, a):
@@ -137,8 +136,6 @@ class BlockSym:
         return out
 
     def __add__(self, other):
-        if isinstance(other, ScalarSym):
-            return ScalarSym(self.a, self.Z) + other
         _require_same_tag(self, other)
         if (other.d1, other.root.size) != (self.d1, self.root.size):
             raise TagMismatchError(f"Z shapes differ: {self.root.size} vs {other.root.size}")

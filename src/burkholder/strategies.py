@@ -8,6 +8,7 @@ eps1. Each of its rounds is solved exactly: by the two-label game solver,
 or by a pure saddle point; any other table is refused.
 """
 
+import itertools
 import math
 from collections import namedtuple
 
@@ -193,12 +194,14 @@ def _play(P, choose, sequence, loss, on_round, restart=None):
     around it. restart(P, zeta, t), when given, runs after on_round and
     returns None or the potential that plays from round t + 1, starting from
     its zero statistic; the trajectory keeps the last round's statistic from
-    before any restart.
+    before any restart. Every zero takes the form of the first instance's
+    rounds (P.zero(like=x)), so a run holds one statistic form throughout.
     """
-    traj = Trajectory()
-    zeta = nxt = P.zero()
+    traj, pairs = Trajectory(), iter(sequence)
+    first = next(pairs, None)
+    zeta = nxt = P.zero(like=None if first is None else first[0])
     traj.potential_values.append(P.eval(zeta, t=0))
-    for t, (x, y) in enumerate(sequence, start=1):
+    for t, (x, y) in enumerate(itertools.chain([first] if first else [], pairs), start=1):
         y_hat, residuals = choose(P, zeta, x, t)
         delta = float(loss.subgradient(y_hat, y))
         nxt = accumulate(zeta, x, y_hat, delta, P)
@@ -214,7 +217,7 @@ def _play(P, choose, sequence, loss, on_round, restart=None):
             on_round(t, zeta, rnd, nxt)
         zeta = nxt
         if restart is not None and (fresh := restart(P, zeta, t)) is not None:
-            P, zeta = fresh, fresh.zero()
+            P, zeta = fresh, fresh.zero(like=x)
     traj.zetas.append(nxt)
     return traj
 

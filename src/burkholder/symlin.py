@@ -36,9 +36,10 @@ class Entry:
     """The d1 x d2 indicator matrix e_i e_j^T, stored as its index (i, j).
 
     np.asarray(entry) gives the dense matrix, so any consumer of dense
-    instances accepts an Entry; dilation_step, the matrix family's block
-    statistic (statistics.BlockSym) and the comparator search use the index
-    directly.
+    instances, dilation_step among them, accepts an Entry. The matrix
+    family's block statistic (statistics.BlockSym) and the comparator
+    search use the index directly: the matrix family plays entries without
+    building the matrix.
     """
     __slots__ = ("i", "j", "shape")
 
@@ -65,18 +66,13 @@ def dilation_step(x, delta):
 
     D's eigenvalues are +/- the singular values of X padded with zeros, so
     the off-diagonal blocks carry delta X and the diagonal blocks D^2. A
-    stack of deltas broadcasts against x's batch axes.
+    stack of deltas broadcasts against x's batch axes. An Entry is read as
+    its dense matrix; an entry round's own step is statistics.BlockSym.entry.
     """
-    if not isinstance(x, Entry):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = np.atleast_2d(np.asarray(x, dtype=float))
     delta = np.asarray(delta, dtype=float)
     *batch, d1, d2 = x.shape
     out = np.zeros(np.broadcast_shapes(tuple(batch), delta.shape) + (d1 + d2, d1 + d2))
-    if isinstance(x, Entry):
-        # e_i e_j^T (e_i e_j^T)^T = e_i e_i^T and the transpose product is e_j e_j^T
-        out[..., x.i, x.i] = out[..., d1 + x.j, d1 + x.j] = 1.0
-        out[..., x.i, d1 + x.j] = out[..., d1 + x.j, x.i] = delta
-        return out
     xt, delta = x.swapaxes(-1, -2), delta[..., None, None]
     out[..., :d1, :d1] = x @ xt
     out[..., d1:, d1:] = xt @ x

@@ -6,13 +6,19 @@ from dataclasses import fields
 import numpy as np
 
 from burkholder.potential import stack_rounds
-from burkholder.statistics import BlockSym, ProductStat, map_slots
+from burkholder.statistics import BlockSym, ProductStat, ScalarSym, map_slots
 
 
 def sample_statistic(P, rng, max_rounds=8):
     """A statistic of P reachable as a sum of statistic-map outputs."""
     taus, _ = stack_rounds(P, *P.sample_rounds(rng, 1, max_rounds))
     return map_slots(lambda a: a[0], taus)
+
+
+def dense_form(stat):
+    """A BlockSym as the ScalarSym of its (a, Z), the form dense instances
+    add to; any other statistic as it is."""
+    return ScalarSym(stat.a, stat.Z) if isinstance(stat, BlockSym) else stat
 
 
 def stats_allclose(a, b, rtol=1e-12, atol=1e-12):

@@ -17,7 +17,8 @@ from burkholder import cli, harness, verify
 from burkholder.errors import ConfigError
 from burkholder.harness import random_vectors
 from burkholder.losses import make_loss
-from burkholder.potentials import MatrixPotential, VawPotential
+from burkholder.potentials import MatrixPotential, VawPotential, adagrad
+from burkholder.statistics import ScalarSym
 from burkholder.strategies import STRATEGIES, run_online
 from burkholder.symlin import Entry
 from sequence_csv import save_sequence
@@ -631,6 +632,56 @@ def test_matrix_run_matches_the_benchmark_reference(capsys):
            if not math.isclose(row[j], exp[j], rel_tol=1e-9, abs_tol=1e-9)]
     assert not bad
     assert "-> pass" in err
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_matrix_run_prints_the_golden_report(seed, capsys):
+    """run on the benchmark's completion config prints tests/matrix_run_seed<seed>.err
+    byte for byte, and a CSV every cell of which lies within 1e-13 max(1,
+    |value|) of tests/matrix_run_seed<seed>.csv."""
+    here = Path(__file__).resolve().parent
+    config = here.parent / "perfbench" / "configs" / "matrix_run.cfg"
+
+    def cells(text):
+        return [[float(v) for v in line.split(",")] for line in text.splitlines()[1:]]
+
+    assert cli.main(["run", "--config", str(config), "--seed", str(seed)]) == 0
+    out, err = capsys.readouterr()
+    assert err == (here / f"matrix_run_seed{seed}.err").read_text()
+    ref = (here / f"matrix_run_seed{seed}.csv").read_text()
+    assert out.splitlines()[0] == ref.splitlines()[0]
+    got, want = cells(out), cells(ref)
+    assert len(got) == len(want) == 201
+    bad = [(row[0], j) for row, exp in zip(got, want) for j in range(7)
+           if abs(row[j] - exp[j]) > 1e-13 * max(1.0, abs(exp[j]))]
+    assert not bad
+
+
+@pytest.mark.parametrize("family", ["matrix", "meta"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_an_entry_run_is_never_densified(family, strategy, tmp_path, monkeypatch, capsys):
+    """run on a completion config builds no ScalarSym, the dense zero
+    included, and never reads an Entry as its matrix: the statistic is a
+    BlockSym from round 1 on. meta's AdaGrad member flattens each instance
+    into its d1 * d2 statistic by design, so it gets the matrix from its
+    own builder here, and the patch still catches any read elsewhere."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("entry run densified")
+
+    def as_matrix(x):
+        out = np.zeros(x.shape)
+        out[x.i, x.j] = 1.0
+        return out
+
+    batch_instances = adagrad.batch_instances
+    monkeypatch.setattr(adagrad, "batch_instances", lambda x, *a: batch_instances(
+        as_matrix(x) if isinstance(x, Entry) else x, *a))
+    monkeypatch.setattr(Entry, "__array__", refuse)
+    monkeypatch.setattr(ScalarSym, "__init__", refuse)
+    path = _cfg(tmp_path, f"family = {family}\nstrategy = {strategy}\nd1 = 6\nd2 = 5\n"
+                          "eta = 0.5\nn = 30\nrank = 2\ncomparator_iters = 50\n")
+    assert cli.main(["run", "--config", path, "--seed", "3"]) == 0
+    assert "-> pass" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", [1, 11])

@@ -1,12 +1,13 @@
 """Matrix family: softmax potential over dilation sums, doubling restarts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from burkholder import symlin
-from burkholder.errors import ConfigError, DomainError
+from burkholder.errors import ConfigError, DomainError, TagMismatchError
 from burkholder.harness import matrix_completion
 from burkholder.losses import make_loss
 from burkholder.potential import Potential
@@ -14,7 +15,7 @@ from burkholder.potentials import MatrixPotential, doubling_run
 from burkholder.statistics import BlockSym, ScalarSym, map_slots
 from burkholder.strategies import predict_linearized, run_online
 from dilation_oracle import dilation, dilation_square, split
-from stat_oracle import sample_statistic
+from stat_oracle import dense_form, sample_statistic
 
 
 def _eval_oracle(P, stat):
@@ -39,6 +40,42 @@ def test_starts_at_zero_with_the_default_charge():
     P = MatrixPotential(3, 2, eta=0.5)
     assert abs(P.eval(P.zero())) < 1e-12
     assert P.c == pytest.approx(math.log(5.0))
+
+
+def test_entry_zero_holds_only_its_index_map():
+    """zero(like=Entry) is the BlockSym with no block: at d1 = d2 = 10^5 its
+    only array is root, one index per row of Z, and building it allocates
+    nothing of Z's size. At small d its U(0), V(0) and regret bound equal
+    the dense zero's bit for bit."""
+    d = 10 ** 5
+    tracemalloc.start()
+    zero = MatrixPotential(d, d, eta=0.5).zero(like=symlin.Entry(0, 0, (d, d)))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert isinstance(zero, BlockSym) and zero.blocks == {} and zero.a == 0.0
+    assert [k for k, v in vars(zero).items() if isinstance(v, np.ndarray)] == ["root"]
+    assert zero.root.shape == (2 * d,) and (zero.root == -1).all()
+    assert peak <= 2 * zero.root.nbytes
+    for d1, d2 in [(1, 1), (3, 2), (6, 5)]:
+        P = MatrixPotential(d1, d2, eta=0.3, r=1.5, L=1.2)
+        block, dense = P.zero(like=symlin.Entry(0, 0, (d1, d2))), P.zero()
+        assert isinstance(block, BlockSym) and isinstance(dense, ScalarSym)
+        for value in (P.eval, P.bound, P.regret_bound):
+            assert value(block) == value(dense)
+
+
+def test_a_dense_instance_on_a_block_statistic_is_refused():
+    """An entry run's statistic is a BlockSym; a dense instance against it
+    raises TagMismatchError naming both forms, as their sum does."""
+    P = MatrixPotential(3, 2, eta=0.5)
+    zero = P.zero(like=symlin.Entry(0, 0, (3, 2)))
+    zeta = zero + P.stat_map(symlin.Entry(1, 1, (3, 2)), 0.2, 0.5)
+    x = np.asarray(symlin.Entry(2, 0, (3, 2)))
+    for stat in (zero, zeta):
+        with pytest.raises(TagMismatchError, match="BlockSym with .*ScalarSym"):
+            P.residual(stat, x, np.array([-1.0, 1.0]))
+        with pytest.raises(TagMismatchError, match="BlockSym with ScalarSym"):
+            stat + P.stat_map(x, 0.0, 1.0)
 
 
 def test_statistic_map_layout():
@@ -200,6 +237,26 @@ def test_doubling_restarts_on_the_budget_schedule():
         doubling_run(2, 2, seq, loss, R=0.0)
 
 
+def test_doubling_entry_run_is_never_densified(monkeypatch):
+    """doubling_run on Entry instances opens each epoch from the zero
+    BlockSym: across its epochs no ScalarSym is built, the dense zero
+    included, and no Entry is read as its matrix."""
+    loss = make_loss("absolute")
+    seq = matrix_completion(40, 4, 3, rank=1, rng=np.random.default_rng(9))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("entry run densified")
+
+    monkeypatch.setattr(symlin.Entry, "__array__", refuse)
+    monkeypatch.setattr(ScalarSym, "__init__", refuse)
+    before = []
+    traj, epochs = doubling_run(4, 3, seq, loss,
+                                on_round=lambda t, zeta_prev, rnd, zeta: before.append(zeta_prev))
+    assert len(epochs) >= 3
+    assert all(isinstance(z, BlockSym) for z in before + [traj.final_statistic])
+    assert all(before[start - 1].blocks == {} for start, _, _ in epochs)
+
+
 def test_doubling_records_values_as_the_play_loop_does():
     """doubling_run takes U after a round at delta = +-L from the
     prediction's residuals, with each epoch's own potential, as run_online
@@ -274,7 +331,7 @@ def test_entry_statistics_match_the_dense_spectral_reference():
     a dense eigvalsh of the full (d1 + d2)^2 argument."""
     P = MatrixPotential(6, 5, eta=0.3, r=1.5, L=1.2)
     rng = np.random.default_rng(24)
-    zeta = P.zero()
+    zeta = P.zero(like=symlin.Entry(0, 0, (6, 5)))
     for _ in range(12):
         x = symlin.Entry(int(rng.integers(0, 4)), int(rng.integers(0, 3)), (6, 5))
         delta = float(rng.uniform(-1.0, 1.0))
@@ -311,18 +368,18 @@ def test_block_residual_matches_the_derived_residual():
     dense = P.sample_instance(rng)
     dense[[1, 5], :] = 0.0
     dense[:, 2] = 0.0
-    cases = [(P.zero(), symlin.Entry(3, 4, (6, 5))),
+    cases = [(P.zero(like=symlin.Entry(3, 4, (6, 5))), symlin.Entry(3, 4, (6, 5))),
              (P.zero(), dense),
              (seen, symlin.Entry(0, 1, (6, 5))),  # rows already live
              (seen, symlin.Entry(5, 3, (6, 5))),  # rows not yet live
-             (seen, dense),
+             (dense_form(seen), dense),
              (sample_statistic(P, rng), dense),
              (odd, symlin.Entry(1, 1, (6, 5))),
              (odd, dense)]
     deltas = np.array([-1.2, 1.2, 0.0, 0.37])
     for zeta, x in cases:
         got = P.residual(zeta, x, deltas)
-        want = Potential.residual(P, zeta, x, deltas)
+        want = Potential.residual(P, dense_form(zeta), x, deltas)
         assert got.shape == (4,)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
         for d, g in zip(deltas, got):
@@ -331,7 +388,7 @@ def test_block_residual_matches_the_derived_residual():
 
 def _entries_statistic(P, cells, rng):
     """The statistic of rounds on the given cells, with random y_hat and delta."""
-    zeta = P.zero()
+    zeta = P.zero(like=symlin.Entry(0, 0, (P.d1, P.d2)))
     for i, j in cells:
         zeta = zeta + P.stat_map(symlin.Entry(i, j, (P.d1, P.d2)),
                                  float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
@@ -358,11 +415,11 @@ def test_residual_is_even_when_no_path_joins_the_cell():
     deltas = np.array([-1.2, 1.2, -0.4, 0.4, 0.0])
     got = P.residual(zeta, x, deltas)
     assert got[0] == got[1] and got[2] == got[3]
-    dense = np.asarray(x)
+    dense, dense_zeta = np.asarray(x), dense_form(zeta)
     for d in deltas:
         assert P.residual(zeta, x, d) == P.residual(zeta, x, -d)
-        assert P.residual(zeta, dense, d) == P.residual(zeta, dense, -d)
-        assert abs(P.residual(zeta, x, d) - P.residual(zeta, dense, d)) <= 1e-12
+        assert P.residual(dense_zeta, dense, d) == P.residual(dense_zeta, dense, -d)
+        assert abs(P.residual(zeta, x, d) - P.residual(dense_zeta, dense, d)) <= 1e-12
     _assert_matches_evals(P, zeta, x, deltas, got)
     assert predict_linearized(P, zeta, x)[0] == 0.0
 
@@ -423,10 +480,11 @@ def test_residual_of_a_dense_instance_across_separate_components():
     x /= symlin.spectral_norm(x)
     deltas = np.array([-1.2, 1.2, 0.7])
     apart = _entries_statistic(P, [(0, 0), (1, 0), (4, 2), (4, 3)], rng)
+    joined = dense_form(apart + P.stat_map(symlin.Entry(4, 0, (6, 5)), 0.2, 0.9))
+    apart = dense_form(apart)
     got = P.residual(apart, x, deltas)
     assert got[0] == got[1]
     _assert_matches_evals(P, apart, x, deltas, got)
-    joined = apart + P.stat_map(symlin.Entry(4, 0, (6, 5)), 0.2, 0.9)
     got = P.residual(joined, x, deltas)
     assert abs(got[0] - got[1]) > 1e-6
     _assert_matches_evals(P, joined, x, deltas, got)
@@ -438,7 +496,7 @@ def test_residual_of_a_stack_of_instances_reads_the_union_of_their_cells():
     a member's cell is joined, the signs count. Both match the derived
     residual."""
     P = MatrixPotential(6, 5, eta=0.3, r=1.5, L=1.2)
-    zeta = _entries_statistic(P, [(0, 1), (2, 0), (2, 3)], np.random.default_rng(54))
+    zeta = dense_form(_entries_statistic(P, [(0, 1), (2, 0), (2, 3)], np.random.default_rng(54)))
     xs = np.zeros((3, 6, 5))
     xs[0, 0, 4] = xs[1, 5, 0] = xs[2, 3, 3] = 1.0  # no member's cell is joined
     deltas = np.array([0.8, -0.5, 1.1])
@@ -533,8 +591,8 @@ def test_entry_play_factors_only_new_blocks(monkeypatch):
     """On an absolute-loss entry run a round takes one spectrum for the
     block its step forms and, when it does not touch it, one for the block
     the previous round formed: a block no round has changed since the
-    potential last read it keeps its log-sum-exp. Round 1 reads the dense
-    zero statistic."""
+    potential last read it keeps its log-sum-exp. Round 1 reads the zero
+    BlockSym, which has no block."""
     loss = make_loss("absolute")
     seq = list(matrix_completion(80, 6, 5, rank=2, noise=0.05, rng=np.random.default_rng(61)))
     P = MatrixPotential(6, 5, eta=0.4, L=loss.L, B=loss.B)

@@ -115,14 +115,14 @@ def test_residual_on_entry_rounds_reads_the_members_residuals():
     different blocks, on one inside a block and on a repeated cell."""
     meta = _meta_pair()
     rng = np.random.default_rng(5)
-    zeta = meta.zero()
+    zeta = meta.zero(like=Entry(0, 0, (3, 2)))
     for i, j in [(0, 1), (2, 0), (1, 1)]:
         zeta = zeta + meta.stat_map(Entry(i, j, (3, 2)), rng.uniform(-1, 1), rng.uniform(-1, 1))
     assert isinstance(zeta.parts[0], BlockSym)
     deltas = np.array([-1.0, -0.3, 0.0, 0.3, 1.0])
     for i, j in [(0, 0), (0, 1), (2, 0)]:
         x = Entry(i, j, (3, 2))
-        want = meta.eval(zeta + meta.stat_map(x, 0.0, deltas))
+        want = [meta.eval(zeta + meta.stat_map(x, 0.0, d)) for d in deltas]
         assert np.allclose(meta.residual(zeta, x, deltas), want, rtol=1e-12, atol=1e-12)
 
 
@@ -243,7 +243,7 @@ class _RaisingBound(Potential):
     def __init__(self, exc):
         self.exc = exc
 
-    def zero(self):
+    def zero(self, like=None):
         return ScalarVec.zero(1)
 
     def regret_bound(self, stat, comparator=None):

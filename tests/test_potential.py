@@ -46,7 +46,9 @@ def test_eval_after_a_round_is_the_prediction_term_plus_the_residual(name, seed,
     with F derived from eval and stat_map."""
     P = _family(name)
     rng = np.random.default_rng(seed)
-    zeta = sample_statistic(P, rng, max_rounds=t - 1)
+    # an entry run's statistic sums Entry rounds from the zero they take
+    zeta = (P.zero(like=Entry(0, 0, (3, 2))) if name == "matrix_entry"
+            else sample_statistic(P, rng, max_rounds=t - 1))
     for _ in range(int(rng.integers(0, 4))):  # Entry instances in the sum too
         zeta = zeta + P.stat_map(_instance(name, P, rng), float(rng.uniform(-1, 1)),
                                  float(rng.uniform(-P.L, P.L)))

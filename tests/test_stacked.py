@@ -174,12 +174,11 @@ def test_one_instance_against_a_delta_stack_matches_single_calls(name):
 
 def test_matrix_round_values_keep_an_entry_sparse(monkeypatch):
     """An Entry against a stack of deltas on an entry run's statistic is
-    never densified: the residual factors the block the step forms, a
-    one-round stat_map is a block statistic, and stat_map of a delta stack
-    keeps the shared instance an Entry."""
+    never densified: the residual factors the block the step forms, and a
+    one-round stat_map is a block statistic."""
     P = MatrixPotential(4, 3, eta=0.5)
     rng = np.random.default_rng(9)
-    zeta = P.zero()
+    zeta = P.zero(like=Entry(0, 0, (4, 3)))
     for i, j in [(0, 1), (2, 0), (2, 2), (3, 1)]:
         zeta = zeta + P.stat_map(Entry(i, j, (4, 3)), rng.uniform(-1, 1), rng.uniform(-1, 1))
     dense_zeta = ScalarSym(zeta.a, zeta.Z)
@@ -187,7 +186,6 @@ def test_matrix_round_values_keep_an_entry_sparse(monkeypatch):
     loss = make_loss("squared")
     want = P.round_values(dense_zeta, np.asarray(x), np.linspace(-1, 1, 5), [-1.0, 1.0], loss)
     step = P.stat_map(np.asarray(x), 0.3, -0.5)
-    steps = P.stat_map(np.asarray(x), 0.3, np.array([-0.5, 0.5]))
 
     def densify(self, dtype=None, copy=None):
         raise AssertionError("Entry densified")
@@ -198,8 +196,6 @@ def test_matrix_round_values_keep_an_entry_sparse(monkeypatch):
     sparse = P.stat_map(x, 0.3, -0.5)
     assert isinstance(sparse, BlockSym)
     assert sparse.a == step.a and np.array_equal(sparse.Z, step.Z)
-    assert stats_allclose(P.stat_map(x, 0.3, np.array([-0.5, 0.5])), steps,
-                          rtol=0.0, atol=0.0)
 
 
 def _domain_norms(P, xs):

@@ -98,12 +98,12 @@ def test_block_statistic_sums_as_its_dense_form():
     for bit, in blocks that are exactly the connected components of Z's
     nonzeros (a delta = 0 round joins nothing; cell (1, 2) is seen with
     opposite deltas, so its entry cancels and its block splits), and the
-    largest diagonal entry as top. The zero ScalarSym plus a BlockSym is
-    that BlockSym, and any other mix is dense."""
+    largest diagonal entry as top. The sum starts from the zero BlockSym,
+    and a BlockSym mixed with a ScalarSym raises TagMismatchError."""
     shape, rng = (5, 4), np.random.default_rng(7)
     cells = [(0, 1, 0.5), (1, 2, -0.7), (3, 3, 0.0), (1, 1, 0.2), (1, 2, 0.7),
              (4, 0, -1.0), (4, 1, 0.3), (2, 3, 0.9), (0, 1, -0.25)]
-    block, dense = ScalarSym.zero(9), ScalarSym.zero(9)
+    block, dense = BlockSym.zero(*shape), ScalarSym.zero(9)
     for i, j, delta in cells:
         b, d = _entry_step(i, j, shape, delta, rng.uniform(-1, 1))
         block, dense = block + b, dense + d
@@ -120,8 +120,10 @@ def test_block_statistic_sums_as_its_dense_form():
     assert block.root[1] != block.root[5 + 2]  # the cancelled cell parted
     assert block.root[3] != block.root[5 + 3]  # the delta = 0 round joined nothing
     other = ScalarSym(0.1, np.eye(9))
-    for mixed, want in [(other + block, other.Z + dense.Z), (block + other, dense.Z + other.Z)]:
-        assert isinstance(mixed, ScalarSym) and np.array_equal(mixed.Z, want)
+    with pytest.raises(TagMismatchError, match="ScalarSym with BlockSym"):
+        other + block
+    with pytest.raises(TagMismatchError, match="BlockSym with ScalarSym"):
+        block + other
     with pytest.raises(TagMismatchError):
         block + BlockSym.entry(Entry(0, 0, (4, 5)), 1.0, 0.0)
     with pytest.raises(TagMismatchError):

@@ -538,7 +538,7 @@ def test_on_round_sees_every_statistic_in_order(randomized):
     else:
         traj = run_online(P, "linearized", seq, loss, on_round=on_round)
     assert [c[0] for c in calls] == list(range(1, traj.n + 1))
-    assert stats_allclose(calls[0][1], P.zero(), rtol=0, atol=0)
+    assert stats_allclose(calls[0][1], P.zero(like=Entry(0, 0, (4, 3))), rtol=0, atol=0)
     for (_, _, _, before), (_, after_prev, _, _) in zip(calls, calls[1:]):
         assert after_prev is before
     for t, zeta_prev, rnd, zeta in calls:
