@@ -32,7 +32,8 @@ _FLOAT_KEYS = {"B", "eta", "r", "c", "p", "lam", "nuclear_radius",
 _KNOWN_KEYS = _STR_KEYS | _INT_KEYS | _FLOAT_KEYS
 _MINIMUM = {"n": 1, "d": 1, "d1": 1, "d2": 1, "trials": 1, "depth": 1, "rank": 0,
             "seed": 0, "noise": 0, "skew": 0, "radius": 0, "nuclear_radius": 0,
-            "comparator_iters": 0, "eps2": 0}
+            "comparator_iters": 0, "eps2": 0, "p": 2}
+_POSITIVE = {"eta", "r", "c", "lam", "B", "eps1"}
 
 
 def parse_config(path):
@@ -70,8 +71,8 @@ def parse_config(path):
         if key in _MINIMUM and cfg[key] < _MINIMUM[key]:
             raise ConfigError(f"{path}:{lineno}: {key} = {cfg[key]}, "
                               f"need {key} >= {_MINIMUM[key]}")
-        if key == "eps1" and cfg[key] <= 0:
-            raise ConfigError(f"{path}:{lineno}: eps1 = {cfg[key]}, need eps1 > 0")
+        if key in _POSITIVE and cfg[key] <= 0:
+            raise ConfigError(f"{path}:{lineno}: {key} = {cfg[key]}, need {key} > 0")
         if key == "strategy" and val not in STRATEGIES:
             raise ConfigError(f"{path}:{lineno}: unknown strategy {val!r}; "
                               f"expected one of {STRATEGIES}")
@@ -198,8 +199,10 @@ def build_comparator(cfg, fam, seq, loss):
 
 def _randomized_slack(P, loss, n, eps1, eps2, rng, like):
     """The a-priori slack n (K eps1 + eps2), K, and whether K is estimated,
-    at the zero statistic of a run on instances like `like`."""
-    k, estimated = P.prediction_lipschitz(P.zero(like=like), P.sample_instance(rng), loss, t=1)
+    at the zero statistic of a run on instances like `like`; an estimated K
+    reads one instance drawn from rng."""
+    k, estimated = P.prediction_lipschitz(P.zero(like=like), lambda: P.sample_instance(rng),
+                                          loss, t=1)
     return n * (k * eps1 + eps2), k, estimated
 
 

@@ -83,19 +83,20 @@ class Potential:
                         rng.uniform(-self.L, self.L, total))
 
     # --- constants for the randomized strategy and meta combination -------
-    def prediction_lipschitz(self, zeta, x, loss, *, t=None):
+    def prediction_lipschitz(self, zeta, draw, loss, *, t=None):
         """(K, estimated): Lipschitz constant of y_hat -> U(zeta + T) over y.
 
-        A linearizable family gets the exact constant L. Any other samples
-        finite differences on a dense grid, in one value table over 8 labels
-        drawn from a fixed seed, and inflates 2x; estimated=True flags that
-        path.
+        A linearizable family gets the exact constant L and never calls
+        `draw`. Any other calls draw() once for an instance x and samples
+        finite differences on a dense grid, in one value table at x over 8
+        labels drawn from a fixed seed, and inflates 2x; estimated=True
+        flags that path.
         """
         if self.linearizable:
             return self.L, False
         ys = np.random.default_rng(0).uniform(-self.B, self.B, size=8)
         grid = np.linspace(-self.B, self.B, 201)
-        vals = self.round_values(zeta, x, grid, ys, loss, t=t)
+        vals = self.round_values(zeta, draw(), grid, ys, loss, t=t)
         return 2.0 * (float(np.max(np.abs(np.diff(vals, axis=0)))) / (grid[1] - grid[0])), True
 
     def regret_bound(self, stat, comparator=None):

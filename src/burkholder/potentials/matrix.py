@@ -67,16 +67,12 @@ class MatrixPotential(Potential):
             return BlockSym.entry(x, float(delta), float(delta * y_hat))
         return ScalarSym(delta * y_hat, symlin.dilation_step(x, delta))
 
-    def _block(self, stat, drift, variance, x=None, delta=None):
-        """drift H + variance M at a ScalarSym stat, or at stat + T(x, 0,
-        delta) for each delta of a stack, on Z's live block widened by x's
-        rows: the block is gathered once, the steps added and its blocks
+    def _block(self, stat, drift, variance):
+        """drift H + variance M on the live block of a ScalarSym's Z (one
+        block for a stack): the block is gathered once and its blocks
         scaled in place."""
-        live = symlin.live_rows(stat.Z, extra=() if x is None else symlin.dilation_rows(x))
+        live = symlin.live_rows(stat.Z)
         z = symlin.principal_block(stat.Z, live)
-        if x is not None:
-            step = symlin.dilation_step(symlin.instance_block(x, live), delta)
-            z = np.add(step, z, out=step)
         k1 = int(np.searchsorted(live, self.d1))  # block rows below k1 are rows of X
         z[..., :k1, k1:] *= drift
         z[..., k1:, :k1] *= drift
@@ -89,10 +85,6 @@ class MatrixPotential(Potential):
         """(drift, variance) weights of the softmax argument eta H - (eta^2
         L^2 / 2) M; they fix every spectrum the potential takes of it."""
         return self.eta, -0.5 * self.eta ** 2 * self.L ** 2
-
-    def _softmax(self, stat, x=None, delta=None):
-        z = self._block(stat, *self._weights(), x, delta)
-        return self._value(stat.a, symlin.logsumexp(symlin.sym_eigvals(z, self.dim)))
 
     def _value(self, a, lse):
         """U from the statistic's a and the log-sum-exp of its softmax argument's spectrum."""
@@ -129,7 +121,8 @@ class MatrixPotential(Potential):
     def eval(self, stat, t=None):
         if isinstance(stat, BlockSym):
             return self._value(stat.a, symlin.logsumexp(self._rest(stat)))
-        return self._softmax(stat)
+        z = self._block(stat, *self._weights())
+        return self._value(stat.a, symlin.logsumexp(symlin.sym_eigvals(z, self.dim)))
 
     def residual(self, zeta, x, delta, t=None):
         """F(zeta, x, delta) = U(zeta + T(x, 0, delta)) for one statistic and a
@@ -146,9 +139,9 @@ class MatrixPotential(Potential):
         An Entry on a BlockSym factors only the block that the step forms
         (see _entry_residual); a dense x on a BlockSym raises
         TagMismatchError, as their sum would. On a ScalarSym an Entry is
-        read as its dense matrix, and the answer comes from one gather of
-        Z's live block, with symlin.connects deciding the sign rule member
-        by member.
+        read as its dense matrix, symlin.connects decides the sign rule
+        member by member, and the answer is Potential.residual's U of the
+        summed statistic.
         """
         x, delta = self._instance(x, delta)
         if isinstance(zeta, BlockSym):
@@ -160,7 +153,7 @@ class MatrixPotential(Potential):
         live = np.concatenate([x.any(axis=batch + (-1,)), x.any(axis=batch + (-2,))], axis=-1)
         side = np.arange(self.dim) < self.d1  # x's rows, then its columns
         joined = symlin.connects(zeta.Z, live & side, live & ~side)
-        return self._softmax(zeta, x, np.where(joined, delta, np.abs(delta)))
+        return super().residual(zeta, x, np.where(joined, delta, np.abs(delta)), t=t)
 
     def _entry_residual(self, zeta, x, delta):
         """The residual of the Entry x = e_i e_j^T on a BlockSym: the step

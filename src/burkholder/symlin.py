@@ -9,8 +9,8 @@ one array. Dense arguments may carry leading batch axes.
 Spectra follow one rule: the caller gathers the block, and `sym_eigvals`
 factors it and pads it. A dense statistic slot touches only its live rows
 and columns (those not identically zero, found by `live_rows`), so the
-caller gathers its live principal block once (`principal_block`, with
-`instance_block` for a round's instance) and works on the block.
+caller gathers its live principal block once (`principal_block`) and
+works on the block.
 `sym_eigvals` takes that symmetric block as given: a nonempty block is one
 eigvalsh. Each row outside the block adds an exact zero eigenvalue, padded
 up to the full size; no full-size temporary is built. For a stack the live
@@ -81,30 +81,9 @@ def dilation_step(x, delta):
     return out
 
 
-def dilation_rows(x):
-    """Sorted indices of the rows of x's dilation [[0, X], [X^T, 0]] that
-    are nonzero in some member of a stack: x's nonzero rows, then d1 plus
-    its nonzero columns."""
-    batch = tuple(range(x.ndim - 2))
-    return np.concatenate([np.flatnonzero(x.any(axis=batch + (x.ndim - 1,))),
-                           x.shape[-2] + np.flatnonzero(x.any(axis=batch + (x.ndim - 2,)))])
-
-
-def instance_block(x, live):
-    """x restricted to the principal block `live` of its dilation; its
-    dilation_step is that of x on the block when `live` holds
-    dilation_rows(x). Taken in C order: a stack indexed with x[..., rows,
-    cols] keeps its batch axis innermost, and the matmul of dilation_step
-    then runs buffered, 192 KB of buffers on a 2 x 2 x 2 stack."""
-    d1 = x.shape[-2]
-    k1 = int(np.searchsorted(live, d1))  # live[:k1] index rows of x, the rest columns
-    return x.take(live[:k1], axis=-2).take(live[k1:] - d1, axis=-1)
-
-
-def live_rows(s, extra=()):
+def live_rows(s):
     """Sorted indices of the rows of an n x n argument that are live: not
-    identically zero in row or column in some member of a stack, plus the
-    indices `extra`.
+    identically zero in row or column in some member of a stack.
 
     On one matrix, `any` reductions along both axes allocate only length-n
     vectors; a stack is first folded to the n x n mask, one byte an entry,
@@ -114,9 +93,7 @@ def live_rows(s, extra=()):
     """
     if s.ndim > 2:
         s = s.any(axis=tuple(range(s.ndim - 2)))
-    live = s.any(axis=-1) | s.any(axis=-2)
-    live[np.asarray(extra, dtype=np.intp)] = True
-    return np.nonzero(live)[0]
+    return np.nonzero(s.any(axis=-1) | s.any(axis=-2))[0]
 
 
 def connects(s, sources, targets):

@@ -95,7 +95,8 @@ def test_known_config_keys_match_the_readme():
 
 def test_config_bounds_match_the_readme():
     """README's bounds sentence in the command line section lists exactly
-    the minimums parse_config enforces, with their values, plus eps1 > 0."""
+    the minimums parse_config enforces, with their values, and the keys it
+    holds above 0."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     sentence = re.search(r"The bounds: (.*?)\. ", " ".join(section.split())).group(1)
@@ -104,7 +105,7 @@ def test_config_bounds_match_the_readme():
         keys, kind, value = re.fullmatch(r"(.*) (at least|above) (\d+)", clause).groups()
         for key in re.findall(r"`(\w+)`", keys):
             bounds[kind][key] = int(value)
-    assert bounds == {"at least": cli._MINIMUM, "above": {"eps1": 0}}
+    assert bounds == {"at least": cli._MINIMUM, "above": dict.fromkeys(cli._POSITIVE, 0)}
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
@@ -118,6 +119,27 @@ def test_a_nonpositive_eps1_names_the_line(tmp_path, capsys, command, value):
     assert cli.main([command, "--config", path]) == 2
     out, err = capsys.readouterr()
     assert out == "" and where in err
+
+
+@pytest.mark.parametrize("family,key,value", [
+    ("matrix", "eta", "0"), ("matrix", "r", "0"), ("param_free", "c", "0"),
+    ("vaw", "lam", "0"), ("adagrad", "B", "-1"), ("param_free", "p", "1.5")])
+@pytest.mark.parametrize("command", ["run", "verify", "compare"])
+def test_a_value_out_of_bounds_names_the_line(tmp_path, capsys, family, key, value, command):
+    """A key held above 0, or p below 2, exits 2 with an error that starts
+    with the config's path and line, before any constructor sees it."""
+    lines = {"matrix": "d1 = 3\nd2 = 2\neta = 0.5\n", "vaw": "loss = squared\nd = 3\n",
+             "adagrad": "d = 3\n", "param_free": "d = 3\n"}[family]
+    text = f"family = {family}\n{lines}n = 5\n".replace(f"{key} = 0.5\n", "")
+    text += f"{key} = {value}\n"  # the last line
+    path = _cfg(tmp_path, text)
+    where = f"{path}:{len(text.splitlines())}: {key} = {float(value)}, need {key} "
+    with pytest.raises(ConfigError, match=f"^{re.escape(where)}"):
+        cli.parse_config(path)
+    suite = ["--suite", "necessity"] if command == "verify" else []
+    assert cli.main([command, "--config", path] + suite) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {where}")
 
 
 @pytest.mark.parametrize("family", ["matrix", "meta", "vaw", "adagrad", None])
@@ -602,12 +624,13 @@ def test_verify_all_matches_the_benchmark_reference(capsys):
     assert len(summary(out)) == 38
 
 
-def test_verify_all_prints_the_golden_report(capsys):
-    """verify --suite all at seed 0 prints tests/verify_all_seed0.txt byte
-    for byte: every max_violation too, so a change in any printed digit of
-    a check shows here."""
-    golden = Path(__file__).resolve().parent / "verify_all_seed0.txt"
-    assert cli.main(["verify", "--suite", "all", "--seed", "0"]) == 0
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_verify_all_prints_the_golden_report(seed, capsys):
+    """verify --suite all prints tests/verify_all_seed<seed>.txt byte for
+    byte: every max_violation too, so a change in any printed digit of a
+    check shows here."""
+    golden = Path(__file__).resolve().parent / f"verify_all_seed{seed}.txt"
+    assert cli.main(["verify", "--suite", "all", "--seed", str(seed)]) == 0
     out, _ = capsys.readouterr()
     assert out == golden.read_text()
 
@@ -699,7 +722,7 @@ def test_verify_catalog_rejects_a_nonpositive_range(tmp_path, capsys):
     path = _cfg(tmp_path, "B = -1\n")
     assert cli.main(["verify", "--config", path, "--suite", "p1"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "need 0 < B < inf" in err
+    assert out == "" and err == f"error: {path}:1: B = -1.0, need B > 0\n"
 
 
 def test_verify_scopes_to_a_configured_family(tmp_path, capsys):
@@ -835,6 +858,35 @@ def test_compare_randomized_against_linearized(tmp_path, capsys):
     assert "strategy=randomized mean_expected_loss=" in out
     assert "gap=" in out and "slack=" in out
     assert "vs linearized -> pass" in out
+
+
+def test_randomized_slack_draws_no_instance_for_a_linearizable_family(tmp_path, monkeypatch,
+                                                                        capsys):
+    """A linearizable family's Lipschitz constant is exactly L, so neither a
+    randomized run nor its comparison draws an instance to find it."""
+    def refuse(self, rng, k):
+        raise AssertionError("sample_instances called")
+
+    monkeypatch.setattr(MatrixPotential, "sample_instances", refuse)
+    path = _cfg(tmp_path, "family = matrix\nd1 = 3\nd2 = 2\neta = 0.5\nn = 12\n"
+                          "loss = absolute\nstrategy = randomized\neps1 = 0.3\neps2 = 0.3\n")
+    assert cli.main(["run", "--config", path]) == 0
+    assert cli.main(["compare", "--config", path, "--trials", "2",
+                     "--strategies", "randomized,linearized"]) == 0
+    out, _ = capsys.readouterr()
+    assert "vs linearized -> pass" in out
+
+
+def test_vaw_compare_prints_the_golden_report(capsys):
+    """compare --strategies convex,randomized on the benchmark's VAW config
+    at seed 0 prints tests/vaw_compare_seed0.txt byte for byte: the
+    randomized line and the gap too."""
+    here = Path(__file__).resolve().parent
+    assert cli.main(["compare", "--config", str(here.parent / "perfbench" / "configs" /
+                                                 "vaw_compare.cfg"),
+                     "--strategies", "convex,randomized", "--seed", "0"]) == 0
+    out, _ = capsys.readouterr()
+    assert out == (here / "vaw_compare_seed0.txt").read_text()
 
 
 def test_vaw_compare_matches_the_benchmark_reference(capsys):

@@ -204,7 +204,7 @@ def test_exact_two_label_game_needs_no_eps2_slack():
     states += [(sample_statistic(P, rng, max_rounds=5), P.sample_instance(rng))
                for _ in range(8)]
     for zeta, x in states:
-        k, _ = P.prediction_lipschitz(zeta, x, loss)
+        k, _ = P.prediction_lipschitz(zeta, lambda: x, loss)
         (dist, sample), (again, again_sample) = [
             predict_randomized(P, zeta, x, eps1=0.05, rng=np.random.default_rng(3),
                                loss=loss) for _ in range(2)]
@@ -502,11 +502,11 @@ def test_accumulate_enforces_the_subgradient_range():
 def test_prediction_lipschitz_routes():
     loss = make_loss("absolute")
     P = AdaGradPotential(d=2)
-    k, estimated = P.prediction_lipschitz(P.zero(), np.array([1.0, 0.0]), loss)
+    k, estimated = P.prediction_lipschitz(P.zero(), lambda: np.array([1.0, 0.0]), loss)
     assert (k, estimated) == (1.0, False)
     loss_sq = make_loss("squared")
     V = VawPotential(d=2, L=loss_sq.L)
-    k, estimated = V.prediction_lipschitz(V.zero(), np.array([1.0, 0.0]),
+    k, estimated = V.prediction_lipschitz(V.zero(), lambda: np.array([1.0, 0.0]),
                                           loss_sq)
     assert estimated
     assert k > 0.0

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burkholder.errors import DomainError, NumericError
-from burkholder.symlin import (Entry, connects, dilation_step, instance_block, live_rows,
+from burkholder.symlin import (Entry, connects, dilation_step, live_rows,
                                logsumexp, nuclear_projection, principal_block,
                                spectral_norm, sym_eigvals)
 from dilation_oracle import dilation, dilation_square, split
@@ -363,16 +363,6 @@ def test_connects_on_a_stack_answers_member_by_member():
             for m, a, b in zip(s, sources, targets)]
     assert got.shape == (60,) and got.tolist() == want
     assert 0 < sum(want) < 60
-
-
-def test_instance_block_of_a_stack_is_c_ordered():
-    """A stack's block comes out C-contiguous, so the matmul in
-    dilation_step reads it without buffering."""
-    x = np.random.default_rng(6).normal(size=(4, 3, 5))
-    live = np.array([0, 2, 3 + 1, 3 + 4])
-    block = instance_block(x, live)
-    assert block.flags.c_contiguous
-    assert np.array_equal(block, x[:, [0, 2]][:, :, [1, 4]])
 
 
 def test_entry_dilations_are_bit_identical_to_the_dense_ones():
