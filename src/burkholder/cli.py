@@ -15,9 +15,10 @@ import numpy as np
 
 from . import harness, verify
 from .errors import ConfigError, DomainError, NumericError, TagMismatchError
-from .losses import make_loss
+from .losses import KINDS, make_loss
 from .potentials import (AdaGradPotential, MatrixPotential, ParamFreePotential,
                          VawPotential, matrix_meta, standard_families)
+from .potentials.adagrad import VARIANTS
 from .strategies import RANDOMIZED_EPS, STRATEGIES, run_online, run_randomized_expected
 
 SUITES = ("p1", "p2", "p3", "khintchine", "mgf", "supermartingale",
@@ -32,8 +33,14 @@ _FLOAT_KEYS = {"B", "eta", "r", "c", "p", "lam", "nuclear_radius",
 _KNOWN_KEYS = _STR_KEYS | _INT_KEYS | _FLOAT_KEYS
 _MINIMUM = {"n": 1, "d": 1, "d1": 1, "d2": 1, "trials": 1, "depth": 1, "rank": 0,
             "seed": 0, "noise": 0, "skew": 0, "radius": 0, "nuclear_radius": 0,
-            "comparator_iters": 0, "eps2": 0, "p": 2}
+            "comparator_iters": 0, "eps2": 0, "p": 2, "comparator_radius": 0}
 _POSITIVE = {"eta", "r", "c", "lam", "B", "eps1"}
+# build_potential, build_sequence and build_comparator read these as checked here
+_CHOICES = {"family": ("param_free", "matrix", "meta", "adagrad", "vaw"),
+            "loss": KINDS, "strategy": STRATEGIES, "variant": VARIANTS,
+            "sequence": ("matrix_completion", "random_vectors", "adversarial_gradient"),
+            "comparator": ("auto", "zero", "grid", "least_squares", "ball"),
+            "comparator_ball": harness.BALLS}
 
 
 def parse_config(path):
@@ -73,9 +80,9 @@ def parse_config(path):
                               f"need {key} >= {_MINIMUM[key]}")
         if key in _POSITIVE and cfg[key] <= 0:
             raise ConfigError(f"{path}:{lineno}: {key} = {cfg[key]}, need {key} > 0")
-        if key == "strategy" and val not in STRATEGIES:
-            raise ConfigError(f"{path}:{lineno}: unknown strategy {val!r}; "
-                              f"expected one of {STRATEGIES}")
+        if key in _CHOICES and val not in _CHOICES[key]:
+            raise ConfigError(f"{path}:{lineno}: unknown {key} {val!r}; "
+                              f"expected one of {_CHOICES[key]}")
     if "c" in cfg and cfg.get("family") != "param_free":
         raise ConfigError(f"{path}:{seen['c']}: c needs family = param_free; "
                           "the other families derive it")
@@ -115,12 +122,10 @@ def build_potential(cfg, loss, n):
     if fam == "adagrad":
         return AdaGradPotential(_require(cfg, "d", "family adagrad"),
                                 variant=cfg.get("variant", "l2"), L=loss.L, B=loss.B)
-    if fam == "vaw":
-        if loss.kind != "squared":
-            raise ConfigError("vaw needs loss = squared")
-        return VawPotential(_require(cfg, "d", "family vaw"), rho=loss.rho,
-                            lam=cfg.get("lam", 1.0), L=loss.L, B=loss.B)
-    raise ConfigError(f"unknown family {fam!r}")
+    if loss.kind != "squared":
+        raise ConfigError("vaw needs loss = squared")
+    return VawPotential(_require(cfg, "d", "family vaw"), rho=loss.rho,
+                        lam=cfg.get("lam", 1.0), L=loss.L, B=loss.B)
 
 
 def _matrix_family(fam):
@@ -164,11 +169,9 @@ def build_sequence(cfg, rng):
                 n, _require(cfg, "d", "random_vectors"),
                 radius=cfg.get("radius", 1.0), noise=cfg.get("noise", 0.1),
                 B=B, rng=rng)
-        elif kind == "adversarial_gradient":
+        else:
             seq = harness.adversarial_gradient(
                 n, _require(cfg, "d", "adversarial_gradient"), B=B, rng=rng)
-        else:
-            raise ConfigError(f"unknown sequence kind {kind!r}")
     matrix_seq = seq.kind == "matrix_completion"
     if _matrix_family(fam) != matrix_seq:
         want = "a matrix sequence" if _matrix_family(fam) else "a vector sequence"
@@ -184,17 +187,15 @@ def build_comparator(cfg, fam, seq, loss):
         return harness.comparator_grid(seq.xs, seq.ys, loss)[0]
     if mode == "least_squares" or (mode == "auto" and fam == "vaw"):
         return harness.least_squares_comparator(seq.xs, seq.ys, loss)
-    if mode in ("auto", "ball"):
-        if _matrix_family(fam):
-            ball = cfg.get("comparator_ball", "nuclear")
-            radius = cfg.get("comparator_radius", cfg.get("r", 1.0))
-        else:
-            ball = cfg.get("comparator_ball", "l2")
-            radius = cfg.get("comparator_radius", 1.0)
-        return harness.best_linear_comparator(
-            seq.xs, seq.ys, loss, ball=ball, radius=radius,
-            iters=cfg.get("comparator_iters", 2000))
-    raise ConfigError(f"unknown comparator mode {mode!r}")
+    if _matrix_family(fam):
+        ball = cfg.get("comparator_ball", "nuclear")
+        radius = cfg.get("comparator_radius", cfg.get("r", 1.0))
+    else:
+        ball = cfg.get("comparator_ball", "l2")
+        radius = cfg.get("comparator_radius", 1.0)
+    return harness.best_linear_comparator(
+        seq.xs, seq.ys, loss, ball=ball, radius=radius,
+        iters=cfg.get("comparator_iters", 2000))
 
 
 def _randomized_slack(P, loss, n, eps1, eps2, rng, like):

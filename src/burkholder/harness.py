@@ -15,12 +15,13 @@ from . import symlin
 from .errors import DomainError
 
 CSV_HEADER = ("round", "loss", "cum_loss", "comp_loss", "regret", "bound", "potential")
+BALLS = ("l2", "box", "nuclear")
 
 
 @dataclass
 class Sequence:
     kind: str
-    xs: list
+    xs: object  # (n, d) float array of vector rows, or a list of symlin.Entry
     ys: np.ndarray
     meta: dict = field(default_factory=dict)
 
@@ -77,12 +78,12 @@ def random_vectors(n, d, radius=1.0, noise=0.1, B=1.0, rng=None):
     nw = np.linalg.norm(w_star)
     if nw > 0:
         w_star = w_star / nw * float(radius)
-    xs, ys = [], []
-    for _ in range(int(n)):
+    xs, ys = np.empty((int(n), int(d))), []
+    for t in range(int(n)):
         v = rng.normal(size=int(d))
         v = v / max(np.linalg.norm(v), 1e-12) * rng.uniform(0.0, 1.0) ** (1.0 / d)
         y = float(v @ w_star) + (noise * rng.normal() if noise > 0 else 0.0)
-        xs.append(v)
+        xs[t] = v
         ys.append(min(B, max(-B, y)))
     return Sequence("random_vectors", xs, np.array(ys), {"w_star": w_star})
 
@@ -92,13 +93,11 @@ def adversarial_gradient(n, d, B=1.0, rng=None):
     flipping sign between runs; stresses gradient accumulation."""
     rng = rng if rng is not None else np.random.default_rng(0)
     max_run = max(2, int(math.sqrt(n)) + 1)
-    xs, ys = [], []
+    xs, ys = np.zeros((int(n), int(d))), []
+    xs[np.arange(int(n)), np.arange(int(n)) % int(d)] = 1.0
     sign = 1.0
     remaining = int(rng.integers(1, max_run))
-    for t in range(int(n)):
-        e = np.zeros(int(d))
-        e[t % int(d)] = 1.0
-        xs.append(e)
+    for _ in range(int(n)):
         ys.append(sign * B)
         remaining -= 1
         if remaining == 0:
@@ -133,14 +132,15 @@ def load_sequence(path, d1=None, d2=None):
             if not all(map(math.isfinite, fields)):
                 raise DomainError(f"non-finite field in {row}")
             xs.append(symlin.Entry(int(row[0]), int(row[1]), (d1, d2)) if matrix
-                      else np.array(fields[:-1]))
+                      else fields[:-1])
             ys.append(fields[-1])
         except (ValueError, DomainError) as exc:
             raise DomainError(f"{path}: row {r}: {exc}") from exc
     if matrix:
         return Sequence("matrix_completion", xs, np.array(ys),
                         {"indices": [(x.i, x.j) for x in xs]})
-    return Sequence("random_vectors", xs, np.array(ys), {})
+    return Sequence("random_vectors", np.array(xs).reshape(len(xs), len(header) - 1),
+                    np.array(ys), {})
 
 
 # --- comparators -------------------------------------------------------------
@@ -153,16 +153,12 @@ class Comparator:
     description: str = ""
 
 
-def _flatten(xs):
-    mat = np.stack([np.asarray(x, dtype=float).reshape(-1) for x in xs])
-    return mat, np.shape(xs[0])
-
-
 def _design(xs):
     """(forward, adjoint, shape) of the map w -> (<w, x_t>)_t on flat w.
 
     Index entries gather w[k] and scatter with bincount, never building the
     n x (d1 d2) matrix; a gather equals the indicator-row product exactly.
+    An (n, d) array is read in place as the design.
     """
     if all(isinstance(x, symlin.Entry) for x in xs):
         shape = xs[0].shape
@@ -170,8 +166,9 @@ def _design(xs):
         size = shape[0] * shape[1]
         return (lambda w: w[k],
                 lambda g: np.bincount(k, weights=g, minlength=size), shape)
-    mat, shape = _flatten(xs)
-    return (lambda w: mat @ w), (lambda g: mat.T @ g), shape
+    xs = np.asarray(xs, dtype=float)
+    mat = xs.reshape(len(xs), -1)
+    return (lambda w: mat @ w), (lambda g: mat.T @ g), xs.shape[1:]
 
 
 def _project(w, shape, ball, radius):
@@ -188,7 +185,7 @@ def best_linear_comparator(xs, ys, loss, ball="l2", radius=1.0, iters=2000):
     norm ball, tracking the best iterate. Deterministic given the inputs."""
     if radius < 0:
         raise DomainError("radius >= 0")
-    if ball not in ("l2", "box", "nuclear"):
+    if ball not in BALLS:
         raise DomainError(f"unknown ball {ball!r}")
     forward, adjoint, shape = _design(xs)
     ys = np.asarray(ys, dtype=float)
@@ -223,7 +220,8 @@ def least_squares_comparator(xs, ys, loss):
                       where=counts > 0)
         preds = forward(w)
     else:
-        mat, shape = _flatten(xs)
+        xs = np.asarray(xs, dtype=float)
+        shape, mat = xs.shape[1:], xs.reshape(len(ys), -1)
         w, *_ = np.linalg.lstsq(mat, ys, rcond=None)
         preds = mat @ w
     per_round = np.asarray(loss.value(preds, ys), dtype=float)

@@ -144,20 +144,16 @@ def stack_rounds(P, counts, rounds):
     """(taus, rest) from one stat_map call over the stacked rounds (x, y_hat,
     delta): taus[i] folds the next counts[i] rounds onto zero in round order;
     rest stacks the maps of the rounds after them (None without rounds).
-    Round r adds in place to every trial's slots: the order and rounding of
-    adding the rounds' statistics one by one."""
-    counts, zero, rows = np.asarray(counts), P.zero(), len(rounds[2])
-    taus = map_slots(lambda z: np.zeros(counts.shape + np.shape(z)), zero)
-    if not rows:
+    np.add.at adds the rows in index order, so each trial sums 0 + r1 + r2 +
+    ...: the order and rounding of adding the rounds' statistics one by one."""
+    counts = np.asarray(counts)
+    taus = map_slots(lambda z: np.zeros(counts.shape + np.shape(z)), P.zero())
+    if not len(rounds[2]):
         return taus, None
-    # row `rows` is zero: the step of a trial that has no round r
-    padded = map_slots(lambda a, z: np.concatenate([a, np.asarray(z)[None]]),
-                       P.stat_map(*rounds), zero)
-    start = np.cumsum(counts) - counts
-    for r in range(int(counts.max(initial=0))):
-        pick = np.where(r < counts, start + r, rows)
-        map_slots(lambda out, a: np.add(out, a[pick], out=out), taus, padded)
-    return taus, map_slots(lambda a: a[int(counts.sum()):rows], padded)
+    used, owner = int(counts.sum()), np.repeat(np.arange(len(counts)), counts)
+    steps = P.stat_map(*rounds)
+    map_slots(lambda out, a: np.add.at(out, owner, a[:used]), taus, steps)
+    return taus, map_slots(lambda a: a[used:], steps)
 
 
 def batch_instances(x, delta, shape):

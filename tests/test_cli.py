@@ -123,11 +123,13 @@ def test_a_nonpositive_eps1_names_the_line(tmp_path, capsys, command, value):
 
 @pytest.mark.parametrize("family,key,value", [
     ("matrix", "eta", "0"), ("matrix", "r", "0"), ("param_free", "c", "0"),
-    ("vaw", "lam", "0"), ("adagrad", "B", "-1"), ("param_free", "p", "1.5")])
+    ("vaw", "lam", "0"), ("adagrad", "B", "-1"), ("param_free", "p", "1.5"),
+    ("adagrad", "comparator_radius", "-1")])
 @pytest.mark.parametrize("command", ["run", "verify", "compare"])
 def test_a_value_out_of_bounds_names_the_line(tmp_path, capsys, family, key, value, command):
-    """A key held above 0, or p below 2, exits 2 with an error that starts
-    with the config's path and line, before any constructor sees it."""
+    """A key held above 0, p below 2 or a negative comparator_radius exits 2
+    with an error that starts with the config's path and line, before any
+    constructor or comparator sees it."""
     lines = {"matrix": "d1 = 3\nd2 = 2\neta = 0.5\n", "vaw": "loss = squared\nd = 3\n",
              "adagrad": "d = 3\n", "param_free": "d = 3\n"}[family]
     text = f"family = {family}\n{lines}n = 5\n".replace(f"{key} = 0.5\n", "")
@@ -336,9 +338,15 @@ def test_run_configuration_errors_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, message", [
     ("family = vaw\nloss = absolute\nd = 3\n", "vaw needs loss = squared"),
-    ("family = sorcery\nd = 3\n", "unknown family 'sorcery'"),
-    ("family = adagrad\nsequence = sorcery\nd = 3\n", "unknown sequence kind 'sorcery'"),
-    ("family = adagrad\ncomparator = sorcery\nd = 3\n", "unknown comparator mode 'sorcery'"),
+    ("family = sorcery\nd = 3\n",
+     "{path}:1: unknown family 'sorcery'; expected one of "
+     "('param_free', 'matrix', 'meta', 'adagrad', 'vaw')"),
+    ("family = adagrad\nsequence = sorcery\nd = 3\n",
+     "{path}:2: unknown sequence 'sorcery'; expected one of "
+     "('matrix_completion', 'random_vectors', 'adversarial_gradient')"),
+    ("family = adagrad\ncomparator = sorcery\nd = 3\n",
+     "{path}:2: unknown comparator 'sorcery'; expected one of "
+     "('auto', 'zero', 'grid', 'least_squares', 'ball')"),
     ("family = adagrad\nstrategy = sorcery\nd = 3\n",
      "{path}:2: unknown strategy 'sorcery'; expected one of "
      "('linearized', 'convex', 'randomized')"),
@@ -361,13 +369,32 @@ def test_compare_names_an_unknown_config_strategy_and_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("iters", [0, 5])
 def test_run_names_an_unknown_comparator_ball_and_exits_2(tmp_path, capsys, iters):
-    """The ball is checked before descent, so a run with no iteration to
+    """The ball is checked at its line, so a run with no iteration to
     project still rejects it."""
     path = _cfg(tmp_path, "family = adagrad\ncomparator = ball\ncomparator_ball = sorcery\n"
                           f"comparator_iters = {iters}\nd = 3\nn = 5\n")
     assert cli.main(["run", "--config", path]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: unknown ball 'sorcery'\n"
+    assert out == "" and err == (f"error: {path}:3: unknown comparator_ball 'sorcery'; "
+                                 "expected one of ('l2', 'box', 'nuclear')\n")
+
+
+@pytest.mark.parametrize("key", sorted(cli._CHOICES))
+@pytest.mark.parametrize("command", ["run", "verify", "compare"])
+def test_an_unknown_choice_names_its_line(tmp_path, capsys, monkeypatch, key, command):
+    """Every key with a fixed set of values is checked at its line, before
+    any sequence is built, in every command that reads a config."""
+    monkeypatch.setattr(harness, "random_vectors", None)
+    text = "family = adagrad\nd = 3\nn = 5\n".replace(f"{key} = adagrad\n", "")
+    path = _cfg(tmp_path, text + f"{key} = sorcery\n")
+    where = (f"{path}:{len(text.splitlines()) + 1}: unknown {key} 'sorcery'; "
+             f"expected one of {cli._CHOICES[key]}")
+    with pytest.raises(ConfigError, match=f"^{re.escape(where)}$"):
+        cli.parse_config(path)
+    suite = ["--suite", "necessity"] if command == "verify" else []
+    assert cli.main([command, "--config", path] + suite) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {where}\n"
 
 
 _CLI_FAMILIES = {
@@ -678,6 +705,18 @@ def test_matrix_run_prints_the_golden_report(seed, capsys):
     bad = [(row[0], j) for row, exp in zip(got, want) for j in range(7)
            if abs(row[j] - exp[j]) > 1e-13 * max(1.0, abs(exp[j]))]
     assert not bad
+
+
+@pytest.mark.parametrize("family", ["param_free", "adagrad"])
+def test_vector_run_prints_the_golden_report(family, tmp_path, capsys):
+    """A seed-3 linearized run of a vector family (d = 5, n = 300) prints
+    tests/<family>_run_seed3.csv and .err byte for byte."""
+    here = Path(__file__).resolve().parent
+    path = _cfg(tmp_path, f"family = {family}\nd = 5\nn = 300\nstrategy = linearized\n")
+    assert cli.main(["run", "--config", path, "--seed", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert out == (here / f"{family}_run_seed3.csv").read_text()
+    assert err == (here / f"{family}_run_seed3.err").read_text()
 
 
 @pytest.mark.parametrize("family", ["matrix", "meta"])

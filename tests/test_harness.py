@@ -191,6 +191,27 @@ def test_comparator_grid_on_zero_labels_takes_a_unit_vector():
     assert best.shape == (60, 60) and best[0, 0] > 0 and np.count_nonzero(best) == 1
 
 
+_ORACLES = {"ball": lambda seq, loss: best_linear_comparator(seq.xs, seq.ys, loss, iters=3),
+            "grid": lambda seq, loss: comparator_grid(seq.xs, seq.ys, loss)}
+
+
+@pytest.mark.parametrize("oracle", sorted(_ORACLES))
+def test_vector_comparators_read_the_design_in_place(oracle):
+    """A vector sequence is one C-ordered (n, d) array, and the comparators
+    read it as their design: their traced peak stays well below one n x d
+    array (8 MB at 200 x 5000), where a stacked copy would be one."""
+    seq = random_vectors(200, 5000, rng=np.random.default_rng(0))
+    assert seq.xs.shape == (200, 5000) and seq.xs.flags.c_contiguous
+    loss = make_loss("absolute", B=1.0)
+    tracemalloc.start()
+    try:
+        _ORACLES[oracle](seq, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < seq.xs.nbytes / 2
+
+
 class TestRegretReport:
     def _run(self, n=6):
         P = AdaGradPotential(d=2)
