@@ -51,7 +51,9 @@ class Loss:
         elif self.kind == "squared":
             out = 2.0 * (y_hat - y)
         else:
-            out = np.where(y_hat * y < 0, -y, 0.0)
+            # signs, not the product: y_hat * y underflows to 0 for a
+            # subnormal y_hat, which would zero -y on part of a sign range
+            out = np.where(np.sign(y_hat) * np.sign(y) < 0, -y, 0.0)
         return float(out) if out.ndim == 0 else out
 
     def critical_labels(self, points):

@@ -36,6 +36,12 @@ def test_subgradient_values():
     assert make_loss("hinge").subgradient(0.5, -1.0) == 1.0
 
 
+def test_hinge_subgradient_survives_a_subnormal_prediction():
+    # y_hat * y underflows to 0 here; the subgradient is still -y
+    ys = np.array([0.25, 0.5, 1.0])
+    assert np.array_equal(make_loss("hinge").subgradient(-5e-324, ys), -ys)
+
+
 def test_broadcasting():
     loss = make_loss("absolute")
     y_hats = np.array([-1.0, 0.0, 1.0])
